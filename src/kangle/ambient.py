@@ -30,7 +30,6 @@ __all__ = [
     "ambient_J",
     "ambient_metric",
     "ambient_metric_point",
-    "ambient_curvature",
     "curvature_tensor_point",
     "einstein_constant",
     "check_chart_domain",
@@ -70,7 +69,7 @@ def space_form(rho, complex_dim):
     return AmbientSpec("space_form", float(rho), complex_dim)
 
 
-def ambient_J(spec, z=None):
+def ambient_J(spec):
     """The constant complex-structure matrix, blockwise (x, y) -> (-y, x)."""
     m = spec.complex_dim
     J = np.zeros((2 * m, 2 * m))
@@ -204,12 +203,3 @@ def curvature_tensor_point(spec, z):
     )
     return spec.rho * R
 
-
-def ambient_curvature(spec, z, X, Y, Z, W):
-    """R(X, Y, Z, W) at chart point(s) z, arguments in chart components."""
-    if spec.is_flat:
-        return np.zeros(np.broadcast_shapes(
-            np.shape(X)[:-1], np.shape(Y)[:-1], np.shape(Z)[:-1], np.shape(W)[:-1]
-        ))
-    R = curvature_tensor_point(spec, z)
-    return np.einsum("...abcd,...a,...b,...c,...d->...", R, X, Y, Z, W)

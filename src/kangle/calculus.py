@@ -32,14 +32,12 @@ __all__ = [
     "partials",
     "christoffel",
     "riemann_from_christoffel",
-    "ricci_from_riemann",
     "cov_d_oneform",
     "cov_d_twoform",
     "cov_d_threeform",
     "cov_d_vector",
     "cov_d_11tensor",
     "divergence",
-    "codiff_oneform",
     "codiff_twoform",
     "codiff_threeform",
     "exterior_d_oneform",
@@ -152,11 +150,6 @@ def riemann_from_christoffel(gamma, g):
     return np.einsum("bijkm,bml->bijkl", R_up, g0)
 
 
-def ricci_from_riemann(R, g_inv0):
-    """Ric(Y, Z) = sum_i R(e_i, Y, Z, e_i), computed as g^{il} R_{iYZl}."""
-    return np.einsum("bil,biyzl->byz", g_inv0, R)
-
-
 def cov_d_oneform(s, gamma):
     """(nabla s)[i, j, b] = d_i s_j - Gamma^k_{ij} s_k."""
     ds = partials(s)
@@ -205,22 +198,16 @@ def divergence(V, gamma):
     return jtrace(cov_d_vector(V, gamma))
 
 
-def codiff_twoform(w, g_inv, gamma, sign=1.0):
-    """(delta w)_k = -g^{ij} (nabla_i w)_{jk}, times the calibrated sign."""
+def codiff_twoform(w, g_inv, gamma):
+    """(delta w)_k = -g^{ij} (nabla_i w)_{jk}, in the standard sign."""
     nw = cov_d_twoform(w, gamma)
-    return _jes("ij...,ijk...->k...", g_inv, nw) * (-sign)
+    return -_jes("ij...,ijk...->k...", g_inv, nw)
 
 
-def codiff_oneform(s, g_inv, gamma, sign=1.0):
-    """delta s = -g^{ij} (nabla_i s)_j, times the calibrated sign."""
-    ns = cov_d_oneform(s, gamma)
-    return _jes("ij...,ij...->...", g_inv, ns) * (-sign)
-
-
-def codiff_threeform(t, g_inv, gamma, sign=1.0):
-    """(delta t)_{jk} = -g^{il} (nabla_i t)_{ljk}, times the calibrated sign."""
+def codiff_threeform(t, g_inv, gamma):
+    """(delta t)_{jk} = -g^{il} (nabla_i t)_{ljk}, in the standard sign."""
     nt = cov_d_threeform(t, gamma)
-    return _jes("il...,iljk...->jk...", g_inv, nt) * (-sign)
+    return -_jes("il...,iljk...->jk...", g_inv, nt)
 
 
 def exterior_d_oneform(s):

@@ -55,9 +55,21 @@ def _load_spec(args):
     return spec, entry
 
 
+def _parse_point(text):
+    try:
+        point = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise KangleError(
+            f"bad --point value {text!r}; give comma-separated numbers"
+        ) from None
+    if not np.all(np.isfinite(point)):
+        raise KangleError(f"bad --point value {text!r}; coordinates must be finite")
+    return point
+
+
 def _cmd_eval(args):
     spec, _ = _load_spec(args)
-    point = np.array([float(v) for v in args.point.split(",")])
+    point = _parse_point(args.point)
     snap = compute_snapshot(spec, point[None, :], order=args.order,
                             skip_invalid=False)
     out = {

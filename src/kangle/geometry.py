@@ -27,7 +27,7 @@ from .errors import (
     NotAnImmersionError,
     UsageError,
 )
-from .jets import Jet, jet_einsum, jet_seed_all, jet_unary
+from .jets import Jet, jet_compose, jet_einsum, jet_seed_all, jet_unary
 
 # classification codes and tolerances
 GENERIC, LAGRANGIAN, COMPLEX, MIXED = 0, 1, 2, 3
@@ -44,12 +44,10 @@ __all__ = [
     "Snapshot",
     "compute_snapshot",
     "snapshot_from_F",
-    "scalar_laplacian",
     "induced_metric",
     "pullback_form",
     "kahler_angles",
     "signed_angle_n1",
-    "polar_J_omega",
     "second_fundamental_form",
     "mean_curvature",
     "weitzenboeck_operator",
@@ -98,66 +96,60 @@ class Snapshot:
         return 4 * self.n
 
 
-def scalar_laplacian(f_jet, g_inv, gamma, sign=1.0):
-    """Metric trace of the Hessian, times the calibrated sign constant."""
-    return ca.trace_hessian(f_jet, g_inv, gamma) * sign
+def induced_metric(a, b, gN=None):
+    """g_N(a d_i, b d_j) as jets; a and b have axes (A, i, b).
 
-
-def induced_metric(dF, gN=None):
-    """g_ij = g_N(dF d_i, dF d_j) as jets; dF has axes (A, i, b)."""
-    if gN is None:
-        return jet_einsum("Ai...,Aj...->ij...", dF, dF)
-    step = ca._jes("AB...,Bj...->Aj...", gN, dF)
-    return ca._jes("Ai...,Aj...->ij...", dF, step)
-
-
-def pullback_form(dF, J, gN=None):
-    """(F*w)_ij = g_N(J dF d_i, dF d_j); antisymmetrized against roundoff."""
-    JdF = jet_einsum("AB,Bi...->Ai...", J, dF)
-    w = induced_metric_cross(JdF, dF, gN)
-    return Jet(w.dim, w.order, 0.5 * (w.coeffs - np.swapaxes(w.coeffs, 0, 1)))
-
-
-def induced_metric_cross(a, b, gN=None):
+    With a = b = dF this is the induced metric g_ij.  gN None is flat.
+    """
     if gN is None:
         return jet_einsum("Ai...,Aj...->ij...", a, b)
     step = ca._jes("AB...,Bj...->Aj...", gN, b)
     return ca._jes("Ai...,Aj...->ij...", a, step)
 
 
-def kahler_angles(g0, W0):
-    """Angles, rank data and the orthonormal-frame form matrix.
+def pullback_form(dF, J, gN=None):
+    """(F*w)_ij = g_N(J dF d_i, dF d_j); antisymmetrized against roundoff."""
+    JdF = jet_einsum("AB,Bi...->Ai...", J, dF)
+    w = induced_metric(JdF, dF, gN)
+    return Jet(w.dim, w.order, 0.5 * (w.coeffs - np.swapaxes(w.coeffs, 0, 1)))
 
-    Returns (cos_angles desc (B, n), What (B, d, d), L (B, d, d), gap (B,)).
+
+def _skew_spectrum(What):
+    """Paired skew spectrum of 2-forms in orthonormal frames, one SVD each.
+
+    What: (B, d, d) antisymmetric.  Returns (pair-averaged singular values
+    desc (B, n), pairing gap (B,), polar factor of -What (B, d, d)); the
+    polar factor is the partial isometry whose kernel is ker What.
     """
-    B, d = g0.shape[0], g0.shape[1]
+    U, S, Vt = np.linalg.svd(What)                   # S descending
+    gap = np.max(np.abs(S[:, 0::2] - S[:, 1::2]), axis=-1)
+    keep = (S > TOL_LAGRANGIAN).astype(float)
+    polar = -np.einsum("bik,bk,bkj->bij", U, keep, Vt)
+    return 0.5 * (S[:, 0::2] + S[:, 1::2]), gap, polar
+
+
+def kahler_angles(g0, W0):
+    """Angles, polar complex structure and the orthonormal-frame form.
+
+    Returns (cos_angles desc (B, n), J_w in coordinate components (B, d, d),
+    What (B, d, d), L (B, d, d), pairing gap (B,)).  J_w is the pointwise
+    polar factor of (F*w)#: a partial isometry with kernel ker F*w.
+    """
     L = np.linalg.cholesky(g0)
     Linv_W = np.linalg.solve(L, W0)                    # L^-1 W
     What = np.swapaxes(np.linalg.solve(L, np.swapaxes(Linv_W, -1, -2)),
                        -1, -2)                         # L^-1 W L^-T
     What = 0.5 * (What - np.swapaxes(What, -1, -2))
-    svals = np.linalg.svd(What, compute_uv=False)      # descending
-    gap = np.max(np.abs(svals[:, 0::2] - svals[:, 1::2]), axis=-1)
-    if np.any(gap > PAIRING_TOL * (1.0 + svals[:, 0])):
+    cos, gap, Jhat = _skew_spectrum(What)
+    if np.any(gap > PAIRING_TOL * (1.0 + cos[:, 0])):
         worst = float(np.max(gap))
         raise DegenerateAngleError(
             f"skew singular values failed to pair (worst gap {worst:.3e})"
         )
-    cos = 0.5 * (svals[:, 0::2] + svals[:, 1::2])
     cos = np.clip(cos, 0.0, 1.0 + 1e-10)
-    return cos, What, L, gap
-
-
-def polar_J_omega(What, L, tol=TOL_LAGRANGIAN):
-    """Pointwise polar factor of (F*w)#: partial isometry, kernel = ker F*w.
-
-    Returns the operator in coordinate components, (B, d, d).
-    """
-    U, S, Vt = np.linalg.svd(-What)
-    keep = (S > tol).astype(float)
-    Jhat = np.einsum("bik,bk,bkj->bij", U, keep, Vt)
-    Lt_inv = np.linalg.inv(np.swapaxes(L, -1, -2))
-    return np.einsum("bik,bkl,blj->bij", Lt_inv, Jhat, np.swapaxes(L, -1, -2)), Jhat
+    Lt = np.swapaxes(L, -1, -2)
+    Jw = np.einsum("bik,bkl,blj->bij", np.linalg.inv(Lt), Jhat, Lt)
+    return cos, Jw, What, L, gap
 
 
 def signed_angle_n1(g0, W0):
@@ -244,33 +236,7 @@ def _ambient_along_F(spec, F, order_metric, order_gamma):
     z_seeds = jet_seed_all(m, order_gamma + 1, z0)
     gN_amb = amb.ambient_metric(spec, ca.jstack(z_seeds))
     gammaN_amb = ca.christoffel(gN_amb)                   # (A, B, C, b) jets
-    Fl = [F[A] for A in range(m)]
-    gammaN_F = _compose_field(gammaN_amb, Fl, order_gamma)
-    return gN, gammaN_F
-
-
-def _compose_field(amb_jet, F_components, out_order):
-    """Compose every component of an ambient-variable jet tensor with F.
-
-    Shares the power products of (F - z0) across all tensor components.
-    """
-    from .jets import _tables, jet_power_products
-
-    m = amb_jet.dim
-    tab = _tables(m, amb_jet.order)
-    exps = [a for a in tab.exponents if sum(a) <= out_order]
-    offs = []
-    for F in F_components:
-        Ft = F.truncated(out_order)
-        c = Ft.coeffs.copy()
-        c[..., 0] = 0.0
-        offs.append(Jet(Ft.dim, out_order, c))
-    powers = jet_power_products(offs, exps)
-    PW = np.stack([powers[b].coeffs for b in exps], axis=0)   # (E, b, K)
-    sel = [tab.position[b] for b in exps]
-    A = amb_jet.coeffs[..., sel]                              # (comp..., b, E)
-    out = np.einsum("...be,ebk->...bk", A, PW)
-    return Jet(offs[0].dim, out_order, out)
+    return gN, jet_compose(gammaN_amb, [F[A] for A in range(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -311,48 +277,17 @@ def _complex_frame(What, L):
 
 
 def _normal_frame(dF0, gN0):
-    """g_N-orthonormal basis of the normal space by metric Gram-Schmidt.
+    """g_N-orthonormal basis of the normal space.
 
     dF0: (b, A, i).  Returns nu with shape (b, d, A) (d normal vectors).
+    With g_N = C C^T, C^T carries g_N to the Euclidean product; the last
+    columns Q of a complete QR of C^T dF span the image of the normal
+    space there, and nu = C^-T Q.
     """
-    B, m, d = dF0.shape
-    cands = [dF0[:, :, i] for i in range(d)] + \
-        [np.broadcast_to(np.eye(m)[a], (B, m)) for a in range(m)]
-    basis = []
-    for v in cands:
-        v = v.astype(float).copy()
-        for w in basis:
-            coef = np.einsum("bA,bAB,bB->b", v, gN0, w)
-            v -= coef[:, None] * w
-        nrm2 = np.einsum("bA,bAB,bB->b", v, gN0, v)
-        ok = nrm2 > 1e-18
-        if not np.any(ok):
-            continue
-        if not np.all(ok):
-            # candidate degenerate at some points only: skip it entirely if
-            # any point rejects it, later candidates will fill the gap there
-            # (the identity completion guarantees termination)
-            continue
-        basis.append(v / np.sqrt(nrm2)[:, None])
-        if len(basis) == 2 * d:
-            break
-    if len(basis) < 2 * d:
-        # fall back to a per-point loop for awkward degeneracies
-        nu = np.empty((B, d, m))
-        for b in range(B):
-            acc = []
-            for v in [dF0[b, :, i] for i in range(d)] + list(np.eye(m)):
-                v = v.copy()
-                for w in acc:
-                    v -= np.einsum("A,AB,B->", v, gN0[b], w) * w
-                nrm2 = np.einsum("A,AB,B->", v, gN0[b], v)
-                if nrm2 > 1e-18:
-                    acc.append(v / np.sqrt(nrm2))
-                if len(acc) == 2 * d:
-                    break
-            nu[b] = np.stack(acc[d:])
-        return nu
-    return np.stack(basis[d:], axis=1)                       # (b, d, A)
+    d = dF0.shape[-1]
+    Ct = np.swapaxes(np.linalg.cholesky(gN0), -1, -2)
+    Q, _ = np.linalg.qr(Ct @ dF0, mode="complete")
+    return np.swapaxes(np.linalg.solve(Ct, Q[:, :, d:]), -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +330,7 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
         axis=0,
     )
     gN, gammaN_F = _ambient_along_F(ambient_spec, F, order - 1, order - 2)
-    g = induced_metric(dF, gN)
+    g = induced_metric(dF, dF, gN)
     g0 = _to_batch_first(g.value())
 
     # immersion check
@@ -433,8 +368,7 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
 
     W = pullback_form(dF, JN, gN)                            # (i, j, b), order-1
     W0 = np.moveaxis(W.value(), -1, 0)
-    cos_angles, What, L, pair_gap = kahler_angles(g0, W0)
-    Jw0, Jw_hat = polar_J_omega(What, L)
+    cos_angles, Jw0, What, L, pair_gap = kahler_angles(g0, W0)
     frame_X, frame_Y = _complex_frame(What, L)
     Z = 0.5 * (frame_X - 1j * frame_Y)                       # (b, n, d)
 
@@ -481,7 +415,6 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
 
     # curvature of M
     RM = ca.riemann_from_christoffel(gamma, g)
-    RicM = ca.ricci_from_riemann(RM, g_inv0)
     sumRM = np.einsum("bijkl,bui,buk,bvj,bvl->b",
                       RM, Z, np.conj(Z), Z, np.conj(Z))
     snap.data["sumRM_imag"] = np.max(np.abs(np.imag(sumRM)))
@@ -511,11 +444,7 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
     qW = weitzenboeck_operator(RM, g_inv0, W0)
     S_pair = 0.5 * np.einsum("bim,bjp,bij,bmp->b", g_inv0, g_inv0, qW, W0)
 
-    grad_cos2 = ca.gradient_vector(cos2, g_inv)              # vector (i, b)
-    grad_cos2_0 = _to_batch_first(grad_cos2.value())
-    norm_grad_cos2_sq = np.einsum("bij,bi,bj->b",
-                                  np.moveaxis(g.value(), -1, 0), grad_cos2_0,
-                                  grad_cos2_0)
+    grad_cos2_0 = _to_batch_first(ca.gradient_vector(cos2, g_inv).value())
 
     # (F*w)# and its (JH)^T image: defined everywhere
     W_sharp = ca._jes("ik...,jk...->ij...", g_inv, W)        # operator (i, j, b)
@@ -523,28 +452,24 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
     div_Wsharp_JHtop = ca.divergence(V_wjh, gamma).value()
 
     snap.jets.update(
-        F=F, dF=dF, g=g, g_inv=g_inv, gamma=gamma, gN=gN, gammaN_F=gammaN_F,
-        W=W, sff=sff, H=H, JHb=JHb, JHtop=JHtop, cos2=cos2, sin2=sin2,
-        delta_W=delta_W, grad_cos2=grad_cos2, W_sharp=W_sharp,
-        sqrt_det_g=sqrt_det_g, norm_W2=norm_W2_jet,
+        g=g, g_inv=g_inv, gamma=gamma, JHb=JHb, JHtop=JHtop, cos2=cos2,
+        sin2=sin2, delta_W=delta_W, W_sharp=W_sharp,
     )
     snap.data.update(
         F0=F0, dF0=dF0, g0=g0, g_inv0=g_inv0, gN0=gN0, JN=JN, W0=W0,
-        What=What, chol_L=L, cos_angles=cos_angles, pair_gap=pair_gap,
-        Jw0=Jw0, Jw_hat=Jw_hat, frame_X=frame_X, frame_Y=frame_Y, Z=Z,
+        cos_angles=cos_angles, pair_gap=pair_gap,
+        Jw0=Jw0, frame_X=frame_X, frame_Y=frame_Y, Z=Z,
         rank=rank, classification=classification, equal_gate=equal_gate,
         near_equal_warn=near_equal, sff0=sff0, H0=H0, normH2=normH2,
         nablaH=nablaH, nabla_perpH=nabla_perpH, nabla_JHtop=nabla_JHtop,
-        d_JHb=d_JHb, div_JHtop=div_JHtop, RM=RM, RicM=RicM, sumRM=sumRM,
+        d_JHb=d_JHb, div_JHtop=div_JHtop, RM=RM, sumRM=sumRM,
         cos2_0=cos2.value(), sin2_0=sin2.value(), delta_W0=delta_W0,
         norm_W2_0=norm_W2_jet.value(), norm_delta_W2=norm_delta_W2,
-        norm_nabla_W2=norm_nabla_W2, hodge_W0=hodge_W0, hodge_pair=hodge_pair,
+        norm_nabla_W2=norm_nabla_W2, hodge_pair=hodge_pair,
         dW3_0=dW3_0, lap_norm_W2=lap_norm_W2, lap_cos2=lap_cos2,
         S_pair=S_pair, grad_cos2_0=grad_cos2_0,
-        norm_grad_cos2_sq=norm_grad_cos2_sq,
-        div_Wsharp_JHtop=div_Wsharp_JHtop, proj_N=proj_N,
+        div_Wsharp_JHtop=div_Wsharp_JHtop,
         JHtop0=_to_batch_first(JHtop.value()),
-        JHb0=_to_batch_first(JHb.value()),
         sqrt_det_g0=sqrt_det_g.value(),
     )
     if n == 1:
@@ -562,16 +487,13 @@ def _normal_bundle(snap):
     Jnu = np.einsum("AB,baB->baA", JN, nu)
     w_perp = np.einsum("baA,bAB,bcB->bac", Jnu, gN0, nu)
     w_perp = 0.5 * (w_perp - np.swapaxes(w_perp, -1, -2))
-    svals = np.linalg.svd(w_perp, compute_uv=False)
-    normal_angles = np.clip(0.5 * (svals[:, 0::2] + svals[:, 1::2]), 0.0, None)
-    U, S, Vt = np.linalg.svd(-w_perp)
-    keep = (S > TOL_LAGRANGIAN).astype(float)
-    J_perp = np.einsum("bik,bk,bkj->bij", U, keep, Vt)
+    normal_cos, _, J_perp = _skew_spectrum(w_perp)
     JdF = np.einsum("AB,bBi->bAi", JN, dF0)
     Phi_nu = np.einsum("bAi,bAB,baB->bai", JdF, gN0, nu)     # (b, a, i)
     rhs = np.einsum("baA,bAB,bBj->baj", Jnu, gN0, dF0)
-    Xi = np.einsum("bjk,bak->baj", np.linalg.inv(snap.g0), rhs)
-    snap.data.update(nu=nu, w_perp=w_perp, normal_angles=normal_angles,
+    Xi = np.einsum("bjk,bak->baj", snap.g_inv0, rhs)
+    snap.data.update(nu=nu, w_perp=w_perp,
+                     normal_angles=np.clip(normal_cos, 0.0, None),
                      J_perp=J_perp, Phi_nu=Phi_nu, Xi_nu=Xi)
 
 
@@ -594,7 +516,7 @@ def _masked_fields(snap):
         return np.full((B,) + shape, np.nan)
 
     snap.data.update(
-        costheta=alloc(), kappa=alloc(), lap_kappa=alloc(),
+        kappa=alloc(), lap_kappa=alloc(),
         grad_costheta=alloc(d), norm_grad_costheta2=alloc(),
         norm_nabla_Jw2=alloc(), delta_Jw0=alloc(d),
         div_Jw_JHtop_over_sin2=alloc(), div_Jw_JHtop=alloc(),
@@ -609,11 +531,10 @@ def _masked_fields(snap):
     idx_jw = np.nonzero(m_jw)[0]
     if idx_jw.size:
         sub = {k: snap.jets[k].take_batch(idx_jw)
-               for k in ("g", "g_inv", "gamma", "cos2", "W_sharp",
+               for k in ("g", "g_inv", "gamma", "cos2", "sin2", "W_sharp",
                          "JHtop", "delta_W")}
         gi0s = snap.g_inv0[idx_jw]
         c_jet = jet_unary(sub["cos2"], "sqrt")
-        snap.data["costheta"][idx_jw] = c_jet.value()
         grad_c = ca.gradient_vector(c_jet, sub["g_inv"])
         gc0 = _to_batch_first(grad_c.value())
         snap.data["grad_costheta"][idx_jw] = gc0
@@ -644,35 +565,32 @@ def _masked_fields(snap):
         sff11 = 0.5 * (sff0s + sff_rot)
         gN0s = snap.gN0[idx_jw]
         snap.data["sff11_norm2"][idx_jw] = np.einsum(
-            "bik,bjl,bijA,bAB,bklB->b", np.linalg.inv(g0s),
-            np.linalg.inv(g0s), sff11, gN0s, sff11)
+            "bik,bjl,bijA,bAB,bklB->b", gi0s, gi0s, sff11, gN0s, sff11)
 
-    idx_band = np.nonzero(snap.masks["band"])[0]
-    if idx_band.size:
-        g_inv_s = snap.jets["g_inv"].take_batch(idx_band)
-        gamma_s = snap.jets["gamma"].take_batch(idx_band)
-        cos2_s = snap.jets["cos2"].take_batch(idx_band)
-        sin2_s = snap.jets["sin2"].take_batch(idx_band)
-        c_jet = jet_unary(cos2_s, "sqrt")
-        kap = jet_unary((1.0 + c_jet) / (1.0 - c_jet), "log") * float(n)
-        snap.data["kappa"][idx_band] = kap.value()
-        snap.data["lap_kappa"][idx_band] = ca.trace_hessian(
-            kap, g_inv_s, gamma_s).value()
-        abs_sin = jet_unary(sin2_s, "sqrt")
-        gs0 = snap.g0[idx_band]
-        gas = _to_batch_first(ca.gradient_vector(abs_sin, g_inv_s).value())
-        snap.data["norm_grad_abs_sin2"][idx_band] = np.einsum(
-            "bij,bi,bj->b", gs0, gas, gas)
-        logs2 = jet_unary(sin2_s, "log")
-        snap.data["grad_log_sin2"][idx_band] = _to_batch_first(
-            ca.gradient_vector(logs2, g_inv_s).value())
-        Ws_s = snap.jets["W_sharp"].take_batch(idx_band)
-        JHtop_s = snap.jets["JHtop"].take_batch(idx_band)
-        Jw_field_b = ca._jes("ij...,...->ij...", Ws_s, c_jet.reciprocal())
-        VJs = ca._jes("ij...,j...->i...", Jw_field_b, JHtop_s)
-        VJs = ca._jes("i...,...->i...", VJs, sin2_s.reciprocal())
-        snap.data["div_Jw_JHtop_over_sin2"][idx_band] = ca.divergence(
-            VJs, gamma_s).value()
+        # the band lies inside jw_field: take it from the sub-batch
+        band = np.nonzero(m_band[idx_jw])[0]
+        if band.size:
+            idx_band = idx_jw[band]
+            g_inv_s, gamma_s, sin2_s = (
+                sub[k].take_batch(band) for k in ("g_inv", "gamma", "sin2"))
+            c_band = c_jet.take_batch(band)
+            kap = jet_unary((1.0 + c_band) / (1.0 - c_band), "log") * float(n)
+            snap.data["kappa"][idx_band] = kap.value()
+            snap.data["lap_kappa"][idx_band] = ca.trace_hessian(
+                kap, g_inv_s, gamma_s).value()
+            abs_sin = jet_unary(sin2_s, "sqrt")
+            gs0 = snap.g0[idx_band]
+            gas = _to_batch_first(
+                ca.gradient_vector(abs_sin, g_inv_s).value())
+            snap.data["norm_grad_abs_sin2"][idx_band] = np.einsum(
+                "bij,bi,bj->b", gs0, gas, gas)
+            logs2 = jet_unary(sin2_s, "log")
+            snap.data["grad_log_sin2"][idx_band] = _to_batch_first(
+                ca.gradient_vector(logs2, g_inv_s).value())
+            VJs = ca._jes("i...,...->i...", VJ.take_batch(band),
+                          sin2_s.reciprocal())
+            snap.data["div_Jw_JHtop_over_sin2"][idx_band] = ca.divergence(
+                VJs, gamma_s).value()
 
     idx_sig = np.nonzero(m_sigma)[0]
     if idx_sig.size:
@@ -696,6 +614,6 @@ def _masked_fields(snap):
         gN0s = snap.gN0[idx_sig]
         JdF = np.einsum("AB,bBk->bAk", snap.JN, snap.dF0[idx_sig])
         tr = np.einsum("bik,bixA,bAB,bBk->bx",
-                       np.linalg.inv(snap.g0[idx_sig]), sff0s, gN0s, JdF)
+                       snap.g_inv0[idx_sig], sff0s, gN0s, JdF)
         snap.data["sigma_trace0"][idx_sig] = -tr / snap.sin2_0[idx_sig][:, None]
     return snap

@@ -29,10 +29,8 @@ MAX_ORDER = 4
 __all__ = [
     "Jet",
     "jet_seed",
-    "jet_arith",
     "jet_unary",
-    "jet_extract",
-    "jet_const",
+    "jet_compose",
     "num_coeffs",
     "multi_indices",
 ]
@@ -183,13 +181,6 @@ class Jet:
         slot = tab.position[alpha]
         return self.coeffs[..., slot] * tab.factorials[slot]
 
-    def gradient(self):
-        """First-order coefficients as an array over the last axis."""
-        tab = _tables(self.dim, self.order)
-        slots = [tab.position[tuple(int(i == v) for i in range(self.dim))]
-                 for v in range(self.dim)]
-        return self.coeffs[..., slots]
-
     # -- structure ----------------------------------------------------
 
     def truncated(self, order):
@@ -208,10 +199,6 @@ class Jet:
             raise UsageError("cannot differentiate an order-0 jet")
         parents, factors = _tables(self.dim, self.order).derivative[var]
         return Jet(self.dim, self.order - 1, self.coeffs[..., parents] * factors)
-
-    def broadcast_to(self, lead_shape):
-        c = np.broadcast_to(self.coeffs, tuple(lead_shape) + self.coeffs.shape[-1:])
-        return Jet(self.dim, self.order, c)
 
     def take_batch(self, idx):
         """Select a subset along the batch axis (the last leading axis)."""
@@ -315,10 +302,6 @@ class Jet:
         return acc
 
 
-def jet_const(dim, order, value):
-    return Jet.constant(dim, order, value)
-
-
 def jet_seed(dim, order, point, var_index):
     """Jet of the coordinate function u^var_index at ``point``.
 
@@ -341,23 +324,6 @@ def jet_seed(dim, order, point, var_index):
 def jet_seed_all(dim, order, point):
     """All dim coordinate jets at once."""
     return [jet_seed(dim, order, point, v) for v in range(dim)]
-
-
-_ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-}
-
-
-def jet_arith(a, b, op):
-    """Binary arithmetic on jets sharing dim and order."""
-    try:
-        fn = _ARITH[op]
-    except KeyError:
-        raise UsageError(f"unknown jet operation {op!r}") from None
-    return fn(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +409,6 @@ def jet_unary(a, name, power=None):
     return a._horner(gen(a0, a.order))
 
 
-def jet_extract(a, alpha):
-    return a.extract(alpha)
-
-
 # ---------------------------------------------------------------------------
 # einsum with jet-valued entries
 
@@ -508,23 +470,20 @@ def jet_power_products(offsets, exponents):
     return cache
 
 
-def jet_compose(ambient_jet, domain_jets, out_order=None):
+def jet_compose(ambient_jet, domain_jets):
     """Compose G(z) with z = F(u): both given as jets.
 
     ambient_jet: Jet in m ambient variables whose base point is F(u0); its
-    leading axes must broadcast against the domain jets' axes.
-    domain_jets: sequence of m domain jets whose constant terms equal (per
-    batch element) the ambient expansion point.  The result is a domain jet
-    of order min(ambient order, domain order, out_order).
+    last leading axis is the batch axis of the domain jets, any axes before
+    it are tensor components, which all share the power products of F - z0.
+    domain_jets: sequence of m domain jets with a single batch axis, whose
+    constant terms equal (per batch element) the ambient expansion point.
+    The result is a domain jet of order min(ambient order, domain order).
     """
     m = ambient_jet.dim
     if len(domain_jets) != m:
         raise UsageError(f"need {m} domain jets, got {len(domain_jets)}")
     order = min(ambient_jet.order, min(F.order for F in domain_jets))
-    if out_order is not None:
-        if out_order > order:
-            raise UsageError("requested composition order exceeds input orders")
-        order = out_order
     offs = []
     for F in domain_jets:
         F = F.truncated(order)
@@ -534,9 +493,6 @@ def jet_compose(ambient_jet, domain_jets, out_order=None):
     tab = _tables(m, ambient_jet.order)
     exps = [a for a in tab.exponents if sum(a) <= order]
     powers = jet_power_products(offs, exps)
-    out = None
-    for beta in exps:
-        coeff = ambient_jet.coeffs[..., tab.position[beta]]
-        term = powers[beta] * coeff
-        out = term if out is None else out + term
-    return out
+    PW = np.stack([powers[b].coeffs for b in exps], axis=0)       # (E, b, K)
+    A = ambient_jet.coeffs[..., [tab.position[b] for b in exps]]  # (comp..., b, E)
+    return Jet(offs[0].dim, order, np.einsum("...be,ebk->...bk", A, PW))

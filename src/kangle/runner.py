@@ -158,9 +158,16 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise RunError(f"unknown suites: {unknown}; available: {SUITES}")
-    conventions = calibrate_conventions(order)
+    if points < 1:
+        raise RunError(f"points per entry must be at least 1, got {points}")
     if threads is None:
-        threads = int(os.environ.get("KANGLE_THREADS", "0")) or os.cpu_count()
+        env = os.environ.get("KANGLE_THREADS", "0")
+        try:
+            threads = int(env) or os.cpu_count()
+        except ValueError:
+            raise RunError(
+                f"KANGLE_THREADS must be an integer, got {env!r}") from None
+    conventions = calibrate_conventions(order)
 
     args = [(e, suites, points, seed, order, tol_abs, tol_rel, conventions,
              quad_grid) for e in entry_objs]

@@ -1,5 +1,7 @@
 """Parser, printer and evaluation tests, including the fuzz property."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,7 +144,13 @@ def test_eval_deterministic():
     assert np.array_equal(c1, c2)
 
 
-def test_jets_match_fd_on_random_expressions():
+# The two checks below are also acceptance criterion 10. Each body is cached,
+# so a session that collects both runs it once; a failure is not cached and
+# fails both tests.
+
+
+@functools.cache
+def check_jets_match_fd():
     """1000 random expression/point derivative checks vs finite differences.
 
     The oracle runs in high-precision arithmetic so it is truncation-limited
@@ -170,6 +178,10 @@ def test_jets_match_fd_on_random_expressions():
     assert checked >= 1000
 
 
+def test_jets_match_fd_on_random_expressions():
+    check_jets_match_fd()
+
+
 def _random_text(rng):
     pieces = ["n", "=", ";", "ambient", "flat", "space_form", "map", "[", "]",
               "(", ")", ",", "+", "-", "*", "/", "^", "u1", "u2", "sin",
@@ -181,7 +193,9 @@ def _random_text(rng):
     return "".join(rng.choice(pieces) for _ in range(length))
 
 
-def test_parser_fuzz_never_crashes():
+@functools.cache
+def check_parser_fuzz():
+    """100000 fuzz inputs: every failure is a positioned diagnostic."""
     rng = np.random.default_rng(99)
     for _ in range(100_000):
         text = _random_text(rng)
@@ -191,6 +205,10 @@ def test_parser_fuzz_never_crashes():
             assert exc.line >= 1 and exc.column >= 1
         except KangleError:
             pass
+
+
+def test_parser_fuzz_never_crashes():
+    check_parser_fuzz()
 
 
 @st.composite

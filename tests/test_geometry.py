@@ -239,16 +239,16 @@ def test_gauss_curvature_vs_fd_oracle():
 # ------------------------------------------------------------ laplacians
 
 def test_scalar_laplacian_flat():
-    from kangle.geometry import scalar_laplacian
+    from kangle.calculus import trace_hessian
     spec = parse_immersion("n=1; ambient=flat; map=[u1, 0, u2, 0]")
     pts = np.random.default_rng(0).uniform(-1, 1, (5, 2))
     snap = compute_snapshot(spec, pts)
     from kangle.jets import jet_seed_all
     u = jet_seed_all(2, 3, pts)
     f = u[0] * u[0] + u[1] * u[1]
-    lap = scalar_laplacian(f, snap.jets["g_inv"], snap.jets["gamma"])
+    lap = trace_hessian(f, snap.jets["g_inv"], snap.jets["gamma"])
     assert np.max(np.abs(lap.value() - 4.0)) < 1e-12
-    const = scalar_laplacian(f * 0.0 + 2.5, snap.jets["g_inv"], snap.jets["gamma"])
+    const = trace_hessian(f * 0.0 + 2.5, snap.jets["g_inv"], snap.jets["gamma"])
     assert np.max(np.abs(const.value())) < 1e-14
 
 
@@ -302,13 +302,20 @@ def test_delta_fw_vanishes_on_ds():
 # ------------------------------------------------------------ normal bundle
 
 def test_normal_frame_orthonormal():
-    for name in ("ds_graph", "trig_sf_pos"):
-        snap = snap_of(name, count=20)
+    # regular torus grid nodes include points where an ambient coordinate
+    # axis is tangent to the surface, which random points almost never hit
+    axis = np.arange(16) * (2 * np.pi / 16)
+    grid = np.stack([m.ravel() for m in np.meshgrid(axis, axis,
+                                                    indexing="ij")], -1)
+    grid_snap = compute_snapshot(get_entry("trig_sf_pos").spec(), grid)
+    for snap in (snap_of("ds_graph", count=20),
+                 snap_of("trig_sf_pos", count=20), grid_snap):
         gram = np.einsum("baA,bAB,bcB->bac", snap.nu, snap.gN0, snap.nu)
         assert np.max(np.abs(gram - np.eye(snap.domain_dim))) < 1e-9
         # orthogonal to the tangent space
         dot = np.einsum("baA,bAB,bBi->bai", snap.nu, snap.gN0, snap.dF0)
         assert np.max(np.abs(dot)) < 1e-9
+        assert np.max(np.abs(snap.normal_angles - snap.cos_angles)) < 1e-8
 
 
 def test_normal_angles_match_tangent_angles():

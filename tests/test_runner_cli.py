@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
+from kangle.cli import main
 from kangle.runner import report_to_json, run_suite, sample_points
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
@@ -99,9 +100,7 @@ def test_golden_report_structure():
         "residual_keys": sorted(report["entries"][0]["residuals"][0].keys()),
         "pass": report["pass"],
     }
-    if not GOLDEN.exists():
-        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+    assert GOLDEN.exists(), f"golden file {GOLDEN} is missing"
     want = json.loads(GOLDEN.read_text())
     assert got == want
 
@@ -137,7 +136,7 @@ def test_cli_catalog():
     assert "ds_graph" in proc.stdout
 
 
-def test_cli_eval_and_errors(tmp_path):
+def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
     proc = run_cli("eval", "--entry", "ds_graph", "--point", "0,0,0,0")
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
@@ -153,6 +152,20 @@ def test_cli_eval_and_errors(tmp_path):
     proc = run_cli("eval", "--entry", "ds_graph", "--point", "0,0,0,0",
                    "--bogus-flag")
     assert proc.returncode == 2
+
+    # malformed numbers: exit 2 with a one-line diagnostic; an exception
+    # escaping main() would fail the test with its traceback
+    for args, env in (
+        (["eval", "--entry", "ds_graph", "--point", "0,abc"], "0"),
+        (["eval", "--entry", "ds_graph", "--point", "nan,0,0,0"], "0"),
+        (["verify", "--entry", "ds_graph", "--points", "0"], "0"),
+        (["verify", "--entry", "ds_graph", "--points", "-3"], "0"),
+        (["verify", "--entry", "ds_graph", "--points", "4"], "x"),
+    ):
+        monkeypatch.setenv("KANGLE_THREADS", env)
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
 
 def test_cli_verify_entry(tmp_path):
