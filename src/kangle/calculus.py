@@ -24,11 +24,11 @@ import numpy as np
 from .jets import Jet, jet_einsum
 
 __all__ = [
+    "contract",
     "jstack",
     "jtrace",
     "match_orders",
     "jet_matrix_inverse",
-    "jet_logdet",
     "partials",
     "christoffel",
     "riemann_from_christoffel",
@@ -48,6 +48,27 @@ __all__ = [
     "two_form_pairing",
     "two_form_raise",
 ]
+
+
+# contraction plans, keyed on subscripts and operand shapes past the batch
+# axis; a race between threads only plans the same path twice
+_PLANS = {}
+
+
+def contract(subscripts, *operands):
+    """np.einsum along a contraction path planned once and then reused.
+
+    Every operand and the output carry the batch label ``b`` first, so the
+    cheapest path does not depend on the batch size: one plan, found by
+    ``np.einsum_path(..., optimize="optimal")``, serves every batch and
+    masked sub-batch with the same trailing shapes.
+    """
+    key = (subscripts,) + tuple(op.shape[1:] for op in operands)
+    path = _PLANS.get(key)
+    if path is None:
+        path = np.einsum_path(subscripts, *operands, optimize="optimal")[0]
+        _PLANS[key] = path
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 def jstack(jets, axis=0):
@@ -95,26 +116,6 @@ def jet_matrix_inverse(G):
     for i in range(m):
         total.coeffs[i, i, ..., 0] += 1.0
     return jet_einsum("ik...,kj...->ij...", total, I0)
-
-
-def jet_logdet(G):
-    """log det G as a jet: log det G0 plus the finite trace-log series."""
-    G0 = np.moveaxis(G.coeffs[..., 0], (0, 1), (-2, -1))
-    sign, logdet0 = np.linalg.slogdet(G0)
-    if np.any(sign <= 0):
-        raise np.linalg.LinAlgError("jet_logdet needs a positive determinant")
-    I0 = np.moveaxis(np.linalg.inv(G0), (-2, -1), (0, 1))
-    N = Jet(G.dim, G.order, G.coeffs.copy())
-    N.coeffs[..., 0] = 0.0
-    M = jet_einsum("ik...,kj...->ij...", I0, N)
-    acc = M
-    total = None
-    for k in range(1, G.order + 1):
-        term = jtrace(acc) * ((-1.0) ** (k + 1) / k)
-        total = term if total is None else total + term
-        if k < G.order:
-            acc = _jes("ik...,kj...->ij...", M, acc)
-    return total + logdet0
 
 
 def partials(T):

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .ambient import flat_space, space_form
+from .calculus import contract
 from .catalog import builtin_catalog, get_entry
 from .dsl import parse_immersion
 from .errors import KangleError
@@ -79,9 +80,9 @@ def _cmd_eval(args):
         "classification": CLASS_NAMES[int(snap.classification[0])],
         "rank": int(snap.rank[0]),
         "norm_H": float(np.sqrt(snap.normH2[0])),
-        "norm_sff2": float(np.einsum(
-            "ik,jl,ijA,AB,klB->", snap.g_inv0[0], snap.g_inv0[0],
-            snap.sff0[0], snap.gN0[0], snap.sff0[0])),
+        "norm_sff2": float(contract(
+            "bik,bjl,bijA,bAB,bklB->b", snap.g_inv0, snap.g_inv0,
+            snap.sff0, snap.gN0, snap.sff0)[0]),
         "metric": snap.g0[0].tolist(),
         "pullback_form": snap.W0[0].tolist(),
         "norm_fw2": float(snap.norm_W2_0[0]),

@@ -185,8 +185,8 @@ def weitzenboeck_operator(RM, g_inv0, alpha0):
                            - (R(d_k, d_y) alpha)(d_l, d_x) ]
     with (R(U,V) alpha)(A,B) = -alpha(R(U,V)A, B) - alpha(A, R(U,V)B).
     """
-    T = -np.einsum("bkl,bpq,bkxlq,bpy->bxy", g_inv0, g_inv0, RM, alpha0) \
-        - np.einsum("bkl,bpq,bkxyq,blp->bxy", g_inv0, g_inv0, RM, alpha0)
+    T = -ca.contract("bkl,bpq,bkxlq,bpy->bxy", g_inv0, g_inv0, RM, alpha0) \
+        - ca.contract("bkl,bpq,bkxyq,blp->bxy", g_inv0, g_inv0, RM, alpha0)
     return T - np.swapaxes(T, -1, -2)
 
 
@@ -201,10 +201,10 @@ def gauss_equation_residual(snapshot):
         RN_pull = 0.0
     else:
         RN = amb.curvature_tensor_point(spec, snapshot.F0)
-        RN_pull = np.einsum("bABCD,bAi,bBj,bCk,bDl->bijkl",
-                            RN, dF0, dF0, dF0, dF0)
-    quad = np.einsum("bilA,bAB,bjkB->bijkl", sff0, gN0, sff0)
-    quad2 = np.einsum("bjlA,bAB,bikB->bijkl", sff0, gN0, sff0)
+        RN_pull = ca.contract("bABCD,bAi,bBj,bCk,bDl->bijkl",
+                              RN, dF0, dF0, dF0, dF0)
+    quad = ca.contract("bilA,bAB,bjkB->bijkl", sff0, gN0, sff0)
+    quad2 = ca.contract("bjlA,bAB,bikB->bijkl", sff0, gN0, sff0)
     rhs = RN_pull + quad - quad2
     # the 1e-9 floor guards intrinsically flat cases where both sides vanish
     scale = max(np.max(np.abs(RM)) + np.max(np.abs(rhs)), 1e-9)
@@ -249,8 +249,7 @@ def _complex_frame(What, L):
     Off the kernel Y_a = J_w X_a; kernel pairs are an arbitrary orthonormal
     basis of the kernel.  Returns (X, Y) with shape (b, n, d).
     """
-    B, d = What.shape[0], What.shape[1]
-    n = d // 2
+    n = What.shape[1] // 2
     Mh = 1j * What
     evals, evecs = np.linalg.eigh(Mh)        # ascending; last n are +cos
     sel = np.arange(2 * n - 1, n - 1, -1)                # +cos, descending
@@ -258,17 +257,15 @@ def _complex_frame(What, L):
     X = np.sqrt(2.0) * np.real(picked)                   # (b, d, n)
     Y = -np.sqrt(2.0) * np.imag(picked)
     lam = evals[:, sel]                                  # ~ cos desc
-    ker = lam <= TOL_LAGRANGIAN
-    if np.any(ker):
-        for b in np.nonzero(np.any(ker, axis=1))[0]:
-            cols = np.nonzero(ker[b])[0]
-            raw = np.concatenate(
-                [np.real(picked[b][:, cols]), np.imag(picked[b][:, cols])], axis=1
-            )
-            q, _ = np.linalg.qr(raw)
-            keep = q[:, : 2 * len(cols)]
-            X[b][:, cols] = keep[:, 0::2]
-            Y[b][:, cols] = keep[:, 1::2]
+    # kernel pairs are the last k columns; one batched QR per count k
+    ker = np.sum(lam <= TOL_LAGRANGIAN, axis=1)
+    for k in range(1, n + 1):
+        idx = np.nonzero(ker == k)[0]
+        if idx.size:
+            tail = picked[idx, :, n - k:]
+            q, _ = np.linalg.qr(np.concatenate([tail.real, tail.imag], axis=2))
+            X[idx, :, n - k:] = q[:, :, 0::2]
+            Y[idx, :, n - k:] = q[:, :, 1::2]
     # back to coordinates: v = L^{-T} v_hat
     Lt = np.swapaxes(L, -1, -2)
     Xc = np.linalg.solve(Lt, X)
@@ -364,7 +361,6 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
     g_inv = ca.jet_matrix_inverse(g)
     g_inv0 = np.moveaxis(g_inv.value(), -1, 0)
     gamma = ca.christoffel(g, g_inv)
-    sqrt_det_g = jet_unary(ca.jet_logdet(g) * 0.5, "exp")
 
     W = pullback_form(dF, JN, gN)                            # (i, j, b), order-1
     W0 = np.moveaxis(W.value(), -1, 0)
@@ -406,7 +402,7 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
     if gammaN_F is not None:
         gNF0 = np.moveaxis(gammaN_F.value(), -1, 0)          # (b, A, B, C)
         nablaH += np.einsum("bABC,bBi,bC->biA", gNF0, dF0, H0)
-    proj_T = np.einsum("bAi,bij,bBj,bBC->bAC", dF0, g_inv0, dF0, gN0)
+    proj_T = ca.contract("bAi,bij,bBj,bBC->bAC", dF0, g_inv0, dF0, gN0)
     proj_N = np.broadcast_to(np.eye(m), (B, m, m)) - proj_T
     nabla_perpH = np.einsum("bAC,biC->biA", proj_N, nablaH)
     nabla_JHtop = np.moveaxis(ca.cov_d_vector(JHtop, gamma).value(), -1, 0)
@@ -415,8 +411,8 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
 
     # curvature of M
     RM = ca.riemann_from_christoffel(gamma, g)
-    sumRM = np.einsum("bijkl,bui,buk,bvj,bvl->b",
-                      RM, Z, np.conj(Z), Z, np.conj(Z))
+    sumRM = ca.contract("bijkl,bui,buk,bvj,bvl->b",
+                        RM, Z, np.conj(Z), Z, np.conj(Z))
     snap.data["sumRM_imag"] = np.max(np.abs(np.imag(sumRM)))
     sumRM = np.real(sumRM)
 
@@ -429,7 +425,7 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
     norm_delta_W2 = np.einsum("bij,bi,bj->b", g_inv0, delta_W0, delta_W0)
     nabla_W = ca.cov_d_twoform(W, gamma)
     nW0 = np.moveaxis(nabla_W.value(), -1, 0)                # (b, i, j, k)
-    norm_nabla_W2 = 0.5 * np.einsum(
+    norm_nabla_W2 = 0.5 * ca.contract(
         "bim,bjp,bkq,bijk,bmpq->b", g_inv0, g_inv0, g_inv0, nW0, nW0)
     dd_W0 = np.moveaxis(ca.exterior_d_oneform(delta_W).value(), -1, 0)
     dW3 = ca.exterior_d_twoform(W)
@@ -437,12 +433,12 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
     delta_dW0 = np.moveaxis(
         ca.codiff_threeform(dW3, g_inv, gamma).value(), -1, 0)
     hodge_W0 = dd_W0 + delta_dW0
-    hodge_pair = 0.5 * np.einsum("bim,bjp,bij,bmp->b",
-                                 g_inv0, g_inv0, hodge_W0, W0)
+    hodge_pair = 0.5 * ca.contract("bim,bjp,bij,bmp->b",
+                                   g_inv0, g_inv0, hodge_W0, W0)
     lap_norm_W2 = ca.trace_hessian(norm_W2_jet, g_inv, gamma).value()
     lap_cos2 = lap_norm_W2 / n
     qW = weitzenboeck_operator(RM, g_inv0, W0)
-    S_pair = 0.5 * np.einsum("bim,bjp,bij,bmp->b", g_inv0, g_inv0, qW, W0)
+    S_pair = 0.5 * ca.contract("bim,bjp,bij,bmp->b", g_inv0, g_inv0, qW, W0)
 
     grad_cos2_0 = _to_batch_first(ca.gradient_vector(cos2, g_inv).value())
 
@@ -470,7 +466,7 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
         S_pair=S_pair, grad_cos2_0=grad_cos2_0,
         div_Wsharp_JHtop=div_Wsharp_JHtop,
         JHtop0=_to_batch_first(JHtop.value()),
-        sqrt_det_g0=sqrt_det_g.value(),
+        sqrt_det_g0=np.sqrt(np.linalg.det(g0)),
     )
     if n == 1:
         snap.data["cos_signed"] = signed_angle_n1(g0, W0)
@@ -547,7 +543,7 @@ def _masked_fields(snap):
         nJw = ca.cov_d_11tensor(Jw_field, sub["gamma"])      # (i, k, j, b)
         nJw0 = np.moveaxis(nJw.value(), -1, 0)               # (b, i, k, j)
         gs = np.moveaxis(sub["g"].value(), -1, 0)
-        snap.data["norm_nabla_Jw2"][idx_jw] = np.einsum(
+        snap.data["norm_nabla_Jw2"][idx_jw] = ca.contract(
             "bim,bkl,bjp,bikj,bmlp->b", gi0s, gs, gi0s, nJw0, nJw0)
         snap.data["delta_Jw0"][idx_jw] = -np.einsum(
             "bij,bikj->bk", gi0s, nJw0)
@@ -564,7 +560,7 @@ def _masked_fields(snap):
         sff_rot = np.einsum("bki,blj,bklA->bijA", Jw0s, Jw0s, sff0s)
         sff11 = 0.5 * (sff0s + sff_rot)
         gN0s = snap.gN0[idx_jw]
-        snap.data["sff11_norm2"][idx_jw] = np.einsum(
+        snap.data["sff11_norm2"][idx_jw] = ca.contract(
             "bik,bjl,bijA,bAB,bklB->b", gi0s, gi0s, sff11, gN0s, sff11)
 
         # the band lies inside jw_field: take it from the sub-batch
@@ -613,7 +609,7 @@ def _masked_fields(snap):
         sff0s = snap.sff0[idx_sig]
         gN0s = snap.gN0[idx_sig]
         JdF = np.einsum("AB,bBk->bAk", snap.JN, snap.dF0[idx_sig])
-        tr = np.einsum("bik,bixA,bAB,bBk->bx",
-                       snap.g_inv0[idx_sig], sff0s, gN0s, JdF)
+        tr = ca.contract("bik,bixA,bAB,bBk->bx",
+                         snap.g_inv0[idx_sig], sff0s, gN0s, JdF)
         snap.data["sigma_trace0"][idx_sig] = -tr / snap.sin2_0[idx_sig][:, None]
     return snap

@@ -18,12 +18,14 @@ report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .ambient import einstein_constant
+from .calculus import contract
 from .dsl import parse_immersion
 from .errors import ConventionError
 from .geometry import GENERIC, LAGRANGIAN, compute_snapshot
@@ -47,6 +49,7 @@ __all__ = [
     "verify_prop3_6",
     "evaluate_hypothesis_fields",
     "run_identity_suite",
+    "finite_or_none",
     "SUITES",
 ]
 
@@ -66,14 +69,15 @@ class Conventions:
 
 @dataclass
 class IdentityResidual:
-    """One named residual at one point."""
+    """One named residual at one point; its sides and residuals are None
+    where the identity is not applicable."""
 
     id: str
     point_index: int
     lhs: object
     rhs: object
-    abs_residual: float
-    rel_residual: float
+    abs_residual: float | None
+    rel_residual: float | None
     applicable: bool
     reason: str
     tol_abs: float
@@ -84,19 +88,25 @@ class IdentityResidual:
         return {
             "id": self.id, "point_index": self.point_index,
             "lhs": self.lhs, "rhs": self.rhs,
-            "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
+            "abs_residual": finite_or_none(self.abs_residual),
+            "rel_residual": finite_or_none(self.rel_residual),
             "applicable": self.applicable, "reason": self.reason,
-            "tol_abs": self.tol_abs, "tol_rel": self.tol_rel,
+            "tol_abs": finite_or_none(self.tol_abs),
+            "tol_rel": finite_or_none(self.tol_rel),
             "pass": self.passed,
         }
+
+
+def finite_or_none(x):
+    """x for a JSON report: None where it is missing or not finite."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 def _flt(x):
     x = np.asarray(x)
     if x.ndim == 0:
-        return float(x)
-    return [float(v) for v in x.ravel()]
+        return finite_or_none(float(x))
+    return [finite_or_none(v) for v in x.ravel().tolist()]
 
 
 def _records(ident, lhs, rhs, scale, applicable, reasons,
@@ -130,9 +140,8 @@ def _records(ident, lhs, rhs, scale, applicable, reasons,
             id=ident, point_index=b,
             lhs=_flt(lhs[b]) if app else None,
             rhs=_flt(rhs[b]) if app else None,
-            abs_residual=float(a[b]) if app and np.isfinite(a[b]) else
-            (float(a[b]) if app else float("nan")),
-            rel_residual=float(rel[b]) if app else float("nan"),
+            abs_residual=float(a[b]) if app else None,
+            rel_residual=float(rel[b]) if app else None,
             applicable=app, reason=reason,
             tol_abs=tol_abs, tol_rel=tol_rel, passed=ok,
         ))
@@ -192,9 +201,9 @@ def frame_sums(snap):
     # sums for the gradient-of-sin^2 identity
     sff0c = snap.sff0.astype(complex)
     sff_ZbZ = np.einsum("bijA,bmi,bmj->bmA", sff0c, Zb, Z)      # (b, m, A)
-    t1 = np.einsum("bmA,bAB,bnB->bn", sff_ZbZ, snap.gN0, JdF_Z)
-    sff_ZbZb2 = np.einsum("bijA,bmi,bnj->bmnA", sff0c, Zb, Z)   # sff(Zb_m, Z_n)
-    t2 = np.einsum("bmnA,bAB,bmB->bn", sff_ZbZb2, snap.gN0, JdF_Z)
+    t1 = contract("bmA,bAB,bnB->bn", sff_ZbZ, snap.gN0, JdF_Z)
+    sff_ZbZb2 = contract("bijA,bmi,bnj->bmnA", sff0c, Zb, Z)   # sff(Zb_m, Z_n)
+    t2 = contract("bmnA,bAB,bmB->bn", sff_ZbZb2, snap.gN0, JdF_Z)
     sumE = np.einsum("bn,bnk->bk", t1 - t2, Zb)
 
     return {
@@ -297,8 +306,8 @@ def verify_prop3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
             id="prop3.1.estimate_ratio", point_index=b,
             lhs=float(num[b]) if appl else None,
             rhs=float(den[b]) if appl else None,
-            abs_residual=float(ratio[b]) if appl else float("nan"),
-            rel_residual=float(ratio[b]) if appl else float("nan"),
+            abs_residual=float(ratio[b]) if appl else None,
+            rel_residual=float(ratio[b]) if appl else None,
             applicable=appl,
             reason="" if appl else "ratio undefined at this point",
             tol_abs=float("inf"), tol_rel=float("inf"), passed=True,
@@ -317,14 +326,14 @@ def verify_lemma3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     cosb = _costheta_bar(snap)
 
     # (i) both equalities, tested against all coordinate pairs (X, Y)
-    lhs = np.einsum("biA,bAB,bBj->bij", snap.nablaH, snap.gN0, JdF)
+    lhs = contract("biA,bAB,bBj->bij", snap.nablaH, snap.gN0, JdF)
     Jsff = np.einsum("AB,bijB->bijA", snap.JN, snap.sff0)
     rhs1 = -np.einsum("bik,bkj->bij", snap.nabla_JHtop, snap.g0) \
         - np.einsum("bA,bAB,bijB->bij", snap.H0, snap.gN0, Jsff)
     Wsharp0 = np.einsum("bik,bjk->bij", snap.g_inv0, snap.W0)
     sff_W = np.einsum("bikA,bkj->bijA", snap.sff0, Wsharp0)
     rhs2 = -np.einsum("bA,bAB,bijB->bij", snap.H0, snap.gN0, sff_W) \
-        + np.einsum("biA,bAB,bBj->bij", snap.nabla_perpH, snap.gN0, JdF)
+        + contract("biA,bAB,bBj->bij", snap.nabla_perpH, snap.gN0, JdF)
     scale = np.max(np.abs(lhs).reshape(B, -1), axis=1) + \
         np.max(np.abs(rhs1).reshape(B, -1), axis=1) + 1e-30
     app = np.ones(B, dtype=bool)

@@ -17,6 +17,7 @@ from .identities import (
     SUITES,
     calibrate_conventions,
     evaluate_hypothesis_fields,
+    finite_or_none,
     run_identity_suite,
 )
 from .quadrature import torus_quadrature
@@ -112,10 +113,12 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
         rhs = torus_quadrature(entry.spec(), "delta_fw_norm2", n_axis,
                                order=order)
         quad = [
-            {"check": "volume", "grid": n_axis, "value": vol},
-            {"check": "stokes_divergence", "grid": n_axis, "value": stokes,
+            {"check": "volume", "grid": n_axis, "value": finite_or_none(vol)},
+            {"check": "stokes_divergence", "grid": n_axis,
+             "value": finite_or_none(stokes),
              "pass": bool(abs(stokes) <= 1e-8 * max(vol, 1.0))},
-            {"check": "eq2.3", "grid": n_axis, "lhs": lhs, "rhs": rhs,
+            {"check": "eq2.3", "grid": n_axis, "lhs": finite_or_none(lhs),
+             "rhs": finite_or_none(rhs),
              "pass": bool(abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs), 1e-8))},
         ]
     cos = snap.cos_angles
@@ -187,9 +190,10 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
             if rec["applicable"]:
                 n_applicable += 1
                 info["applicable"] += 1
-                if np.isfinite(rec["rel_residual"]):
+                if rec["rel_residual"] is not None:
                     info["max_rel"] = max(info["max_rel"], rec["rel_residual"])
-                info["max_abs"] = max(info["max_abs"], rec["abs_residual"])
+                if rec["abs_residual"] is not None:
+                    info["max_abs"] = max(info["max_abs"], rec["abs_residual"])
                 if not rec["pass"]:
                     n_failed += 1
                     info["failed"] += 1
@@ -206,7 +210,8 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
         "order": order,
         "points_per_entry": points,
         "suites": list(suites),
-        "tolerances": {"abs": tol_abs, "rel": tol_rel},
+        "tolerances": {"abs": finite_or_none(tol_abs),
+                       "rel": finite_or_none(tol_rel)},
         "entries": sorted(results, key=lambda r: r["name"]),
         "summary": {
             "records_applicable": n_applicable,
@@ -229,7 +234,14 @@ def _json_default(obj):
 
 
 def report_to_json(report, path=None):
-    text = json.dumps(report, indent=1, sort_keys=True, default=_json_default)
+    """The report as compact one-line JSON.
+
+    No indent, so CPython's C encoder writes it.  Non-finite numbers are
+    already None in the report; allow_nan=False refuses any that is not,
+    since a bare NaN is not JSON.
+    """
+    text = json.dumps(report, sort_keys=True, allow_nan=False,
+                      default=_json_default)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
