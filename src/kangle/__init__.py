@@ -17,6 +17,7 @@ from .errors import (
     ImmersionSyntaxError,
     KangleError,
     NotAnImmersionError,
+    QuadratureError,
     SingularityError,
     SpecNameError,
     UsageError,
@@ -33,6 +34,7 @@ __all__ = [
     "ImmersionSyntaxError",
     "KangleError",
     "NotAnImmersionError",
+    "QuadratureError",
     "SingularityError",
     "SpecNameError",
     "UsageError",

@@ -34,6 +34,10 @@ class DegenerateAngleError(KangleError):
     """Skew-spectrum pairing of the pulled-back form failed numerically."""
 
 
+class QuadratureError(KangleError):
+    """A torus quadrature grid node was rejected, so no total is returned."""
+
+
 class ConventionError(KangleError):
     """Sign calibration did not produce a unique closing convention."""
 

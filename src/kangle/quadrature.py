@@ -13,11 +13,13 @@ import numpy as np
 
 from .calculus import trace_hessian
 from .dsl import parse_immersion
-from .errors import UsageError
+from .errors import QuadratureError, UsageError
 from .geometry import compute_snapshot
 from .jets import jet_seed_all
 
-__all__ = ["torus_quadrature", "INTEGRANDS"]
+__all__ = ["torus_quadrature", "INTEGRANDS", "stokes_pass", "eq23_pass"]
+
+CHUNK = 4096               # grid nodes per snapshot
 
 
 def _integrand_volume(snap, _):
@@ -68,14 +70,20 @@ INTEGRANDS = {
 }
 
 
-def torus_quadrature(spec, integrand, grid_n, order=3, f_expr=None,
-                     chunk=4096):
+def torus_quadrature(spec, integrand, grid_n, order=3, f_expr=None):
     """Integrate ``integrand . Vol_M`` over the coordinate torus.
 
     spec: a periodic ImmersionSpec (or its text).  integrand: a key of
-    INTEGRANDS or a callable snapshot -> per-point values.  grid_n: points
-    per axis (>= 8).
+    INTEGRANDS, giving a float, or a tuple of keys, giving ``{key: float}``
+    from one snapshot per chunk of the grid.  grid_n: points per axis
+    (>= 8).  Raises QuadratureError if any grid node is rejected, since
+    the rule would then integrate over part of the torus.
     """
+    keys = (integrand,) if isinstance(integrand, str) else tuple(integrand)
+    unknown = [k for k in keys if k not in INTEGRANDS]
+    if unknown:
+        raise UsageError(f"unknown integrands {unknown}; available: "
+                         f"{', '.join(INTEGRANDS)}")
     if isinstance(spec, str):
         spec = parse_immersion(spec)
     if not spec.periodic:
@@ -83,15 +91,32 @@ def torus_quadrature(spec, integrand, grid_n, order=3, f_expr=None,
     if grid_n < 8:
         raise UsageError("grid_n must be at least 8")
     d = spec.domain_dim
-    fn = INTEGRANDS[integrand] if isinstance(integrand, str) else integrand
     axis = np.arange(grid_n) * (2.0 * np.pi / grid_n)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    total = 0.0
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start:start + chunk]
-        snap = compute_snapshot(spec, block, order=order)
-        vals = np.asarray(fn(snap, f_expr) if isinstance(integrand, str)
-                          else fn(snap))
-        total += float(np.sum(vals * snap.sqrt_det_g0))
-    return total * (2.0 * np.pi / grid_n) ** d
+    totals = dict.fromkeys(keys, 0.0)
+    rejected = []
+    for start in range(0, pts.shape[0], CHUNK):
+        snap = compute_snapshot(spec, pts[start:start + CHUNK], order=order)
+        rejected += snap.rejected
+        for key in keys:
+            vals = np.asarray(INTEGRANDS[key](snap, f_expr))
+            totals[key] += float(np.sum(vals * snap.sqrt_det_g0))
+    if rejected:
+        raise QuadratureError(
+            f"{len(rejected)} of {len(pts)} grid nodes "
+            f"({len(rejected) / len(pts):.1%}) were rejected, the first as "
+            f"{rejected[0][1]!r}; the torus integral would miss them")
+    cell = (2.0 * np.pi / grid_n) ** d
+    out = {key: total * cell for key, total in totals.items()}
+    return out[integrand] if isinstance(integrand, str) else out
+
+
+def stokes_pass(integral, volume):
+    """A Stokes-type integral vanishes relative to the volume."""
+    return bool(abs(integral) <= 1e-8 * max(volume, 1.0))
+
+
+def eq23_pass(lhs, rhs):
+    """Eq. 2.3: the integral of <Delta F*w, F*w> equals that of |delta F*w|^2."""
+    return bool(abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs), 1e-8))

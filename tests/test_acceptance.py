@@ -28,7 +28,6 @@ from kangle.catalog import builtin_catalog, get_entry
 from kangle.geometry import LAGRANGIAN, compute_snapshot, gauss_equation_residual
 from kangle.identities import calibrate_conventions, evaluate_hypothesis_fields
 from kangle.jets import jet_seed_all
-from kangle.quadrature import torus_quadrature
 from kangle.runner import run_suite, sample_points
 
 
@@ -188,28 +187,28 @@ def test_criterion_6_gauss_equation_all_entries():
 
 
 def test_criterion_7_torus_integral_identities():
+    from test_quadrature import torus_integrals
     worst_stokes, worst_23 = 0.0, 0.0
     for name in ("lagrangian_torus_2", "trig_flat_2d", "trig_sf_pos",
                  "trig_sf_neg", "calibration_surface"):
-        spec = get_entry(name).spec()
-        vol = torus_quadrature(spec, "volume", 64)
+        q = torus_integrals(name, 64)
+        vol = q["volume"]
         worst_stokes = max(
             worst_stokes,
-            abs(torus_quadrature(spec, "lap_cos2", 64)) / vol,
-            abs(torus_quadrature(spec, "div_field", 64)) / vol)
-        lhs = torus_quadrature(spec, "hodge_pair", 64)
-        rhs = torus_quadrature(spec, "delta_fw_norm2", 64)
+            abs(q["lap_cos2"]) / vol,
+            abs(q["div_field"]) / vol)
+        lhs = q["hodge_pair"]
+        rhs = q["delta_fw_norm2"]
         worst_23 = max(worst_23, abs(lhs - rhs) / max(rhs, 1e-8))
     # spectral convergence between successive grids, above the noise floor
-    spec = get_entry("trig_flat_2d").spec()
-    exact = torus_quadrature(spec, "delta_fw_norm2", 96)
-    e16 = abs(torus_quadrature(spec, "delta_fw_norm2", 16) - exact)
-    e32 = abs(torus_quadrature(spec, "delta_fw_norm2", 32) - exact)
+    exact = torus_integrals("trig_flat_2d", 96)["delta_fw_norm2"]
+    e16 = abs(torus_integrals("trig_flat_2d", 16)["delta_fw_norm2"] - exact)
+    e32 = abs(torus_integrals("trig_flat_2d", 32)["delta_fw_norm2"] - exact)
     ratio = e16 / max(e32, 1e-300)
     # 4-dim tori: integrands vanish identically; checked at a reduced grid
-    t4 = get_entry("lagrangian_torus_4").spec()
-    assert torus_quadrature(t4, "hodge_pair", 8) == 0.0
-    assert torus_quadrature(t4, "delta_fw_norm2", 8) == 0.0
+    t4 = torus_integrals("lagrangian_torus_4", 8)
+    assert t4["hodge_pair"] == 0.0
+    assert t4["delta_fw_norm2"] == 0.0
     assert worst_stokes < 1e-8
     assert worst_23 < 1e-6
     assert ratio > 1e3

@@ -140,6 +140,15 @@ def run_cli(*args):
     return proc
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats takes about 1 s to import and only sampling needs it."""
+    code = "import sys, kangle.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_catalog():
     proc = run_cli("catalog")
     assert proc.returncode == 0
@@ -163,14 +172,24 @@ def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
                    "--bogus-flag")
     assert proc.returncode == 2
 
-    # malformed numbers: exit 2 with a one-line diagnostic; an exception
-    # escaping main() would fail the test with its traceback
+    # a sphere on the torus grid: its pole rows are no immersion, so the
+    # torus integrals have no honest total
+    pinched = tmp_path / "pinched.imm"
+    pinched.write_text("n=1; ambient=flat; periodic; "
+                       "map=[sin(u1)*cos(u2), sin(u1)*sin(u2), cos(u1), 0]")
+
+    # malformed numbers and dropped grid nodes: exit 2 with a one-line
+    # diagnostic; an exception escaping main() would fail the test with its
+    # traceback
     for args, env in (
         (["eval", "--entry", "ds_graph", "--point", "0,abc"], "0"),
         (["eval", "--entry", "ds_graph", "--point", "nan,0,0,0"], "0"),
         (["verify", "--entry", "ds_graph", "--points", "0"], "0"),
         (["verify", "--entry", "ds_graph", "--points", "-3"], "0"),
         (["verify", "--entry", "ds_graph", "--points", "4"], "x"),
+        (["integrate", str(pinched), "--grid", "16"], "0"),
+        (["verify", str(pinched), "--suite", "prop3.1", "--points", "4",
+          "--quad-grid", "16"], "0"),
     ):
         monkeypatch.setenv("KANGLE_THREADS", env)
         assert main(args) == 2, args
