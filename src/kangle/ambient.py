@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError, UsageError
-from .jets import Jet
+from .jets import Jet, jet_einsum
 
 CHART_BOUNDARY_TOL = 1e-6
 
@@ -29,9 +29,11 @@ __all__ = [
     "space_form",
     "ambient_J",
     "ambient_metric",
+    "ambient_christoffel",
     "ambient_metric_point",
     "curvature_tensor_point",
     "einstein_constant",
+    "chart_margin",
     "check_chart_domain",
 ]
 
@@ -79,6 +81,12 @@ def ambient_J(spec):
     return J
 
 
+def chart_margin(spec, z_values):
+    """1 + rho |z|^2 at chart points z_values (..., 2m); the chart of a
+    rho < 0 space form ends where it reaches CHART_BOUNDARY_TOL."""
+    return 1.0 + spec.rho * np.sum(np.asarray(z_values) ** 2, axis=-1)
+
+
 def check_chart_domain(spec, z_values):
     """Reject points at or beyond the chart boundary (rho < 0 only).
 
@@ -86,8 +94,7 @@ def check_chart_domain(spec, z_values):
     """
     if spec.is_flat or spec.rho > 0:
         return
-    s2 = np.sum(np.asarray(z_values) ** 2, axis=-1)
-    margin = 1.0 + spec.rho * s2
+    margin = chart_margin(spec, z_values)
     if np.any(margin <= CHART_BOUNDARY_TOL):
         worst = float(np.min(margin))
         raise ChartDomainError(
@@ -155,6 +162,31 @@ def ambient_metric(spec, z_jets):
         (2 * m, 2 * m) + flat_entries[0].shape
     )
     return Jet(z_jets.dim, z_jets.order, coeffs)
+
+
+def ambient_christoffel(spec, z_jets):
+    """Levi-Civita connection as jets, evaluated on chart-coordinate jets.
+
+    Closed form of the space form in this chart (Kobayashi-Nomizu II,
+    ch. IX 7), with Euclidean chart products and J = ambient_J:
+    Gamma(X, Y) = -rho/(1 + rho|z|^2) [(Y.z) X + (Y.Jz) JX
+                                       + (X.z) Y + (X.Jz) JY].
+    z_jets: Jet with leading axis of length 2m; result has leading axes
+    (2m, 2m, 2m) = Gamma^A_{BC}.  It vanishes for the flat ambient.
+    """
+    m2 = spec.real_dim
+    if z_jets.coeffs.shape[0] != m2:
+        raise UsageError("z_jets leading axis must have length 2m")
+    check_chart_domain(spec, np.moveaxis(z_jets.value(), 0, -1))
+    J = ambient_J(spec)
+    s2 = jet_einsum("A...,A...->...", z_jets, z_jets)
+    c = (1.0 + spec.rho * s2).reciprocal() * (-spec.rho)
+    cz = z_jets * c                                          # (C, b)
+    cJz = jet_einsum("CD,D...->C...", J, z_jets) * c
+    eye = np.eye(m2)
+    T = (np.einsum("AB,C...->ABC...", eye, cz.coeffs)
+         + np.einsum("AB,C...->ABC...", J, cJz.coeffs))
+    return Jet(z_jets.dim, z_jets.order, T + np.swapaxes(T, 1, 2))
 
 
 def ambient_metric_point(spec, z):

@@ -21,13 +21,13 @@ import numpy as np
 
 from . import ambient as amb
 from . import calculus as ca
-from .dsl import eval_components
+from .dsl import eval_components, eval_components_floats
 from .errors import (
     DegenerateAngleError,
     NotAnImmersionError,
     UsageError,
 )
-from .jets import Jet, jet_compose, jet_einsum, jet_seed_all, jet_unary
+from .jets import Jet, jet_einsum, jet_unary
 
 # classification codes and tolerances
 GENERIC, LAGRANGIAN, COMPLEX, MIXED = 0, 1, 2, 3
@@ -118,29 +118,31 @@ def _skew_spectrum(What):
     """Paired skew spectrum of 2-forms in orthonormal frames, one SVD each.
 
     What: (B, d, d) antisymmetric.  Returns (pair-averaged singular values
-    desc (B, n), pairing gap (B,), polar factor of -What (B, d, d)); the
-    polar factor is the partial isometry whose kernel is ker What.
+    desc (B, n), pairing gap (B,), polar factor of -What (B, d, d), right
+    singular vectors Vt (B, d, d)); the polar factor is the partial isometry
+    whose kernel is ker What, spanned by the rows of Vt with S <= TOL.
     """
     U, S, Vt = np.linalg.svd(What)                   # S descending
     gap = np.max(np.abs(S[:, 0::2] - S[:, 1::2]), axis=-1)
     keep = (S > TOL_LAGRANGIAN).astype(float)
     polar = -np.einsum("bik,bk,bkj->bij", U, keep, Vt)
-    return 0.5 * (S[:, 0::2] + S[:, 1::2]), gap, polar
+    return 0.5 * (S[:, 0::2] + S[:, 1::2]), gap, polar, Vt
 
 
 def kahler_angles(g0, W0):
     """Angles, polar complex structure and the orthonormal-frame form.
 
     Returns (cos_angles desc (B, n), J_w in coordinate components (B, d, d),
-    What (B, d, d), L (B, d, d), pairing gap (B,)).  J_w is the pointwise
-    polar factor of (F*w)#: a partial isometry with kernel ker F*w.
+    What (B, d, d), L (B, d, d), right singular vectors of What (B, d, d),
+    pairing gap (B,)).  J_w is the pointwise polar factor of (F*w)#: a
+    partial isometry with kernel ker F*w.
     """
     L = np.linalg.cholesky(g0)
     Linv_W = np.linalg.solve(L, W0)                    # L^-1 W
     What = np.swapaxes(np.linalg.solve(L, np.swapaxes(Linv_W, -1, -2)),
                        -1, -2)                         # L^-1 W L^-T
     What = 0.5 * (What - np.swapaxes(What, -1, -2))
-    cos, gap, Jhat = _skew_spectrum(What)
+    cos, gap, Jhat, Vt = _skew_spectrum(What)
     if np.any(gap > PAIRING_TOL * (1.0 + cos[:, 0])):
         worst = float(np.max(gap))
         raise DegenerateAngleError(
@@ -149,7 +151,7 @@ def kahler_angles(g0, W0):
     cos = np.clip(cos, 0.0, 1.0 + 1e-10)
     Lt = np.swapaxes(L, -1, -2)
     Jw = np.einsum("bik,bkl,blj->bij", np.linalg.inv(Lt), Jhat, Lt)
-    return cos, Jw, What, L, gap
+    return cos, Jw, What, L, Vt, gap
 
 
 def signed_angle_n1(g0, W0):
@@ -212,60 +214,25 @@ def gauss_equation_residual(snapshot):
 
 
 # ---------------------------------------------------------------------------
-# ambient data along the immersion
-
-
-def _ambient_along_F(spec, F, order_metric, order_gamma):
-    """Metric and Christoffel jets of the ambient space, pulled along F.
-
-    The metric is evaluated algebraically on the F-jets; the Christoffel
-    symbols are computed from ambient-variable metric jets seeded at F(p)
-    and composed with the F-jets (no closed-form connection is used).
-    Returns (gN (A,B,b) jets, gammaN_F (A,B,C,b) jets or None).
-    """
-    if spec.is_flat:
-        return None, None
-    m = spec.real_dim
-    if m > 8:
-        raise UsageError(
-            "space-form ambients are supported for n <= 2 "
-            "(the jet engine carries at most 8 variables)"
-        )
-    gN = amb.ambient_metric(spec, F.truncated(order_metric))
-    z0 = _to_batch_first(F.value())                       # (b, m)
-    z_seeds = jet_seed_all(m, order_gamma + 1, z0)
-    gN_amb = amb.ambient_metric(spec, ca.jstack(z_seeds))
-    gammaN_amb = ca.christoffel(gN_amb)                   # (A, B, C, b) jets
-    return gN, jet_compose(gammaN_amb, [F[A] for A in range(m)])
-
-
-# ---------------------------------------------------------------------------
 # complex eigenframes
 
 
-def _complex_frame(What, L):
+def _complex_frame(What, L, cos, Vt):
     """Orthonormal eigenframe pairs (X_a, Y_a) of F*w, in coordinates.
 
-    Off the kernel Y_a = J_w X_a; kernel pairs are an arbitrary orthonormal
-    basis of the kernel.  Returns (X, Y) with shape (b, n, d).
+    Off the kernel Y_a = J_w X_a, from the eigenvectors of i What; a kernel
+    pair (cos <= TOL_LAGRANGIAN) is the matching even and odd right singular
+    vector of What, an orthonormal basis of the kernel.  Returns (X, Y) with
+    shape (b, n, d).
     """
     n = What.shape[1] // 2
-    Mh = 1j * What
-    evals, evecs = np.linalg.eigh(Mh)        # ascending; last n are +cos
-    sel = np.arange(2 * n - 1, n - 1, -1)                # +cos, descending
-    picked = evecs[:, :, sel]
-    X = np.sqrt(2.0) * np.real(picked)                   # (b, d, n)
-    Y = -np.sqrt(2.0) * np.imag(picked)
-    lam = evals[:, sel]                                  # ~ cos desc
-    # kernel pairs are the last k columns; one batched QR per count k
-    ker = np.sum(lam <= TOL_LAGRANGIAN, axis=1)
-    for k in range(1, n + 1):
-        idx = np.nonzero(ker == k)[0]
-        if idx.size:
-            tail = picked[idx, :, n - k:]
-            q, _ = np.linalg.qr(np.concatenate([tail.real, tail.imag], axis=2))
-            X[idx, :, n - k:] = q[:, :, 0::2]
-            Y[idx, :, n - k:] = q[:, :, 1::2]
+    _, evecs = np.linalg.eigh(1j * What)      # ascending; last n are +cos
+    picked = evecs[:, :, 2 * n - 1:n - 1:-1]             # +cos, descending
+    ker = (cos <= TOL_LAGRANGIAN)[:, None, :]
+    X = np.where(ker, np.swapaxes(Vt[:, 0::2], -1, -2),
+                 np.sqrt(2.0) * np.real(picked))         # (b, d, n)
+    Y = np.where(ker, np.swapaxes(Vt[:, 1::2], -1, -2),
+                 -np.sqrt(2.0) * np.imag(picked))
     # back to coordinates: v = L^{-T} v_hat
     Lt = np.swapaxes(L, -1, -2)
     Xc = np.linalg.solve(Lt, X)
@@ -301,14 +268,12 @@ def compute_snapshot(spec, points, order=3, skip_invalid=True):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rejected = []
     if not spec.ambient.is_flat and spec.ambient.rho < 0 and skip_invalid:
-        from .ambient import CHART_BOUNDARY_TOL
-        from .dsl import eval_components_floats
-        vals = eval_components_floats(spec, points)
-        margin = 1.0 + spec.ambient.rho * np.sum(vals**2, axis=-1)
-        bad = np.nonzero(margin <= CHART_BOUNDARY_TOL)[0]
+        margin = amb.chart_margin(spec.ambient,
+                                  eval_components_floats(spec, points))
+        bad = np.nonzero(margin <= amb.CHART_BOUNDARY_TOL)[0]
         if bad.size:
             rejected = [(int(b), "outside chart domain") for b in bad]
-            points = points[margin > CHART_BOUNDARY_TOL]
+            points = points[margin > amb.CHART_BOUNDARY_TOL]
     F = eval_components(spec, points, order=order)
     snap = snapshot_from_F(spec.n, spec.ambient, F, points, order,
                            skip_invalid=skip_invalid)
@@ -326,7 +291,11 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
         [ca.jstack([F[A].derivative(i) for i in range(d)], axis=0) for A in range(m)],
         axis=0,
     )
-    gN, gammaN_F = _ambient_along_F(ambient_spec, F, order - 1, order - 2)
+    gN = gammaN_F = None
+    if not ambient_spec.is_flat:
+        # metric (A, B, b) and connection (A, B, C, b), closed form along F
+        gN = amb.ambient_metric(ambient_spec, F.truncated(order - 1))
+        gammaN_F = amb.ambient_christoffel(ambient_spec, F.truncated(order - 2))
     g = induced_metric(dF, dF, gN)
     g0 = _to_batch_first(g.value())
 
@@ -364,8 +333,8 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
 
     W = pullback_form(dF, JN, gN)                            # (i, j, b), order-1
     W0 = np.moveaxis(W.value(), -1, 0)
-    cos_angles, Jw0, What, L, pair_gap = kahler_angles(g0, W0)
-    frame_X, frame_Y = _complex_frame(What, L)
+    cos_angles, Jw0, What, L, Vt, pair_gap = kahler_angles(g0, W0)
+    frame_X, frame_Y = _complex_frame(What, L, cos_angles, Vt)
     Z = 0.5 * (frame_X - 1j * frame_Y)                       # (b, n, d)
 
     minc, maxc = cos_angles[:, -1], cos_angles[:, 0]
@@ -483,7 +452,7 @@ def _normal_bundle(snap):
     Jnu = np.einsum("AB,baB->baA", JN, nu)
     w_perp = np.einsum("baA,bAB,bcB->bac", Jnu, gN0, nu)
     w_perp = 0.5 * (w_perp - np.swapaxes(w_perp, -1, -2))
-    normal_cos, _, J_perp = _skew_spectrum(w_perp)
+    normal_cos, _, J_perp, _ = _skew_spectrum(w_perp)
     JdF = np.einsum("AB,bBi->bAi", JN, dF0)
     Phi_nu = np.einsum("bAi,bAB,baB->bai", JdF, gN0, nu)     # (b, a, i)
     rhs = np.einsum("baA,bAB,bBj->baj", Jnu, gN0, dF0)

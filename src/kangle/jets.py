@@ -30,7 +30,6 @@ __all__ = [
     "Jet",
     "jet_seed",
     "jet_unary",
-    "jet_compose",
     "num_coeffs",
     "multi_indices",
 ]
@@ -445,54 +444,3 @@ def jet_einsum(spec, a, b):
         c = np.einsum(f"{sa},{sb}Z->{out}Z", np.asarray(a, dtype=float), b.coeffs)
         return Jet(b.dim, b.order, c)
     raise UsageError("jet_einsum needs at least one Jet operand")
-
-
-# ---------------------------------------------------------------------------
-# composition: substitute domain jets into an ambient-variable jet
-
-
-def jet_power_products(offsets, exponents):
-    """Jets of prod_v offsets[v]**beta_v for every requested multi-index.
-
-    offsets: list of domain jets (typically F_A - z0_A, zero constant term).
-    Returns a dict multi-index -> Jet, built incrementally in graded order.
-    """
-    some = offsets[0]
-    zero = tuple(0 for _ in offsets)
-    cache = {zero: Jet.constant(some.dim, some.order, np.ones(some.shape))}
-    for beta in exponents:
-        if beta in cache:
-            continue
-        v = next(i for i, b in enumerate(beta) if b > 0)
-        parent = list(beta)
-        parent[v] -= 1
-        cache[beta] = cache[tuple(parent)] * offsets[v]
-    return cache
-
-
-def jet_compose(ambient_jet, domain_jets):
-    """Compose G(z) with z = F(u): both given as jets.
-
-    ambient_jet: Jet in m ambient variables whose base point is F(u0); its
-    last leading axis is the batch axis of the domain jets, any axes before
-    it are tensor components, which all share the power products of F - z0.
-    domain_jets: sequence of m domain jets with a single batch axis, whose
-    constant terms equal (per batch element) the ambient expansion point.
-    The result is a domain jet of order min(ambient order, domain order).
-    """
-    m = ambient_jet.dim
-    if len(domain_jets) != m:
-        raise UsageError(f"need {m} domain jets, got {len(domain_jets)}")
-    order = min(ambient_jet.order, min(F.order for F in domain_jets))
-    offs = []
-    for F in domain_jets:
-        F = F.truncated(order)
-        c = F.coeffs.copy()
-        c[..., 0] = 0.0
-        offs.append(Jet(F.dim, order, c))
-    tab = _tables(m, ambient_jet.order)
-    exps = [a for a in tab.exponents if sum(a) <= order]
-    powers = jet_power_products(offs, exps)
-    PW = np.stack([powers[b].coeffs for b in exps], axis=0)       # (E, b, K)
-    A = ambient_jet.coeffs[..., [tab.position[b] for b in exps]]  # (comp..., b, E)
-    return Jet(offs[0].dim, order, np.einsum("...be,ebk->...bk", A, PW))

@@ -5,9 +5,11 @@ import pytest
 
 import kangle.calculus as ca
 from kangle.ambient import (
+    ambient_christoffel,
     ambient_J,
     ambient_metric,
     ambient_metric_point,
+    chart_margin,
     check_chart_domain,
     curvature_tensor_point,
     einstein_constant,
@@ -15,7 +17,7 @@ from kangle.ambient import (
     space_form,
 )
 from kangle.errors import ChartDomainError, UsageError
-from kangle.jets import jet_seed_all
+from kangle.jets import Jet, jet_einsum, jet_seed_all
 
 
 def _chart_points(rng, spec, count):
@@ -52,6 +54,8 @@ def test_metric_identity_at_origin_and_flat():
     z = np.random.default_rng(1).normal(size=(5, 6))
     assert np.allclose(ambient_metric_point(flat, z),
                        np.broadcast_to(np.eye(6), (5, 6, 6)))
+    assert not np.any(ambient_christoffel(
+        flat, ca.jstack(jet_seed_all(6, 2, z))).coeffs)
 
 
 def test_metric_jets_match_pointwise():
@@ -100,30 +104,40 @@ def test_einstein_constant_values():
 
 @pytest.mark.parametrize("n,rho", [(1, 1.0), (1, -1.0), (2, 0.5), (2, -0.5)])
 def test_closed_form_vs_jet_curvature(n, rho):
-    """Closed-form curvature vs the jet/Christoffel route, 20 points."""
+    """Closed-form connection and curvature vs the jet/Christoffel route,
+    20 points; the connection agrees in every jet coefficient."""
     rng = np.random.default_rng(n + int(3 * rho) % 5)
     spec = space_form(rho, 2 * n)
     z = _chart_points(rng, spec, 20)
     gj = ambient_metric(spec, ca.jstack(jet_seed_all(spec.real_dim, 3, z)))
     gamma = ca.christoffel(gj)
+    gamma_closed = ambient_christoffel(
+        spec, ca.jstack(jet_seed_all(spec.real_dim, 2, z)))
+    assert gamma_closed.coeffs.shape == gamma.coeffs.shape
+    assert np.max(np.abs(gamma_closed.coeffs - gamma.coeffs)) \
+        < 1e-13 * np.max(np.abs(gamma.coeffs))
     R_jet = ca.riemann_from_christoffel(gamma, gj)
     R_closed = curvature_tensor_point(spec, z)
     scale = np.max(np.abs(R_closed))
     assert np.max(np.abs(R_jet - R_closed)) / scale < 1e-6
+    assert np.max(np.abs(
+        ca.riemann_from_christoffel(gamma_closed, gj) - R_closed)) / scale \
+        < 1e-6
 
 
 def test_kahler_condition_nabla_J():
+    """nabla J = 0 with the jet-derived and with the closed-form Gamma."""
     rng = np.random.default_rng(4)
     spec = space_form(-1.0, 2)
     z = _chart_points(rng, spec, 10)
-    gj = ambient_metric(spec, ca.jstack(jet_seed_all(4, 3, z)))
-    gamma = ca.christoffel(gj)
+    seeds = ca.jstack(jet_seed_all(4, 3, z))
     J = ambient_J(spec)
-    Jc = np.zeros((4, 4, 10, gj.coeffs.shape[-1]))
+    Jc = np.zeros((4, 4, 10, seeds.coeffs.shape[-1]))
     Jc[..., 0] = J[:, :, None]
-    from kangle.jets import Jet
-    nJ = ca.cov_d_11tensor(Jet(4, 3, Jc), gamma)
-    assert np.max(np.abs(nJ.value())) < 1e-8
+    for gamma in (ca.christoffel(ambient_metric(spec, seeds)),
+                  ambient_christoffel(spec, seeds.truncated(2))):
+        nJ = ca.cov_d_11tensor(Jet(4, 3, Jc), gamma)
+        assert np.max(np.abs(nJ.coeffs)) < 1e-8
 
 
 def test_kahler_form_closed():
@@ -132,7 +146,6 @@ def test_kahler_form_closed():
     z = _chart_points(rng, spec, 10)
     gj = ambient_metric(spec, ca.jstack(jet_seed_all(4, 2, z)))
     J = ambient_J(spec)
-    from kangle.jets import jet_einsum
     w = jet_einsum("ca,cb...->ab...", J, gj)   # w_ab = g(J e_a, e_b)
     dw = ca.exterior_d_twoform(w)
     assert np.max(np.abs(dw.value())) < 1e-8
@@ -149,8 +162,16 @@ def test_first_bianchi():
 
 def test_chart_domain_rejection():
     spec = space_form(-1.0, 2)
+    z = np.array([[0.6, 0.0, 0.0, 0.8], [0.3, 0.4, 0.0, 0.0]])
+    assert np.allclose(chart_margin(spec, z), [0.0, 0.75])
+    with pytest.raises(ChartDomainError):
+        check_chart_domain(spec, z[:1])
     with pytest.raises(ChartDomainError):
         check_chart_domain(spec, np.array([1.0, 0.1, 0.0, 0.0]))
+    check_chart_domain(spec, z[1:])
+    # the closed-form connection guards the chart like the metric does
+    with pytest.raises(ChartDomainError):
+        ambient_christoffel(spec, ca.jstack(jet_seed_all(4, 1, z[:1])))
     # rho > 0 has no boundary
     check_chart_domain(space_form(1.0, 2), np.array([10.0, 0.0, 0.0, 0.0]))
 

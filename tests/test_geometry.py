@@ -14,7 +14,6 @@ from kangle.geometry import (
     TOL_LAGRANGIAN,
     compute_snapshot,
     gauss_equation_residual,
-    kahler_angles,
     snapshot_from_F,
 )
 
@@ -390,57 +389,16 @@ def test_frame_rotation_invariance():
     assert np.max(np.abs(np.real(s1) - snap.sumRM)) < 1e-8
 
 
-def _kernel_frame_per_point(What, L):
-    """Reference: the complex frame with each kernel re-orthonormalized by
-    its own QR, one point at a time."""
-    n = What.shape[1] // 2
-    evals, evecs = np.linalg.eigh(1j * What)
-    sel = np.arange(2 * n - 1, n - 1, -1)
-    picked = evecs[:, :, sel]
-    X = np.sqrt(2.0) * np.real(picked)
-    Y = -np.sqrt(2.0) * np.imag(picked)
-    ker = evals[:, sel] <= TOL_LAGRANGIAN
-    for b in np.nonzero(np.any(ker, axis=1))[0]:
-        cols = np.nonzero(ker[b])[0]
-        raw = np.concatenate([np.real(picked[b][:, cols]),
-                              np.imag(picked[b][:, cols])], axis=1)
-        q, _ = np.linalg.qr(raw)
-        X[b][:, cols] = q[:, 0::2]
-        Y[b][:, cols] = q[:, 1::2]
-    Lt = np.swapaxes(L, -1, -2)
-    return (np.swapaxes(np.linalg.solve(Lt, X), -1, -2),
-            np.swapaxes(np.linalg.solve(Lt, Y), -1, -2))
-
-
 def test_complex_frame_kernel_pairs():
-    """Kernel pairs come from one batched QR per kernel size: they match a
-    per-point QR, and on Lagrangian points they are g-orthonormal, span
-    ker F*w and leave the curvature sum unchanged."""
+    """Kernel pairs are the right singular vectors of What with zero
+    singular value: on Lagrangian points and next to a generic pair the
+    frame is g-orthonormal, every kernel pair lies in ker F*w, and off the
+    kernel Y_a = J_w X_a."""
     axis = np.arange(64) * (2 * np.pi / 64)
     grid = np.stack([m.ravel() for m in np.meshgrid(axis, axis,
                                                     indexing="ij")], -1)
     torus = compute_snapshot(get_entry("lagrangian_torus_2").spec(), grid)
     assert torus.size == 4096
-    # n=2 in a curved ambient: two kernel pairs, a nonzero curvature sum
-    for snap, pairs in ((torus, 1), (snap_of("lagrangian_torus_sf_neg"), 2)):
-        X, Y = snap.frame_X, snap.frame_Y                # (b, n, d)
-        assert np.all(np.sum(snap.cos_angles <= TOL_LAGRANGIAN, 1) == pairs)
-        frame = np.concatenate([X, Y], axis=1)           # (b, 2n, d)
-        gram = np.einsum("bai,bij,bcj->bac", frame, snap.g0, frame)
-        assert np.max(np.abs(gram - np.eye(snap.domain_dim))) < 1e-12
-        # d g-orthonormal vectors in ker F*w, which has dimension d
-        assert np.all(snap.rank == 0)
-        assert np.max(np.abs(np.einsum("bij,baj->bai", snap.W0, frame))) \
-            < 1e-12
-        _, _, What, L, _ = kahler_angles(snap.g0, snap.W0)
-        Xr, Yr = _kernel_frame_per_point(What, L)
-        assert np.max(np.abs(Xr - X)) < 1e-13
-        assert np.max(np.abs(Yr - Y)) < 1e-13
-        Zr = 0.5 * (Xr - 1j * Yr)
-        sum_ref = np.real(np.einsum("bijkl,bui,buk,bvj,bvl->b", snap.RM,
-                                    Zr, np.conj(Zr), Zr, np.conj(Zr)))
-        assert np.max(np.abs(sum_ref - snap.sumRM)) <= 1e-13 * (
-            1.0 + np.max(np.abs(sum_ref)))
     # one kernel pair after a generic pair (the last column only): a slant
     # plane times a curved Lagrangian gradient graph
     mixed = compute_snapshot(parse_immersion(
@@ -448,10 +406,20 @@ def test_complex_frame_kernel_pairs():
         "u3, u3*u4, u4, 0.5*u3^2]"),
         np.random.default_rng(4).uniform(-1, 1, (30, 4)))
     assert np.all(mixed.rank == 2)
-    _, _, What, L, _ = kahler_angles(mixed.g0, mixed.W0)
-    Xr, Yr = _kernel_frame_per_point(What, L)
-    assert np.max(np.abs(Xr - mixed.frame_X)) < 1e-13
-    assert np.max(np.abs(Yr - mixed.frame_Y)) < 1e-13
+    # lagrangian_torus_sf_neg is n=2 in a curved ambient: two kernel pairs
+    for snap, pairs in ((torus, 1), (snap_of("lagrangian_torus_sf_neg"), 2),
+                        (mixed, 1)):
+        X, Y = snap.frame_X, snap.frame_Y                # (b, n, d)
+        ker = snap.cos_angles <= TOL_LAGRANGIAN          # (b, n)
+        assert np.all(np.sum(ker, 1) == pairs)
+        frame = np.concatenate([X, Y], axis=1)           # (b, 2n, d)
+        gram = np.einsum("bai,bij,bcj->bac", frame, snap.g0, frame)
+        assert np.max(np.abs(gram - np.eye(snap.domain_dim))) < 1e-12
+        for V in (X, Y):
+            assert np.max(np.abs(
+                np.einsum("bij,baj->bai", snap.W0, V)[ker])) < 1e-12
+        JX = np.einsum("bij,baj->bai", snap.Jw0, X)
+        assert np.max(np.abs((JX - Y)[~ker]), initial=0.0) < 1e-10
 
 
 def test_ambient_isometry_invariance():

@@ -7,7 +7,6 @@ from conftest import all_multi_indices, central_diff
 from kangle.errors import DomainError, SingularityError, UsageError
 from kangle.jets import (
     Jet,
-    jet_compose,
     jet_seed,
     jet_seed_all,
     jet_unary,
@@ -195,15 +194,3 @@ def test_powi():
     with pytest.raises(DomainError):
         x.powi(-1)
 
-
-def test_compose_matches_direct():
-    rng = np.random.default_rng(9)
-    pts = rng.uniform(-0.5, 0.5, (5, 2))
-    u = jet_seed_all(2, 3, pts)
-    F0 = u[0] * u[1] + 0.3
-    F1 = jet_unary(u[0], "sin")
-    z = jet_seed_all(2, 3, np.stack([F0.value(), F1.value()], axis=-1))
-    G = z[0] * z[0] * z[1] + jet_unary(z[1], "cos")
-    comp = jet_compose(G, [F0, F1])
-    direct = F0 * F0 * F1 + jet_unary(F1, "cos")
-    assert np.max(np.abs(comp.coeffs - direct.coeffs)) < 1e-13
