@@ -26,27 +26,18 @@ from .jets import Jet, jet_einsum
 __all__ = [
     "contract",
     "jstack",
-    "jtrace",
-    "match_orders",
     "jet_matrix_inverse",
     "partials",
     "christoffel",
     "riemann_from_christoffel",
-    "cov_d_oneform",
-    "cov_d_twoform",
-    "cov_d_threeform",
-    "cov_d_vector",
-    "cov_d_11tensor",
+    "cov_d",
     "divergence",
-    "codiff_twoform",
-    "codiff_threeform",
+    "codiff",
     "exterior_d_oneform",
     "exterior_d_twoform",
-    "hessian",
     "trace_hessian",
     "gradient_vector",
     "two_form_pairing",
-    "two_form_raise",
 ]
 
 
@@ -78,20 +69,11 @@ def jstack(jets, axis=0):
     return Jet(first.dim, first.order, coeffs)
 
 
-def jtrace(A):
-    """Trace over the two leading component axes."""
-    return Jet(A.dim, A.order, np.einsum("ii...->...", A.coeffs))
-
-
-def match_orders(*jets):
-    order = min(j.order for j in jets)
-    return tuple(j.truncated(order) for j in jets)
-
-
 def _jes(spec, a, b):
-    """jet_einsum on order-matched operands."""
+    """jet_einsum on operands truncated to their common order."""
     if isinstance(a, Jet) and isinstance(b, Jet):
-        a, b = match_orders(a, b)
+        o = min(a.order, b.order)
+        a, b = a.truncated(o), b.truncated(o)
     return jet_einsum(spec, a, b)
 
 
@@ -151,64 +133,38 @@ def riemann_from_christoffel(gamma, g):
     return np.einsum("bijkm,bml->bijkl", R_up, g0)
 
 
-def cov_d_oneform(s, gamma):
-    """(nabla s)[i, j, b] = d_i s_j - Gamma^k_{ij} s_k."""
-    ds = partials(s)
-    o = min(ds.order, gamma.order)
-    return ds.truncated(o) - _jes("kij...,k...->ij...", gamma, s).truncated(o)
+def cov_d(T, gamma, upper=()):
+    """(nabla T)[i, t..., b] of a tensor jet T[t..., b], one order below T.
 
-
-def cov_d_twoform(w, gamma):
-    """(nabla w)[i, j, k, b] = d_i w_jk - G^l_{ij} w_lk - G^l_{ik} w_jl."""
-    dw = partials(w)
-    o = min(dw.order, gamma.order)
-    t1 = _jes("lij...,lk...->ijk...", gamma, w)
-    t2 = _jes("lik...,jl...->ijk...", gamma, w)
-    return dw.truncated(o) - t1.truncated(o) - t2.truncated(o)
-
-
-def cov_d_threeform(t, gamma):
-    """Covariant derivative of a 3-index covariant tensor."""
-    dt = partials(t)
-    o = min(dt.order, gamma.order)
-    c1 = _jes("pil...,pjk...->iljk...", gamma, t)
-    c2 = _jes("pij...,lpk...->iljk...", gamma, t)
-    c3 = _jes("pik...,ljp...->iljk...", gamma, t)
-    return dt.truncated(o) - c1.truncated(o) - c2.truncated(o) \
-        - c3.truncated(o)
-
-
-def cov_d_vector(V, gamma):
-    """(nabla V)[i, k, b] = d_i V^k + Gamma^k_{il} V^l."""
-    dV = partials(V)
-    o = min(dV.order, gamma.order)
-    return dV.truncated(o) + _jes("kil...,l...->ik...", gamma, V).truncated(o)
-
-
-def cov_d_11tensor(T, gamma):
-    """(nabla T)[i, k, j, b] = d_i T^k_j + G^k_{il} T^l_j - G^l_{ij} T^k_l."""
+    Axis p of T is contravariant if p is in ``upper``, else covariant:
+    d_i T + G^{t_p}_{il} T[..l..] (upper) - G^l_{i t_p} T[..l..] (lower),
+    summed over the axes in order.  Every G.T product is formed on operands
+    already truncated to the order of the result.
+    """
     dT = partials(T)
     o = min(dT.order, gamma.order)
-    plus = _jes("kil...,lj...->ikj...", gamma, T)
-    minus = _jes("lij...,kl...->ikj...", gamma, T)
-    return dT.truncated(o) + plus.truncated(o) - minus.truncated(o)
+    G, T = gamma.truncated(o), T.truncated(o)
+    t = "jkmn"[:len(T.shape) - 1]        # tensor axes; i derivative, l dummy
+    out = dT.truncated(o)
+    for p, a in enumerate(t):
+        slot = t[:p] + "l" + t[p + 1:]
+        if p in upper:
+            out = out + jet_einsum(f"{a}il...,{slot}...->i{t}...", G, T)
+        else:
+            out = out - jet_einsum(f"li{a}...,{slot}...->i{t}...", G, T)
+    return out
 
 
 def divergence(V, gamma):
     """div V = trace of nabla V (a jet one order below V)."""
-    return jtrace(cov_d_vector(V, gamma))
+    nV = cov_d(V, gamma, upper=(0,))
+    return Jet(nV.dim, nV.order, np.einsum("ii...->...", nV.coeffs))
 
 
-def codiff_twoform(w, g_inv, gamma):
-    """(delta w)_k = -g^{ij} (nabla_i w)_{jk}, in the standard sign."""
-    nw = cov_d_twoform(w, gamma)
-    return -_jes("ij...,ijk...->k...", g_inv, nw)
-
-
-def codiff_threeform(t, g_inv, gamma):
-    """(delta t)_{jk} = -g^{il} (nabla_i t)_{ljk}, in the standard sign."""
-    nt = cov_d_threeform(t, gamma)
-    return -_jes("il...,iljk...->jk...", g_inv, nt)
+def codiff(t, g_inv, gamma):
+    """(delta t)_{k...} = -g^{ij} (nabla_i t)_{jk...}, in the standard sign."""
+    rest = "kmn"[:len(t.shape) - 2]
+    return -_jes(f"ij...,ij{rest}...->{rest}...", g_inv, cov_d(t, gamma))
 
 
 def exterior_d_oneform(s):
@@ -224,18 +180,9 @@ def exterior_d_twoform(w):
     return Jet(w.dim, w.order - 1, out)
 
 
-def hessian(f, gamma):
-    """Hess f [i, j, b] = d_i d_j f - Gamma^k_{ij} d_k f."""
-    df = partials(f)
-    ddf = partials(df)
-    o = min(ddf.order, gamma.order)
-    return ddf.truncated(o) - _jes("kij...,k...->ij...", gamma, df).truncated(o)
-
-
 def trace_hessian(f, g_inv, gamma):
     """g^{ij} Hess f_{ij} (the 'div grad' Laplacian, as a jet)."""
-    H = hessian(f, gamma)
-    return _jes("ij...,ij...->...", g_inv, H)
+    return _jes("ij...,ij...->...", g_inv, cov_d(partials(f), gamma))
 
 
 def gradient_vector(f, g_inv):
@@ -244,17 +191,12 @@ def gradient_vector(f, g_inv):
     return _jes("ij...,j...->i...", g_inv, df)
 
 
-def two_form_raise(w, g_inv):
-    """w^{ij} = g^{ik} g^{jl} w_{kl}."""
-    up1 = _jes("ik...,kl...->il...", g_inv, w)
-    return _jes("jl...,il...->ij...", g_inv, up1)
-
-
 def two_form_pairing(a, b, g_inv):
     """<a, b> = (1/2) g^{ik} g^{jl} a_{ij} b_{kl}.
 
     The 1/2 makes ||e^1 ^ e^2||^2 = 1; the choice is pinned by the angle
     norm identity ||F*w||^2 = n cos^2(theta).
     """
-    b_up = two_form_raise(b, g_inv)
+    b_up = _jes("ik...,kl...->il...", g_inv, b)
+    b_up = _jes("jl...,il...->ij...", g_inv, b_up)           # b^{ij}
     return _jes("ij...,ij...->...", a, b_up) * 0.5

@@ -24,7 +24,7 @@ from .calculus import contract
 from .catalog import builtin_catalog, get_entry
 from .dsl import parse_immersion
 from .errors import KangleError
-from .geometry import CLASS_NAMES, compute_snapshot
+from .geometry import CLASS_NAMES, compute_snapshot, reads
 from .identities import SUITES
 from .quadrature import eq23_pass, stokes_pass, torus_quadrature
 from .runner import report_to_json, run_suite
@@ -68,11 +68,13 @@ def _parse_point(text):
     return point
 
 
+@reads("F0", "cos_angles", "classification", "rank", "normH2", "g_inv0",
+       "sff0", "gN0", "g0", "W0", "norm_W2_0", "kappa", "cos_signed")
 def _cmd_eval(args):
     spec, _ = _load_spec(args)
     point = _parse_point(args.point)
     snap = compute_snapshot(spec, point[None, :], order=args.order,
-                            skip_invalid=False)
+                            skip_invalid=False, reads=_cmd_eval.reads)
     out = {
         "point": point.tolist(),
         "F": snap.F0[0].tolist(),

@@ -1,11 +1,13 @@
 """Pointwise geometry of a parametric immersion, computed from jets.
 
 The entry point is :func:`compute_snapshot`, which evaluates an immersion
-on a batch of domain points and derives every invariant the identity suites
+on a batch of domain points and derives the invariants the identity suites
 consume: induced metric, pulled-back form, Kahler angles, polar complex
 structure, second fundamental form, mean curvature, tangential projection
 of J applied to the mean curvature, curvature tensors, codifferentials,
-Laplacians and the complex eigenframes.
+Laplacians and the complex eigenframes.  They come from the ordered
+``STAGES``; a caller names the keys it reads and only the stages up to the
+last one that writes them run.
 
 Quantities that are only defined away from the Lagrangian locus (smallest
 angle ~ 0) or away from complex points (largest angle ~ 1) are computed on
@@ -42,7 +44,9 @@ PAIRING_TOL = 1e-7          # skew singular values must pair up this well
 
 __all__ = [
     "Snapshot",
+    "STAGES",
     "compute_snapshot",
+    "reads",
     "snapshot_from_F",
     "induced_metric",
     "pullback_form",
@@ -55,14 +59,14 @@ __all__ = [
 ]
 
 
-def _to_batch_first(arr):
-    """(comp..., B) -> (B, comp...) for value arrays taken from jets."""
-    return np.moveaxis(arr, -1, 0)
+def _at_points(jet):
+    """Values of a jet field at the points: (comp..., B) -> (B, comp...)."""
+    return np.moveaxis(jet.value(), -1, 0)
 
 
 @dataclass
 class Snapshot:
-    """All computed invariants at a batch of domain points.
+    """The invariants computed at a batch of domain points.
 
     Value arrays are batch-first; jet fields keep the component-axes-first
     layout of :mod:`kangle.calculus`.  ``masks`` maps context names to
@@ -94,6 +98,22 @@ class Snapshot:
     @property
     def ambient_dim(self):
         return 4 * self.n
+
+
+def reads(*keys):
+    """Declare the snapshot keys a reader reads, as ``fn.reads``."""
+    def declare(fn):
+        fn.reads = keys
+        return fn
+    return declare
+
+
+def writes(*keys):
+    """Declare the snapshot keys a stage writes, as ``fn.writes``."""
+    def declare(fn):
+        fn.writes = keys
+        return fn
+    return declare
 
 
 def induced_metric(a, b, gN=None):
@@ -192,6 +212,7 @@ def weitzenboeck_operator(RM, g_inv0, alpha0):
     return T - np.swapaxes(T, -1, -2)
 
 
+@reads("RM", "sff0", "gN0", "dF0", "ambient_spec", "F0")
 def gauss_equation_residual(snapshot):
     """Max relative defect of R^M vs ambient curvature + sff quadratics."""
     RM = snapshot.RM
@@ -255,15 +276,17 @@ def _normal_frame(dF0, gN0):
 
 
 # ---------------------------------------------------------------------------
-# the full pipeline
+# the pipeline: ordered stages, each writing the snapshot keys it declares
 
 
-def compute_snapshot(spec, points, order=3, skip_invalid=True):
-    """Evaluate the immersion and every derived invariant at ``points``.
+def compute_snapshot(spec, points, order=3, skip_invalid=True, reads=None):
+    """Evaluate the immersion and the invariants named in ``reads``.
 
     points: (B, 2n).  Points that fail the immersion check (or, for
     skip_invalid, the chart bound) are dropped and reported in
-    ``snapshot.rejected`` rather than silently imputed.
+    ``snapshot.rejected`` rather than silently imputed.  reads: snapshot
+    keys; the stages run in order up to the last one that writes one of
+    them (None runs every stage).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rejected = []
@@ -276,195 +299,254 @@ def compute_snapshot(spec, points, order=3, skip_invalid=True):
             points = points[margin > amb.CHART_BOUNDARY_TOL]
     F = eval_components(spec, points, order=order)
     snap = snapshot_from_F(spec.n, spec.ambient, F, points, order,
-                           skip_invalid=skip_invalid)
+                           skip_invalid=skip_invalid, reads=reads)
     snap.rejected = rejected + snap.rejected
     return snap
 
 
-def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True):
-    """Build a snapshot from already-evaluated F jets (axes (4n, B))."""
-    d, m = 2 * n, 4 * n
+def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True,
+                    reads=None):
+    """Build a snapshot from already-evaluated F jets (axes (4n, B)).
+
+    Each stage reads keys of the stages before it; ``work`` carries the
+    jets that no reader needs (dF, g_N, Gamma_N along F) and is dropped.
+    """
+    last = 0
+    for key in () if reads is None else reads:
+        at = [k for k, stage in enumerate(STAGES) if key in stage.writes]
+        if not at:
+            raise UsageError(f"no snapshot stage writes {key!r}")
+        last = max(last, at[0])
     snap = Snapshot(n=n, order=order, points=points)
-    snap.data["ambient_spec"] = ambient_spec
-    JN = amb.ambient_J(ambient_spec)
-    dF = ca.jstack(
-        [ca.jstack([F[A].derivative(i) for i in range(d)], axis=0) for A in range(m)],
-        axis=0,
-    )
+    work = {"ambient_spec": ambient_spec, "F": F, "skip_invalid": skip_invalid}
+    for stage in STAGES if reads is None else STAGES[:last + 1]:
+        stage(snap, work)
+    return snap
+
+
+@writes("ambient_spec", "JN", "F0", "dF0", "gN0", "g0", "g_inv0",
+        "sqrt_det_g0", "g", "g_inv", "gamma")
+def _core(snap, work):
+    """F, dF, g_N and Gamma_N along F, g, the immersion gate, g^-1, Gamma
+    and sqrt(det g)."""
+    spec, F, order = work["ambient_spec"], work["F"], snap.order
+    m = snap.ambient_dim
+    dF = ca.jstack([ca.partials(F[A]) for A in range(m)])   # (A, i, b)
     gN = gammaN_F = None
-    if not ambient_spec.is_flat:
+    if not spec.is_flat:
         # metric (A, B, b) and connection (A, B, C, b), closed form along F
-        gN = amb.ambient_metric(ambient_spec, F.truncated(order - 1))
-        gammaN_F = amb.ambient_christoffel(ambient_spec, F.truncated(order - 2))
+        gN = amb.ambient_metric(spec, F.truncated(order - 1))
+        gammaN_F = amb.ambient_christoffel(spec, F.truncated(order - 2))
     g = induced_metric(dF, dF, gN)
-    g0 = _to_batch_first(g.value())
+    g0 = _at_points(g)
 
     # immersion check
     eig = np.linalg.eigvalsh(g0)
     good = eig[:, 0] > 1e-12 * np.maximum(eig[:, -1], 1.0)
     if not np.all(good):
         bad = np.nonzero(~good)[0]
-        if not skip_invalid:
+        if not work["skip_invalid"]:
             raise NotAnImmersionError(
-                f"dF rank-deficient at {len(bad)} point(s), e.g. {points[bad[0]]}"
-            )
+                f"dF rank-deficient at {len(bad)} point(s), "
+                f"e.g. {snap.points[bad[0]]}")
         snap.rejected = [(int(b), "not an immersion") for b in bad]
         keep = np.nonzero(good)[0]
-        points = points[keep]
-        F = F.take_batch(keep)
-        dF = dF.take_batch(keep)
-        g = g.take_batch(keep)
-        g0 = g0[keep]
+        snap.points = snap.points[keep]
+        F, dF, g, g0 = (F.take_batch(keep), dF.take_batch(keep),
+                        g.take_batch(keep), g0[keep])
         if gN is not None:
             gN = gN.take_batch(keep)
             gammaN_F = gammaN_F.take_batch(keep)
-        snap.points = points
-    B = points.shape[0]
+    B = snap.size
     if B == 0:
         raise NotAnImmersionError("no valid points left in the batch")
 
-    F0 = _to_batch_first(F.value())
-    dF0 = np.moveaxis(dF.value(), -1, 0)                     # (b, A, i)
-    gN0 = (np.broadcast_to(np.eye(m), (B, m, m)) if gN is None
-           else np.moveaxis(gN.value(), -1, 0))
+    work.update(dF=dF, gN=gN, gammaN_F=gammaN_F)
     g_inv = ca.jet_matrix_inverse(g)
-    g_inv0 = np.moveaxis(g_inv.value(), -1, 0)
-    gamma = ca.christoffel(g, g_inv)
+    snap.jets.update(g=g, g_inv=g_inv, gamma=ca.christoffel(g, g_inv))
+    snap.data.update(
+        ambient_spec=spec, JN=amb.ambient_J(spec),
+        F0=_at_points(F), dF0=_at_points(dF),
+        gN0=(np.broadcast_to(np.eye(m), (B, m, m)) if gN is None
+             else _at_points(gN)),
+        g0=g0, g_inv0=_at_points(g_inv),
+        sqrt_det_g0=np.sqrt(np.linalg.det(g0)),
+    )
 
-    W = pullback_form(dF, JN, gN)                            # (i, j, b), order-1
-    W0 = np.moveaxis(W.value(), -1, 0)
+
+@writes("W0", "norm_W2_0", "cos2_0", "sin2_0", "grad_cos2_0", "grad_sin2_0",
+        "delta_W0", "norm_delta_W2", "norm_nabla_W2", "dW3_0", "hodge_pair",
+        "lap_norm_W2", "lap_cos2", "cos2", "sin2", "delta_W", "W_sharp")
+def _forms(snap, work):
+    """F*w and its calculus: norms, codifferentials and Laplacians."""
+    n, g_inv0 = snap.n, snap.g_inv0
+    g_inv, gamma = snap.jets["g_inv"], snap.jets["gamma"]
+    W = pullback_form(work["dF"], snap.JN, work["gN"])       # (i, j, b), order-1
+    W0 = _at_points(W)
+    norm_W2_jet = ca.two_form_pairing(W, W, g_inv)
+    cos2 = norm_W2_jet * (1.0 / n)
+    sin2 = 1.0 - cos2
+    delta_W = ca.codiff(W, g_inv, gamma)                     # standard sign
+    delta_W0 = _at_points(delta_W)
+    nW0 = _at_points(ca.cov_d(W, gamma))                     # (b, i, j, k)
+    dd_W0 = _at_points(ca.exterior_d_oneform(delta_W))
+    dW3 = ca.exterior_d_twoform(W)
+    delta_dW0 = _at_points(ca.codiff(dW3, g_inv, gamma))
+    hodge_W0 = dd_W0 + delta_dW0
+    lap_norm_W2 = ca.trace_hessian(norm_W2_jet, g_inv, gamma).value()
+    grad_cos2_0 = _at_points(ca.gradient_vector(cos2, g_inv))
+    # (F*w)#: the operator (i, j, b)
+    W_sharp = ca._jes("ik...,jk...->ij...", g_inv, W)
+    snap.jets.update(cos2=cos2, sin2=sin2, delta_W=delta_W, W_sharp=W_sharp)
+    snap.data.update(
+        W0=W0, norm_W2_0=norm_W2_jet.value(), cos2_0=cos2.value(),
+        sin2_0=sin2.value(), grad_cos2_0=grad_cos2_0, grad_sin2_0=-grad_cos2_0,
+        delta_W0=delta_W0,
+        norm_delta_W2=np.einsum("bij,bi,bj->b", g_inv0, delta_W0, delta_W0),
+        norm_nabla_W2=0.5 * ca.contract("bim,bjp,bkq,bijk,bmpq->b",
+                                        g_inv0, g_inv0, g_inv0, nW0, nW0),
+        dW3_0=_at_points(dW3),
+        hodge_pair=0.5 * ca.contract("bim,bjp,bij,bmp->b",
+                                     g_inv0, g_inv0, hodge_W0, W0),
+        lap_norm_W2=lap_norm_W2, lap_cos2=lap_norm_W2 / n,
+    )
+
+
+@writes("cos_angles", "pair_gap", "Jw0", "frame_X", "frame_Y", "Z", "rank",
+        "classification", "equal_gate", "near_equal_warn", "cos_signed")
+def _angles(snap, work):
+    """Kahler angles, the polar structure, eigenframes and classification."""
+    g0, W0 = snap.g0, snap.W0
     cos_angles, Jw0, What, L, Vt, pair_gap = kahler_angles(g0, W0)
     frame_X, frame_Y = _complex_frame(What, L, cos_angles, Vt)
-    Z = 0.5 * (frame_X - 1j * frame_Y)                       # (b, n, d)
-
     minc, maxc = cos_angles[:, -1], cos_angles[:, 0]
     spread = maxc - minc
     equal_gate = spread <= TOL_EQUAL
-    near_equal = (~equal_gate) & (spread <= 10 * TOL_EQUAL)
-    rank = 2 * np.sum(cos_angles > TOL_LAGRANGIAN, axis=1)
-    classification = np.full(B, GENERIC, dtype=int)
-    is_lag = maxc < TOL_LAGRANGIAN
-    is_cplx = minc > 1.0 - TOL_COMPLEX
-    has_lag_dir = minc < TOL_LAGRANGIAN
-    has_cplx_dir = maxc > 1.0 - TOL_COMPLEX
-    classification[has_lag_dir | has_cplx_dir] = MIXED
-    classification[is_lag] = LAGRANGIAN
-    classification[is_cplx] = COMPLEX
+    classification = np.full(snap.size, GENERIC, dtype=int)
+    classification[(minc < TOL_LAGRANGIAN) | (maxc > 1.0 - TOL_COMPLEX)] = MIXED
+    classification[maxc < TOL_LAGRANGIAN] = LAGRANGIAN
+    classification[minc > 1.0 - TOL_COMPLEX] = COMPLEX
+    snap.data.update(
+        cos_angles=cos_angles, pair_gap=pair_gap, Jw0=Jw0,
+        frame_X=frame_X, frame_Y=frame_Y,
+        Z=0.5 * (frame_X - 1j * frame_Y),                    # (b, n, d)
+        rank=2 * np.sum(cos_angles > TOL_LAGRANGIAN, axis=1),
+        classification=classification, equal_gate=equal_gate,
+        near_equal_warn=(~equal_gate) & (spread <= 10 * TOL_EQUAL),
+    )
+    if snap.n == 1:
+        snap.data["cos_signed"] = signed_angle_n1(g0, W0)
 
-    # second fundamental form, mean curvature, (JH)^T
+
+@writes("sff0", "H0", "normH2", "nablaH", "nabla_perpH", "JHtop0",
+        "nabla_JHtop", "d_JHb", "div_JHtop", "div_Wsharp_JHtop", "JHb", "JHtop")
+def _extrinsic(snap, work):
+    """Second fundamental form, mean curvature H and (JH)^T with their
+    pointwise derivatives."""
+    dF, gN, gammaN_F = work["dF"], work["gN"], work["gammaN_F"]
+    g_inv, gamma = snap.jets["g_inv"], snap.jets["gamma"]
+    dF0, gN0, m = snap.dF0, snap.gN0, snap.ambient_dim
     sff = second_fundamental_form(dF, gamma, gammaN_F)       # (i, j, A, b)
-    sff0 = np.moveaxis(sff.value(), -1, 0)
-    H = mean_curvature(sff, g_inv, n)                        # (A, b)
-    H0 = _to_batch_first(H.value())
-    JH = jet_einsum("AB,B...->A...", JN, H)
+    H = mean_curvature(sff, g_inv, snap.n)                   # (A, b)
+    H0 = _at_points(H)
+    JH = jet_einsum("AB,B...->A...", snap.JN, H)
     if gN is None:
         JHb = ca._jes("A...,Ai...->i...", JH, dF)            # 1-form (i, b)
     else:
         lowered = ca._jes("AB...,A...->B...", gN, JH)
         JHb = ca._jes("B...,Bi...->i...", lowered, dF)
     JHtop = ca._jes("ij...,j...->i...", g_inv, JHb)          # vector (i, b)
-    normH2 = np.einsum("bA,bAB,bB->b", H0, gN0, H0)
 
     # pointwise derivative data of H and (JH)^T
-    dH0 = np.moveaxis(ca.partials(H).value(), -1, 0)         # (b, i, A)
-    nablaH = dH0.copy()
+    nablaH = _at_points(ca.partials(H)).copy()               # (b, i, A)
     if gammaN_F is not None:
-        gNF0 = np.moveaxis(gammaN_F.value(), -1, 0)          # (b, A, B, C)
+        gNF0 = _at_points(gammaN_F)                          # (b, A, B, C)
         nablaH += np.einsum("bABC,bBi,bC->biA", gNF0, dF0, H0)
-    proj_T = ca.contract("bAi,bij,bBj,bBC->bAC", dF0, g_inv0, dF0, gN0)
-    proj_N = np.broadcast_to(np.eye(m), (B, m, m)) - proj_T
-    nabla_perpH = np.einsum("bAC,biC->biA", proj_N, nablaH)
-    nabla_JHtop = np.moveaxis(ca.cov_d_vector(JHtop, gamma).value(), -1, 0)
-    d_JHb = np.moveaxis(ca.exterior_d_oneform(JHb).value(), -1, 0)
-    div_JHtop = ca.divergence(JHtop, gamma).value()
+    proj_T = ca.contract("bAi,bij,bBj,bBC->bAC", dF0, snap.g_inv0, dF0, gN0)
+    proj_N = np.broadcast_to(np.eye(m), (snap.size, m, m)) - proj_T
+    V_wjh = ca._jes("ij...,j...->i...", snap.jets["W_sharp"], JHtop)
+    snap.jets.update(JHb=JHb, JHtop=JHtop)
+    snap.data.update(
+        sff0=_at_points(sff), H0=H0,
+        normH2=np.einsum("bA,bAB,bB->b", H0, gN0, H0), nablaH=nablaH,
+        nabla_perpH=np.einsum("bAC,biC->biA", proj_N, nablaH),
+        JHtop0=_at_points(JHtop),
+        nabla_JHtop=_at_points(ca.cov_d(JHtop, gamma, upper=(0,))),
+        d_JHb=_at_points(ca.exterior_d_oneform(JHb)),
+        div_JHtop=ca.divergence(JHtop, gamma).value(),
+        div_Wsharp_JHtop=ca.divergence(V_wjh, gamma).value(),
+    )
 
-    # curvature of M
-    RM = ca.riemann_from_christoffel(gamma, g)
+
+@writes("RM", "sumRM", "sumRM_imag", "S_pair")
+def _curvature(snap, work):
+    """Curvature of M, its complex-frame sum and the Weitzenbock pairing."""
+    Z, g_inv0, W0 = snap.Z, snap.g_inv0, snap.W0
+    RM = ca.riemann_from_christoffel(snap.jets["gamma"], snap.jets["g"])
     sumRM = ca.contract("bijkl,bui,buk,bvj,bvl->b",
                         RM, Z, np.conj(Z), Z, np.conj(Z))
-    snap.data["sumRM_imag"] = np.max(np.abs(np.imag(sumRM)))
-    sumRM = np.real(sumRM)
-
-    # form calculus on F*w
-    norm_W2_jet = ca.two_form_pairing(W, W, g_inv)
-    cos2 = norm_W2_jet * (1.0 / n)
-    sin2 = 1.0 - cos2
-    delta_W = ca.codiff_twoform(W, g_inv, gamma)             # standard sign
-    delta_W0 = _to_batch_first(delta_W.value())
-    norm_delta_W2 = np.einsum("bij,bi,bj->b", g_inv0, delta_W0, delta_W0)
-    nabla_W = ca.cov_d_twoform(W, gamma)
-    nW0 = np.moveaxis(nabla_W.value(), -1, 0)                # (b, i, j, k)
-    norm_nabla_W2 = 0.5 * ca.contract(
-        "bim,bjp,bkq,bijk,bmpq->b", g_inv0, g_inv0, g_inv0, nW0, nW0)
-    dd_W0 = np.moveaxis(ca.exterior_d_oneform(delta_W).value(), -1, 0)
-    dW3 = ca.exterior_d_twoform(W)
-    dW3_0 = np.moveaxis(dW3.value(), -1, 0)
-    delta_dW0 = np.moveaxis(
-        ca.codiff_threeform(dW3, g_inv, gamma).value(), -1, 0)
-    hodge_W0 = dd_W0 + delta_dW0
-    hodge_pair = 0.5 * ca.contract("bim,bjp,bij,bmp->b",
-                                   g_inv0, g_inv0, hodge_W0, W0)
-    lap_norm_W2 = ca.trace_hessian(norm_W2_jet, g_inv, gamma).value()
-    lap_cos2 = lap_norm_W2 / n
     qW = weitzenboeck_operator(RM, g_inv0, W0)
-    S_pair = 0.5 * ca.contract("bim,bjp,bij,bmp->b", g_inv0, g_inv0, qW, W0)
-
-    grad_cos2_0 = _to_batch_first(ca.gradient_vector(cos2, g_inv).value())
-
-    # (F*w)# and its (JH)^T image: defined everywhere
-    W_sharp = ca._jes("ik...,jk...->ij...", g_inv, W)        # operator (i, j, b)
-    V_wjh = ca._jes("ij...,j...->i...", W_sharp, JHtop)
-    div_Wsharp_JHtop = ca.divergence(V_wjh, gamma).value()
-
-    snap.jets.update(
-        g=g, g_inv=g_inv, gamma=gamma, JHb=JHb, JHtop=JHtop, cos2=cos2,
-        sin2=sin2, delta_W=delta_W, W_sharp=W_sharp,
-    )
     snap.data.update(
-        F0=F0, dF0=dF0, g0=g0, g_inv0=g_inv0, gN0=gN0, JN=JN, W0=W0,
-        cos_angles=cos_angles, pair_gap=pair_gap,
-        Jw0=Jw0, frame_X=frame_X, frame_Y=frame_Y, Z=Z,
-        rank=rank, classification=classification, equal_gate=equal_gate,
-        near_equal_warn=near_equal, sff0=sff0, H0=H0, normH2=normH2,
-        nablaH=nablaH, nabla_perpH=nabla_perpH, nabla_JHtop=nabla_JHtop,
-        d_JHb=d_JHb, div_JHtop=div_JHtop, RM=RM, sumRM=sumRM,
-        cos2_0=cos2.value(), sin2_0=sin2.value(), delta_W0=delta_W0,
-        norm_W2_0=norm_W2_jet.value(), norm_delta_W2=norm_delta_W2,
-        norm_nabla_W2=norm_nabla_W2, hodge_pair=hodge_pair,
-        dW3_0=dW3_0, lap_norm_W2=lap_norm_W2, lap_cos2=lap_cos2,
-        S_pair=S_pair, grad_cos2_0=grad_cos2_0,
-        div_Wsharp_JHtop=div_Wsharp_JHtop,
-        JHtop0=_to_batch_first(JHtop.value()),
-        sqrt_det_g0=np.sqrt(np.linalg.det(g0)),
+        RM=RM, sumRM=np.real(sumRM), sumRM_imag=np.max(np.abs(np.imag(sumRM))),
+        S_pair=0.5 * ca.contract("bim,bjp,bij,bmp->b", g_inv0, g_inv0, qW, W0),
     )
-    if n == 1:
-        snap.data["cos_signed"] = signed_angle_n1(g0, W0)
-
-    _normal_bundle(snap)
-    _masked_fields(snap)
-    return snap
 
 
-def _normal_bundle(snap):
-    """Normal frame, normal-bundle form, polar factor and the Phi/Xi maps."""
-    gN0, dF0, JN = snap.gN0, snap.dF0, snap.JN
-    nu = _normal_frame(dF0, gN0)                             # (b, a, A)
-    Jnu = np.einsum("AB,baB->baA", JN, nu)
-    w_perp = np.einsum("baA,bAB,bcB->bac", Jnu, gN0, nu)
-    w_perp = 0.5 * (w_perp - np.swapaxes(w_perp, -1, -2))
-    normal_cos, _, J_perp, _ = _skew_spectrum(w_perp)
-    JdF = np.einsum("AB,bBi->bAi", JN, dF0)
-    Phi_nu = np.einsum("bAi,bAB,baB->bai", JdF, gN0, nu)     # (b, a, i)
-    rhs = np.einsum("baA,bAB,bBj->baj", Jnu, gN0, dF0)
-    Xi = np.einsum("bjk,bak->baj", snap.g_inv0, rhs)
-    snap.data.update(nu=nu, w_perp=w_perp,
-                     normal_angles=np.clip(normal_cos, 0.0, None),
-                     J_perp=J_perp, Phi_nu=Phi_nu, Xi_nu=Xi)
+@writes("sumA", "sumA_perp", "sumRe_perp", "sumB", "sumC", "sumD", "sumE")
+def _frame_sums(snap, work):
+    """The complex eigenframe sums of the identity formulas."""
+    Z = snap.Z                                   # (b, n, d), complex
+    Zb = np.conj(Z)
+    gN0 = snap.gN0
+
+    def gN_pair(u, v):
+        """Ambient pairing of (..., A)-indexed complex arrays."""
+        return np.einsum("b...A,bAB,b...B->b...", u, gN0, v)
+
+    JdF = np.einsum("AB,bBi->bAi", snap.JN, snap.dF0)           # (b, A, i)
+    JdF_Z = np.einsum("bAi,bmi->bmA", JdF, Z)
+    JdF_Zb = np.einsum("bAi,bmi->bmA", JdF, Zb)
+    nH_Z = np.einsum("biA,bmi->bmA", snap.nablaH, Z)
+    nH_perp_Z = np.einsum("biA,bmi->bmA", snap.nabla_perpH, Z)
+
+    g_nHZ_JdFZb = gN_pair(nH_Z, JdF_Zb)                         # (b, m)
+    g_nHperpZ_JdFZb = gN_pair(nH_perp_Z, JdF_Zb)
+    nJH_Z = np.einsum("bik,bmi->bmk", snap.nabla_JHtop, Z)
+    gH_JdFZ = gN_pair(np.broadcast_to(
+        snap.H0[:, None, :], JdF_Z.shape).copy(), JdF_Z)
+
+    # sums for the gradient-of-sin^2 identity
+    sff0c = snap.sff0.astype(complex)
+    sff_ZbZ = np.einsum("bijA,bmi,bmj->bmA", sff0c, Zb, Z)      # (b, m, A)
+    t1 = ca.contract("bmA,bAB,bnB->bn", sff_ZbZ, gN0, JdF_Z)
+    sff_ZbZb2 = ca.contract("bijA,bmi,bnj->bmnA", sff0c, Zb, Z)  # sff(Zb_m, Z_n)
+    t2 = ca.contract("bmnA,bAB,bmB->bn", sff_ZbZb2, gN0, JdF_Z)
+
+    snap.data.update(
+        sumA=np.sum(-2.0 * np.imag(g_nHZ_JdFZb), axis=1),
+        sumA_perp=np.sum(np.imag(g_nHperpZ_JdFZb), axis=1),
+        sumRe_perp=np.sum(np.real(g_nHperpZ_JdFZb), axis=1),
+        sumB=np.sum(np.imag(
+            np.einsum("bmk,bkl,bml->bm", nJH_Z, snap.g0, Zb)), axis=1),
+        sumC=np.einsum("bij,bmi,bmj->b", snap.d_JHb.astype(complex), Z, Zb),
+        sumD=np.sum(2.0 * np.real(1j * gH_JdFZ[..., None] * Zb), axis=1),
+        sumE=np.einsum("bn,bnk->bk", t1 - t2, Zb),
+    )
 
 
-def _masked_fields(snap):
+# the masked fields and their tensor rank; NaN outside their mask
+_MASKED = dict(
+    kappa=0, lap_kappa=0, grad_costheta=1, norm_grad_costheta2=0,
+    norm_nabla_Jw2=0, delta_Jw0=1, div_Jw_JHtop_over_sin2=0, div_Jw_JHtop=0,
+    delta_W_sharp0=1, norm_grad_abs_sin2=0, grad_log_sin2=1, sigma_jh0=1,
+    dsigma_jh0=2, nabla_sigma_jh0=2, sigma_dw0=1, dsigma_dw0=2,
+    nabla_sigma_dw0=2, sigma_trace0=1, sff11_norm2=0,
+)
+
+
+@writes("off_complex", "jw_field", "band", "sigma", *_MASKED)
+def _masked_fields(snap, work):
     """Quantities defined only away from the singular loci, on sub-batches."""
-    B = snap.size
     n, d = snap.n, snap.domain_dim
     cos = snap.cos_angles
     minc, maxc = cos[:, -1], cos[:, 0]
@@ -473,25 +555,10 @@ def _masked_fields(snap):
     m_jw = snap.equal_gate & offL
     m_band = m_jw & offC
     m_sigma = snap.equal_gate & offC
-    snap.masks.update(off_lagrangian=offL, off_complex=offC,
-                      jw_field=m_jw, band=m_band, sigma=m_sigma,
-                      equal=snap.equal_gate)
-
-    def alloc(*shape):
-        return np.full((B,) + shape, np.nan)
-
-    snap.data.update(
-        kappa=alloc(), lap_kappa=alloc(),
-        grad_costheta=alloc(d), norm_grad_costheta2=alloc(),
-        norm_nabla_Jw2=alloc(), delta_Jw0=alloc(d),
-        div_Jw_JHtop_over_sin2=alloc(), div_Jw_JHtop=alloc(),
-        delta_W_sharp0=alloc(d),
-        norm_grad_abs_sin2=alloc(), grad_log_sin2=alloc(d),
-        grad_sin2_0=-snap.grad_cos2_0,
-        sigma_jh0=alloc(d), dsigma_jh0=alloc(d, d), nabla_sigma_jh0=alloc(d, d),
-        sigma_dw0=alloc(d), dsigma_dw0=alloc(d, d), nabla_sigma_dw0=alloc(d, d),
-        sigma_trace0=alloc(d), sff11_norm2=alloc(),
-    )
+    snap.masks.update(off_complex=offC, jw_field=m_jw, band=m_band,
+                      sigma=m_sigma)
+    snap.data.update({key: np.full((snap.size,) + (d,) * rank, np.nan)
+                      for key, rank in _MASKED.items()})
 
     idx_jw = np.nonzero(m_jw)[0]
     if idx_jw.size:
@@ -500,8 +567,7 @@ def _masked_fields(snap):
                          "JHtop", "delta_W")}
         gi0s = snap.g_inv0[idx_jw]
         c_jet = jet_unary(sub["cos2"], "sqrt")
-        grad_c = ca.gradient_vector(c_jet, sub["g_inv"])
-        gc0 = _to_batch_first(grad_c.value())
+        gc0 = _at_points(ca.gradient_vector(c_jet, sub["g_inv"]))
         snap.data["grad_costheta"][idx_jw] = gc0
         g0s = snap.g0[idx_jw]
         snap.data["norm_grad_costheta2"][idx_jw] = np.einsum(
@@ -509,16 +575,15 @@ def _masked_fields(snap):
         # smooth polar factor as a jet field
         Jw_field = ca._jes("ij...,...->ij...", sub["W_sharp"],
                            c_jet.reciprocal())
-        nJw = ca.cov_d_11tensor(Jw_field, sub["gamma"])      # (i, k, j, b)
-        nJw0 = np.moveaxis(nJw.value(), -1, 0)               # (b, i, k, j)
-        gs = np.moveaxis(sub["g"].value(), -1, 0)
+        nJw0 = _at_points(ca.cov_d(Jw_field, sub["gamma"], upper=(0,)))
+        gs = _at_points(sub["g"])
         snap.data["norm_nabla_Jw2"][idx_jw] = ca.contract(
             "bim,bkl,bjp,bikj,bmlp->b", gi0s, gs, gi0s, nJw0, nJw0)
         snap.data["delta_Jw0"][idx_jw] = -np.einsum(
             "bij,bikj->bk", gi0s, nJw0)
         # delta (F*w)# as a vector: g^{ki} (delta W)_i
         snap.data["delta_W_sharp0"][idx_jw] = np.einsum(
-            "bki,bi->bk", gi0s, _to_batch_first(sub["delta_W"].value()))
+            "bki,bi->bk", gi0s, _at_points(sub["delta_W"]))
         # div(J_w (JH)^T)
         VJ = ca._jes("ij...,j...->i...", Jw_field, sub["JHtop"])
         snap.data["div_Jw_JHtop"][idx_jw] = ca.divergence(
@@ -545,13 +610,12 @@ def _masked_fields(snap):
                 kap, g_inv_s, gamma_s).value()
             abs_sin = jet_unary(sin2_s, "sqrt")
             gs0 = snap.g0[idx_band]
-            gas = _to_batch_first(
-                ca.gradient_vector(abs_sin, g_inv_s).value())
+            gas = _at_points(ca.gradient_vector(abs_sin, g_inv_s))
             snap.data["norm_grad_abs_sin2"][idx_band] = np.einsum(
                 "bij,bi,bj->b", gs0, gas, gas)
             logs2 = jet_unary(sin2_s, "log")
-            snap.data["grad_log_sin2"][idx_band] = _to_batch_first(
-                ca.gradient_vector(logs2, g_inv_s).value())
+            snap.data["grad_log_sin2"][idx_band] = _at_points(
+                ca.gradient_vector(logs2, g_inv_s))
             VJs = ca._jes("i...,...->i...", VJ.take_batch(band),
                           sin2_s.reciprocal())
             snap.data["div_Jw_JHtop_over_sin2"][idx_band] = ca.divergence(
@@ -569,11 +633,11 @@ def _masked_fields(snap):
         sig_jh = ca._jes("i...,...->i...", JHb_s * (2.0 * n), inv_sin2)
         sig_dw = ca._jes("i...,...->i...", dW_s, inv_sin2)
         for tag, sig in (("jh", sig_jh), ("dw", sig_dw)):
-            snap.data[f"sigma_{tag}0"][idx_sig] = _to_batch_first(sig.value())
-            snap.data[f"dsigma_{tag}0"][idx_sig] = np.moveaxis(
-                ca.exterior_d_oneform(sig).value(), -1, 0)
-            snap.data[f"nabla_sigma_{tag}0"][idx_sig] = np.moveaxis(
-                ca.cov_d_oneform(sig, gamma_s).value(), -1, 0)
+            snap.data[f"sigma_{tag}0"][idx_sig] = _at_points(sig)
+            snap.data[f"dsigma_{tag}0"][idx_sig] = _at_points(
+                ca.exterior_d_oneform(sig))
+            snap.data[f"nabla_sigma_{tag}0"][idx_sig] = _at_points(
+                ca.cov_d(sig, gamma_s))
         # trace form: sigma(X) = -(1/sin^2) g^{ik} g_N(sff(i, X), J dF(k))
         sff0s = snap.sff0[idx_sig]
         gN0s = snap.gN0[idx_sig]
@@ -581,4 +645,25 @@ def _masked_fields(snap):
         tr = ca.contract("bik,bixA,bAB,bBk->bx",
                          snap.g_inv0[idx_sig], sff0s, gN0s, JdF)
         snap.data["sigma_trace0"][idx_sig] = -tr / snap.sin2_0[idx_sig][:, None]
-    return snap
+
+
+@writes("nu", "w_perp", "normal_angles", "J_perp", "Phi_nu", "Xi_nu")
+def _normal_bundle(snap, work):
+    """Normal frame, normal-bundle form, polar factor and the Phi/Xi maps."""
+    gN0, dF0, JN = snap.gN0, snap.dF0, snap.JN
+    nu = _normal_frame(dF0, gN0)                             # (b, a, A)
+    Jnu = np.einsum("AB,baB->baA", JN, nu)
+    w_perp = np.einsum("baA,bAB,bcB->bac", Jnu, gN0, nu)
+    w_perp = 0.5 * (w_perp - np.swapaxes(w_perp, -1, -2))
+    normal_cos, _, J_perp, _ = _skew_spectrum(w_perp)
+    JdF = np.einsum("AB,bBi->bAi", JN, dF0)
+    Phi_nu = np.einsum("bAi,bAB,baB->bai", JdF, gN0, nu)     # (b, a, i)
+    rhs = np.einsum("baA,bAB,bBj->baj", Jnu, gN0, dF0)
+    Xi = np.einsum("bjk,bak->baj", snap.g_inv0, rhs)
+    snap.data.update(nu=nu, w_perp=w_perp,
+                     normal_angles=np.clip(normal_cos, 0.0, None),
+                     J_perp=J_perp, Phi_nu=Phi_nu, Xi_nu=Xi)
+
+
+STAGES = (_core, _forms, _angles, _extrinsic, _curvature, _frame_sums,
+          _masked_fields, _normal_bundle)

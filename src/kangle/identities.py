@@ -28,7 +28,7 @@ from .ambient import einstein_constant
 from .calculus import contract
 from .dsl import parse_immersion
 from .errors import ConventionError
-from .geometry import GENERIC, LAGRANGIAN, compute_snapshot
+from .geometry import GENERIC, LAGRANGIAN, compute_snapshot, reads
 
 TOL_ABS_DEFAULT = 1e-7
 TOL_REL_DEFAULT = 1e-5
@@ -51,6 +51,7 @@ __all__ = [
     "run_identity_suite",
     "finite_or_none",
     "SUITES",
+    "SUITE_READERS",
 ]
 
 
@@ -159,63 +160,6 @@ def _reason_array(B, masks_and_reasons):
     return applicable, reasons
 
 
-# ---------------------------------------------------------------------------
-# complex-frame sums (pointwise, vectorized over the batch)
-
-
-def _JdF(snap):
-    return np.einsum("AB,bBi->bAi", snap.JN, snap.dF0)
-
-
-def _gN_pair(snap, u, v):
-    """Ambient pairing of (..., A)-indexed complex arrays."""
-    return np.einsum("b...A,bAB,b...B->b...", u, snap.gN0, v)
-
-
-def frame_sums(snap):
-    """All complex eigenframe sums used by the identity formulas."""
-    Z = snap.Z                                   # (b, n, d), complex
-    Zb = np.conj(Z)
-    JdF = _JdF(snap)                             # (b, A, i)
-    JdF_Z = np.einsum("bAi,bmi->bmA", JdF, Z)
-    JdF_Zb = np.einsum("bAi,bmi->bmA", JdF, Zb)
-    nH_Z = np.einsum("biA,bmi->bmA", snap.nablaH, Z)
-    nH_perp_Z = np.einsum("biA,bmi->bmA", snap.nabla_perpH, Z)
-
-    g_nHZ_JdFZb = _gN_pair(snap, nH_Z, JdF_Zb)          # (b, m)
-    g_nHperpZ_JdFZb = _gN_pair(snap, nH_perp_Z, JdF_Zb)
-    sumA = np.sum(-2.0 * np.imag(g_nHZ_JdFZb), axis=1)
-    sumA_perp = np.sum(np.imag(g_nHperpZ_JdFZb), axis=1)
-    sumRe_perp = np.sum(np.real(g_nHperpZ_JdFZb), axis=1)
-
-    nJH_Z = np.einsum("bik,bmi->bmk", snap.nabla_JHtop, Z)
-    sumB = np.sum(np.imag(
-        np.einsum("bmk,bkl,bml->bm", nJH_Z, snap.g0, Zb)), axis=1)
-
-    sumC = np.einsum("bij,bmi,bmj->b", snap.d_JHb.astype(complex), Z, Zb)
-
-    gH_JdFZ = _gN_pair(snap, np.broadcast_to(
-        snap.H0[:, None, :], JdF_Z.shape).copy(), JdF_Z)
-    sumD = np.sum(2.0 * np.real(1j * gH_JdFZ[..., None] * Zb), axis=1)
-
-    # sums for the gradient-of-sin^2 identity
-    sff0c = snap.sff0.astype(complex)
-    sff_ZbZ = np.einsum("bijA,bmi,bmj->bmA", sff0c, Zb, Z)      # (b, m, A)
-    t1 = contract("bmA,bAB,bnB->bn", sff_ZbZ, snap.gN0, JdF_Z)
-    sff_ZbZb2 = contract("bijA,bmi,bnj->bmnA", sff0c, Zb, Z)   # sff(Zb_m, Z_n)
-    t2 = contract("bmnA,bAB,bmB->bn", sff_ZbZb2, snap.gN0, JdF_Z)
-    sumE = np.einsum("bn,bnk->bk", t1 - t2, Zb)
-
-    return {
-        "sumA": sumA, "sumA_perp": sumA_perp, "sumRe_perp": sumRe_perp,
-        "sumB": sumB, "sumC": sumC, "sumD": sumD, "sumE": sumE,
-    }
-
-
-def _g_pair(snap, u, v):
-    return np.einsum("bij,bi,bj->b", snap.g0, u, v)
-
-
 def _costheta_bar(snap):
     return np.mean(snap.cos_angles, axis=1)
 
@@ -234,6 +178,10 @@ def _curv_sum(snap):
 # identity suites
 
 
+@reads("equal_gate", "cos_angles", "norm_W2_0", "jw_field", "norm_nabla_W2",
+       "norm_grad_costheta2", "norm_nabla_Jw2", "Jw0", "grad_costheta",
+       "delta_W_sharp0", "norm_delta_W2", "delta_Jw0", "band", "sumE",
+       "grad_sin2_0", "grad_cos2_0", "g0", "sin2_0", "sff11_norm2")
 def verify_prop3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                    tol_rel=TOL_REL_DEFAULT):
     """Equal-angle norm/codifferential identities for the pulled-back form."""
@@ -286,9 +234,8 @@ def verify_prop3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     m_band = snap.masks["band"]
     app, why = _reason_array(B, [(eq, "angles not equal"),
                                  (m_band, "Lagrangian or complex point")])
-    s = frame_sums(snap)
     lhs_v = (1.0 - n) * snap.grad_sin2_0
-    rhs_v = 16.0 * cosb[:, None] * np.real(1j * s["sumE"])
+    rhs_v = 16.0 * cosb[:, None] * np.real(1j * snap.sumE)
     scale = np.linalg.norm(lhs_v, axis=1) + np.linalg.norm(rhs_v, axis=1) \
         + np.linalg.norm(snap.grad_cos2_0, axis=1) + 1e-30
     out += _records("prop3.1.grad_sin2", lhs_v, rhs_v, scale, app, why,
@@ -315,14 +262,17 @@ def verify_prop3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     return out
 
 
+@reads("JN", "dF0", "cos_angles", "nablaH", "gN0", "sff0", "nabla_JHtop", "g0",
+       "H0", "g_inv0", "W0", "nabla_perpH", "Jw0", "JHtop0", "sumD",
+       "normH2", "sumA", "sumB", "sumC", "equal_gate", "sumA_perp",
+       "jw_field", "div_Jw_JHtop", "delta_Jw0", "div_JHtop", "sumRe_perp")
 def verify_lemma3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                     tol_rel=TOL_REL_DEFAULT):
     """Mean-curvature projection identities (any immersion, gated parts)."""
     B, n = snap.size, snap.n
     sd = conventions.delta_sign
     out = []
-    JdF = _JdF(snap)
-    s = frame_sums(snap)
+    JdF = np.einsum("AB,bBi->bAi", snap.JN, snap.dF0)
     cosb = _costheta_bar(snap)
 
     # (i) both equalities, tested against all coordinate pairs (X, Y)
@@ -346,16 +296,16 @@ def verify_lemma3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     full_rank = snap.cos_angles[:, -1] > 1e-4
     app, why = _reason_array(B, [(full_rank, "Lagrangian direction present")])
     lhs_v = 0.5 * np.einsum("bij,bj->bi", snap.Jw0, snap.JHtop0)
-    rhs_v = s["sumD"]
+    rhs_v = snap.sumD
     scale = np.linalg.norm(lhs_v, axis=1) + np.linalg.norm(rhs_v, axis=1) \
         + np.sqrt(snap.normH2) + 1e-30
     out += _records("lemma3.1.ii", lhs_v, rhs_v, scale, app, why,
                     tol_abs, tol_rel)
 
     # (iii) the chain t1 = t2 = t3 (= t4 equal angles) (= t5 off L)
-    t1 = 2.0 * s["sumA"]
-    t2 = 4.0 * s["sumB"]
-    t3 = np.real(-2j * s["sumC"])
+    t1 = 2.0 * snap.sumA
+    t2 = 4.0 * snap.sumB
+    t3 = np.real(-2j * snap.sumC)
     hscale = np.sqrt(snap.normH2) * (1.0 + np.max(
         np.abs(snap.sff0).reshape(B, -1), axis=1)) + np.abs(t1) + 1e-30
     app = np.ones(B, dtype=bool)
@@ -365,14 +315,14 @@ def verify_lemma3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                     tol_abs, tol_rel)
     eq = snap.equal_gate
     app, why = _reason_array(B, [(eq, "angles not equal")])
-    t4 = -2.0 * n * cosb * snap.normH2 - 4.0 * s["sumA_perp"]
+    t4 = -2.0 * n * cosb * snap.normH2 - 4.0 * snap.sumA_perp
     out += _records("lemma3.1.iii_normal", t1, t4,
                     hscale + np.abs(t4), app, why, tol_abs, tol_rel)
     m_jw = snap.masks["jw_field"]
     app, why = _reason_array(B, [(eq, "angles not equal"),
                                  (m_jw, "Lagrangian point")])
-    t5 = -snap.div_Jw_JHtop + sd * _g_pair(
-        snap, snap.JHtop0, np.nan_to_num(snap.delta_Jw0))
+    t5 = -snap.div_Jw_JHtop + sd * np.einsum(
+        "bij,bi,bj->b", snap.g0, snap.JHtop0, np.nan_to_num(snap.delta_Jw0))
     out += _records("lemma3.1.iii_divergence", t1, t5,
                     hscale + np.abs(np.nan_to_num(t5)), app, why,
                     tol_abs, tol_rel)
@@ -380,7 +330,7 @@ def verify_lemma3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     # (iv) divergence of (JH)^T
     app, why = _reason_array(B, [(eq, "angles not equal")])
     lhs = snap.div_JHtop
-    rhs = -4.0 * s["sumRe_perp"]
+    rhs = -4.0 * snap.sumRe_perp
     out += _records("lemma3.1.iv", lhs, rhs, hscale + np.abs(lhs), app, why,
                     tol_abs, tol_rel)
     return out
@@ -395,6 +345,10 @@ def _delta_kappa_gate(snap):
     ])
 
 
+@reads("ambient_spec", "cos_angles", "sin2_0", "equal_gate", "band",
+       "classification", "sumRM", "norm_nabla_Jw2", "norm_grad_costheta2",
+       "lap_kappa", "g0", "grad_costheta", "sumD", "sumA", "delta_Jw0",
+       "JHtop0", "div_Jw_JHtop_over_sin2")
 def verify_delta_kappa(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                        tol_rel=TOL_REL_DEFAULT):
     """Angle-Laplacian identities (general form, divergence form, n=1 form)."""
@@ -403,7 +357,6 @@ def verify_delta_kappa(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     R = einstein_constant(snap.ambient_spec)
     cosb = _costheta_bar(snap)
     sin2 = snap.sin2_0
-    s = frame_sums(snap)
     app, why = _delta_kappa_gate(snap)
     out = []
 
@@ -416,11 +369,11 @@ def verify_delta_kappa(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
         )
         lhs = sD * snap.lap_kappa
         mid = np.einsum("bij,bi,bj->b", snap.g0,
-                        np.nan_to_num(snap.grad_costheta), s["sumD"])
+                        np.nan_to_num(snap.grad_costheta), snap.sumD)
         rhs32 = bracket - (16.0 * n / sin2**2) * cosb * mid \
-            + (8.0 * n / sin2) * s["sumA"]
+            + (8.0 * n / sin2) * snap.sumA
         scale = np.abs(np.nan_to_num(bracket)) + np.abs(np.nan_to_num(lhs)) \
-            + np.abs((8.0 * n / np.maximum(sin2, 1e-30)) * s["sumA"]) + 1e-30
+            + np.abs((8.0 * n / np.maximum(sin2, 1e-30)) * snap.sumA) + 1e-30
         out += _records("prop3.2.delta_kappa", lhs, rhs32, scale, app, why,
                         tol_abs, tol_rel)
 
@@ -440,6 +393,8 @@ def verify_delta_kappa(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     return out
 
 
+@reads("lap_norm_W2", "hodge_pair", "norm_nabla_W2", "S_pair", "cos_angles",
+       "equal_gate", "sumRM")
 def verify_weitzenboeck(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                         tol_rel=TOL_REL_DEFAULT):
     """The 2-form Bochner balance for the pulled-back form (any immersion)."""
@@ -465,6 +420,10 @@ def verify_weitzenboeck(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     return out
 
 
+@reads("ambient_spec", "cos_angles", "sin2_0", "equal_gate", "band",
+       "classification", "Jw0", "JHtop0", "g0", "grad_costheta", "S_pair",
+       "norm_nabla_W2", "norm_grad_abs_sin2", "div_Wsharp_JHtop", "lap_cos2",
+       "W0", "grad_log_sin2", "normH2", "delta_W0")
 def verify_prop3_4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                    tol_rel=TOL_REL_DEFAULT):
     """Laplacian of cos^2 and the two rewritings of its last term."""
@@ -513,6 +472,9 @@ def verify_prop3_4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     return out
 
 
+@reads("ambient_spec", "cos_angles", "sin2_0", "equal_gate", "off_complex",
+       "W0", "JHtop0", "grad_log_sin2", "div_Wsharp_JHtop", "normH2", "sff0",
+       "nabla_perpH", "grad_sin2_0")
 def verify_section4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                     tol_rel=TOL_REL_DEFAULT):
     """The n=2 divergence identity and its pointwise corollary."""
@@ -554,6 +516,10 @@ def verify_section4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     return out
 
 
+@reads("ambient_spec", "cos_angles", "sigma", "equal_gate", "sigma_jh0",
+       "sigma_dw0", "sigma_trace0", "dsigma_jh0", "dsigma_dw0", "W0",
+       "grad_cos2_0", "cos2_0", "sin2_0", "d_JHb", "frame_X", "frame_Y",
+       "normH2", "sumA_perp", "classification", "sff0")
 def verify_prop3_6(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                    tol_rel=TOL_REL_DEFAULT):
     """The sigma 1-form, its exterior derivative, and the constant-angle
@@ -562,7 +528,6 @@ def verify_prop3_6(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     sd = conventions.delta_sign
     R = einstein_constant(snap.ambient_spec)
     cosb = _costheta_bar(snap)
-    s = frame_sums(snap)
     out = []
 
     m_sig = snap.masks["sigma"]
@@ -593,7 +558,7 @@ def verify_prop3_6(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     lhs = R * cosb * snap.sin2_0
     mid = 2.0 * np.einsum("bij,bmi,bmj->b", snap.d_JHb,
                           snap.frame_X, snap.frame_Y)
-    right = -4.0 * n * cosb * snap.normH2 - 8.0 * s["sumA_perp"]
+    right = -4.0 * n * cosb * snap.normH2 - 8.0 * snap.sumA_perp
     scale = np.abs(lhs) + np.abs(mid) + np.abs(right) + snap.normH2 + 1e-30
     out += _records("prop3.6.const_angle_left", lhs, mid, scale, app, why,
                     tol_abs, tol_rel)
@@ -611,6 +576,8 @@ def verify_prop3_6(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     return out
 
 
+@reads("ambient_spec", "cos_angles", "sin2_0", "W0", "JHtop0", "grad_sin2_0",
+       "delta_W0", "normH2", "norm_grad_costheta2", "sumRM")
 def evaluate_hypothesis_fields(snap, conventions):
     """Named diagnostic scalars from the hypothesis sides of the theorems.
 
@@ -636,24 +603,28 @@ def evaluate_hypothesis_fields(snap, conventions):
     return fields
 
 
+# every suite's reader; "hypotheses" is reported, not a residual suite
+SUITE_READERS = {
+    "prop3.1": verify_prop3_1,
+    "lemma3.1": verify_lemma3_1,
+    "delta_kappa": verify_delta_kappa,
+    "weitzenboeck": verify_weitzenboeck,
+    "prop3.4": verify_prop3_4,
+    "section4": verify_section4,
+    "prop3.6": verify_prop3_6,
+    "hypotheses": evaluate_hypothesis_fields,
+}
+
+
 def run_identity_suite(snap, suites, conventions, tol_abs=TOL_ABS_DEFAULT,
                        tol_rel=TOL_REL_DEFAULT):
     """Evaluate the selected suites on a snapshot; returns records."""
-    funcs = {
-        "prop3.1": verify_prop3_1,
-        "lemma3.1": verify_lemma3_1,
-        "delta_kappa": verify_delta_kappa,
-        "weitzenboeck": verify_weitzenboeck,
-        "prop3.4": verify_prop3_4,
-        "section4": verify_section4,
-        "prop3.6": verify_prop3_6,
-    }
     records = []
     for name in suites:
         if name == "hypotheses":
             continue
-        records.extend(funcs[name](snap, conventions,
-                                   tol_abs=tol_abs, tol_rel=tol_rel))
+        records.extend(SUITE_READERS[name](snap, conventions,
+                                           tol_abs=tol_abs, tol_rel=tol_rel))
     return records
 
 
@@ -671,8 +642,8 @@ def _calibration_snapshot(order):
     spec = parse_immersion(CALIBRATION_SURFACE, name="calibration_surface")
     rng = np.random.default_rng(20240817)
     pts = rng.uniform(0.0, 2.0 * np.pi, size=(160, 2))
-    snap = compute_snapshot(spec, pts, order=order)
-    return snap
+    return compute_snapshot(spec, pts, order=order, reads=(
+        verify_delta_kappa.reads + verify_prop3_1.reads))
 
 
 @lru_cache(maxsize=4)

@@ -220,12 +220,6 @@ class Jet:
                 f"({other.dim},{other.order})"
             )
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            self._check_compatible(other)
-            return other
-        return Jet.constant(self.dim, self.order, other)
-
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check_compatible(other)

@@ -14,7 +14,7 @@ import numpy as np
 from .calculus import trace_hessian
 from .dsl import parse_immersion
 from .errors import QuadratureError, UsageError
-from .geometry import compute_snapshot
+from .geometry import compute_snapshot, reads
 from .jets import jet_seed_all
 
 __all__ = ["torus_quadrature", "INTEGRANDS", "stokes_pass", "eq23_pass"]
@@ -22,10 +22,12 @@ __all__ = ["torus_quadrature", "INTEGRANDS", "stokes_pass", "eq23_pass"]
 CHUNK = 4096               # grid nodes per snapshot
 
 
+@reads()
 def _integrand_volume(snap, _):
     return np.ones(snap.size)
 
 
+@reads("g_inv", "gamma")
 def _integrand_lap_f(snap, f_expr):
     if f_expr is None:
         raise UsageError("integrand 'lap_f' needs f_expr")
@@ -34,18 +36,13 @@ def _integrand_lap_f(snap, f_expr):
     f = _eval_expr(f_expr, seeds)
     return trace_hessian(f, snap.jets["g_inv"], snap.jets["gamma"]).value()
 
-def _integrand_lap_cos2(snap, _):
-    return snap.lap_cos2
+
+def _field(key):
+    """The integrand that is the snapshot field ``key``."""
+    return reads(key)(lambda snap, _: snap.data[key])
 
 
-def _integrand_hodge_pair(snap, _):
-    return snap.hodge_pair
-
-
-def _integrand_delta_fw_norm2(snap, _):
-    return snap.norm_delta_W2
-
-
+@reads("gamma")
 def _integrand_div_field(snap, _):
     """Divergence of a fixed smooth periodic vector field (Stokes check)."""
     from .calculus import divergence, jstack
@@ -63,13 +60,14 @@ def _integrand_div_field(snap, _):
 INTEGRANDS = {
     "volume": _integrand_volume,
     "lap_f": _integrand_lap_f,
-    "lap_cos2": _integrand_lap_cos2,
-    "hodge_pair": _integrand_hodge_pair,
-    "delta_fw_norm2": _integrand_delta_fw_norm2,
+    "lap_cos2": _field("lap_cos2"),
+    "hodge_pair": _field("hodge_pair"),
+    "delta_fw_norm2": _field("norm_delta_W2"),
     "div_field": _integrand_div_field,
 }
 
 
+@reads("sqrt_det_g0")
 def torus_quadrature(spec, integrand, grid_n, order=3, f_expr=None):
     """Integrate ``integrand . Vol_M`` over the coordinate torus.
 
@@ -95,9 +93,11 @@ def torus_quadrature(spec, integrand, grid_n, order=3, f_expr=None):
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     totals = dict.fromkeys(keys, 0.0)
+    needs = sum((INTEGRANDS[k].reads for k in keys), torus_quadrature.reads)
     rejected = []
     for start in range(0, pts.shape[0], CHUNK):
-        snap = compute_snapshot(spec, pts[start:start + CHUNK], order=order)
+        snap = compute_snapshot(spec, pts[start:start + CHUNK], order=order,
+                                reads=needs)
         rejected += snap.rejected
         for key in keys:
             vals = np.asarray(INTEGRANDS[key](snap, f_expr))

@@ -11,8 +11,9 @@ import numpy as np
 from . import __version__
 from .catalog import builtin_catalog, get_entry
 from .errors import KangleError
-from .geometry import CLASS_NAMES, compute_snapshot
+from .geometry import CLASS_NAMES, compute_snapshot, reads
 from .identities import (
+    SUITE_READERS,
     SUITES,
     calibrate_conventions,
     evaluate_hypothesis_fields,
@@ -48,6 +49,7 @@ def _classification_histogram(snap):
     return hist
 
 
+@reads("sff0", "normH2", "equal_gate", "cos_angles", "classification")
 def check_expected(entry, snap):
     """Self-assert the catalog's expected properties; returns failures."""
     failures = []
@@ -90,11 +92,14 @@ def _field_stats(fields):
     return out
 
 
+@reads("equal_gate", "classification", "cos_angles")
 def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
                conventions, quad_grid):
     spec = entry.spec()
     pts = sample_points(entry.box, points, seed)
-    snap = compute_snapshot(spec, pts, order=order)
+    keys = sum((SUITE_READERS[name].reads for name in suites),
+               _run_entry.reads + check_expected.reads)
+    snap = compute_snapshot(spec, pts, order=order, reads=keys)
     failures = check_expected(entry, snap)
     records = run_identity_suite(snap, suites, conventions,
                                  tol_abs=tol_abs, tol_rel=tol_rel)

@@ -136,7 +136,7 @@ def test_kahler_condition_nabla_J():
     Jc[..., 0] = J[:, :, None]
     for gamma in (ca.christoffel(ambient_metric(spec, seeds)),
                   ambient_christoffel(spec, seeds.truncated(2))):
-        nJ = ca.cov_d_11tensor(Jet(4, 3, Jc), gamma)
+        nJ = ca.cov_d(Jet(4, 3, Jc), gamma, upper=(0,))
         assert np.max(np.abs(nJ.coeffs)) < 1e-8
 
 
