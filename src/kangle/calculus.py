@@ -69,11 +69,12 @@ def jstack(jets, axis=0):
     return Jet(first.dim, first.order, coeffs)
 
 
-def _jes(spec, a, b):
-    """jet_einsum on operands truncated to their common order."""
-    if isinstance(a, Jet) and isinstance(b, Jet):
-        o = min(a.order, b.order)
-        a, b = a.truncated(o), b.truncated(o)
+def _jes(spec, a, b, order=None):
+    """jet_einsum on operands truncated to their common order, or to
+    ``order`` if that is lower."""
+    orders = [x.order for x in (a, b) if isinstance(x, Jet)]
+    o = min(orders if order is None else orders + [order])
+    a, b = (x.truncated(o) if isinstance(x, Jet) else x for x in (a, b))
     return jet_einsum(spec, a, b)
 
 
@@ -133,19 +134,22 @@ def riemann_from_christoffel(gamma, g):
     return np.einsum("bijkm,bml->bijkl", R_up, g0)
 
 
-def cov_d(T, gamma, upper=()):
-    """(nabla T)[i, t..., b] of a tensor jet T[t..., b], one order below T.
+def cov_d(T, gamma, upper=(), order=None):
+    """(nabla T)[i, t..., b] of a tensor jet T[t..., b], one order below T
+    and at most ``order``.
 
     Axis p of T is contravariant if p is in ``upper``, else covariant:
     d_i T + G^{t_p}_{il} T[..l..] (upper) - G^l_{i t_p} T[..l..] (lower),
-    summed over the axes in order.  Every G.T product is formed on operands
-    already truncated to the order of the result.
+    summed over the axes in order.  T is truncated before it is
+    differentiated, and every G.T product is formed on operands already
+    truncated to the order of the result.
     """
-    dT = partials(T)
-    o = min(dT.order, gamma.order)
+    o = min(T.order - 1, gamma.order)
+    if order is not None:
+        o = min(o, order)
+    out = partials(T.truncated(o + 1))
     G, T = gamma.truncated(o), T.truncated(o)
     t = "jkmn"[:len(T.shape) - 1]        # tensor axes; i derivative, l dummy
-    out = dT.truncated(o)
     for p, a in enumerate(t):
         slot = t[:p] + "l" + t[p + 1:]
         if p in upper:
@@ -185,10 +189,11 @@ def trace_hessian(f, g_inv, gamma):
     return _jes("ij...,ij...->...", g_inv, cov_d(partials(f), gamma))
 
 
-def gradient_vector(f, g_inv):
-    """(grad f)^i = g^{ij} d_j f."""
-    df = partials(f)
-    return _jes("ij...,j...->i...", g_inv, df)
+def gradient_vector(f, g_inv, order=None):
+    """(grad f)^i = g^{ij} d_j f, one order below f and at most ``order``."""
+    if order is not None and order < f.order - 1:
+        f = f.truncated(order + 1)
+    return _jes("ij...,j...->i...", g_inv, partials(f))
 
 
 def two_form_pairing(a, b, g_inv):

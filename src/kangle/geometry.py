@@ -42,7 +42,20 @@ TOL_EQUAL = 1e-8            # gate on max |cos a - cos b|
 NEAR_GATE_BUFFER = 1e-4     # keep-away band around the singular loci
 PAIRING_TOL = 1e-7          # skew singular values must pair up this well
 
+JET_ORDER = 3
+"""Order at which F, and so every derived jet, is formed.
+
+No snapshot value reads a derivative of F past the third: the Kahler
+angles read dF; H reads d^2 F and nabla H, R^M (from d Gamma), the Hessians
+behind Delta|F*w|^2, Delta cos^2(theta) and Delta kappa, and d delta F*w
+in the Hodge pairing read d^3 F.  An order-j coefficient of a jet product
+or unary function depends only on operand coefficients of order <= j, so
+a deeper F changes no value; a reader that needed more would raise at
+``Jet.derivative`` of an order-0 jet.
+"""
+
 __all__ = [
+    "JET_ORDER",
     "Snapshot",
     "STAGES",
     "compute_snapshot",
@@ -284,23 +297,28 @@ def compute_snapshot(spec, points, order=3, skip_invalid=True, reads=None):
 
     points: (B, 2n).  Points that fail the immersion check (or, for
     skip_invalid, the chart bound) are dropped and reported in
-    ``snapshot.rejected`` rather than silently imputed.  reads: snapshot
-    keys; the stages run in order up to the last one that writes one of
-    them (None runs every stage).
+    ``snapshot.rejected``, by their index into ``points``, rather than
+    silently imputed.  The jets are formed at ``min(order, JET_ORDER)``.
+    reads: snapshot keys; the stages run in order up to the last one that
+    writes one of them (None runs every stage).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rejected = []
+    kept = np.arange(points.shape[0])
     if not spec.ambient.is_flat and spec.ambient.rho < 0 and skip_invalid:
         margin = amb.chart_margin(spec.ambient,
                                   eval_components_floats(spec, points))
-        bad = np.nonzero(margin <= amb.CHART_BOUNDARY_TOL)[0]
-        if bad.size:
-            rejected = [(int(b), "outside chart domain") for b in bad]
-            points = points[margin > amb.CHART_BOUNDARY_TOL]
+        inside = margin > amb.CHART_BOUNDARY_TOL
+        rejected = [(int(b), "outside chart domain")
+                    for b in np.nonzero(~inside)[0]]
+        kept = kept[inside]
+        points = points[kept]
+    order = min(order, JET_ORDER)
     F = eval_components(spec, points, order=order)
     snap = snapshot_from_F(spec.n, spec.ambient, F, points, order,
                            skip_invalid=skip_invalid, reads=reads)
-    snap.rejected = rejected + snap.rejected
+    snap.rejected = rejected + [(int(kept[b]), why)
+                                for b, why in snap.rejected]
     return snap
 
 
@@ -308,35 +326,35 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True,
                     reads=None):
     """Build a snapshot from already-evaluated F jets (axes (4n, B)).
 
-    Each stage reads keys of the stages before it; ``work`` carries the
-    jets that no reader needs (dF, g_N, Gamma_N along F) and is dropped.
+    F is truncated to ``min(order, JET_ORDER)``, the order ``snap.order``
+    reports.  Each stage reads keys of the stages before it; ``work``
+    carries the jets that no reader needs (F, dF, g_N, Gamma_N along F) and
+    is dropped.
     """
+    F = F.truncated(min(order, JET_ORDER))
     last = 0
     for key in () if reads is None else reads:
         at = [k for k, stage in enumerate(STAGES) if key in stage.writes]
         if not at:
             raise UsageError(f"no snapshot stage writes {key!r}")
         last = max(last, at[0])
-    snap = Snapshot(n=n, order=order, points=points)
+    snap = Snapshot(n=n, order=F.order, points=points)
     work = {"ambient_spec": ambient_spec, "F": F, "skip_invalid": skip_invalid}
     for stage in STAGES if reads is None else STAGES[:last + 1]:
         stage(snap, work)
     return snap
 
 
-@writes("ambient_spec", "JN", "F0", "dF0", "gN0", "g0", "g_inv0",
-        "sqrt_det_g0", "g", "g_inv", "gamma")
+@writes("ambient_spec", "JN", "F0", "dF0", "gN0", "g0", "sqrt_det_g0", "g")
 def _core(snap, work):
-    """F, dF, g_N and Gamma_N along F, g, the immersion gate, g^-1, Gamma
-    and sqrt(det g)."""
+    """F, dF, g_N along F, g, the immersion gate and sqrt(det g)."""
     spec, F, order = work["ambient_spec"], work["F"], snap.order
     m = snap.ambient_dim
     dF = ca.jstack([ca.partials(F[A]) for A in range(m)])   # (A, i, b)
-    gN = gammaN_F = None
+    gN = None
     if not spec.is_flat:
-        # metric (A, B, b) and connection (A, B, C, b), closed form along F
+        # metric (A, B, b), closed form along F
         gN = amb.ambient_metric(spec, F.truncated(order - 1))
-        gammaN_F = amb.ambient_christoffel(spec, F.truncated(order - 2))
     g = induced_metric(dF, dF, gN)
     g0 = _at_points(g)
 
@@ -356,22 +374,30 @@ def _core(snap, work):
                         g.take_batch(keep), g0[keep])
         if gN is not None:
             gN = gN.take_batch(keep)
-            gammaN_F = gammaN_F.take_batch(keep)
     B = snap.size
     if B == 0:
         raise NotAnImmersionError("no valid points left in the batch")
 
-    work.update(dF=dF, gN=gN, gammaN_F=gammaN_F)
-    g_inv = ca.jet_matrix_inverse(g)
-    snap.jets.update(g=g, g_inv=g_inv, gamma=ca.christoffel(g, g_inv))
+    work.update(F=F, dF=dF, gN=gN)
+    snap.jets["g"] = g
     snap.data.update(
         ambient_spec=spec, JN=amb.ambient_J(spec),
         F0=_at_points(F), dF0=_at_points(dF),
         gN0=(np.broadcast_to(np.eye(m), (B, m, m)) if gN is None
              else _at_points(gN)),
-        g0=g0, g_inv0=_at_points(g_inv),
-        sqrt_det_g0=np.sqrt(np.linalg.det(g0)),
+        g0=g0, sqrt_det_g0=np.sqrt(np.linalg.det(g0)),
     )
+
+
+@writes("g_inv0", "g_inv", "gamma")
+def _connection(snap, work):
+    """g^-1, Gamma, and Gamma_N along F (closed form, into ``work``)."""
+    spec, g = work["ambient_spec"], snap.jets["g"]
+    work["gammaN_F"] = (None if spec.is_flat else amb.ambient_christoffel(
+        spec, work["F"].truncated(snap.order - 2)))        # (A, B, C, b)
+    g_inv = ca.jet_matrix_inverse(g)
+    snap.jets.update(g_inv=g_inv, gamma=ca.christoffel(g, g_inv))
+    snap.data["g_inv0"] = _at_points(g_inv)
 
 
 @writes("W0", "norm_W2_0", "cos2_0", "sin2_0", "grad_cos2_0", "grad_sin2_0",
@@ -388,15 +414,15 @@ def _forms(snap, work):
     sin2 = 1.0 - cos2
     delta_W = ca.codiff(W, g_inv, gamma)                     # standard sign
     delta_W0 = _at_points(delta_W)
-    nW0 = _at_points(ca.cov_d(W, gamma))                     # (b, i, j, k)
+    nW0 = _at_points(ca.cov_d(W, gamma, order=0))            # (b, i, j, k)
     dd_W0 = _at_points(ca.exterior_d_oneform(delta_W))
     dW3 = ca.exterior_d_twoform(W)
     delta_dW0 = _at_points(ca.codiff(dW3, g_inv, gamma))
     hodge_W0 = dd_W0 + delta_dW0
     lap_norm_W2 = ca.trace_hessian(norm_W2_jet, g_inv, gamma).value()
-    grad_cos2_0 = _at_points(ca.gradient_vector(cos2, g_inv))
-    # (F*w)#: the operator (i, j, b)
-    W_sharp = ca._jes("ik...,jk...->ij...", g_inv, W)
+    grad_cos2_0 = _at_points(ca.gradient_vector(cos2, g_inv, order=0))
+    # (F*w)#: the operator (i, j, b); its readers differentiate it once
+    W_sharp = ca._jes("ik...,jk...->ij...", g_inv, W, order=1)
     snap.jets.update(cos2=cos2, sin2=sin2, delta_W=delta_W, W_sharp=W_sharp)
     snap.data.update(
         W0=W0, norm_W2_0=norm_W2_jet.value(), cos2_0=cos2.value(),
@@ -567,15 +593,16 @@ def _masked_fields(snap, work):
                          "JHtop", "delta_W")}
         gi0s = snap.g_inv0[idx_jw]
         c_jet = jet_unary(sub["cos2"], "sqrt")
-        gc0 = _at_points(ca.gradient_vector(c_jet, sub["g_inv"]))
+        gc0 = _at_points(ca.gradient_vector(c_jet, sub["g_inv"], order=0))
         snap.data["grad_costheta"][idx_jw] = gc0
         g0s = snap.g0[idx_jw]
         snap.data["norm_grad_costheta2"][idx_jw] = np.einsum(
             "bij,bi,bj->b", g0s, gc0, gc0)
-        # smooth polar factor as a jet field
+        # smooth polar factor as a jet field, differentiated once
         Jw_field = ca._jes("ij...,...->ij...", sub["W_sharp"],
-                           c_jet.reciprocal())
-        nJw0 = _at_points(ca.cov_d(Jw_field, sub["gamma"], upper=(0,)))
+                           c_jet.truncated(1).reciprocal(), order=1)
+        nJw0 = _at_points(ca.cov_d(Jw_field, sub["gamma"], upper=(0,),
+                                   order=0))
         gs = _at_points(sub["g"])
         snap.data["norm_nabla_Jw2"][idx_jw] = ca.contract(
             "bim,bkl,bjp,bikj,bmlp->b", gi0s, gs, gi0s, nJw0, nJw0)
@@ -608,16 +635,17 @@ def _masked_fields(snap, work):
             snap.data["kappa"][idx_band] = kap.value()
             snap.data["lap_kappa"][idx_band] = ca.trace_hessian(
                 kap, g_inv_s, gamma_s).value()
-            abs_sin = jet_unary(sin2_s, "sqrt")
+            sin2_1 = sin2_s.truncated(1)      # read only through gradients
+            abs_sin = jet_unary(sin2_1, "sqrt")
             gs0 = snap.g0[idx_band]
-            gas = _at_points(ca.gradient_vector(abs_sin, g_inv_s))
+            gas = _at_points(ca.gradient_vector(abs_sin, g_inv_s, order=0))
             snap.data["norm_grad_abs_sin2"][idx_band] = np.einsum(
                 "bij,bi,bj->b", gs0, gas, gas)
-            logs2 = jet_unary(sin2_s, "log")
+            logs2 = jet_unary(sin2_1, "log")
             snap.data["grad_log_sin2"][idx_band] = _at_points(
-                ca.gradient_vector(logs2, g_inv_s))
+                ca.gradient_vector(logs2, g_inv_s, order=0))
             VJs = ca._jes("i...,...->i...", VJ.take_batch(band),
-                          sin2_s.reciprocal())
+                          sin2_1.reciprocal())
             snap.data["div_Jw_JHtop_over_sin2"][idx_band] = ca.divergence(
                 VJs, gamma_s).value()
 
@@ -627,7 +655,7 @@ def _masked_fields(snap, work):
         sin2_s = snap.jets["sin2"].take_batch(idx_sig)
         JHb_s = snap.jets["JHb"].take_batch(idx_sig)
         dW_s = snap.jets["delta_W"].take_batch(idx_sig)
-        inv_sin2 = sin2_s.reciprocal()
+        inv_sin2 = sin2_s.truncated(1).reciprocal()    # sigma is order 1
         # the two summands of sigma are kept apart so the calibrated
         # codifferential sign can be applied by the identity layer
         sig_jh = ca._jes("i...,...->i...", JHb_s * (2.0 * n), inv_sin2)
@@ -637,7 +665,7 @@ def _masked_fields(snap, work):
             snap.data[f"dsigma_{tag}0"][idx_sig] = _at_points(
                 ca.exterior_d_oneform(sig))
             snap.data[f"nabla_sigma_{tag}0"][idx_sig] = _at_points(
-                ca.cov_d(sig, gamma_s))
+                ca.cov_d(sig, gamma_s, order=0))
         # trace form: sigma(X) = -(1/sin^2) g^{ik} g_N(sff(i, X), J dF(k))
         sff0s = snap.sff0[idx_sig]
         gN0s = snap.gN0[idx_sig]
@@ -665,5 +693,5 @@ def _normal_bundle(snap, work):
                      J_perp=J_perp, Phi_nu=Phi_nu, Xi_nu=Xi)
 
 
-STAGES = (_core, _forms, _angles, _extrinsic, _curvature, _frame_sums,
-          _masked_fields, _normal_bundle)
+STAGES = (_core, _connection, _forms, _angles, _extrinsic, _curvature,
+          _frame_sums, _masked_fields, _normal_bundle)

@@ -16,7 +16,9 @@ from kangle.ambient import (
     flat_space,
     space_form,
 )
+from kangle.dsl import parse_immersion
 from kangle.errors import ChartDomainError, UsageError
+from kangle.geometry import compute_snapshot
 from kangle.jets import Jet, jet_einsum, jet_seed_all
 
 
@@ -174,6 +176,18 @@ def test_chart_domain_rejection():
         ambient_christoffel(spec, ca.jstack(jet_seed_all(4, 1, z[:1])))
     # rho > 0 has no boundary
     check_chart_domain(space_form(1.0, 2), np.array([10.0, 0.0, 0.0, 0.0]))
+
+
+def test_rejected_indices_refer_to_the_callers_points():
+    """After the chart pre-filter, immersion-gate indices still index the
+    points passed in, not the chart-filtered batch."""
+    spec = parse_immersion(
+        "n=1; ambient=space_form(-1.0); map=[u1, u2^3, 0, 0.1*u1]")
+    pts = np.array([[2.0, 0.5], [0.3, 0.4], [0.1, 0.0]])
+    snap = compute_snapshot(spec, pts)
+    assert snap.rejected == [(0, "outside chart domain"),
+                             (2, "not an immersion")]
+    assert np.array_equal(snap.points, pts[[1]])
 
 
 def test_spec_validation():

@@ -173,10 +173,12 @@ def _torus_calls(stage_log, key, grid=8):
 
 
 def test_quadrature_runs_only_the_stages_its_integrands_need(stage_log):
-    for key in ("volume", "div_field", "lap_f"):
-        assert _torus_calls(stage_log, key) == ["_core"], key
+    assert _torus_calls(stage_log, "volume") == ["_core"]
+    for key in ("div_field", "lap_f"):
+        assert _torus_calls(stage_log, key) == ["_core", "_connection"], key
     for key in ("hodge_pair", "delta_fw_norm2", "lap_cos2"):
-        assert _torus_calls(stage_log, key) == ["_core", "_forms"], key
+        assert _torus_calls(stage_log, key) == ["_core", "_connection",
+                                                "_forms"], key
 
 
 def test_run_suite_skips_the_normal_bundle(stage_log):
@@ -306,6 +308,55 @@ def test_every_snapshot_key_has_a_reader(stage_log):
     assert production <= keys
 
 
+# ------------------------------------------------------- demand orders
+
+def _values(snap):
+    return {**snap.data, **{f"mask:{k}": v for k, v in snap.masks.items()}}
+
+
+def test_order_four_jets_change_no_value(monkeypatch):
+    """No snapshot value reads a fourth derivative of F: jets formed at
+    order 4 give every array and mask of the default order-3 jets."""
+    default = {case: _full(case) for case in CASES}
+    monkeypatch.setattr(geometry, "JET_ORDER", 4)
+    for case in CASES:
+        entry = get_entry(case)
+        deep = geometry.compute_snapshot(entry.spec(), _points(entry), order=4)
+        assert deep.order == 4
+        want = _values(default[case])
+        got = _values(deep)
+        assert got.keys() == want.keys(), case
+        for key, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(got[key], value, equal_nan=True), \
+                    (case, key)
+
+
+def test_order_two_jets_cannot_make_a_snapshot(monkeypatch):
+    """Third derivatives of F are read: order-2 jets cannot supply them."""
+    monkeypatch.setattr(geometry, "JET_ORDER", 2)
+    entry = get_entry("ds_graph")
+    with pytest.raises(UsageError, match="order-0 jet"):
+        geometry.compute_snapshot(entry.spec(), _points(entry))
+
+
+def test_stored_jets_are_built_to_their_readers_order(monkeypatch):
+    asked, evaluate_F = [], geometry.eval_components
+
+    def evaluate(spec, points, order):
+        asked.append(order)
+        return evaluate_F(spec, points, order=order)
+
+    monkeypatch.setattr(geometry, "eval_components", evaluate)
+    entry = get_entry("trig_sf_pos")
+    snap = geometry.compute_snapshot(entry.spec(), _points(entry), order=4)
+    assert asked == [3]
+    assert snap.order == geometry.JET_ORDER == 3
+    assert {k: jet.order for k, jet in snap.jets.items()} == {
+        "g": 2, "g_inv": 2, "gamma": 1, "cos2": 2, "sin2": 2, "delta_W": 1,
+        "W_sharp": 1, "JHb": 1, "JHtop": 1}
+
+
 # ------------------------------------------------------------ source
 
 def _product(node):
@@ -345,9 +396,10 @@ def test_no_product_is_truncated_after_the_fact():
         "    t = _jes('kij...,k...->ij...', g, s)\n"
         "    return t.truncated(o) - jet_einsum('a,a->', g, s).truncated(o)\n"
     ) == [3, 3]
-    source = (SRC / "calculus.py").read_text(encoding="utf-8")
-    assert ".truncated(" in source
-    assert _truncated_products(source) == []
+    for name in ("calculus.py", "geometry.py"):
+        source = (SRC / name).read_text(encoding="utf-8")
+        assert ".truncated(" in source, name
+        assert _truncated_products(source) == [], name
 
 
 def test_every_reads_argument_is_a_declared_set():
