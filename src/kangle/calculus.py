@@ -91,11 +91,14 @@ def jet_matrix_inverse(G):
     N = Jet(G.dim, G.order, G.coeffs.copy())
     N.coeffs[..., 0] = 0.0
     M = jet_einsum("ik...,kj...->ij...", -I0, N)
-    total = Jet.constant(G.dim, G.order, np.zeros(M.shape))
+    # summed onto zeros, total has the memory layout it has at every
+    # order, and layout steers the summation order of later einsums: the
+    # values of g^-1 products then do not depend on the jet order
+    total = Jet.constant(G.dim, G.order, np.zeros(M.shape)) + M
     acc = M
-    for _ in range(G.order):
-        total = total + acc
+    for _ in range(G.order - 1):
         acc = _jes("ik...,kj...->ij...", M, acc)
+        total = total + acc
     for i in range(m):
         total.coeffs[i, i, ..., 0] += 1.0
     return jet_einsum("ik...,kj...->ij...", total, I0)

@@ -6,8 +6,9 @@ consume: induced metric, pulled-back form, Kahler angles, polar complex
 structure, second fundamental form, mean curvature, tangential projection
 of J applied to the mean curvature, curvature tensors, codifferentials,
 Laplacians and the complex eigenframes.  They come from the ordered
-``STAGES``; a caller names the keys it reads and only the stages up to the
-last one that writes them run.
+``STAGES``; a caller names the keys it reads, only the stages up to the
+last one that writes them run, and F is formed only as deep as those
+stages declare.
 
 Quantities that are only defined away from the Lagrangian locus (smallest
 angle ~ 0) or away from complex points (largest angle ~ 1) are computed on
@@ -41,18 +42,6 @@ TOL_COMPLEX = 1e-6          # 1 - cos(theta) below this counts as a complex angl
 TOL_EQUAL = 1e-8            # gate on max |cos a - cos b|
 NEAR_GATE_BUFFER = 1e-4     # keep-away band around the singular loci
 PAIRING_TOL = 1e-7          # skew singular values must pair up this well
-
-JET_ORDER = 3
-"""Order at which F, and so every derived jet, is formed.
-
-No snapshot value reads a derivative of F past the third: the Kahler
-angles read dF; H reads d^2 F and nabla H, R^M (from d Gamma), the Hessians
-behind Delta|F*w|^2, Delta cos^2(theta) and Delta kappa, and d delta F*w
-in the Hodge pairing read d^3 F.  An order-j coefficient of a jet product
-or unary function depends only on operand coefficients of order <= j, so
-a deeper F changes no value; a reader that needed more would raise at
-``Jet.derivative`` of an order-0 jet.
-"""
 
 __all__ = [
     "JET_ORDER",
@@ -121,10 +110,17 @@ def reads(*keys):
     return declare
 
 
-def writes(*keys):
-    """Declare the snapshot keys a stage writes, as ``fn.writes``."""
+def writes(*keys, order):
+    """Declare the snapshot keys a stage writes, as ``fn.writes``, and how
+    many derivatives of F they read, as ``fn.order``.
+
+    An order-j coefficient of a jet product or unary function depends only
+    on operand coefficients of order <= j, so F formed deeper than the
+    stages that run declare changes no value; a stage that read deeper
+    than it declares raises at ``Jet.derivative`` of an order-0 jet.
+    """
     def declare(fn):
-        fn.writes = keys
+        fn.writes, fn.order = keys, order
         return fn
     return declare
 
@@ -292,16 +288,37 @@ def _normal_frame(dF0, gN0):
 # the pipeline: ordered stages, each writing the snapshot keys it declares
 
 
+def _plan(reads, order):
+    """The stages that write ``reads`` and the order to form F at.
+
+    The stages run in order up to the last one that writes a key of
+    ``reads`` (None runs every stage), and F is formed at ``order`` capped
+    at the deepest order one of them declares.  A key that no stage
+    writes raises UsageError.
+    """
+    stages = STAGES
+    if reads is not None:
+        last = 0
+        for key in reads:
+            at = [k for k, stage in enumerate(STAGES) if key in stage.writes]
+            if not at:
+                raise UsageError(f"no snapshot stage writes {key!r}")
+            last = max(last, at[0])
+        stages = STAGES[:last + 1]
+    return stages, min(order, max(stage.order for stage in stages))
+
+
 def compute_snapshot(spec, points, order=3, skip_invalid=True, reads=None):
     """Evaluate the immersion and the invariants named in ``reads``.
 
     points: (B, 2n).  Points that fail the immersion check (or, for
     skip_invalid, the chart bound) are dropped and reported in
     ``snapshot.rejected``, by their index into ``points``, rather than
-    silently imputed.  The jets are formed at ``min(order, JET_ORDER)``.
-    reads: snapshot keys; the stages run in order up to the last one that
-    writes one of them (None runs every stage).
+    silently imputed.  reads: snapshot keys; only the stages up to the
+    last one that writes one of them run, and the jets are formed at
+    ``order`` capped at the deepest order those stages declare.
     """
+    _, order = _plan(reads, order)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rejected = []
     kept = np.arange(points.shape[0])
@@ -313,7 +330,6 @@ def compute_snapshot(spec, points, order=3, skip_invalid=True, reads=None):
                     for b in np.nonzero(~inside)[0]]
         kept = kept[inside]
         points = points[kept]
-    order = min(order, JET_ORDER)
     F = eval_components(spec, points, order=order)
     snap = snapshot_from_F(spec.n, spec.ambient, F, points, order,
                            skip_invalid=skip_invalid, reads=reads)
@@ -326,28 +342,26 @@ def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True,
                     reads=None):
     """Build a snapshot from already-evaluated F jets (axes (4n, B)).
 
-    F is truncated to ``min(order, JET_ORDER)``, the order ``snap.order``
-    reports.  Each stage reads keys of the stages before it; ``work``
-    carries the jets that no reader needs (F, dF, g_N, Gamma_N along F) and
-    is dropped.
+    The stages and the order run as in :func:`compute_snapshot`; F is
+    truncated to that order, which ``snap.order`` reports.  Each stage
+    reads keys of the stages before it; ``work`` carries the jets that no
+    reader needs (F, dF, g_N, Gamma_N along F, and the |F*w|^2 and d F*w
+    the form Laplacians differentiate) and is dropped.
     """
-    F = F.truncated(min(order, JET_ORDER))
-    last = 0
-    for key in () if reads is None else reads:
-        at = [k for k, stage in enumerate(STAGES) if key in stage.writes]
-        if not at:
-            raise UsageError(f"no snapshot stage writes {key!r}")
-        last = max(last, at[0])
-    snap = Snapshot(n=n, order=F.order, points=points)
+    stages, order = _plan(reads, order)
+    F = F.truncated(order)
+    snap = Snapshot(n=n, order=order, points=points)
     work = {"ambient_spec": ambient_spec, "F": F, "skip_invalid": skip_invalid}
-    for stage in STAGES if reads is None else STAGES[:last + 1]:
+    for stage in stages:
         stage(snap, work)
     return snap
 
 
-@writes("ambient_spec", "JN", "F0", "dF0", "gN0", "g0", "sqrt_det_g0", "g")
+@writes("ambient_spec", "JN", "F0", "dF0", "gN0", "g0", "sqrt_det_g0", "g",
+        order=1)
 def _core(snap, work):
-    """F, dF, g_N along F, g, the immersion gate and sqrt(det g)."""
+    """F, dF, g_N along F, g, the immersion gate and sqrt(det g); their
+    values read dF."""
     spec, F, order = work["ambient_spec"], work["F"], snap.order
     m = snap.ambient_dim
     dF = ca.jstack([ca.partials(F[A]) for A in range(m)])   # (A, i, b)
@@ -389,25 +403,27 @@ def _core(snap, work):
     )
 
 
-@writes("g_inv0", "g_inv", "gamma")
+@writes("g_inv0", "g_inv", "gamma", order=2)
 def _connection(snap, work):
-    """g^-1, Gamma, and Gamma_N along F (closed form, into ``work``)."""
+    """g^-1, Gamma, and Gamma_N along F (closed form, into ``work``); Gamma
+    reads d^2 F."""
     spec, g = work["ambient_spec"], snap.jets["g"]
-    work["gammaN_F"] = (None if spec.is_flat else amb.ambient_christoffel(
-        spec, work["F"].truncated(snap.order - 2)))        # (A, B, C, b)
     g_inv = ca.jet_matrix_inverse(g)
     snap.jets.update(g_inv=g_inv, gamma=ca.christoffel(g, g_inv))
+    work["gammaN_F"] = (None if spec.is_flat else amb.ambient_christoffel(
+        spec, work["F"].truncated(snap.order - 2)))        # (A, B, C, b)
     snap.data["g_inv0"] = _at_points(g_inv)
 
 
 @writes("W0", "norm_W2_0", "cos2_0", "sin2_0", "grad_cos2_0", "grad_sin2_0",
-        "delta_W0", "norm_delta_W2", "norm_nabla_W2", "dW3_0", "hodge_pair",
-        "lap_norm_W2", "lap_cos2", "cos2", "sin2", "delta_W", "W_sharp")
+        "delta_W0", "norm_delta_W2", "norm_nabla_W2", "dW3_0", "cos2", "sin2",
+        "delta_W", "W_sharp", order=2)
 def _forms(snap, work):
-    """F*w and its calculus: norms, codifferentials and Laplacians."""
+    """F*w and its calculus to first order: norms, gradients, delta F*w,
+    nabla F*w and d F*w; the derivatives of F*w read d^2 F."""
     n, g_inv0 = snap.n, snap.g_inv0
     g_inv, gamma = snap.jets["g_inv"], snap.jets["gamma"]
-    W = pullback_form(work["dF"], snap.JN, work["gN"])       # (i, j, b), order-1
+    W = pullback_form(work["dF"], snap.JN, work["gN"])       # (i, j, b)
     W0 = _at_points(W)
     norm_W2_jet = ca.two_form_pairing(W, W, g_inv)
     cos2 = norm_W2_jet * (1.0 / n)
@@ -415,14 +431,11 @@ def _forms(snap, work):
     delta_W = ca.codiff(W, g_inv, gamma)                     # standard sign
     delta_W0 = _at_points(delta_W)
     nW0 = _at_points(ca.cov_d(W, gamma, order=0))            # (b, i, j, k)
-    dd_W0 = _at_points(ca.exterior_d_oneform(delta_W))
     dW3 = ca.exterior_d_twoform(W)
-    delta_dW0 = _at_points(ca.codiff(dW3, g_inv, gamma))
-    hodge_W0 = dd_W0 + delta_dW0
-    lap_norm_W2 = ca.trace_hessian(norm_W2_jet, g_inv, gamma).value()
     grad_cos2_0 = _at_points(ca.gradient_vector(cos2, g_inv, order=0))
     # (F*w)#: the operator (i, j, b); its readers differentiate it once
     W_sharp = ca._jes("ik...,jk...->ij...", g_inv, W, order=1)
+    work.update(norm_W2=norm_W2_jet, dW3=dW3)
     snap.jets.update(cos2=cos2, sin2=sin2, delta_W=delta_W, W_sharp=W_sharp)
     snap.data.update(
         W0=W0, norm_W2_0=norm_W2_jet.value(), cos2_0=cos2.value(),
@@ -432,16 +445,15 @@ def _forms(snap, work):
         norm_nabla_W2=0.5 * ca.contract("bim,bjp,bkq,bijk,bmpq->b",
                                         g_inv0, g_inv0, g_inv0, nW0, nW0),
         dW3_0=_at_points(dW3),
-        hodge_pair=0.5 * ca.contract("bim,bjp,bij,bmp->b",
-                                     g_inv0, g_inv0, hodge_W0, W0),
-        lap_norm_W2=lap_norm_W2, lap_cos2=lap_norm_W2 / n,
     )
 
 
 @writes("cos_angles", "pair_gap", "Jw0", "frame_X", "frame_Y", "Z", "rank",
-        "classification", "equal_gate", "near_equal_warn", "cos_signed")
+        "classification", "equal_gate", "near_equal_warn", "cos_signed",
+        order=1)
 def _angles(snap, work):
-    """Kahler angles, the polar structure, eigenframes and classification."""
+    """Kahler angles, the polar structure, eigenframes and classification;
+    they read dF."""
     g0, W0 = snap.g0, snap.W0
     cos_angles, Jw0, What, L, Vt, pair_gap = kahler_angles(g0, W0)
     frame_X, frame_Y = _complex_frame(What, L, cos_angles, Vt)
@@ -464,11 +476,28 @@ def _angles(snap, work):
         snap.data["cos_signed"] = signed_angle_n1(g0, W0)
 
 
+@writes("hodge_pair", "lap_norm_W2", "lap_cos2", order=3)
+def _form_laplacians(snap, work):
+    """Delta |F*w|^2, Delta cos^2 and the Hodge pairing <Delta F*w, F*w>;
+    the Hessian of |F*w|^2 and d delta F*w read d^3 F."""
+    g_inv0, g_inv, gamma = snap.g_inv0, snap.jets["g_inv"], snap.jets["gamma"]
+    dd_W0 = _at_points(ca.exterior_d_oneform(snap.jets["delta_W"]))
+    delta_dW0 = _at_points(ca.codiff(work["dW3"], g_inv, gamma))
+    hodge_W0 = dd_W0 + delta_dW0
+    lap_norm_W2 = ca.trace_hessian(work["norm_W2"], g_inv, gamma).value()
+    snap.data.update(
+        hodge_pair=0.5 * ca.contract("bim,bjp,bij,bmp->b",
+                                     g_inv0, g_inv0, hodge_W0, snap.W0),
+        lap_norm_W2=lap_norm_W2, lap_cos2=lap_norm_W2 / snap.n,
+    )
+
+
 @writes("sff0", "H0", "normH2", "nablaH", "nabla_perpH", "JHtop0",
-        "nabla_JHtop", "d_JHb", "div_JHtop", "div_Wsharp_JHtop", "JHb", "JHtop")
+        "nabla_JHtop", "d_JHb", "div_JHtop", "div_Wsharp_JHtop", "JHb", "JHtop",
+        order=3)
 def _extrinsic(snap, work):
     """Second fundamental form, mean curvature H and (JH)^T with their
-    pointwise derivatives."""
+    pointwise derivatives; H reads d^2 F and nabla H reads d^3 F."""
     dF, gN, gammaN_F = work["dF"], work["gN"], work["gammaN_F"]
     g_inv, gamma = snap.jets["g_inv"], snap.jets["gamma"]
     dF0, gN0, m = snap.dF0, snap.gN0, snap.ambient_dim
@@ -504,9 +533,10 @@ def _extrinsic(snap, work):
     )
 
 
-@writes("RM", "sumRM", "sumRM_imag", "S_pair")
+@writes("RM", "sumRM", "sumRM_imag", "S_pair", order=3)
 def _curvature(snap, work):
-    """Curvature of M, its complex-frame sum and the Weitzenbock pairing."""
+    """Curvature of M, its complex-frame sum and the Weitzenbock pairing;
+    R^M reads d Gamma, so d^3 F."""
     Z, g_inv0, W0 = snap.Z, snap.g_inv0, snap.W0
     RM = ca.riemann_from_christoffel(snap.jets["gamma"], snap.jets["g"])
     sumRM = ca.contract("bijkl,bui,buk,bvj,bvl->b",
@@ -518,9 +548,11 @@ def _curvature(snap, work):
     )
 
 
-@writes("sumA", "sumA_perp", "sumRe_perp", "sumB", "sumC", "sumD", "sumE")
+@writes("sumA", "sumA_perp", "sumRe_perp", "sumB", "sumC", "sumD", "sumE",
+        order=3)
 def _frame_sums(snap, work):
-    """The complex eigenframe sums of the identity formulas."""
+    """The complex eigenframe sums of the identity formulas; they read
+    nabla H, so d^3 F."""
     Z = snap.Z                                   # (b, n, d), complex
     Zb = np.conj(Z)
     gN0 = snap.gN0
@@ -565,14 +597,14 @@ _MASKED = dict(
     kappa=0, lap_kappa=0, grad_costheta=1, norm_grad_costheta2=0,
     norm_nabla_Jw2=0, delta_Jw0=1, div_Jw_JHtop_over_sin2=0, div_Jw_JHtop=0,
     delta_W_sharp0=1, norm_grad_abs_sin2=0, grad_log_sin2=1, sigma_jh0=1,
-    dsigma_jh0=2, nabla_sigma_jh0=2, sigma_dw0=1, dsigma_dw0=2,
-    nabla_sigma_dw0=2, sigma_trace0=1, sff11_norm2=0,
+    dsigma_jh0=2, sigma_dw0=1, dsigma_dw0=2, sigma_trace0=1, sff11_norm2=0,
 )
 
 
-@writes("off_complex", "jw_field", "band", "sigma", *_MASKED)
+@writes("off_complex", "jw_field", "band", "sigma", *_MASKED, order=3)
 def _masked_fields(snap, work):
-    """Quantities defined only away from the singular loci, on sub-batches."""
+    """Quantities defined only away from the singular loci, on sub-batches;
+    Delta kappa differentiates cos^2 twice, so reads d^3 F."""
     n, d = snap.n, snap.domain_dim
     cos = snap.cos_angles
     minc, maxc = cos[:, -1], cos[:, 0]
@@ -651,7 +683,6 @@ def _masked_fields(snap, work):
 
     idx_sig = np.nonzero(m_sigma)[0]
     if idx_sig.size:
-        gamma_s = snap.jets["gamma"].take_batch(idx_sig)
         sin2_s = snap.jets["sin2"].take_batch(idx_sig)
         JHb_s = snap.jets["JHb"].take_batch(idx_sig)
         dW_s = snap.jets["delta_W"].take_batch(idx_sig)
@@ -664,8 +695,6 @@ def _masked_fields(snap, work):
             snap.data[f"sigma_{tag}0"][idx_sig] = _at_points(sig)
             snap.data[f"dsigma_{tag}0"][idx_sig] = _at_points(
                 ca.exterior_d_oneform(sig))
-            snap.data[f"nabla_sigma_{tag}0"][idx_sig] = _at_points(
-                ca.cov_d(sig, gamma_s, order=0))
         # trace form: sigma(X) = -(1/sin^2) g^{ik} g_N(sff(i, X), J dF(k))
         sff0s = snap.sff0[idx_sig]
         gN0s = snap.gN0[idx_sig]
@@ -675,9 +704,11 @@ def _masked_fields(snap, work):
         snap.data["sigma_trace0"][idx_sig] = -tr / snap.sin2_0[idx_sig][:, None]
 
 
-@writes("nu", "w_perp", "normal_angles", "J_perp", "Phi_nu", "Xi_nu")
+@writes("nu", "w_perp", "normal_angles", "J_perp", "Phi_nu", "Xi_nu",
+        order=1)
 def _normal_bundle(snap, work):
-    """Normal frame, normal-bundle form, polar factor and the Phi/Xi maps."""
+    """Normal frame, normal-bundle form, polar factor and the Phi/Xi maps;
+    they read dF."""
     gN0, dF0, JN = snap.gN0, snap.dF0, snap.JN
     nu = _normal_frame(dF0, gN0)                             # (b, a, A)
     Jnu = np.einsum("AB,baB->baA", JN, nu)
@@ -693,5 +724,8 @@ def _normal_bundle(snap, work):
                      J_perp=J_perp, Phi_nu=Phi_nu, Xi_nu=Xi)
 
 
-STAGES = (_core, _connection, _forms, _angles, _extrinsic, _curvature,
-          _frame_sums, _masked_fields, _normal_bundle)
+STAGES = (_core, _connection, _forms, _angles, _form_laplacians, _extrinsic,
+          _curvature, _frame_sums, _masked_fields, _normal_bundle)
+
+JET_ORDER = max(stage.order for stage in STAGES)
+"""The order a full snapshot forms F at: the deepest a stage declares."""

@@ -232,7 +232,13 @@ def test_criterion_8_lagrangian_torus():
     d_closed = np.max(np.abs(snap.d_JHb))
     assert d_closed < 1e-9
     sigma = snap.sigma_jh0 + conv.delta_sign * snap.sigma_dw0
-    nabla = snap.nabla_sigma_jh0 + conv.delta_sign * snap.nabla_sigma_dw0
+    # nabla sigma from the jets sigma is built from, at every point
+    assert np.all(snap.masks["sigma"])
+    jets = snap.jets
+    sigma_jet = ((jets["JHb"] * (2.0 * snap.n)
+                  + jets["delta_W"] * conv.delta_sign)
+                 * jets["sin2"].truncated(1).reciprocal())
+    nabla = ca.cov_d(sigma_jet, jets["gamma"], order=0).value()
     assert np.max(np.abs(nabla)) < 1e-8
     assert np.min(np.linalg.norm(sigma, axis=1)) > 0.1
     _ok(8, f"|H| dev {h_dev:.1e} vs circle oracle, d((JH)^T)-flat "

@@ -11,13 +11,15 @@ import ast
 import contextlib
 import dataclasses
 import functools
+import inspect
 import io
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kangle import cli, geometry, quadrature, runner
+from kangle import cli, geometry, jets, quadrature, runner
 from kangle.catalog import get_entry
 from kangle.dsl import parse_immersion
 from kangle.errors import UsageError
@@ -39,8 +41,6 @@ ALLOWLIST = {
     "sumRM_imag": "numerical health, kept for the schema-2 report",
     "near_equal_warn": "numerical health, kept for the schema-2 report",
     "dW3_0": "read by test_pullback_form_closed",
-    "nabla_sigma_jh0": "read by test_criterion_8_lagrangian_torus",
-    "nabla_sigma_dw0": "read by test_criterion_8_lagrangian_torus",
 }
 
 
@@ -154,8 +154,14 @@ def test_every_stage_writes_what_it_declares(stage_log):
     assert len(written) == len(set(written))
 
 
-def test_unknown_read_raises_usage_error():
-    entry = get_entry("slant_cylinder")
+def test_unknown_read_raises_usage_error(monkeypatch):
+    """An unknown key fails before F, or the chart pre-filter, is evaluated."""
+    def evaluate(*args, **kwargs):
+        raise AssertionError("F evaluated for an unknown key")
+
+    monkeypatch.setattr(geometry, "eval_components", evaluate)
+    monkeypatch.setattr(geometry, "eval_components_floats", evaluate)
+    entry = get_entry("trig_sf_neg")            # chart pre-filter included
     with pytest.raises(UsageError, match="no snapshot stage writes"):
         geometry.compute_snapshot(entry.spec(), _points(entry),
                                   reads=("cos_angles", "cos_anglez"))
@@ -176,9 +182,13 @@ def test_quadrature_runs_only_the_stages_its_integrands_need(stage_log):
     assert _torus_calls(stage_log, "volume") == ["_core"]
     for key in ("div_field", "lap_f"):
         assert _torus_calls(stage_log, key) == ["_core", "_connection"], key
-    for key in ("hodge_pair", "delta_fw_norm2", "lap_cos2"):
-        assert _torus_calls(stage_log, key) == ["_core", "_connection",
-                                                "_forms"], key
+    assert _torus_calls(stage_log, "delta_fw_norm2") == ["_core",
+                                                         "_connection",
+                                                         "_forms"]
+    for key in ("hodge_pair", "lap_cos2"):
+        assert _torus_calls(stage_log, key) == [
+            "_core", "_connection", "_forms", "_angles",
+            "_form_laplacians"], key
 
 
 def test_run_suite_skips_the_normal_bundle(stage_log):
@@ -314,11 +324,32 @@ def _values(snap):
     return {**snap.data, **{f"mask:{k}": v for k, v in snap.masks.items()}}
 
 
-def test_order_four_jets_change_no_value(monkeypatch):
-    """No snapshot value reads a fourth derivative of F: jets formed at
-    order 4 give every array and mask of the default order-3 jets."""
+def test_every_stage_declares_its_keys_and_order():
+    for stage in geometry.STAGES:
+        assert stage.writes, stage.__name__
+        assert type(stage.order) is int, stage.__name__
+        assert 1 <= stage.order <= jets.MAX_ORDER, stage.__name__
+    assert geometry.JET_ORDER == max(s.order for s in geometry.STAGES)
+    # the order F is formed at comes from the declarations alone
+    for fn in (geometry.compute_snapshot, geometry.snapshot_from_F):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        body = [node for part in tree.body[0].body for node in ast.walk(part)]
+        assert not any(isinstance(node, ast.Name) and node.id == "JET_ORDER"
+                       for node in body), fn.__name__
+        assert not any(isinstance(node, ast.Call)
+                       and getattr(node.func, "id", "") == "min"
+                       and any(isinstance(arg, ast.Constant)
+                               for arg in node.args)
+                       for node in body), fn.__name__
+
+
+def test_deeper_declared_orders_change_no_value(monkeypatch):
+    """No stage reads past its declared order: with every declaration one
+    deeper, F is formed at order 4 and every array and mask of the
+    default snapshot is unchanged."""
     default = {case: _full(case) for case in CASES}
-    monkeypatch.setattr(geometry, "JET_ORDER", 4)
+    for stage in geometry.STAGES:
+        monkeypatch.setattr(stage, "order", stage.order + 1)
     for case in CASES:
         entry = get_entry(case)
         deep = geometry.compute_snapshot(entry.spec(), _points(entry), order=4)
@@ -332,15 +363,31 @@ def test_order_four_jets_change_no_value(monkeypatch):
                     (case, key)
 
 
-def test_order_two_jets_cannot_make_a_snapshot(monkeypatch):
-    """Third derivatives of F are read: order-2 jets cannot supply them."""
-    monkeypatch.setattr(geometry, "JET_ORDER", 2)
-    entry = get_entry("ds_graph")
+def _deepening_stages():
+    """The stages that declare an order above every earlier stage's."""
+    deepening, deepest = [], 0
+    for stage in geometry.STAGES:
+        if stage.order > deepest:
+            deepening.append(stage.__name__)
+            deepest = stage.order
+    return deepening
+
+
+@pytest.mark.parametrize("name", _deepening_stages())
+def test_a_shallower_declaration_cannot_make_the_stage(name, monkeypatch):
+    """Each stage that deepens the jets reads its declared order: one
+    order less leaves a jet to differentiate at order 0."""
+    stage = getattr(geometry, name)
+    monkeypatch.setattr(stage, "order", stage.order - 1)
+    entry = get_entry("trig_sf_pos")
     with pytest.raises(UsageError, match="order-0 jet"):
-        geometry.compute_snapshot(entry.spec(), _points(entry))
+        geometry.compute_snapshot(entry.spec(), _points(entry),
+                                  reads=stage.writes)
 
 
-def test_stored_jets_are_built_to_their_readers_order(monkeypatch):
+@pytest.fixture
+def asked_orders(monkeypatch):
+    """The orders ``eval_components`` is asked for, in call order."""
     asked, evaluate_F = [], geometry.eval_components
 
     def evaluate(spec, points, order):
@@ -348,9 +395,26 @@ def test_stored_jets_are_built_to_their_readers_order(monkeypatch):
         return evaluate_F(spec, points, order=order)
 
     monkeypatch.setattr(geometry, "eval_components", evaluate)
+    return asked
+
+
+@pytest.mark.parametrize("key, order", [
+    ("volume", 1), ("div_field", 2), ("lap_f", 2), ("delta_fw_norm2", 2),
+    ("hodge_pair", 3), ("lap_cos2", 3),
+    (("volume", "div_field", "hodge_pair", "delta_fw_norm2"), 3)])
+def test_torus_integrals_form_f_at_their_stages_order(key, order,
+                                                     asked_orders):
+    f_expr = parse_immersion(
+        "n=1; ambient=flat; map=[sin(u1 + 2*u2), 0, 0, 0]").components[0]
+    quadrature.torus_quadrature(get_entry("trig_sf_pos").spec(), key, 8,
+                                f_expr=f_expr)
+    assert asked_orders == [order]
+
+
+def test_stored_jets_are_built_to_their_readers_order(asked_orders):
     entry = get_entry("trig_sf_pos")
     snap = geometry.compute_snapshot(entry.spec(), _points(entry), order=4)
-    assert asked == [3]
+    assert asked_orders == [3]
     assert snap.order == geometry.JET_ORDER == 3
     assert {k: jet.order for k, jet in snap.jets.items()} == {
         "g": 2, "g_inv": 2, "gamma": 1, "cos2": 2, "sin2": 2, "delta_W": 1,
