@@ -20,6 +20,11 @@ from .errors import UsageError
 
 __all__ = ["CatalogEntry", "builtin_catalog", "get_entry", "entry_names"]
 
+# the flat wobbled torus that fixes the sign conventions
+CALIBRATION_SURFACE = (
+    "n=1; ambient=flat; periodic; map=[cos(u1), sin(u1), "
+    "cos(u2) + 0.3*sin(u1), sin(u2) + 0.2*cos(u1 + u2)]")
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -147,8 +152,7 @@ def builtin_catalog():
     # (5) trig-polynomial periodic surfaces, flat and space-form ambients
     entries.append(CatalogEntry(
         name="trig_flat_2d",
-        text=("n=1; ambient=flat; periodic; map=[cos(u1), sin(u1), "
-              "cos(u2) + 0.3*sin(u1), sin(u2) + 0.2*cos(u1 + u2)]"),
+        text=CALIBRATION_SURFACE,
         box=((0.0, 2.0 * np.pi),) * 2, periodic=True,
         equal_angles=True, classification="mixed",
         notes="wobbled torus; crosses the Lagrangian locus",
@@ -221,8 +225,7 @@ def builtin_catalog():
     # the calibration surface itself doubles as a catalog entry
     entries.append(CatalogEntry(
         name="calibration_surface",
-        text=("n=1; ambient=flat; periodic; map=[cos(u1), sin(u1), "
-              "cos(u2) + 0.3*sin(u1), sin(u2) + 0.2*cos(u1 + u2)]"),
+        text=CALIBRATION_SURFACE,
         box=((0.0, 2.0 * np.pi),) * 2, periodic=True,
         equal_angles=True, classification="mixed",
         notes="fixed surface used for the sign calibration",

@@ -21,11 +21,11 @@ import numpy as np
 
 from .ambient import flat_space, space_form
 from .calculus import contract
-from .catalog import builtin_catalog, get_entry
-from .dsl import parse_immersion
+from .catalog import CatalogEntry, builtin_catalog, get_entry
+from .dsl import parse_immersion, print_immersion
 from .errors import KangleError
 from .geometry import CLASS_NAMES, compute_snapshot, reads
-from .identities import SUITES
+from .identities import SUITES, TOL_ABS_DEFAULT, TOL_REL_DEFAULT
 from .quadrature import eq23_pass, stokes_pass, torus_quadrature
 from .runner import report_to_json, run_suite
 
@@ -74,7 +74,7 @@ def _cmd_eval(args):
     spec, _ = _load_spec(args)
     point = _parse_point(args.point)
     snap = compute_snapshot(spec, point[None, :], order=args.order,
-                            skip_invalid=False, reads=_cmd_eval.reads)
+                            reads=_cmd_eval.reads)
     out = {
         "point": point.tolist(),
         "F": snap.F0[0].tolist(),
@@ -103,23 +103,18 @@ def _cmd_eval(args):
 def _cmd_verify(args):
     suites = args.suite.split(",") if args.suite != "all" else "all"
     entries = None
-    if args.entry:
-        entries = [args.entry]
-    elif args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        spec = parse_immersion(text, name=args.file)
-        if args.ambient:
-            spec = dataclasses.replace(
-                spec, ambient=_parse_ambient_flag(args.ambient, spec.n))
-            from .dsl import print_immersion
-            text = print_immersion(spec)
-        from .catalog import CatalogEntry
-        box = ((0.0, 2 * np.pi),) * spec.domain_dim if spec.periodic \
-            else ((-1.0, 1.0),) * spec.domain_dim
-        entries = [CatalogEntry(name=args.file, text=text, box=box,
-                                periodic=spec.periodic,
-                                equal_angles=False, classification="mixed")]
+    if args.entry or args.file:
+        spec, entry = _load_spec(args)
+        if entry is None or args.ambient:
+            # no expectations: the catalog's hold only for its own map
+            box = entry.box if entry else (
+                ((0.0, 2 * np.pi) if spec.periodic else (-1.0, 1.0),)
+                * spec.domain_dim)
+            entry = CatalogEntry(name=entry.name if entry else args.file,
+                                 text=print_immersion(spec), box=box,
+                                 periodic=spec.periodic, equal_angles=False,
+                                 classification="mixed")
+        entries = [entry]
     report = run_suite(entries=entries, suites=suites, points=args.points,
                        seed=args.seed, tol_abs=args.tol_abs,
                        tol_rel=args.tol_rel, order=args.order,
@@ -204,8 +199,8 @@ def build_parser():
                     help="comma list of " + ",".join(SUITES) + " or all")
     pv.add_argument("--points", type=int, default=64)
     pv.add_argument("--seed", type=int, default=1234)
-    pv.add_argument("--tol-abs", type=float, default=1e-7)
-    pv.add_argument("--tol-rel", type=float, default=1e-5)
+    pv.add_argument("--tol-abs", type=float, default=TOL_ABS_DEFAULT)
+    pv.add_argument("--tol-rel", type=float, default=TOL_REL_DEFAULT)
     pv.add_argument("--order", type=int, default=3, choices=(3, 4))
     pv.add_argument("--quad-grid", type=int, default=0,
                     help="also run quadrature checks at this grid")

@@ -24,8 +24,9 @@ import numpy as np
 
 from . import ambient as amb
 from . import calculus as ca
-from .dsl import eval_components, eval_components_floats
+from .dsl import eval_components
 from .errors import (
+    ChartDomainError,
     DegenerateAngleError,
     NotAnImmersionError,
     UsageError,
@@ -72,12 +73,14 @@ class Snapshot:
 
     Value arrays are batch-first; jet fields keep the component-axes-first
     layout of :mod:`kangle.calculus`.  ``masks`` maps context names to
-    boolean arrays over the batch.
+    boolean arrays over the batch.  ``rejected`` lists the dropped points
+    as (index into the caller's points, reason).
     """
 
     n: int
     order: int
     points: np.ndarray
+    ambient_spec: amb.AmbientSpec
     rejected: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
     jets: dict = field(default_factory=dict)
@@ -88,6 +91,11 @@ class Snapshot:
             return self.__dict__["data"][name]
         except KeyError:
             raise AttributeError(name) from None
+
+    @property
+    def JN(self):
+        """The ambient complex structure J, the same at every point."""
+        return amb.ambient_J(self.ambient_spec)
 
     @property
     def size(self):
@@ -164,7 +172,9 @@ def kahler_angles(g0, W0):
     Returns (cos_angles desc (B, n), J_w in coordinate components (B, d, d),
     What (B, d, d), L (B, d, d), right singular vectors of What (B, d, d),
     pairing gap (B,)).  J_w is the pointwise polar factor of (F*w)#: a
-    partial isometry with kernel ker F*w.
+    partial isometry with kernel ker F*w.  Where the gap exceeds
+    PAIRING_TOL the angles do not exist; the ``_angles`` stage drops those
+    points.
     """
     L = np.linalg.cholesky(g0)
     Linv_W = np.linalg.solve(L, W0)                    # L^-1 W
@@ -172,11 +182,6 @@ def kahler_angles(g0, W0):
                        -1, -2)                         # L^-1 W L^-T
     What = 0.5 * (What - np.swapaxes(What, -1, -2))
     cos, gap, Jhat, Vt = _skew_spectrum(What)
-    if np.any(gap > PAIRING_TOL * (1.0 + cos[:, 0])):
-        worst = float(np.max(gap))
-        raise DegenerateAngleError(
-            f"skew singular values failed to pair (worst gap {worst:.3e})"
-        )
     cos = np.clip(cos, 0.0, 1.0 + 1e-10)
     Lt = np.swapaxes(L, -1, -2)
     Jw = np.einsum("bik,bkl,blj->bij", np.linalg.inv(Lt), Jhat, Lt)
@@ -221,7 +226,7 @@ def weitzenboeck_operator(RM, g_inv0, alpha0):
     return T - np.swapaxes(T, -1, -2)
 
 
-@reads("RM", "sff0", "gN0", "dF0", "ambient_spec", "F0")
+@reads("RM", "sff0", "gN0", "dF0", "F0")
 def gauss_equation_residual(snapshot):
     """Max relative defect of R^M vs ambient curvature + sff quadratics."""
     RM = snapshot.RM
@@ -308,96 +313,86 @@ def _plan(reads, order):
     return stages, min(order, max(stage.order for stage in stages))
 
 
-def compute_snapshot(spec, points, order=3, skip_invalid=True, reads=None):
+def compute_snapshot(spec, points, order=3, reads=None):
     """Evaluate the immersion and the invariants named in ``reads``.
 
-    points: (B, 2n).  Points that fail the immersion check (or, for
-    skip_invalid, the chart bound) are dropped and reported in
-    ``snapshot.rejected``, by their index into ``points``, rather than
-    silently imputed.  reads: snapshot keys; only the stages up to the
-    last one that writes one of them run, and the jets are formed at
-    ``order`` capped at the deepest order those stages declare.
+    points: (B, 2n).  Points outside the chart of the ambient, where F is
+    not an immersion, or where the Kahler angles fail to pair are dropped
+    and reported in ``snapshot.rejected``, by their index into ``points``;
+    the gate that leaves no point raises.  reads: snapshot keys; only the
+    stages up to the last one that writes one of them run, and the jets are
+    formed at ``order`` capped at the deepest order those stages declare.
     """
     _, order = _plan(reads, order)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    rejected = []
-    kept = np.arange(points.shape[0])
-    if not spec.ambient.is_flat and spec.ambient.rho < 0 and skip_invalid:
-        margin = amb.chart_margin(spec.ambient,
-                                  eval_components_floats(spec, points))
-        inside = margin > amb.CHART_BOUNDARY_TOL
-        rejected = [(int(b), "outside chart domain")
-                    for b in np.nonzero(~inside)[0]]
-        kept = kept[inside]
-        points = points[kept]
     F = eval_components(spec, points, order=order)
-    snap = snapshot_from_F(spec.n, spec.ambient, F, points, order,
-                           skip_invalid=skip_invalid, reads=reads)
-    snap.rejected = rejected + [(int(kept[b]), why)
-                                for b, why in snap.rejected]
-    return snap
+    return snapshot_from_F(spec.n, spec.ambient, F, points, order,
+                           reads=reads)
 
 
-def snapshot_from_F(n, ambient_spec, F, points, order, skip_invalid=True,
-                    reads=None):
+def snapshot_from_F(n, ambient_spec, F, points, order, reads=None):
     """Build a snapshot from already-evaluated F jets (axes (4n, B)).
 
     The stages and the order run as in :func:`compute_snapshot`; F is
     truncated to that order, which ``snap.order`` reports.  Each stage
-    reads keys of the stages before it; ``work`` carries the jets that no
-    reader needs (F, dF, g_N, Gamma_N along F, and the |F*w|^2 and d F*w
-    the form Laplacians differentiate) and is dropped.
+    reads keys of the stages before it; ``work`` carries what no reader
+    needs (F, dF, g_N, Gamma_N along F, the |F*w|^2 and d F*w the form
+    Laplacians differentiate, the factors the eigenframes are built from,
+    and the caller's index of each point) and is dropped.
     """
     stages, order = _plan(reads, order)
-    F = F.truncated(order)
-    snap = Snapshot(n=n, order=order, points=points)
-    work = {"ambient_spec": ambient_spec, "F": F, "skip_invalid": skip_invalid}
+    snap = Snapshot(n=n, order=order, points=points,
+                    ambient_spec=ambient_spec)
+    work = {"F": F.truncated(order), "index": np.arange(len(points))}
     for stage in stages:
         stage(snap, work)
     return snap
 
 
-@writes("ambient_spec", "JN", "F0", "dF0", "gN0", "g0", "sqrt_det_g0", "g",
-        order=1)
+def _gate(snap, work, good, reason, error):
+    """Drop the points where ``good`` is false from everything computed so
+    far: the points, every jet of ``snap.jets`` and ``work`` and every array
+    of ``snap.data`` and ``snap.masks``.  Each dropped point is recorded in
+    ``snap.rejected`` as (index into the caller's points, reason); ``error``
+    is raised when no point is left."""
+    if np.all(good):
+        return
+    bad, keep = np.nonzero(~good)[0], np.nonzero(good)[0]
+    snap.rejected += [(int(work["index"][b]), reason) for b in bad]
+    if not keep.size:
+        raise error(f"no point left: {reason} at {bad.size} point(s), "
+                    f"e.g. {snap.points[bad[0]]}")
+    snap.points = snap.points[keep]
+    for store in (snap.jets, work, snap.data, snap.masks):
+        for key, value in store.items():
+            if isinstance(value, Jet):
+                store[key] = value.take_batch(keep)
+            elif value is not None:
+                store[key] = value[keep]
+
+
+@writes("F0", "dF0", "gN0", "g0", "sqrt_det_g0", "g", order=1)
 def _core(snap, work):
-    """F, dF, g_N along F, g, the immersion gate and sqrt(det g); their
-    values read dF."""
-    spec, F, order = work["ambient_spec"], work["F"], snap.order
-    m = snap.ambient_dim
+    """F, the chart gate, dF, g_N along F, g, the immersion gate and
+    sqrt(det g); their values read dF."""
+    spec, m = snap.ambient_spec, snap.ambient_dim
+    snap.data["F0"] = _at_points(work["F"])
+    _gate(snap, work, amb.chart_margin(spec, snap.F0) > amb.CHART_BOUNDARY_TOL,
+          "outside chart domain", ChartDomainError)
+    F = work["F"]
     dF = ca.jstack([ca.partials(F[A]) for A in range(m)])   # (A, i, b)
-    gN = None
-    if not spec.is_flat:
-        # metric (A, B, b), closed form along F
-        gN = amb.ambient_metric(spec, F.truncated(order - 1))
-    g = induced_metric(dF, dF, gN)
-    g0 = _at_points(g)
-
-    # immersion check
-    eig = np.linalg.eigvalsh(g0)
-    good = eig[:, 0] > 1e-12 * np.maximum(eig[:, -1], 1.0)
-    if not np.all(good):
-        bad = np.nonzero(~good)[0]
-        if not work["skip_invalid"]:
-            raise NotAnImmersionError(
-                f"dF rank-deficient at {len(bad)} point(s), "
-                f"e.g. {snap.points[bad[0]]}")
-        snap.rejected = [(int(b), "not an immersion") for b in bad]
-        keep = np.nonzero(good)[0]
-        snap.points = snap.points[keep]
-        F, dF, g, g0 = (F.take_batch(keep), dF.take_batch(keep),
-                        g.take_batch(keep), g0[keep])
-        if gN is not None:
-            gN = gN.take_batch(keep)
-    B = snap.size
-    if B == 0:
-        raise NotAnImmersionError("no valid points left in the batch")
-
-    work.update(F=F, dF=dF, gN=gN)
-    snap.jets["g"] = g
+    # metric (A, B, b), closed form along F
+    gN = None if spec.is_flat else amb.ambient_metric(
+        spec, F.truncated(snap.order - 1))
+    work.update(dF=dF, gN=gN)
+    snap.jets["g"] = induced_metric(dF, dF, gN)
+    eig = np.linalg.eigvalsh(_at_points(snap.jets["g"]))
+    _gate(snap, work, eig[:, 0] > 1e-12 * np.maximum(eig[:, -1], 1.0),
+          "not an immersion", NotAnImmersionError)
+    dF, gN, g0 = work["dF"], work["gN"], _at_points(snap.jets["g"])
     snap.data.update(
-        ambient_spec=spec, JN=amb.ambient_J(spec),
-        F0=_at_points(F), dF0=_at_points(dF),
-        gN0=(np.broadcast_to(np.eye(m), (B, m, m)) if gN is None
+        dF0=_at_points(dF),
+        gN0=(np.broadcast_to(np.eye(m), (snap.size, m, m)) if gN is None
              else _at_points(gN)),
         g0=g0, sqrt_det_g0=np.sqrt(np.linalg.det(g0)),
     )
@@ -407,7 +402,7 @@ def _core(snap, work):
 def _connection(snap, work):
     """g^-1, Gamma, and Gamma_N along F (closed form, into ``work``); Gamma
     reads d^2 F."""
-    spec, g = work["ambient_spec"], snap.jets["g"]
+    spec, g = snap.ambient_spec, snap.jets["g"]
     g_inv = ca.jet_matrix_inverse(g)
     snap.jets.update(g_inv=g_inv, gamma=ca.christoffel(g, g_inv))
     work["gammaN_F"] = (None if spec.is_flat else amb.ambient_christoffel(
@@ -448,34 +443,6 @@ def _forms(snap, work):
     )
 
 
-@writes("cos_angles", "pair_gap", "Jw0", "frame_X", "frame_Y", "Z", "rank",
-        "classification", "equal_gate", "near_equal_warn", "cos_signed",
-        order=1)
-def _angles(snap, work):
-    """Kahler angles, the polar structure, eigenframes and classification;
-    they read dF."""
-    g0, W0 = snap.g0, snap.W0
-    cos_angles, Jw0, What, L, Vt, pair_gap = kahler_angles(g0, W0)
-    frame_X, frame_Y = _complex_frame(What, L, cos_angles, Vt)
-    minc, maxc = cos_angles[:, -1], cos_angles[:, 0]
-    spread = maxc - minc
-    equal_gate = spread <= TOL_EQUAL
-    classification = np.full(snap.size, GENERIC, dtype=int)
-    classification[(minc < TOL_LAGRANGIAN) | (maxc > 1.0 - TOL_COMPLEX)] = MIXED
-    classification[maxc < TOL_LAGRANGIAN] = LAGRANGIAN
-    classification[minc > 1.0 - TOL_COMPLEX] = COMPLEX
-    snap.data.update(
-        cos_angles=cos_angles, pair_gap=pair_gap, Jw0=Jw0,
-        frame_X=frame_X, frame_Y=frame_Y,
-        Z=0.5 * (frame_X - 1j * frame_Y),                    # (b, n, d)
-        rank=2 * np.sum(cos_angles > TOL_LAGRANGIAN, axis=1),
-        classification=classification, equal_gate=equal_gate,
-        near_equal_warn=(~equal_gate) & (spread <= 10 * TOL_EQUAL),
-    )
-    if snap.n == 1:
-        snap.data["cos_signed"] = signed_angle_n1(g0, W0)
-
-
 @writes("hodge_pair", "lap_norm_W2", "lap_cos2", order=3)
 def _form_laplacians(snap, work):
     """Delta |F*w|^2, Delta cos^2 and the Hodge pairing <Delta F*w, F*w>;
@@ -490,6 +457,38 @@ def _form_laplacians(snap, work):
                                      g_inv0, g_inv0, hodge_W0, snap.W0),
         lap_norm_W2=lap_norm_W2, lap_cos2=lap_norm_W2 / snap.n,
     )
+
+
+@writes("cos_angles", "pair_gap", "Jw0", "frame_X", "frame_Y", "Z", "rank",
+        "classification", "equal_gate", "near_equal_warn", "cos_signed",
+        order=1)
+def _angles(snap, work):
+    """Kahler angles, the pairing gate, the polar structure, eigenframes and
+    classification; they read dF."""
+    cos_angles, Jw0, What, L, Vt, pair_gap = kahler_angles(snap.g0, snap.W0)
+    snap.data.update(cos_angles=cos_angles, pair_gap=pair_gap, Jw0=Jw0)
+    work.update(What=What, L=L, Vt=Vt)
+    _gate(snap, work, pair_gap <= PAIRING_TOL * (1.0 + cos_angles[:, 0]),
+          "angles failed to pair", DegenerateAngleError)
+    g0, W0, cos_angles = snap.g0, snap.W0, snap.cos_angles
+    frame_X, frame_Y = _complex_frame(work["What"], work["L"], cos_angles,
+                                      work["Vt"])
+    minc, maxc = cos_angles[:, -1], cos_angles[:, 0]
+    spread = maxc - minc
+    equal_gate = spread <= TOL_EQUAL
+    classification = np.full(snap.size, GENERIC, dtype=int)
+    classification[(minc < TOL_LAGRANGIAN) | (maxc > 1.0 - TOL_COMPLEX)] = MIXED
+    classification[maxc < TOL_LAGRANGIAN] = LAGRANGIAN
+    classification[minc > 1.0 - TOL_COMPLEX] = COMPLEX
+    snap.data.update(
+        frame_X=frame_X, frame_Y=frame_Y,
+        Z=0.5 * (frame_X - 1j * frame_Y),                    # (b, n, d)
+        rank=2 * np.sum(cos_angles > TOL_LAGRANGIAN, axis=1),
+        classification=classification, equal_gate=equal_gate,
+        near_equal_warn=(~equal_gate) & (spread <= 10 * TOL_EQUAL),
+    )
+    if snap.n == 1:
+        snap.data["cos_signed"] = signed_angle_n1(g0, W0)
 
 
 @writes("sff0", "H0", "normH2", "nablaH", "nabla_perpH", "JHtop0",
@@ -724,7 +723,7 @@ def _normal_bundle(snap, work):
                      J_perp=J_perp, Phi_nu=Phi_nu, Xi_nu=Xi)
 
 
-STAGES = (_core, _connection, _forms, _angles, _form_laplacians, _extrinsic,
+STAGES = (_core, _connection, _forms, _form_laplacians, _angles, _extrinsic,
           _curvature, _frame_sums, _masked_fields, _normal_bundle)
 
 JET_ORDER = max(stage.order for stage in STAGES)

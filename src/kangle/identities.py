@@ -26,6 +26,7 @@ import numpy as np
 
 from .ambient import einstein_constant
 from .calculus import contract
+from .catalog import CALIBRATION_SURFACE
 from .dsl import parse_immersion
 from .errors import ConventionError
 from .geometry import GENERIC, LAGRANGIAN, compute_snapshot, reads
@@ -262,10 +263,10 @@ def verify_prop3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     return out
 
 
-@reads("JN", "dF0", "cos_angles", "nablaH", "gN0", "sff0", "nabla_JHtop", "g0",
-       "H0", "g_inv0", "W0", "nabla_perpH", "Jw0", "JHtop0", "sumD",
-       "normH2", "sumA", "sumB", "sumC", "equal_gate", "sumA_perp",
-       "jw_field", "div_Jw_JHtop", "delta_Jw0", "div_JHtop", "sumRe_perp")
+@reads("dF0", "cos_angles", "nablaH", "gN0", "sff0", "nabla_JHtop", "g0", "H0",
+       "g_inv0", "W0", "nabla_perpH", "Jw0", "JHtop0", "sumD", "normH2",
+       "sumA", "sumB", "sumC", "equal_gate", "sumA_perp", "jw_field",
+       "div_Jw_JHtop", "delta_Jw0", "div_JHtop", "sumRe_perp")
 def verify_lemma3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                     tol_rel=TOL_REL_DEFAULT):
     """Mean-curvature projection identities (any immersion, gated parts)."""
@@ -345,10 +346,10 @@ def _delta_kappa_gate(snap):
     ])
 
 
-@reads("ambient_spec", "cos_angles", "sin2_0", "equal_gate", "band",
-       "classification", "sumRM", "norm_nabla_Jw2", "norm_grad_costheta2",
-       "lap_kappa", "g0", "grad_costheta", "sumD", "sumA", "delta_Jw0",
-       "JHtop0", "div_Jw_JHtop_over_sin2")
+@reads("cos_angles", "sin2_0", "equal_gate", "band", "classification", "sumRM",
+       "norm_nabla_Jw2", "norm_grad_costheta2", "lap_kappa", "g0",
+       "grad_costheta", "sumD", "sumA", "delta_Jw0", "JHtop0",
+       "div_Jw_JHtop_over_sin2")
 def verify_delta_kappa(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                        tol_rel=TOL_REL_DEFAULT):
     """Angle-Laplacian identities (general form, divergence form, n=1 form)."""
@@ -420,10 +421,10 @@ def verify_weitzenboeck(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     return out
 
 
-@reads("ambient_spec", "cos_angles", "sin2_0", "equal_gate", "band",
-       "classification", "Jw0", "JHtop0", "g0", "grad_costheta", "S_pair",
-       "norm_nabla_W2", "norm_grad_abs_sin2", "div_Wsharp_JHtop", "lap_cos2",
-       "W0", "grad_log_sin2", "normH2", "delta_W0")
+@reads("cos_angles", "sin2_0", "equal_gate", "band", "classification", "Jw0",
+       "JHtop0", "g0", "grad_costheta", "S_pair", "norm_nabla_W2",
+       "norm_grad_abs_sin2", "div_Wsharp_JHtop", "lap_cos2", "W0",
+       "grad_log_sin2", "normH2", "delta_W0")
 def verify_prop3_4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                    tol_rel=TOL_REL_DEFAULT):
     """Laplacian of cos^2 and the two rewritings of its last term."""
@@ -472,9 +473,9 @@ def verify_prop3_4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     return out
 
 
-@reads("ambient_spec", "cos_angles", "sin2_0", "equal_gate", "off_complex",
-       "W0", "JHtop0", "grad_log_sin2", "div_Wsharp_JHtop", "normH2", "sff0",
-       "nabla_perpH", "grad_sin2_0")
+@reads("cos_angles", "sin2_0", "equal_gate", "off_complex", "W0", "JHtop0",
+       "grad_log_sin2", "div_Wsharp_JHtop", "normH2", "sff0", "nabla_perpH",
+       "grad_sin2_0")
 def verify_section4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                     tol_rel=TOL_REL_DEFAULT):
     """The n=2 divergence identity and its pointwise corollary."""
@@ -516,10 +517,10 @@ def verify_section4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     return out
 
 
-@reads("ambient_spec", "cos_angles", "sigma", "equal_gate", "sigma_jh0",
-       "sigma_dw0", "sigma_trace0", "dsigma_jh0", "dsigma_dw0", "W0",
-       "grad_cos2_0", "cos2_0", "sin2_0", "d_JHb", "frame_X", "frame_Y",
-       "normH2", "sumA_perp", "classification", "sff0")
+@reads("cos_angles", "sigma", "equal_gate", "sigma_jh0", "sigma_dw0",
+       "sigma_trace0", "dsigma_jh0", "dsigma_dw0", "W0", "grad_cos2_0",
+       "cos2_0", "sin2_0", "d_JHb", "frame_X", "frame_Y", "normH2",
+       "sumA_perp", "classification", "sff0")
 def verify_prop3_6(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                    tol_rel=TOL_REL_DEFAULT):
     """The sigma 1-form, its exterior derivative, and the constant-angle
@@ -576,8 +577,8 @@ def verify_prop3_6(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     return out
 
 
-@reads("ambient_spec", "cos_angles", "sin2_0", "W0", "JHtop0", "grad_sin2_0",
-       "delta_W0", "normH2", "norm_grad_costheta2", "sumRM")
+@reads("cos_angles", "sin2_0", "W0", "JHtop0", "grad_sin2_0", "delta_W0",
+       "normH2", "norm_grad_costheta2", "sumRM")
 def evaluate_hypothesis_fields(snap, conventions):
     """Named diagnostic scalars from the hypothesis sides of the theorems.
 
@@ -630,13 +631,6 @@ def run_identity_suite(snap, suites, conventions, tol_abs=TOL_ABS_DEFAULT,
 
 # ---------------------------------------------------------------------------
 # sign calibration
-
-CALIBRATION_SURFACE = (
-    "n=1; ambient=flat; periodic; "
-    "map=[cos(u1), sin(u1), cos(u2) + 0.3*sin(u1), "
-    "sin(u2) + 0.2*cos(u1 + u2)]"
-)
-
 
 def _calibration_snapshot(order):
     spec = parse_immersion(CALIBRATION_SURFACE, name="calibration_surface")

@@ -15,6 +15,8 @@ from .geometry import CLASS_NAMES, compute_snapshot, reads
 from .identities import (
     SUITE_READERS,
     SUITES,
+    TOL_ABS_DEFAULT,
+    TOL_REL_DEFAULT,
     calibrate_conventions,
     evaluate_hypothesis_fields,
     finite_or_none,
@@ -146,8 +148,8 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
 
 
 def run_suite(entries=None, suites="all", points=64, seed=1234,
-              tol_abs=1e-7, tol_rel=1e-5, order=3, quad_grid=0,
-              threads=None):
+              tol_abs=TOL_ABS_DEFAULT, tol_rel=TOL_REL_DEFAULT, order=3,
+              quad_grid=0, threads=None):
     """Run the selected identity suites over catalog entries.
 
     Deterministic given the seed; returns the report dictionary.  The

@@ -179,7 +179,7 @@ def test_chart_domain_rejection():
 
 
 def test_rejected_indices_refer_to_the_callers_points():
-    """After the chart pre-filter, immersion-gate indices still index the
+    """After the chart gate, immersion-gate indices still index the
     points passed in, not the chart-filtered batch."""
     spec = parse_immersion(
         "n=1; ambient=space_form(-1.0); map=[u1, u2^3, 0, 0.1*u1]")

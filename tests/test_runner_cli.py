@@ -1,6 +1,8 @@
 """Report schema stability, determinism and the command line interface."""
 
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +11,19 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
+import kangle
+from kangle.ambient import space_form
+from kangle.catalog import get_entry
 from kangle.cli import main
+from kangle.geometry import compute_snapshot
 from kangle.runner import report_to_json, run_suite, sample_points
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
+
+# a child process finds the package where this one does, installed or not
+SRC = str(Path(kangle.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
 
 RESIDUAL_SCHEMA = {
     "type": "object",
@@ -136,7 +147,8 @@ def test_run_is_deterministic():
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "kangle.cli", *args],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600,
+                          env=CHILD_ENV)
     return proc
 
 
@@ -144,7 +156,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     """scipy.stats takes about 1 s to import and only sampling needs it."""
     code = "import sys, kangle.cli; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -207,6 +219,23 @@ def test_cli_verify_entry(tmp_path):
     ids = set(report["summary"]["per_identity"])
     assert all(i.startswith(("prop3.1", "eq2.2")) for i in ids)
     assert report["pass"]
+
+
+def test_cli_verify_entry_honours_ambient(tmp_path):
+    """--ambient runs the entry's map in that ambient over the entry's box,
+    with none of the expectations the catalog states for the flat map."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "--entry", "slant_cylinder", "--ambient",
+                 "space_form(1.0)", "--suite", "prop3.1", "--points", "8",
+                 "--json", str(out)]) == 0
+    result, = json.loads(out.read_text())["entries"]
+    entry = get_entry("slant_cylinder")
+    spec = dataclasses.replace(entry.spec(), ambient=space_form(1.0, 2))
+    cos = compute_snapshot(spec, sample_points(entry.box, 8, 1234)).cos_angles
+    assert result["angle_stats"]["min"] == float(np.min(cos))
+    assert result["angle_stats"]["max"] == float(np.max(cos))
+    assert np.ptp(cos) > 0.1          # flat, the angle is the constant 0.6
+    assert result["expected_ok"] and not result["expected_failures"]
 
 
 def test_cli_verify_imm_file(tmp_path):

@@ -155,13 +155,12 @@ def test_every_stage_writes_what_it_declares(stage_log):
 
 
 def test_unknown_read_raises_usage_error(monkeypatch):
-    """An unknown key fails before F, or the chart pre-filter, is evaluated."""
+    """An unknown key fails before F is evaluated."""
     def evaluate(*args, **kwargs):
         raise AssertionError("F evaluated for an unknown key")
 
     monkeypatch.setattr(geometry, "eval_components", evaluate)
-    monkeypatch.setattr(geometry, "eval_components_floats", evaluate)
-    entry = get_entry("trig_sf_neg")            # chart pre-filter included
+    entry = get_entry("trig_sf_neg")
     with pytest.raises(UsageError, match="no snapshot stage writes"):
         geometry.compute_snapshot(entry.spec(), _points(entry),
                                   reads=("cos_angles", "cos_anglez"))
@@ -187,8 +186,7 @@ def test_quadrature_runs_only_the_stages_its_integrands_need(stage_log):
                                                          "_forms"]
     for key in ("hodge_pair", "lap_cos2"):
         assert _torus_calls(stage_log, key) == [
-            "_core", "_connection", "_forms", "_angles",
-            "_form_laplacians"], key
+            "_core", "_connection", "_forms", "_form_laplacians"], key
 
 
 def test_run_suite_skips_the_normal_bundle(stage_log):
