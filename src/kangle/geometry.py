@@ -325,6 +325,8 @@ def compute_snapshot(spec, points, order=3, reads=None):
     """
     _, order = _plan(reads, order)
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not len(points):
+        raise UsageError("a snapshot needs at least one point")
     F = eval_components(spec, points, order=order)
     return snapshot_from_F(spec.n, spec.ambient, F, points, order,
                            reads=reads)
@@ -542,7 +544,7 @@ def _curvature(snap, work):
                         RM, Z, np.conj(Z), Z, np.conj(Z))
     qW = weitzenboeck_operator(RM, g_inv0, W0)
     snap.data.update(
-        RM=RM, sumRM=np.real(sumRM), sumRM_imag=np.max(np.abs(np.imag(sumRM))),
+        RM=RM, sumRM=np.real(sumRM), sumRM_imag=np.abs(np.imag(sumRM)),
         S_pair=0.5 * ca.contract("bim,bjp,bij,bmp->b", g_inv0, g_inv0, qW, W0),
     )
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DomainError, SingularityError, UsageError
 
@@ -58,7 +57,8 @@ class _Tables:
     position: dict              # multi-index -> slot
     mul_ia: np.ndarray          # gather indices into left factor
     mul_ib: np.ndarray          # gather indices into right factor
-    mul_scatter: object         # (n_pairs, K) csr matrix summing into slots
+    mul_blocks: tuple           # (start, stop, n_slots, size) per pair count
+    mul_slots: np.ndarray       # slot -> its column among the block sums
     derivative: tuple           # per variable: (parent_slots, factors)
     factorials: np.ndarray      # alpha! per slot
 
@@ -87,12 +87,18 @@ def _tables(dim, order):
                 ia.append(i)
                 ib.append(j)
                 out.append(pos[tuple(x + y for x, y in zip(a, b))])
-    ia = np.asarray(ia, dtype=np.intp)
-    ib = np.asarray(ib, dtype=np.intp)
+    # group the pairs by (pairs per slot, slot): the slots that sum the
+    # same number of pairs form one block, summed by a reshape
     out = np.asarray(out, dtype=np.intp)
-    scatter = sparse.csr_matrix(
-        (np.ones(len(out)), (np.arange(len(out)), out)), shape=(len(out), K)
-    )
+    count = np.bincount(out, minlength=K)
+    pairs = np.argsort(count[out] * K + out, kind="stable")
+    ia = np.asarray(ia, dtype=np.intp)[pairs]
+    ib = np.asarray(ib, dtype=np.intp)[pairs]
+    sizes, n_slots = np.unique(count, return_counts=True)
+    stops = np.cumsum(sizes * n_slots)
+    blocks = tuple(zip((stops - sizes * n_slots).tolist(), stops.tolist(),
+                       n_slots.tolist(), sizes.tolist()))
+    slots = np.argsort(np.argsort(count, kind="stable"))
 
     deriv = []
     if order >= 1:
@@ -112,17 +118,24 @@ def _tables(dim, order):
         [math.prod(math.factorial(k) for k in a) for a in exps], dtype=float
     )
 
-    tab = _Tables(dim, order, tuple(exps), pos, ia, ib, scatter, tuple(deriv), facts)
+    tab = _Tables(dim, order, tuple(exps), pos, ia, ib, blocks, slots,
+                  tuple(deriv), facts)
     _TABLE_CACHE[key] = tab
     return tab
 
 
+def _sum_pairs(tab, t):
+    """Sum the pair products ``t`` (last axis = pairs) into their slots."""
+    lead = t.shape[:-1]
+    sums = [t[..., start:stop] if size == 1 else
+            t[..., start:stop].reshape(lead + (n, size)).sum(-1)
+            for start, stop, n, size in tab.mul_blocks]
+    return np.concatenate(sums, axis=-1)[..., tab.mul_slots]
+
+
 def _scatter_mul(tab, ta, tb):
     """Truncated Cauchy product of coefficient arrays (last axis = slots)."""
-    t = ta[..., tab.mul_ia] * tb[..., tab.mul_ib]
-    lead = t.shape[:-1]
-    flat = t.reshape(-1, t.shape[-1]) @ tab.mul_scatter
-    return np.asarray(flat).reshape(*lead, -1)
+    return _sum_pairs(tab, ta[..., tab.mul_ia] * tb[..., tab.mul_ib])
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +441,7 @@ def jet_einsum(spec, a, b):
             a.coeffs[..., tab.mul_ia],
             b.coeffs[..., tab.mul_ib],
         )
-        lead = t.shape[:-1]
-        flat = t.reshape(-1, t.shape[-1]) @ tab.mul_scatter
-        return Jet(a.dim, a.order, np.asarray(flat).reshape(*lead, -1))
+        return Jet(a.dim, a.order, _sum_pairs(tab, t))
     if a_jet:
         c = np.einsum(f"{sa}Z,{sb}->{out}Z", a.coeffs, np.asarray(b, dtype=float))
         return Jet(a.dim, a.order, c)

@@ -33,7 +33,7 @@ class RunError(KangleError):
 
 def sample_points(box, count, seed):
     """Low-discrepancy (scrambled Halton) points in a box, seedable."""
-    from scipy.stats import qmc  # about 1 s to import; only this needs it
+    from scipy.stats import qmc  # about 1 s to import; kangle's only scipy use
     d = len(box)
     h = qmc.Halton(d=d, scramble=True, seed=seed)
     unit = h.random(count)
@@ -127,6 +127,8 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
              "rhs": finite_or_none(rhs), "pass": eq23_pass(lhs, rhs)},
         ]
     cos = snap.cos_angles
+    # records index the kept points; report the caller's index
+    kept = np.delete(np.arange(len(pts)), [i for i, _ in snap.rejected])
     result = {
         "name": entry.name,
         "points_sampled": int(snap.size),
@@ -142,7 +144,8 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
         "equal_angle_gate": gate_info,
         "hypothesis_fields": fields,
         "quadrature": quad,
-        "residuals": [r.as_dict() for r in records],
+        "residuals": [{**r.as_dict(), "point_index": int(kept[r.point_index])}
+                      for r in records],
     }
     return result
 

@@ -89,10 +89,23 @@ def test_run_suite_counts_a_pairing_rejection(monkeypatch, conventions):
     points = 8
     # run_suite samples these points; the conventions are calibrated
     # before PAIRING_TOL changes
-    _fail_one_pairing(monkeypatch, geometry.compute_snapshot(
+    whole, = run_suite(entries=[entry.name], points=points, seed=1234,
+                       threads=1)["entries"]
+    bad = _fail_one_pairing(monkeypatch, geometry.compute_snapshot(
         entry.spec(), sample_points(entry.box, points, 1234)))
+    assert bad < points - 1       # so a later point shows an index shift
     report = run_suite(entries=[entry.name], points=points, seed=1234,
                        threads=1)
     result, = report["entries"]
     assert result["points_rejected"] == 1
     assert result["points_sampled"] == points - 1
+    # records carry the index of the sampled point, not of the kept one
+    want = {(r["id"], r["point_index"]): r for r in whole["residuals"]}
+    indices = set()
+    for rec in result["residuals"]:
+        indices.add(rec["point_index"])
+        ref = want[rec["id"], rec["point_index"]]
+        assert rec["applicable"] == ref["applicable"]
+        if rec["applicable"]:
+            assert np.allclose(rec["lhs"], ref["lhs"], rtol=1e-12, atol=1e-12)
+    assert indices == set(range(points)) - {bad}

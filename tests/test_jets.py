@@ -7,9 +7,11 @@ from conftest import all_multi_indices, central_diff
 from kangle.errors import DomainError, SingularityError, UsageError
 from kangle.jets import (
     Jet,
+    jet_einsum,
     jet_seed,
     jet_seed_all,
     jet_unary,
+    multi_indices,
     num_coeffs,
 )
 
@@ -62,6 +64,46 @@ def test_dim_mismatch_raises():
     b = jet_seed(2, 2, [0.0, 0.0], 0)
     with pytest.raises(UsageError):
         a + b
+
+
+def _naive_product(dim, order, a, b):
+    """Truncated Cauchy product summed over pairs of multi-indices."""
+    exps = multi_indices(dim, order)
+    slot = {alpha: k for k, alpha in enumerate(exps)}
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for i, alpha in enumerate(exps):
+        for j, beta in enumerate(exps):
+            if sum(alpha) + sum(beta) <= order:
+                k = slot[tuple(x + y for x, y in zip(alpha, beta))]
+                out[..., k] += a[..., i] * b[..., j]
+    return out
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_product_matches_the_naive_cauchy_product(dim):
+    rng = np.random.default_rng(dim)
+    for order in range(5):
+        K = num_coeffs(dim, order)
+        a = rng.normal(size=(2, 3, K))
+        b = rng.normal(size=(2, 3, K))
+        row = rng.normal(size=(3, K))
+        col = rng.normal(size=(2, 1, K))
+        want = _naive_product(dim, order, a, b)
+        # the rounding of a sum of at most 2^order products of normals
+        tol = 1e-13 * (1.0 + np.max(np.abs(want)))
+        for x, y in ((a, b), (a, row), (col, a), (col, row)):
+            got = (Jet(dim, order, x) * Jet(dim, order, y)).coeffs
+            assert np.allclose(got, _naive_product(dim, order, x, y),
+                               rtol=0.0, atol=tol), (order, x.shape, y.shape)
+        got = jet_einsum("bi,i->bi", Jet(dim, order, a),
+                         Jet(dim, order, row)).coeffs
+        assert np.allclose(got, _naive_product(dim, order, a, row),
+                           rtol=0.0, atol=tol), order
+        # a contraction: sum over the shared axis i of pairwise products
+        got = jet_einsum("bi,ci->bc", Jet(dim, order, a),
+                         Jet(dim, order, b)).coeffs
+        want = _naive_product(dim, order, a[:, None], b[None]).sum(axis=2)
+        assert np.allclose(got, want, rtol=0.0, atol=3 * tol), order
 
 
 def _mp_central_diff(f, x0, k, h="1e-4"):

@@ -153,12 +153,22 @@ def run_cli(*args):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    """scipy.stats takes about 1 s to import and only sampling needs it."""
-    code = "import sys, kangle.cli; print('scipy.stats' in sys.modules)"
+    """scipy.sparse takes about 0.3 s to import and scipy.stats about 1 s,
+    and only sampling needs scipy: neither importing the CLI nor
+    `kangle eval` loads any scipy module."""
+    code = ("import sys, kangle.cli\n"
+            "def scipy_loaded():\n"
+            "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "print(scipy_loaded())\n"
+            "kangle.cli.main(['eval', '--entry', 'ds_graph',\n"
+            "                 '--point', '0.1,0.2,0.3,0.4'])\n"
+            "print(scipy_loaded())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.strip().splitlines()
+    assert (lines[0], lines[-1]) == ("False", "False")
+    assert "cos_angles" in proc.stdout
 
 
 def test_cli_catalog():

@@ -166,6 +166,25 @@ def test_unknown_read_raises_usage_error(monkeypatch):
                                   reads=("cos_angles", "cos_anglez"))
 
 
+def test_empty_batch_raises_usage_error(monkeypatch):
+    """A batch of no points fails before F is evaluated."""
+    def evaluate(*args, **kwargs):
+        raise AssertionError("F evaluated for an empty batch")
+
+    monkeypatch.setattr(geometry, "eval_components", evaluate)
+    entry = get_entry("ds_graph")
+    with pytest.raises(UsageError, match="at least one point"):
+        geometry.compute_snapshot(entry.spec(), np.zeros((0, 4)))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_snapshot_value_is_batch_first(case):
+    snap = _full(case)
+    for store in (snap.data, snap.masks):
+        for key, value in store.items():
+            assert np.shape(value)[:1] == (snap.size,), key
+
+
 def _torus_calls(stage_log, key, grid=8):
     stage_log["calls"].clear()
     kwargs = {}
