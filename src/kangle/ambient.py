@@ -53,6 +53,8 @@ class AmbientSpec:
             raise UsageError("flat ambient requires rho = 0")
         if self.kind == "space_form" and self.rho == 0.0:
             raise UsageError("space_form ambient requires rho != 0")
+        if not np.isfinite(self.rho):
+            raise UsageError(f"ambient rho must be finite, got {self.rho!r}")
 
     @property
     def real_dim(self):

@@ -35,7 +35,10 @@ def _parse_ambient_flag(text, n):
     if text == "flat":
         return flat_space(2 * n)
     if text.startswith("space_form(") and text.endswith(")"):
-        return space_form(float(text[len("space_form("):-1]), 2 * n)
+        try:
+            return space_form(float(text[len("space_form("):-1]), 2 * n)
+        except ValueError:
+            pass
     raise KangleError(
         f"bad --ambient value {text!r}; use flat or space_form(RHO)")
 
@@ -73,8 +76,7 @@ def _parse_point(text):
 def _cmd_eval(args):
     spec, _ = _load_spec(args)
     point = _parse_point(args.point)
-    snap = compute_snapshot(spec, point[None, :], order=args.order,
-                            reads=_cmd_eval.reads)
+    snap = compute_snapshot(spec, point[None, :], reads=_cmd_eval.reads)
     out = {
         "point": point.tolist(),
         "F": snap.F0[0].tolist(),
@@ -117,8 +119,7 @@ def _cmd_verify(args):
         entries = [entry]
     report = run_suite(entries=entries, suites=suites, points=args.points,
                        seed=args.seed, tol_abs=args.tol_abs,
-                       tol_rel=args.tol_rel, order=args.order,
-                       quad_grid=args.quad_grid)
+                       tol_rel=args.tol_rel, quad_grid=args.quad_grid)
     text = report_to_json(report, args.json)
     if args.json:
         print(f"report written to {args.json}")
@@ -144,7 +145,7 @@ def _cmd_integrate(args):
         keys = ("volume", "div_field", "lap_cos2")
     else:  # eq2.3
         keys = ("volume", "hodge_pair", "delta_fw_norm2")
-    q = torus_quadrature(spec, keys, args.grid, order=args.order)
+    q = torus_quadrature(spec, keys, args.grid)
     results = {"volume": q["volume"]}
     results.update((f"integral_{k}", q[k]) for k in keys[1:])
     if args.check == "stokes":
@@ -187,7 +188,6 @@ def build_parser():
     pe.add_argument("file", nargs="?", help=".imm file")
     pe.add_argument("--entry", help="built-in catalog entry name")
     pe.add_argument("--point", required=True, help="comma-separated coords")
-    pe.add_argument("--order", type=int, default=3, choices=(3, 4))
     pe.add_argument("--ambient", help="override: flat or space_form(RHO)")
     pe.add_argument("--json", help="also write JSON here")
     pe.set_defaults(fn=_cmd_eval)
@@ -201,7 +201,6 @@ def build_parser():
     pv.add_argument("--seed", type=int, default=1234)
     pv.add_argument("--tol-abs", type=float, default=TOL_ABS_DEFAULT)
     pv.add_argument("--tol-rel", type=float, default=TOL_REL_DEFAULT)
-    pv.add_argument("--order", type=int, default=3, choices=(3, 4))
     pv.add_argument("--quad-grid", type=int, default=0,
                     help="also run quadrature checks at this grid")
     pv.add_argument("--ambient", help="override: flat or space_form(RHO)")
@@ -213,7 +212,6 @@ def build_parser():
     pi.add_argument("--entry", help="built-in catalog entry name")
     pi.add_argument("--grid", type=int, default=32)
     pi.add_argument("--check", choices=("stokes", "eq2.3"), default="stokes")
-    pi.add_argument("--order", type=int, default=3, choices=(3, 4))
     pi.add_argument("--ambient", help="override: flat or space_form(RHO)")
     pi.add_argument("--json", help="also write JSON here")
     pi.set_defaults(fn=_cmd_integrate)
@@ -228,10 +226,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except KangleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (KangleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -300,10 +300,10 @@ class _Parser:
             self.expect("(")
             rho = self.parse_real()
             self.expect(")")
-            if rho == 0.0:
+            if rho == 0.0 or not np.isfinite(rho):
                 raise ImmersionSyntaxError(
-                    "space_form curvature parameter must be nonzero",
-                    tok.line, tok.col, ("nonzero real",),
+                    "space_form curvature parameter must be finite and "
+                    "nonzero", tok.line, tok.col, ("finite nonzero real",),
                 )
             return space_form(rho, 2 * n)
         self.fail(f"found {tok.text!r}", expected=("flat", "space_form"))

@@ -73,13 +73,15 @@ class Snapshot:
 
     Value arrays are batch-first; jet fields keep the component-axes-first
     layout of :mod:`kangle.calculus`.  ``masks`` maps context names to
-    boolean arrays over the batch.  ``rejected`` lists the dropped points
-    as (index into the caller's points, reason).
+    boolean arrays over the batch.  ``index`` holds each kept point's index
+    into the caller's points, and ``rejected`` lists the dropped points as
+    (index into the caller's points, reason).
     """
 
     n: int
     order: int
     points: np.ndarray
+    index: np.ndarray
     ambient_spec: amb.AmbientSpec
     rejected: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
@@ -339,13 +341,13 @@ def snapshot_from_F(n, ambient_spec, F, points, order, reads=None):
     truncated to that order, which ``snap.order`` reports.  Each stage
     reads keys of the stages before it; ``work`` carries what no reader
     needs (F, dF, g_N, Gamma_N along F, the |F*w|^2 and d F*w the form
-    Laplacians differentiate, the factors the eigenframes are built from,
-    and the caller's index of each point) and is dropped.
+    Laplacians differentiate and the factors the eigenframes are built
+    from) and is dropped.
     """
     stages, order = _plan(reads, order)
     snap = Snapshot(n=n, order=order, points=points,
-                    ambient_spec=ambient_spec)
-    work = {"F": F.truncated(order), "index": np.arange(len(points))}
+                    index=np.arange(len(points)), ambient_spec=ambient_spec)
+    work = {"F": F.truncated(order)}
     for stage in stages:
         stage(snap, work)
     return snap
@@ -353,18 +355,18 @@ def snapshot_from_F(n, ambient_spec, F, points, order, reads=None):
 
 def _gate(snap, work, good, reason, error):
     """Drop the points where ``good`` is false from everything computed so
-    far: the points, every jet of ``snap.jets`` and ``work`` and every array
-    of ``snap.data`` and ``snap.masks``.  Each dropped point is recorded in
-    ``snap.rejected`` as (index into the caller's points, reason); ``error``
-    is raised when no point is left."""
+    far: the points and their indices, every jet of ``snap.jets`` and
+    ``work`` and every array of ``snap.data`` and ``snap.masks``.  Each
+    dropped point is recorded in ``snap.rejected`` as (index into the
+    caller's points, reason); ``error`` is raised when no point is left."""
     if np.all(good):
         return
     bad, keep = np.nonzero(~good)[0], np.nonzero(good)[0]
-    snap.rejected += [(int(work["index"][b]), reason) for b in bad]
+    snap.rejected += [(int(snap.index[b]), reason) for b in bad]
     if not keep.size:
         raise error(f"no point left: {reason} at {bad.size} point(s), "
                     f"e.g. {snap.points[bad[0]]}")
-    snap.points = snap.points[keep]
+    snap.points, snap.index = snap.points[keep], snap.index[keep]
     for store in (snap.jets, work, snap.data, snap.masks):
         for key, value in store.items():
             if isinstance(value, Jet):

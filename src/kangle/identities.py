@@ -2,9 +2,11 @@
 
 Every identity is evaluated as LHS - RHS over a batch snapshot, with an
 applicability gate so formulas are only asserted on their domain of
-validity.  Records carry the raw sides, absolute and relative residuals and
-the gating reason; nothing is asserted at points whose classification
-violates an identity's hypotheses.
+validity.  Each suite returns one ``Residual`` column block per identity;
+``run_identity_suite`` alone judges the blocks against the tolerances and
+builds the records, which carry the raw sides, absolute and relative
+residuals and the gating reason; nothing is asserted at points whose
+classification violates an identity's hypotheses.
 
 Two sign conventions are not fixed a priori and are calibrated once per
 process on a built-in flat surface: ``s_delta`` (the scalar Laplacian as a
@@ -19,7 +21,7 @@ report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +42,7 @@ SUITES = ("prop3.1", "lemma3.1", "delta_kappa", "weitzenboeck",
 __all__ = [
     "Conventions",
     "IdentityResidual",
+    "Residual",
     "calibrate_conventions",
     "verify_prop3_1",
     "verify_lemma3_1",
@@ -104,50 +107,56 @@ def finite_or_none(x):
     return x if x is not None and math.isfinite(x) else None
 
 
-def _flt(x):
-    x = np.asarray(x)
-    if x.ndim == 0:
-        return finite_or_none(float(x))
-    return [finite_or_none(v) for v in x.ravel().tolist()]
+@dataclass
+class Residual:
+    """One identity LHS - RHS over a snapshot's batch, as columns: lhs and
+    rhs (B,) or (B, k), the (B,) scale of the largest term, which divides
+    the relative residual, the (B,) gate and the reason (an array or one
+    str) a point fails it.  A ``reported`` block is a ratio, not judged."""
+
+    id: str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    scale: np.ndarray
+    applicable: np.ndarray
+    reason: object = ""
+    reported: bool = False
+
+    def residuals(self):
+        """(abs, rel), each (B,): the largest |LHS - RHS| over the
+        components and abs / scale; lhs / rhs twice if reported."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if self.reported:
+                return self.lhs / self.rhs, self.lhs / self.rhs
+            diff = np.abs(self.lhs - self.rhs)
+            a = np.max(diff.reshape(len(diff), -1), axis=1)
+            return a, a / np.maximum(self.scale, 1e-300)
 
 
-def _records(ident, lhs, rhs, scale, applicable, reasons,
-             tol_abs, tol_rel):
-    """Build per-point records from batched sides.
+def _column(values, applicable):
+    """Per-point report values of a (B,) or (B, k) array: None where the
+    record is not applicable or a value is not finite."""
+    cells = values.astype(object)
+    cells[~np.isfinite(values)] = None
+    return [c if ok else None
+            for c, ok in zip(cells.tolist(), applicable.tolist())]
 
-    lhs, rhs: (B,) or (B, k); scale: (B,) magnitude of the largest term in
-    the identity (relative residuals are scaled by it).
-    """
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    diff = lhs - rhs
-    if diff.ndim > 1:
-        a = np.max(np.abs(diff.reshape(diff.shape[0], -1)), axis=1)
+
+def _judge(block, index, tol_abs, tol_rel):
+    """The records of one block, for the caller's points ``index``; the
+    one place a residual meets a tolerance."""
+    a, rel = block.residuals()
+    app = block.applicable
+    if block.reported:
+        passed, tol_abs, tol_rel = np.ones_like(app), None, None
     else:
-        a = np.abs(diff)
-    scale = np.asarray(scale, dtype=float)
-    rel = a / np.maximum(scale, 1e-300)
-    out = []
-    B = lhs.shape[0]
-    for b in range(B):
-        app = bool(applicable[b])
-        if app:
-            ok = bool(a[b] <= tol_abs or rel[b] <= tol_rel)
-            reason = ""
-        else:
-            ok = False
-            reason = reasons[b] if isinstance(reasons, (list, np.ndarray)) \
-                else reasons
-        out.append(IdentityResidual(
-            id=ident, point_index=b,
-            lhs=_flt(lhs[b]) if app else None,
-            rhs=_flt(rhs[b]) if app else None,
-            abs_residual=float(a[b]) if app else None,
-            rel_residual=float(rel[b]) if app else None,
-            applicable=app, reason=reason,
-            tol_abs=tol_abs, tol_rel=tol_rel, passed=ok,
-        ))
-    return out
+        passed = app & ((a <= tol_abs) | (rel <= tol_rel))
+    rows = zip(index.tolist(), _column(block.lhs, app),
+               _column(block.rhs, app), _column(a, app), _column(rel, app),
+               app.tolist(), np.where(app, "", block.reason).tolist(),
+               passed.tolist())
+    return [IdentityResidual(block.id, *row, tol_abs, tol_rel, ok)
+            for *row, ok in rows]
 
 
 def _reason_array(B, masks_and_reasons):
@@ -183,8 +192,7 @@ def _curv_sum(snap):
        "norm_grad_costheta2", "norm_nabla_Jw2", "Jw0", "grad_costheta",
        "delta_W_sharp0", "norm_delta_W2", "delta_Jw0", "band", "sumE",
        "grad_sin2_0", "grad_cos2_0", "g0", "sin2_0", "sff11_norm2")
-def verify_prop3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
-                   tol_rel=TOL_REL_DEFAULT):
+def verify_prop3_1(snap, conventions):
     """Equal-angle norm/codifferential identities for the pulled-back form."""
     B, n = snap.size, snap.n
     sd = conventions.delta_sign
@@ -195,9 +203,8 @@ def verify_prop3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     app, why = _reason_array(B, [(eq, "angles not equal")])
     lhs = snap.norm_W2_0
     rhs = n * cosb**2
-    out += _records("prop3.1.norm_fw", lhs, rhs,
-                    np.maximum(np.abs(lhs), np.abs(rhs)) + 1.0,
-                    app, why, tol_abs, tol_rel)
+    out.append(Residual("prop3.1.norm_fw", lhs, rhs,
+                        np.maximum(np.abs(lhs), np.abs(rhs)) + 1.0, app, why))
 
     m_jw = snap.masks["jw_field"]
     app, why = _reason_array(B, [(eq, "angles not equal"),
@@ -207,8 +214,7 @@ def verify_prop3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     rhs = n * gc2 + 0.5 * cosb**2 * snap.norm_nabla_Jw2
     scale = np.abs(lhs) + np.abs(n * gc2) + \
         np.abs(0.5 * cosb**2 * snap.norm_nabla_Jw2) + 1e-30
-    out += _records("prop3.1.norm_grad_fw", lhs, rhs, scale, app, why,
-                    tol_abs, tol_rel)
+    out.append(Residual("prop3.1.norm_grad_fw", lhs, rhs, scale, app, why))
 
     Jgc = np.einsum("bij,bj->bi", np.nan_to_num(snap.Jw0),
                     np.nan_to_num(snap.grad_costheta))
@@ -216,21 +222,18 @@ def verify_prop3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     rhs_v = (n - 2.0) * Jgc
     scale = np.sqrt(np.abs(snap.norm_delta_W2)) + \
         np.abs(n - 2) * np.sqrt(np.abs(gc2)) + 1e-30
-    out += _records("prop3.1.delta_form", lhs_v, rhs_v, scale, app, why,
-                    tol_abs, tol_rel)
+    out.append(Residual("prop3.1.delta_form", lhs_v, rhs_v, scale, app, why))
 
     lhs = snap.norm_delta_W2
     rhs = (n - 2.0) ** 2 * gc2
-    out += _records("prop3.1.norm_delta_fw", lhs, rhs,
-                    np.abs(lhs) + np.abs(rhs) + 1e-30, app, why,
-                    tol_abs, tol_rel)
+    out.append(Residual("prop3.1.norm_delta_fw", lhs, rhs,
+                        np.abs(lhs) + np.abs(rhs) + 1e-30, app, why))
 
     lhs_v = cosb[:, None] * sd * snap.delta_Jw0
     rhs_v = (n - 1.0) * Jgc
     scale = cosb * np.linalg.norm(np.nan_to_num(snap.delta_Jw0), axis=1) \
         + np.abs(n - 1) * np.sqrt(np.abs(gc2)) + 1e-30
-    out += _records("prop3.1.delta_jw", lhs_v, rhs_v, scale, app, why,
-                    tol_abs, tol_rel)
+    out.append(Residual("prop3.1.delta_jw", lhs_v, rhs_v, scale, app, why))
 
     m_band = snap.masks["band"]
     app, why = _reason_array(B, [(eq, "angles not equal"),
@@ -239,27 +242,17 @@ def verify_prop3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     rhs_v = 16.0 * cosb[:, None] * np.real(1j * snap.sumE)
     scale = np.linalg.norm(lhs_v, axis=1) + np.linalg.norm(rhs_v, axis=1) \
         + np.linalg.norm(snap.grad_cos2_0, axis=1) + 1e-30
-    out += _records("prop3.1.grad_sin2", lhs_v, rhs_v, scale, app, why,
-                    tol_abs, tol_rel)
+    out.append(Residual("prop3.1.grad_sin2", lhs_v, rhs_v, scale, app, why))
 
     # (g): reported ratio, not asserted
     with np.errstate(invalid="ignore", divide="ignore"):
         num = np.einsum("bij,bi,bj->b", snap.g0, snap.grad_sin2_0,
                         snap.grad_sin2_0)
         den = cosb**2 * snap.sin2_0 * snap.sff11_norm2
-        ratio = num / den
-    for b in range(B):
-        appl = bool(app[b] and np.isfinite(ratio[b]))
-        out.append(IdentityResidual(
-            id="prop3.1.estimate_ratio", point_index=b,
-            lhs=float(num[b]) if appl else None,
-            rhs=float(den[b]) if appl else None,
-            abs_residual=float(ratio[b]) if appl else None,
-            rel_residual=float(ratio[b]) if appl else None,
-            applicable=appl,
-            reason="" if appl else "ratio undefined at this point",
-            tol_abs=float("inf"), tol_rel=float("inf"), passed=True,
-        ))
+        defined = np.isfinite(num / den)
+    out.append(Residual("prop3.1.estimate_ratio", num, den, den,
+                        app & defined, "ratio undefined at this point",
+                        reported=True))
     return out
 
 
@@ -267,8 +260,7 @@ def verify_prop3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
        "g_inv0", "W0", "nabla_perpH", "Jw0", "JHtop0", "sumD", "normH2",
        "sumA", "sumB", "sumC", "equal_gate", "sumA_perp", "jw_field",
        "div_Jw_JHtop", "delta_Jw0", "div_JHtop", "sumRe_perp")
-def verify_lemma3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
-                    tol_rel=TOL_REL_DEFAULT):
+def verify_lemma3_1(snap, conventions):
     """Mean-curvature projection identities (any immersion, gated parts)."""
     B, n = snap.size, snap.n
     sd = conventions.delta_sign
@@ -288,10 +280,9 @@ def verify_lemma3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     scale = np.max(np.abs(lhs).reshape(B, -1), axis=1) + \
         np.max(np.abs(rhs1).reshape(B, -1), axis=1) + 1e-30
     app = np.ones(B, dtype=bool)
-    out += _records("lemma3.1.i_a", lhs.reshape(B, -1), rhs1.reshape(B, -1),
-                    scale, app, "", tol_abs, tol_rel)
-    out += _records("lemma3.1.i_b", lhs.reshape(B, -1), rhs2.reshape(B, -1),
-                    scale, app, "", tol_abs, tol_rel)
+    lhs = lhs.reshape(B, -1)
+    out.append(Residual("lemma3.1.i_a", lhs, rhs1.reshape(B, -1), scale, app))
+    out.append(Residual("lemma3.1.i_b", lhs, rhs2.reshape(B, -1), scale, app))
 
     # (ii) half J_w (JH)^T equals the frame sum; needs full rank
     full_rank = snap.cos_angles[:, -1] > 1e-4
@@ -300,8 +291,7 @@ def verify_lemma3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     rhs_v = snap.sumD
     scale = np.linalg.norm(lhs_v, axis=1) + np.linalg.norm(rhs_v, axis=1) \
         + np.sqrt(snap.normH2) + 1e-30
-    out += _records("lemma3.1.ii", lhs_v, rhs_v, scale, app, why,
-                    tol_abs, tol_rel)
+    out.append(Residual("lemma3.1.ii", lhs_v, rhs_v, scale, app, why))
 
     # (iii) the chain t1 = t2 = t3 (= t4 equal angles) (= t5 off L)
     t1 = 2.0 * snap.sumA
@@ -310,30 +300,27 @@ def verify_lemma3_1(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     hscale = np.sqrt(snap.normH2) * (1.0 + np.max(
         np.abs(snap.sff0).reshape(B, -1), axis=1)) + np.abs(t1) + 1e-30
     app = np.ones(B, dtype=bool)
-    out += _records("lemma3.1.iii_frame", t1, t2, hscale, app, "",
-                    tol_abs, tol_rel)
-    out += _records("lemma3.1.iii_exterior", t1, t3, hscale, app, "",
-                    tol_abs, tol_rel)
+    out.append(Residual("lemma3.1.iii_frame", t1, t2, hscale, app))
+    out.append(Residual("lemma3.1.iii_exterior", t1, t3, hscale, app))
     eq = snap.equal_gate
     app, why = _reason_array(B, [(eq, "angles not equal")])
     t4 = -2.0 * n * cosb * snap.normH2 - 4.0 * snap.sumA_perp
-    out += _records("lemma3.1.iii_normal", t1, t4,
-                    hscale + np.abs(t4), app, why, tol_abs, tol_rel)
+    out.append(Residual("lemma3.1.iii_normal", t1, t4, hscale + np.abs(t4),
+                        app, why))
     m_jw = snap.masks["jw_field"]
     app, why = _reason_array(B, [(eq, "angles not equal"),
                                  (m_jw, "Lagrangian point")])
     t5 = -snap.div_Jw_JHtop + sd * np.einsum(
         "bij,bi,bj->b", snap.g0, snap.JHtop0, np.nan_to_num(snap.delta_Jw0))
-    out += _records("lemma3.1.iii_divergence", t1, t5,
-                    hscale + np.abs(np.nan_to_num(t5)), app, why,
-                    tol_abs, tol_rel)
+    out.append(Residual("lemma3.1.iii_divergence", t1, t5,
+                        hscale + np.abs(np.nan_to_num(t5)), app, why))
 
     # (iv) divergence of (JH)^T
     app, why = _reason_array(B, [(eq, "angles not equal")])
     lhs = snap.div_JHtop
     rhs = -4.0 * snap.sumRe_perp
-    out += _records("lemma3.1.iv", lhs, rhs, hscale + np.abs(lhs), app, why,
-                    tol_abs, tol_rel)
+    out.append(Residual("lemma3.1.iv", lhs, rhs, hscale + np.abs(lhs), app,
+                        why))
     return out
 
 
@@ -350,8 +337,7 @@ def _delta_kappa_gate(snap):
        "norm_nabla_Jw2", "norm_grad_costheta2", "lap_kappa", "g0",
        "grad_costheta", "sumD", "sumA", "delta_Jw0", "JHtop0",
        "div_Jw_JHtop_over_sin2")
-def verify_delta_kappa(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
-                       tol_rel=TOL_REL_DEFAULT):
+def verify_delta_kappa(snap, conventions):
     """Angle-Laplacian identities (general form, divergence form, n=1 form)."""
     B, n = snap.size, snap.n
     sD, sd = conventions.s_delta, conventions.delta_sign
@@ -375,29 +361,28 @@ def verify_delta_kappa(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
             + (8.0 * n / sin2) * snap.sumA
         scale = np.abs(np.nan_to_num(bracket)) + np.abs(np.nan_to_num(lhs)) \
             + np.abs((8.0 * n / np.maximum(sin2, 1e-30)) * snap.sumA) + 1e-30
-        out += _records("prop3.2.delta_kappa", lhs, rhs32, scale, app, why,
-                        tol_abs, tol_rel)
+        out.append(Residual("prop3.2.delta_kappa", lhs, rhs32, scale, app,
+                            why))
 
         jh_term = 4.0 * n * sd * np.einsum(
             "bij,bi,bj->b", snap.g0, np.nan_to_num(snap.delta_Jw0),
             snap.JHtop0) / sin2
         rhs33 = bracket - 4.0 * n * snap.div_Jw_JHtop_over_sin2 + jh_term
-        out += _records("prop3.3.delta_kappa", lhs, rhs33, scale, app, why,
-                        tol_abs, tol_rel)
+        out.append(Residual("prop3.3.delta_kappa", lhs, rhs33, scale, app,
+                            why))
 
     if n == 1:
         rhs_c = -2.0 * R * cosb - 4.0 * snap.div_Jw_JHtop_over_sin2
         scale = np.abs(np.nan_to_num(lhs)) + np.abs(np.nan_to_num(rhs_c)) \
             + 2.0 * np.abs(R) * cosb + 1e-30
-        out += _records("cor3.2.delta_kappa", lhs, rhs_c, scale, app, why,
-                        tol_abs, tol_rel)
+        out.append(Residual("cor3.2.delta_kappa", lhs, rhs_c, scale, app,
+                            why))
     return out
 
 
 @reads("lap_norm_W2", "hodge_pair", "norm_nabla_W2", "S_pair", "cos_angles",
        "equal_gate", "sumRM")
-def verify_weitzenboeck(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
-                        tol_rel=TOL_REL_DEFAULT):
+def verify_weitzenboeck(snap, conventions):
     """The 2-form Bochner balance for the pulled-back form (any immersion)."""
     sD, sd = conventions.s_delta, conventions.delta_sign
     terms = np.stack([
@@ -409,15 +394,15 @@ def verify_weitzenboeck(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     resid = np.sum(terms, axis=0)
     scale = np.sum(np.abs(terms), axis=0) + 1e-30
     app = np.ones(snap.size, dtype=bool)
-    out = _records("eq2.2.weitzenboeck", resid, np.zeros_like(resid), scale,
-                   app, "", tol_abs, tol_rel)
+    out = [Residual("eq2.2.weitzenboeck", resid, np.zeros_like(resid), scale,
+                    app)]
     # equal-angle closed form of the curvature pairing
     cosb = _costheta_bar(snap)
     app, why = _reason_array(snap.size, [(snap.equal_gate, "angles not equal")])
     rhs = 16.0 * cosb**2 * _curv_sum(snap)
     scale = np.abs(snap.S_pair) + np.abs(rhs) + 1e-30
-    out += _records("eq2.2.s_closed_form", snap.S_pair, rhs, scale, app, why,
-                    tol_abs, tol_rel)
+    out.append(Residual("eq2.2.s_closed_form", snap.S_pair, rhs, scale, app,
+                        why))
     return out
 
 
@@ -425,8 +410,7 @@ def verify_weitzenboeck(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
        "JHtop0", "g0", "grad_costheta", "S_pair", "norm_nabla_W2",
        "norm_grad_abs_sin2", "div_Wsharp_JHtop", "lap_cos2", "W0",
        "grad_log_sin2", "normH2", "delta_W0")
-def verify_prop3_4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
-                   tol_rel=TOL_REL_DEFAULT):
+def verify_prop3_4(snap, conventions):
     """Laplacian of cos^2 and the two rewritings of its last term."""
     B, n = snap.size, snap.n
     sD, sd = conventions.s_delta, conventions.delta_sign
@@ -451,8 +435,7 @@ def verify_prop3_4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
         lhs = n * sD * snap.lap_cos2
         rhs = np.sum(terms, axis=0)
         scale = np.sum(np.abs(terms), axis=0) + np.abs(lhs) + 1e-30
-        out += _records("prop3.4.delta_cos2", lhs, rhs, scale, app, why,
-                        tol_abs, tol_rel)
+        out.append(Residual("prop3.4.delta_cos2", lhs, rhs, scale, app, why))
 
         if n == 2:
             Wpair = np.einsum("bij,bi,bj->b", snap.W0, snap.JHtop0,
@@ -460,24 +443,23 @@ def verify_prop3_4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
             rhs_33 = 8.0 * Wpair
             scale = np.abs(np.nan_to_num(term32)) + np.abs(rhs_33) + \
                 np.sqrt(snap.normH2) + 1e-30
-            out += _records("prop3.4.term_3_3", np.nan_to_num(term32), rhs_33,
-                            scale, app, why, tol_abs, tol_rel)
+            out.append(Residual("prop3.4.term_3_3", np.nan_to_num(term32),
+                                rhs_33, scale, app, why))
         if n >= 3:
             dfw_jh = sd * np.einsum("bi,bi->b", snap.delta_W0, snap.JHtop0)
             rhs_34 = (4.0 * n * (2.0 + (n - 4.0) * sin2)
                       / (sin2 * (n - 2.0))) * dfw_jh
             scale = np.abs(np.nan_to_num(term32)) + np.abs(rhs_34) + \
                 np.sqrt(snap.normH2) + 1e-30
-            out += _records("prop3.4.term_3_4", np.nan_to_num(term32), rhs_34,
-                            scale, app, why, tol_abs, tol_rel)
+            out.append(Residual("prop3.4.term_3_4", np.nan_to_num(term32),
+                                rhs_34, scale, app, why))
     return out
 
 
 @reads("cos_angles", "sin2_0", "equal_gate", "off_complex", "W0", "JHtop0",
        "grad_log_sin2", "div_Wsharp_JHtop", "normH2", "sff0", "nabla_perpH",
        "grad_sin2_0")
-def verify_section4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
-                    tol_rel=TOL_REL_DEFAULT):
+def verify_section4(snap, conventions):
     """The n=2 divergence identity and its pointwise corollary."""
     B, n = snap.size, snap.n
     out = []
@@ -497,8 +479,7 @@ def verify_section4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
         rhs = -2.0 * snap.div_Wsharp_JHtop + 2.0 * Wpair_log
         scale = np.abs(lhs) + 2.0 * np.abs(snap.div_Wsharp_JHtop) \
             + 2.0 * np.abs(Wpair_log) + snap.normH2 + 1e-30
-        out += _records("eq4.1.divergence", lhs, rhs, scale, app, why,
-                        tol_abs, tol_rel)
+        out.append(Residual("eq4.1.divergence", lhs, rhs, scale, app, why))
 
     # pointwise corollary: stated for parallel mean curvature
     sff_scale = np.max(np.abs(snap.sff0).reshape(B, -1), axis=1)
@@ -512,8 +493,7 @@ def verify_section4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     rhs = 2.0 * Wpair_s2
     scale = np.abs(sin2**2 * cosb**2 * R) + 8.0 * sin2 * cosb**2 * snap.normH2 \
         + np.abs(rhs) + 1e-30
-    out += _records("cor1.1.pointwise", lhs, rhs, scale, app, why,
-                    tol_abs, tol_rel)
+    out.append(Residual("cor1.1.pointwise", lhs, rhs, scale, app, why))
     return out
 
 
@@ -521,8 +501,7 @@ def verify_section4(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
        "sigma_trace0", "dsigma_jh0", "dsigma_dw0", "W0", "grad_cos2_0",
        "cos2_0", "sin2_0", "d_JHb", "frame_X", "frame_Y", "normH2",
        "sumA_perp", "classification", "sff0")
-def verify_prop3_6(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
-                   tol_rel=TOL_REL_DEFAULT):
+def verify_prop3_6(snap, conventions):
     """The sigma 1-form, its exterior derivative, and the constant-angle
     equalities; plus closedness of ((JH)^T)-flat on Lagrangian points."""
     B, n = snap.size, snap.n
@@ -539,15 +518,15 @@ def verify_prop3_6(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     sigma = snap.sigma_jh0 + sd * snap.sigma_dw0
     scale = np.linalg.norm(np.nan_to_num(sigma), axis=1) + \
         np.linalg.norm(np.nan_to_num(snap.sigma_trace0), axis=1) + 1e-30
-    out += _records("prop3.6.sigma_trace", sigma, snap.sigma_trace0, scale,
-                    app, why, tol_abs, tol_rel)
+    out.append(Residual("prop3.6.sigma_trace", sigma, snap.sigma_trace0,
+                        scale, app, why))
 
     dsigma = snap.dsigma_jh0 + sd * snap.dsigma_dw0
     rhs = R * snap.W0
     scale = np.max(np.abs(np.nan_to_num(dsigma)).reshape(B, -1), axis=1) \
         + np.abs(R) * np.max(np.abs(snap.W0).reshape(B, -1), axis=1) + 1e-30
-    out += _records("prop3.6.dsigma", dsigma.reshape(B, -1),
-                    rhs.reshape(B, -1), scale, app, why, tol_abs, tol_rel)
+    out.append(Residual("prop3.6.dsigma", dsigma.reshape(B, -1),
+                        rhs.reshape(B, -1), scale, app, why))
 
     # constant-angle equalities
     const_angle = np.linalg.norm(snap.grad_cos2_0, axis=1) <= 1e-7 * (
@@ -561,10 +540,10 @@ def verify_prop3_6(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
                           snap.frame_X, snap.frame_Y)
     right = -4.0 * n * cosb * snap.normH2 - 8.0 * snap.sumA_perp
     scale = np.abs(lhs) + np.abs(mid) + np.abs(right) + snap.normH2 + 1e-30
-    out += _records("prop3.6.const_angle_left", lhs, mid, scale, app, why,
-                    tol_abs, tol_rel)
-    out += _records("prop3.6.const_angle_right", mid, right, scale, app, why,
-                    tol_abs, tol_rel)
+    out.append(Residual("prop3.6.const_angle_left", lhs, mid, scale, app,
+                        why))
+    out.append(Residual("prop3.6.const_angle_right", mid, right, scale, app,
+                        why))
 
     # closedness of the (JH)-flat form at Lagrangian points
     lag = snap.classification == LAGRANGIAN
@@ -572,8 +551,7 @@ def verify_prop3_6(snap, conventions, tol_abs=TOL_ABS_DEFAULT,
     dnorm = np.max(np.abs(snap.d_JHb).reshape(B, -1), axis=1)
     scale = np.sqrt(snap.normH2) * (1.0 + np.max(
         np.abs(snap.sff0).reshape(B, -1), axis=1)) + 1e-30
-    out += _records("cor2.1.closed", dnorm, np.zeros(B), scale, app, why,
-                    tol_abs, tol_rel)
+    out.append(Residual("cor2.1.closed", dnorm, np.zeros(B), scale, app, why))
     return out
 
 
@@ -619,14 +597,13 @@ SUITE_READERS = {
 
 def run_identity_suite(snap, suites, conventions, tol_abs=TOL_ABS_DEFAULT,
                        tol_rel=TOL_REL_DEFAULT):
-    """Evaluate the selected suites on a snapshot; returns records."""
-    records = []
-    for name in suites:
-        if name == "hypotheses":
-            continue
-        records.extend(SUITE_READERS[name](snap, conventions,
-                                           tol_abs=tol_abs, tol_rel=tol_rel))
-    return records
+    """Evaluate the selected suites on a snapshot; returns the records,
+    ordered by (id, point_index), with ``point_index`` the index of the
+    point in the points the snapshot was computed on."""
+    blocks = [block for name in suites if name != "hypotheses"
+              for block in SUITE_READERS[name](snap, conventions)]
+    return [record for block in sorted(blocks, key=lambda b: b.id)
+            for record in _judge(block, snap.index, tol_abs, tol_rel)]
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +615,14 @@ def _calibration_snapshot(order):
     pts = rng.uniform(0.0, 2.0 * np.pi, size=(160, 2))
     return compute_snapshot(spec, pts, order=order, reads=(
         verify_delta_kappa.reads + verify_prop3_1.reads))
+
+
+def _closes(blocks, ident, where=True):
+    """Whether the block ``ident`` has a point that is applicable and in
+    ``where``, and closes to rel < 1e-5 at every such point."""
+    block, = (b for b in blocks if b.id == ident)
+    rel = block.residuals()[1][block.applicable & where]
+    return bool(rel.size) and np.max(rel) < 1e-5
 
 
 @lru_cache(maxsize=4)
@@ -655,28 +640,17 @@ def calibrate_conventions(order=3):
     if np.count_nonzero(strong) < 10:
         raise ConventionError("calibration surface yields too few generic points")
 
-    closing_sD = []
-    for sD in (1, -1):
-        conv = Conventions(s_delta=sD, delta_sign=1)
-        recs = [r for r in verify_delta_kappa(snap, conv)
-                if r.id == "cor3.2.delta_kappa" and r.applicable
-                and strong[r.point_index]]
-        rels = np.array([r.rel_residual for r in recs])
-        if rels.size and np.max(rels) < 1e-5:
-            closing_sD.append(sD)
+    closing_sD = [sD for sD in (1, -1) if _closes(
+        verify_delta_kappa(snap, Conventions(s_delta=sD, delta_sign=1)),
+        "cor3.2.delta_kappa", strong)]
     if len(closing_sD) != 1:
         raise ConventionError(
             f"scalar-Laplacian sign calibration not unique: {closing_sD}"
         )
-
-    closing_sd = []
-    for sd in (1, -1):
-        conv = Conventions(s_delta=closing_sD[0], delta_sign=sd)
-        recs = [r for r in verify_prop3_1(snap, conv)
-                if r.id == "prop3.1.delta_form" and r.applicable]
-        rels = np.array([r.rel_residual for r in recs])
-        if rels.size and np.max(rels) < 1e-5:
-            closing_sd.append(sd)
+    closing_sd = [sd for sd in (1, -1) if _closes(
+        verify_prop3_1(snap, Conventions(s_delta=closing_sD[0],
+                                         delta_sign=sd)),
+        "prop3.1.delta_form")]
     if len(closing_sd) != 1:
         raise ConventionError(
             f"codifferential sign calibration not unique: {closing_sd}"

@@ -127,8 +127,6 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
              "rhs": finite_or_none(rhs), "pass": eq23_pass(lhs, rhs)},
         ]
     cos = snap.cos_angles
-    # records index the kept points; report the caller's index
-    kept = np.delete(np.arange(len(pts)), [i for i, _ in snap.rejected])
     result = {
         "name": entry.name,
         "points_sampled": int(snap.size),
@@ -144,8 +142,7 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
         "equal_angle_gate": gate_info,
         "hypothesis_fields": fields,
         "quadrature": quad,
-        "residuals": [{**r.as_dict(), "point_index": int(kept[r.point_index])}
-                      for r in records],
+        "residuals": [r.as_dict() for r in records],
     }
     return result
 
@@ -171,6 +168,11 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
         raise RunError(f"unknown suites: {unknown}; available: {SUITES}")
     if points < 1:
         raise RunError(f"points per entry must be at least 1, got {points}")
+    if seed < 0:
+        raise RunError(f"seed must be non-negative, got {seed}")
+    if not (tol_abs >= 0 and tol_rel >= 0):
+        raise RunError(f"tolerances must be non-negative numbers, got "
+                       f"abs {tol_abs}, rel {tol_rel}")
     if threads is None:
         env = os.environ.get("KANGLE_THREADS", "0")
         try:
@@ -205,7 +207,6 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
                 if not rec["pass"]:
                     n_failed += 1
                     info["failed"] += 1
-        res["residuals"].sort(key=lambda r: (r["id"], r["point_index"]))
 
     ok = (n_failed == 0
           and all(r["expected_ok"] for r in results)

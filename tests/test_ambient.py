@@ -191,8 +191,9 @@ def test_rejected_indices_refer_to_the_callers_points():
 
 
 def test_spec_validation():
-    with pytest.raises(UsageError):
-        space_form(0.0, 2)
+    for rho in (0.0, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(UsageError):
+            space_form(rho, 2)
     with pytest.raises(UsageError):
         from kangle.ambient import AmbientSpec
         AmbientSpec("flat", 1.0, 2)

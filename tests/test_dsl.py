@@ -48,6 +48,15 @@ def test_missing_bracket_is_positioned():
     assert "]" in err.value.expected
 
 
+def test_non_finite_space_form_curvature_is_positioned():
+    for rho in ("0", "1e400", "-1e400"):
+        with pytest.raises(ImmersionSyntaxError) as err:
+            parse_immersion(f"n=1; ambient=space_form({rho}); "
+                            "map=[u1, u2, 0, 0]")
+        assert (err.value.line, err.value.column) == (1, 14), rho
+        assert "finite nonzero real" in err.value.expected
+
+
 def test_arity_error():
     with pytest.raises(ArityError) as err:
         parse_immersion("n=2; ambient=flat; map=[u1,u2,u3]")

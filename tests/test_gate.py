@@ -13,6 +13,7 @@ from kangle.errors import (
     DegenerateAngleError,
     NotAnImmersionError,
 )
+from kangle.identities import SUITES, run_identity_suite
 from kangle.runner import run_suite, sample_points
 
 CHART = "n=1; ambient=space_form(-1); map=[u1, 0, u2, 0]"
@@ -82,6 +83,29 @@ def test_cli_eval_at_a_rejected_point(text, point, reason, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert reason in captured.err
+
+
+def test_identity_records_index_the_callers_points(monkeypatch,
+                                                  conventions):
+    """After a rejection the records skip the dropped point and keep the
+    index of every other point in the points passed in."""
+    entry = get_entry("trig_flat_4d")
+    pts = sample_points(entry.box, 8, 1234)
+    whole = geometry.compute_snapshot(entry.spec(), pts)
+    want = {(r.id, r.point_index): r
+            for r in run_identity_suite(whole, SUITES, conventions)}
+    bad = _fail_one_pairing(monkeypatch, whole)
+    assert bad < len(pts) - 1     # so a later point shows an index shift
+    records = run_identity_suite(
+        geometry.compute_snapshot(entry.spec(), pts), SUITES, conventions)
+    keys = [(r.id, r.point_index) for r in records]
+    assert keys == sorted(keys)
+    assert {i for _, i in keys} == set(range(len(pts))) - {bad}
+    for rec in records:
+        ref = want[rec.id, rec.point_index]
+        assert rec.applicable == ref.applicable
+        if rec.applicable:
+            assert np.allclose(rec.lhs, ref.lhs, rtol=1e-12, atol=1e-12)
 
 
 def test_run_suite_counts_a_pairing_rejection(monkeypatch, conventions):

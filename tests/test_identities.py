@@ -16,8 +16,6 @@ from kangle.identities import (
     calibrate_conventions,
     evaluate_hypothesis_fields,
     run_identity_suite,
-    verify_delta_kappa,
-    verify_prop3_1,
     SUITES,
 )
 
@@ -52,7 +50,7 @@ def check_calibration_sign_uniqueness():
     closing_sD = []
     for sD in (1, -1):
         conv = Conventions(s_delta=sD, delta_sign=1)
-        recs = [r for r in verify_delta_kappa(snap, conv)
+        recs = [r for r in run_identity_suite(snap, ["delta_kappa"], conv)
                 if r.id == "cor3.2.delta_kappa" and r.applicable]
         if max(r.rel_residual for r in recs) < 1e-5:
             closing_sD.append(sD)
@@ -60,7 +58,7 @@ def check_calibration_sign_uniqueness():
     closing_sd = []
     for sd in (1, -1):
         conv = Conventions(s_delta=closing_sD[0], delta_sign=sd)
-        recs = [r for r in verify_prop3_1(snap, conv)
+        recs = [r for r in run_identity_suite(snap, ["prop3.1"], conv)
                 if r.id == "prop3.1.delta_form" and r.applicable]
         if max(r.rel_residual for r in recs) < 1e-5:
             closing_sd.append(sd)
@@ -110,7 +108,7 @@ def test_ds_minimal_delta_kappa_curvature_terms(conventions):
     """On the minimal graph the angle Laplacian balances pure curvature
     terms; assert the residual is small relative to genuinely large sides."""
     snap = snap_of("ds_graph", count=100)
-    recs = [r for r in verify_delta_kappa(snap, conventions)
+    recs = [r for r in run_identity_suite(snap, ["delta_kappa"], conventions)
             if r.id == "prop3.2.delta_kappa" and r.applicable]
     assert len(recs) >= 60
     sides = np.array([np.abs(r.lhs) for r in recs])
@@ -125,7 +123,8 @@ def test_cor32_R_term_sign(conventions):
         snap = snap_of(name, count=60)
         R = einstein_constant(snap.ambient_spec)
         assert R == 6.0 * snap.ambient_spec.rho
-        recs = [r for r in verify_delta_kappa(snap, conventions)
+        recs = [r for r in run_identity_suite(snap, ["delta_kappa"],
+                                              conventions)
                 if r.id == "cor3.2.delta_kappa" and r.applicable]
         assert recs and max(r.rel_residual for r in recs) < 1e-5
         # negative control: evaluating the same identity with -R must fail
@@ -245,7 +244,7 @@ def test_records_are_deterministic(conventions):
 
 def test_estimate_ratio_reported(conventions):
     snap = snap_of("ds_graph", count=30)
-    recs = [r for r in verify_prop3_1(snap, conventions)
+    recs = [r for r in run_identity_suite(snap, ["prop3.1"], conventions)
             if r.id == "prop3.1.estimate_ratio" and r.applicable]
     assert recs
     ratios = np.array([r.abs_residual for r in recs])

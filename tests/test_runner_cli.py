@@ -200,15 +200,26 @@ def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
     pinched.write_text("n=1; ambient=flat; periodic; "
                        "map=[sin(u1)*cos(u2), sin(u1)*sin(u2), cos(u1), 0]")
 
-    # malformed numbers and dropped grid nodes: exit 2 with a one-line
-    # diagnostic; an exception escaping main() would fail the test with its
-    # traceback
+    # malformed numbers and flags, unwritable outputs and dropped grid
+    # nodes: exit 2 with a one-line diagnostic; an exception escaping main()
+    # would fail the test with its traceback
+    quick = ["verify", "--entry", "ds_graph", "--suite", "prop3.1",
+             "--points", "4"]
     for args, env in (
         (["eval", "--entry", "ds_graph", "--point", "0,abc"], "0"),
         (["eval", "--entry", "ds_graph", "--point", "nan,0,0,0"], "0"),
+        (["eval", "--entry", "ds_graph", "--point", "0,0,0,0",
+          "--json", str(tmp_path)], "0"),
         (["verify", "--entry", "ds_graph", "--points", "0"], "0"),
         (["verify", "--entry", "ds_graph", "--points", "-3"], "0"),
         (["verify", "--entry", "ds_graph", "--points", "4"], "x"),
+        (quick + ["--ambient", "space_form(abc)"], "0"),
+        (quick + ["--ambient", "space_form(inf)"], "0"),
+        (quick + ["--ambient", "space_form(nan)"], "0"),
+        (quick + ["--seed", "-1"], "0"),
+        (quick + ["--tol-abs", "nan"], "0"),
+        (quick + ["--tol-rel", "-1"], "0"),
+        (quick + ["--json", str(tmp_path)], "0"),
         (["integrate", str(pinched), "--grid", "16"], "0"),
         (["verify", str(pinched), "--suite", "prop3.1", "--points", "4",
           "--quad-grid", "16"], "0"),

@@ -96,15 +96,18 @@ def _recording(snap, log=None):
 
 
 def _same(a, b):
-    """Exact equality through dicts, lists and arrays; NaN equals NaN."""
+    """Exact equality through dicts, lists, dataclasses (field by field)
+    and arrays; NaN equals NaN in float arrays."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and _same(vars(a), vars(b))
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        if np.asarray(a).dtype == object:
+            return np.array_equal(a, b)
         return np.array_equal(a, b, equal_nan=True)
-    if hasattr(a, "as_dict"):
-        return a.as_dict() == b.as_dict()
     return a == b
 
 
