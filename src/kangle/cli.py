@@ -225,6 +225,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "json", None):
+            # an unwritable path fails here, not after the whole run
+            with open(args.json, "a", encoding="utf-8"):
+                pass
         return args.fn(args)
     except (KangleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

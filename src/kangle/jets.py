@@ -397,10 +397,8 @@ _UNARY = {
 }
 
 
-def jet_unary(a, name, power=None):
-    """Apply an elementary function (or pow_int via ``power``) to a jet."""
-    if name == "pow_int":
-        return a.powi(power)
+def jet_unary(a, name):
+    """Apply an elementary function to a jet."""
     try:
         gen, domain = _UNARY[name]
     except KeyError:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import trace_hessian
-from .dsl import parse_immersion
 from .errors import QuadratureError, UsageError
 from .geometry import compute_snapshot, reads
 from .jets import jet_seed_all
@@ -71,7 +70,7 @@ INTEGRANDS = {
 def torus_quadrature(spec, integrand, grid_n, order=3, f_expr=None):
     """Integrate ``integrand . Vol_M`` over the coordinate torus.
 
-    spec: a periodic ImmersionSpec (or its text).  integrand: a key of
+    spec: a periodic ImmersionSpec.  integrand: a key of
     INTEGRANDS, giving a float, or a tuple of keys, giving ``{key: float}``
     from one snapshot per chunk of the grid.  grid_n: points per axis
     (>= 8).  Raises QuadratureError if any grid node is rejected, since
@@ -82,8 +81,6 @@ def torus_quadrature(spec, integrand, grid_n, order=3, f_expr=None):
     if unknown:
         raise UsageError(f"unknown integrands {unknown}; available: "
                          f"{', '.join(INTEGRANDS)}")
-    if isinstance(spec, str):
-        spec = parse_immersion(spec)
     if not spec.periodic:
         raise UsageError("torus quadrature needs a periodic immersion")
     if grid_n < 8:

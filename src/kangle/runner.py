@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import builtin_catalog, get_entry
-from .errors import KangleError
+from .errors import KangleError, UsageError
 from .geometry import CLASS_NAMES, compute_snapshot, reads
 from .identities import (
     SUITE_READERS,
@@ -31,12 +32,33 @@ class RunError(KangleError):
     pass
 
 
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)  # Halton bases up to jets.MAX_DIM
+
+
 def sample_points(box, count, seed):
-    """Low-discrepancy (scrambled Halton) points in a box, seedable."""
-    from scipy.stats import qmc  # about 1 s to import; kangle's only scipy use
+    """Scrambled Halton points in a box, seedable.
+
+    Owen's random digit permutations (A. B. Owen, "A randomized Halton
+    algorithm in R", arXiv:1706.02808, Algorithm 1), drawn and summed in
+    the order of scipy.stats.qmc.Halton(d, scramble=True, seed=seed), so
+    the unit points equal its ``random(count)`` bit for bit.
+    """
     d = len(box)
-    h = qmc.Halton(d=d, scramble=True, seed=seed)
-    unit = h.random(count)
+    if d > len(_PRIMES):
+        raise UsageError(f"sample_points covers at most {len(_PRIMES)} "
+                         f"coordinates, got {d}")
+    rng = np.random.default_rng(seed)
+    index = np.arange(count)
+    unit = np.empty((count, d))
+    for k, base in enumerate(_PRIMES[:d]):
+        # one shuffled row of digits per power base**-j > 2**-54
+        levels = math.ceil(54 / math.log2(base)) - 1
+        perms = rng.permuted(np.tile(np.arange(base), (levels, 1)), axis=1)
+        digits = index // base ** np.arange(levels)[:, None] % base
+        # base**-j by repeated division, the terms summed in digit order
+        scale = np.divide.accumulate(np.r_[1.0, np.full(levels, base)])[1:]
+        terms = np.take_along_axis(perms, digits, axis=1) * scale[:, None]
+        unit[:, k] = np.cumsum(terms, axis=0)[-1]
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     return lo + unit * (hi - lo)
@@ -232,16 +254,6 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
     return report
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def report_to_json(report, path=None):
     """The report as compact one-line JSON.
 
@@ -249,8 +261,7 @@ def report_to_json(report, path=None):
     already None in the report; allow_nan=False refuses any that is not,
     since a bare NaN is not JSON.
     """
-    text = json.dumps(report, sort_keys=True, allow_nan=False,
-                      default=_json_default)
+    text = json.dumps(report, sort_keys=True, allow_nan=False)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

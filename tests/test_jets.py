@@ -162,6 +162,13 @@ def test_unary_domain_error_carries_value():
     assert err.value.value == -2.0
 
 
+def test_unknown_unary_name_raises_usage_error():
+    x = jet_seed(1, 2, [0.5], 0)
+    for name in ("pow_int", "tan", "bogus"):
+        with pytest.raises(UsageError, match="unknown unary function"):
+            jet_unary(x, name)
+
+
 def test_extract_examples():
     u1, u2 = jet_seed_all(2, 2, [1.3, -0.4])
     assert (u1 * u2).extract((1, 1)) == 1.0

@@ -80,8 +80,9 @@ def test_nonperiodic_rejected():
         torus_quadrature(get_entry("lagrangian_torus_2").spec(), "bogus", 16)
     # a sphere on the torus grid is no immersion at its two pole rows, so
     # there is no honest total
-    pinched = ("n=1; ambient=flat; periodic; "
-               "map=[sin(u1)*cos(u2), sin(u1)*sin(u2), cos(u1), 0]")
+    pinched = parse_immersion(
+        "n=1; ambient=flat; periodic; "
+        "map=[sin(u1)*cos(u2), sin(u1)*sin(u2), cos(u1), 0]")
     with pytest.raises(QuadratureError,
                        match=r"32 of 256 grid nodes \(12\.5%\).*not an immersion"):
         torus_quadrature(pinched, ("volume", "lap_cos2"), 16)

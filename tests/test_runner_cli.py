@@ -15,7 +15,9 @@ import kangle
 from kangle.ambient import space_form
 from kangle.catalog import get_entry
 from kangle.cli import main
+from kangle.errors import UsageError
 from kangle.geometry import compute_snapshot
+from kangle.jets import MAX_DIM
 from kangle.runner import report_to_json, run_suite, sample_points
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
@@ -137,6 +139,27 @@ def test_seed_changes_points_not_verdict():
     assert not np.allclose(p1, p2)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 8])
+def test_sample_points_equal_scipy_halton(d):
+    """The numpy sampler reproduces scipy's scrambled Halton points bit for
+    bit, so reports, golden files and bench references keep their points."""
+    from scipy.stats import qmc
+    box = tuple((-0.5 * (i + 1), 0.25 + i) for i in range(d))
+    lo, hi = np.array(box).T
+    for seed in (0, 7, 66, 1234, 2**31 - 1):
+        for count in (1, 20, 48, 512, 4096):
+            unit = qmc.Halton(d=d, scramble=True, seed=seed).random(count)
+            want = lo + unit * (hi - lo)
+            assert np.array_equal(sample_points(box, count, seed), want), \
+                (seed, count)
+
+
+def test_sample_points_rejects_more_coordinates_than_primes():
+    assert sample_points(((0.0, 1.0),) * MAX_DIM, 4, 0).shape == (4, MAX_DIM)
+    with pytest.raises(UsageError, match=f"at most {MAX_DIM} coordinates"):
+        sample_points(((0.0, 1.0),) * (MAX_DIM + 1), 4, 0)
+
+
 def test_run_is_deterministic():
     t1 = report_to_json(small_run())
     t2 = report_to_json(small_run())
@@ -153,22 +176,28 @@ def run_cli(*args):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    """scipy.sparse takes about 0.3 s to import and scipy.stats about 1 s,
-    and only sampling needs scipy: neither importing the CLI nor
-    `kangle eval` loads any scipy module."""
+    """scipy.stats takes about 1 s to import and kangle needs no scipy:
+    neither importing the CLI nor `kangle eval` or `kangle verify` loads
+    any scipy module."""
     code = ("import sys, kangle.cli\n"
-            "def scipy_loaded():\n"
-            "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
-            "print(scipy_loaded())\n"
+            "def scipy_loaded(after):\n"
+            "    print('scipy', after,\n"
+            "          any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+            "scipy_loaded('import')\n"
             "kangle.cli.main(['eval', '--entry', 'ds_graph',\n"
             "                 '--point', '0.1,0.2,0.3,0.4'])\n"
-            "print(scipy_loaded())\n")
+            "scipy_loaded('eval')\n"
+            "kangle.cli.main(['verify', '--entry', 'ds_graph',\n"
+            "                 '--points', '4', '--suite', 'prop3.1'])\n"
+            "scipy_loaded('verify')\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.strip().splitlines()
-    assert (lines[0], lines[-1]) == ("False", "False")
-    assert "cos_angles" in proc.stdout
+    assert "cos_angles" in proc.stdout and "PASS" in proc.stdout
+    checks = [line for line in proc.stdout.splitlines()
+              if line.startswith("scipy ")]
+    assert checks == ["scipy import False", "scipy eval False",
+                      "scipy verify False"]
 
 
 def test_cli_catalog():
@@ -228,6 +257,32 @@ def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
         assert main(args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
+
+def test_cli_json_path_checked_before_the_run(tmp_path, capsys, monkeypatch):
+    """An unwritable --json path exits 2 before any entry is computed."""
+    def never(*args, **kwargs):
+        pytest.fail("computed before the --json path was checked")
+
+    for name in ("run_suite", "compute_snapshot", "torus_quadrature"):
+        monkeypatch.setattr(f"kangle.cli.{name}", never)
+    for args in (["eval", "--entry", "ds_graph", "--point", "0,0,0,0"],
+                 ["verify", "--entry", "ds_graph", "--points", "4"],
+                 ["verify"],
+                 ["integrate", "--entry", "lagrangian_torus_4"]):
+        assert main(args + ["--json", str(tmp_path)]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
+
+def test_cli_json_path_receives_the_report(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("stale contents that the report replaces\n" * 4)
+    assert main(["verify", "--entry", "ds_graph", "--suite", "prop3.1",
+                 "--points", "4", "--json", str(out)]) == 0
+    want = report_to_json(run_suite(entries=["ds_graph"], suites=["prop3.1"],
+                                    points=4))
+    assert out.read_text() == want + "\n"
 
 
 def test_cli_verify_entry(tmp_path):
