@@ -15,32 +15,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
 
-from .ambient import flat_space, space_form
 from .calculus import contract
 from .catalog import CatalogEntry, builtin_catalog, get_entry
-from .dsl import parse_immersion, print_immersion
-from .errors import KangleError
+from .dsl import parse_ambient, parse_immersion, print_immersion
+from .errors import ImmersionSyntaxError, KangleError
 from .geometry import CLASS_NAMES, compute_snapshot, reads
 from .identities import SUITES, TOL_ABS_DEFAULT, TOL_REL_DEFAULT
 from .quadrature import eq23_pass, stokes_pass, torus_quadrature
 from .runner import report_to_json, run_suite
-
-
-def _parse_ambient_flag(text, n):
-    text = text.strip()
-    if text == "flat":
-        return flat_space(2 * n)
-    if text.startswith("space_form(") and text.endswith(")"):
-        try:
-            return space_form(float(text[len("space_form("):-1]), 2 * n)
-        except ValueError:
-            pass
-    raise KangleError(
-        f"bad --ambient value {text!r}; use flat or space_form(RHO)")
 
 
 def _load_spec(args):
@@ -54,8 +41,12 @@ def _load_spec(args):
     else:
         raise KangleError("give an .imm file or --entry NAME")
     if getattr(args, "ambient", None):
-        spec = dataclasses.replace(
-            spec, ambient=_parse_ambient_flag(args.ambient, spec.n))
+        try:
+            ambient = parse_ambient(args.ambient, spec.n)
+        except ImmersionSyntaxError as exc:
+            raise KangleError(
+                f"bad --ambient value {args.ambient!r}: {exc}") from None
+        spec = dataclasses.replace(spec, ambient=ambient)
     return spec, entry
 
 
@@ -226,9 +217,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if getattr(args, "json", None):
-            # an unwritable path fails here, not after the whole run
+            # an unwritable path fails here, not after the whole run; a
+            # file that only this check made is removed again, so a
+            # command that fails later leaves none behind
+            existed = os.path.exists(args.json)
             with open(args.json, "a", encoding="utf-8"):
                 pass
+            if not existed:
+                os.remove(args.json)
         return args.fn(args)
     except (KangleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp", "log", "sqrt", "atan")
 
 __all__ = [
     "Expr", "Num", "Var", "Unary", "Bin", "Pow",
-    "ImmersionSpec", "parse_immersion", "print_immersion",
+    "ImmersionSpec", "parse_immersion", "parse_ambient", "print_immersion",
     "eval_components", "eval_components_floats",
 ]
 
@@ -375,6 +375,14 @@ class _Parser:
 def parse_immersion(text, name=""):
     """Parse an immersion definition; raises positioned diagnostics."""
     return _Parser(text).parse_file(name=name)
+
+
+def parse_ambient(text, n):
+    """Parse the ``ambient`` rule alone, for an immersion of dimension n."""
+    parser = _Parser(text)
+    amb = parser.parse_ambient(n)
+    parser.expect("EOF", "end of input")
+    return amb
 
 
 # ---------------------------------------------------------------------------

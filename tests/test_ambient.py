@@ -5,6 +5,7 @@ import pytest
 
 import kangle.calculus as ca
 from kangle.ambient import (
+    AmbientSpec,
     ambient_christoffel,
     ambient_J,
     ambient_metric,
@@ -19,7 +20,7 @@ from kangle.ambient import (
 from kangle.dsl import parse_immersion
 from kangle.errors import ChartDomainError, UsageError
 from kangle.geometry import compute_snapshot
-from kangle.jets import Jet, jet_einsum, jet_seed_all
+from kangle.jets import Jet, jet_einsum, jet_seed_all, jet_unary
 
 
 def _chart_points(rng, spec, count):
@@ -56,8 +57,13 @@ def test_metric_identity_at_origin_and_flat():
     z = np.random.default_rng(1).normal(size=(5, 6))
     assert np.allclose(ambient_metric_point(flat, z),
                        np.broadcast_to(np.eye(6), (5, 6, 6)))
+    gj = ambient_metric(flat, ca.jstack(jet_seed_all(6, 2, z)))
+    assert np.array_equal(gj.value(), np.broadcast_to(np.eye(6)[..., None],
+                                                      (6, 6, 5)))
+    assert not np.any(gj.coeffs[..., 1:])
     assert not np.any(ambient_christoffel(
         flat, ca.jstack(jet_seed_all(6, 2, z))).coeffs)
+    assert not np.any(curvature_tensor_point(flat, z))
 
 
 def test_metric_jets_match_pointwise():
@@ -67,6 +73,29 @@ def test_metric_jets_match_pointwise():
     gj = ambient_metric(spec, ca.jstack(jet_seed_all(4, 2, z)))
     g = ambient_metric_point(spec, z)
     assert np.max(np.abs(np.moveaxis(gj.value(), -1, 0) - g)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("rho", [1.0, -1.0, 0.5, -0.5, 0.0])
+def test_metric_is_the_hessian_of_the_potential(n, rho):
+    """g = (H + J^T H J)/4 with H the real Hessian of the Kahler potential
+    K = (1/rho) log(1 + rho|z|^2), and K = |z|^2 for the flat ambient."""
+    rng = np.random.default_rng(20 + n)
+    spec = space_form(rho, 2 * n) if rho else flat_space(2 * n)
+    m2 = spec.real_dim
+    z = _chart_points(rng, spec, 9)
+    seeds = jet_seed_all(m2, 2, z)
+    s2 = sum(t * t for t in seeds)
+    K = s2 if rho == 0.0 else jet_unary(1.0 + rho * s2, "log") * (1.0 / rho)
+    eye = np.eye(m2, dtype=int)
+    H = np.moveaxis(np.array([[K.extract(eye[a] + eye[b]) for b in range(m2)]
+                              for a in range(m2)]), -1, 0)
+    J = ambient_J(spec)
+    oracle = 0.25 * (H + np.einsum("ca,...cd,db->...ab", J, H, J))
+    g = ambient_metric_point(spec, z)
+    gj = ambient_metric(spec, ca.jstack(seeds))
+    assert np.max(np.abs(g - oracle)) < 1e-12
+    assert np.max(np.abs(np.moveaxis(gj.value(), -1, 0) - oracle)) < 1e-12
 
 
 def test_holomorphic_sectional_curvature():
@@ -195,5 +224,5 @@ def test_spec_validation():
         with pytest.raises(UsageError):
             space_form(rho, 2)
     with pytest.raises(UsageError):
-        from kangle.ambient import AmbientSpec
-        AmbientSpec("flat", 1.0, 2)
+        AmbientSpec(float("nan"), 2)
+    assert flat_space(2).is_flat and not space_form(-0.5, 2).is_flat

@@ -245,6 +245,8 @@ def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
         (quick + ["--ambient", "space_form(abc)"], "0"),
         (quick + ["--ambient", "space_form(inf)"], "0"),
         (quick + ["--ambient", "space_form(nan)"], "0"),
+        (quick + ["--ambient", "space_form(0)"], "0"),
+        (quick + ["--ambient", "space_form(1, 2)"], "0"),
         (quick + ["--seed", "-1"], "0"),
         (quick + ["--tol-abs", "nan"], "0"),
         (quick + ["--tol-rel", "-1"], "0"),
@@ -273,6 +275,19 @@ def test_cli_json_path_checked_before_the_run(tmp_path, capsys, monkeypatch):
         assert main(args + ["--json", str(tmp_path)]) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
+
+def test_cli_failed_command_leaves_the_json_path_as_it_was(tmp_path, capsys):
+    """A command that fails after the --json check leaves no new file, and
+    a file that was there keeps its contents."""
+    fresh, kept = tmp_path / "e.json", tmp_path / "kept.json"
+    kept.write_text("earlier contents\n")
+    for path in (fresh, kept):
+        assert main(["eval", "--entry", "ds_graph", "--point", "0,abc",
+                     "--json", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not fresh.exists()
+    assert kept.read_text() == "earlier contents\n"
 
 
 def test_cli_json_path_receives_the_report(tmp_path):
