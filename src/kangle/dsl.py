@@ -12,6 +12,10 @@ Grammar (whitespace and ``#`` line comments are insignificant)::
     VAR     := "u" INT              (u1 .. u_{2n})
     FUNC    := sin cos sinh cosh exp log sqrt atan
 
+Tokens are ASCII: INT is [0-9]+, REAL adds a fraction and an exponent
+[eE][+-]?[0-9]+ and must be a finite float, and a name is
+[A-Za-z_][A-Za-z0-9_]*; any other character is a positioned error.
+
 Components are listed in the interleaved chart convention
 (x^1, y^1, x^2, y^2, ...), so an ``n``-spec has exactly ``4n`` components in
 the variables u1..u_{2n}.
@@ -19,6 +23,8 @@ the variables u1..u_{2n}.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +38,14 @@ from .errors import (
 )
 from .jets import Jet, jet_seed_all, jet_unary
 
-FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp", "log", "sqrt", "atan")
+# the functions of the grammar and the plain float evaluator's tables
+_FLOAT_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh,
+                    "cosh": np.cosh, "exp": np.exp, "log": np.log,
+                    "sqrt": np.sqrt, "atan": np.arctan}
+FUNCTIONS = tuple(_FLOAT_FUNCTIONS)
+_FLOAT_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_JET_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv}
 
 __all__ = [
     "Expr", "Num", "Var", "Unary", "Bin", "Pow",
@@ -126,72 +139,40 @@ def _max_var(expr):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_SYMBOLS = "=;,[]()+-*/^"
+# one alternative per token kind, in ASCII classes only; the catch-all
+# last alternative makes every other character a positioned error
+_TOKEN = re.compile(r"""
+    (?P<NUM> (?: [0-9]+ (?:\.[0-9]*)? | \.[0-9]+ ) (?: [eE][+-]?[0-9]+ )? )
+  | (?P<IDENT> [A-Za-z_][A-Za-z0-9_]* )
+  | (?P<SYMBOL> [=;,\[\]()+\-*/^] )
+  | (?P<NEWLINE> \n )
+  | (?P<BLANK> [ \t\r]+ | \#[^\n]* )
+  | (?P<BAD> . )
+""", re.VERBOSE)
+_VAR = re.compile(r"u[0-9]+")
 
 
 @dataclass
 class _Token:
-    kind: str   # NUM, IDENT, one of _SYMBOLS, EOF
+    kind: str   # NUM, IDENT, EOF, or the symbol itself
     text: str
     line: int
     col: int
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i, N = 0, len(text)
-    while i < N:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < N and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c.isdigit() or (c == "." and i + 1 < N and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < N and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            if j < N and text[j] in "eE":
-                k = j + 1
-                if k < N and text[k] in "+-":
-                    k += 1
-                if k < N and text[k].isdigit():
-                    j = k
-                    while j < N and text[j].isdigit():
-                        j += 1
-            tokens.append(_Token("NUM", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < N and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _SYMBOLS:
-            tokens.append(_Token(c, c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ImmersionSyntaxError(
-            f"unexpected character {c!r}", start_line, start_col
-        )
-    tokens.append(_Token("EOF", "", line, col))
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD":
+            raise ImmersionSyntaxError(
+                f"unexpected character {m.group()!r}", line, col)
+        elif kind != "BLANK":
+            kind = m.group() if kind == "SYMBOL" else kind
+            tokens.append(_Token(kind, m.group(), line, col))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -234,9 +215,7 @@ class _Parser:
     def parse_int(self, what):
         tok = self.expect("NUM", what)
         try:
-            if any(ch in tok.text for ch in ".eE"):
-                raise ValueError
-            return int(tok.text)
+            return int(tok.text)    # a literal with "." or "e" is no INT
         except ValueError:
             raise ImmersionSyntaxError(
                 f"found {tok.text!r}", tok.line, tok.col, (what,)
@@ -247,8 +226,7 @@ class _Parser:
         if self.peek().kind == "-":
             self.advance()
             sign = -1.0
-        tok = self.expect("NUM", "real number")
-        return sign * float(tok.text)
+        return sign * float(self.expect("NUM", "real number").text)
 
     # -- grammar --------------------------------------------------
 
@@ -281,10 +259,6 @@ class _Parser:
             comps.append(self.parse_expr(n))
         self.expect("]")
         self.expect("EOF", "end of input")
-        if len(comps) != 4 * n:
-            raise ArityError(
-                f"expected {4 * n} map components for n={n}, found {len(comps)}"
-            )
         return ImmersionSpec(n, amb, tuple(comps), name=name, periodic=periodic)
 
     def parse_ambient(self, n):
@@ -338,8 +312,9 @@ class _Parser:
     def parse_base(self, n):
         tok = self.peek()
         if tok.kind == "NUM":
-            self.advance()
-            return Num(float(tok.text))
+            if not np.isfinite(float(tok.text)):
+                self.fail("number overflows a float", ("finite real",))
+            return Num(float(self.advance().text))
         if tok.kind == "-":
             self.advance()
             return Unary("neg", self.parse_base(n))
@@ -356,7 +331,7 @@ class _Parser:
                 arg = self.parse_expr(n)
                 self.expect(")")
                 return Unary(name, arg)
-            if name.startswith("u") and name[1:].isdigit():
+            if _VAR.fullmatch(name):
                 idx = int(name[1:])
                 if not 1 <= idx <= 2 * n:
                     raise SpecNameError(
@@ -452,15 +427,8 @@ def _eval_expr(e, seeds):
                                np.broadcast_to(arg, seeds[0].shape))
         return jet_unary(arg, e.fn)
     if isinstance(e, Bin):
-        left = _eval_expr(e.left, seeds)
-        right = _eval_expr(e.right, seeds)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        return left / right
+        return _JET_OPS[e.op](_eval_expr(e.left, seeds),
+                              _eval_expr(e.right, seeds))
     if isinstance(e, Pow):
         base = _eval_expr(e.base, seeds)
         if not isinstance(base, Jet):
@@ -484,7 +452,7 @@ def eval_components(spec, point, order=3):
     for k, comp in enumerate(spec.components):
         try:
             val = _eval_expr(comp, seeds)
-        except (ZeroDivisionError, FloatingPointError) as exc:
+        except (ZeroDivisionError, FloatingPointError, OverflowError) as exc:
             raise UsageError(f"component {k + 1} failed to evaluate: {exc}") from exc
         except Exception as exc:
             exc.args = (f"in map component {k + 1}: {exc}",) + exc.args[1:]
@@ -506,13 +474,10 @@ def _eval_floats(e, coords):
         arg = _eval_floats(e.arg, coords)
         if e.fn == "neg":
             return -arg
-        fn = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh,
-              "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "atan": np.arctan}[e.fn]
-        return fn(arg)
+        return _FLOAT_FUNCTIONS[e.fn](arg)
     if isinstance(e, Bin):
-        a, b = _eval_floats(e.left, coords), _eval_floats(e.right, coords)
-        return {"+": np.add, "-": np.subtract, "*": np.multiply,
-                "/": np.divide}[e.op](a, b)
+        return _FLOAT_OPS[e.op](_eval_floats(e.left, coords),
+                                _eval_floats(e.right, coords))
     if isinstance(e, Pow):
         return _eval_floats(e.base, coords) ** e.exponent
     raise UsageError(f"not an expression node: {e!r}")

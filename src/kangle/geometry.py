@@ -28,6 +28,7 @@ from .dsl import eval_components
 from .errors import (
     ChartDomainError,
     DegenerateAngleError,
+    DomainError,
     NotAnImmersionError,
     UsageError,
 )
@@ -318,12 +319,13 @@ def _plan(reads, order):
 def compute_snapshot(spec, points, order=3, reads=None):
     """Evaluate the immersion and the invariants named in ``reads``.
 
-    points: (B, 2n).  Points outside the chart of the ambient, where F is
-    not an immersion, or where the Kahler angles fail to pair are dropped
-    and reported in ``snapshot.rejected``, by their index into ``points``;
-    the gate that leaves no point raises.  reads: snapshot keys; only the
-    stages up to the last one that writes one of them run, and the jets are
-    formed at ``order`` capped at the deepest order those stages declare.
+    points: (B, 2n).  Points where |F|^2 is not finite, outside the chart
+    of the ambient, where F is not an immersion, or where the Kahler angles
+    fail to pair are dropped and reported in ``snapshot.rejected``, by their
+    index into ``points``; the gate that leaves no point raises.  reads:
+    snapshot keys; only the stages up to the last one that writes one of
+    them run, and the jets are formed at ``order`` capped at the deepest
+    order those stages declare.
     """
     _, order = _plan(reads, order)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -377,10 +379,13 @@ def _gate(snap, work, good, reason, error):
 
 @writes("F0", "dF0", "gN0", "g0", "sqrt_det_g0", "g", order=1)
 def _core(snap, work):
-    """F, the chart gate, dF, g_N along F, g, the immersion gate and
-    sqrt(det g); their values read dF."""
+    """F, the finite-value and chart gates, dF, g_N along F, g, the
+    immersion gate and sqrt(det g); their values read dF."""
     spec, m = snap.ambient_spec, snap.ambient_dim
     snap.data["F0"] = _at_points(work["F"])
+    with np.errstate(over="ignore"):     # the gate reports the overflow
+        finite = np.isfinite(np.sum(snap.F0 ** 2, axis=-1))
+    _gate(snap, work, finite, "map value not finite", DomainError)
     _gate(snap, work, amb.chart_margin(spec, snap.F0) > amb.CHART_BOUNDARY_TOL,
           "outside chart domain", ChartDomainError)
     F = work["F"]

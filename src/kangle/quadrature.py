@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import trace_hessian
 from .errors import QuadratureError, UsageError
 from .geometry import compute_snapshot, reads
 from .jets import jet_seed_all
@@ -22,27 +21,17 @@ CHUNK = 4096               # grid nodes per snapshot
 
 
 @reads()
-def _integrand_volume(snap, _):
+def _integrand_volume(snap):
     return np.ones(snap.size)
-
-
-@reads("g_inv", "gamma")
-def _integrand_lap_f(snap, f_expr):
-    if f_expr is None:
-        raise UsageError("integrand 'lap_f' needs f_expr")
-    from .dsl import _eval_expr
-    seeds = jet_seed_all(snap.domain_dim, snap.order, snap.points)
-    f = _eval_expr(f_expr, seeds)
-    return trace_hessian(f, snap.jets["g_inv"], snap.jets["gamma"]).value()
 
 
 def _field(key):
     """The integrand that is the snapshot field ``key``."""
-    return reads(key)(lambda snap, _: snap.data[key])
+    return reads(key)(lambda snap: snap.data[key])
 
 
 @reads("gamma")
-def _integrand_div_field(snap, _):
+def _integrand_div_field(snap):
     """Divergence of a fixed smooth periodic vector field (Stokes check)."""
     from .calculus import divergence, jstack
     from .jets import jet_unary
@@ -58,7 +47,6 @@ def _integrand_div_field(snap, _):
 
 INTEGRANDS = {
     "volume": _integrand_volume,
-    "lap_f": _integrand_lap_f,
     "lap_cos2": _field("lap_cos2"),
     "hodge_pair": _field("hodge_pair"),
     "delta_fw_norm2": _field("norm_delta_W2"),
@@ -67,7 +55,7 @@ INTEGRANDS = {
 
 
 @reads("sqrt_det_g0")
-def torus_quadrature(spec, integrand, grid_n, order=3, f_expr=None):
+def torus_quadrature(spec, integrand, grid_n, order=3):
     """Integrate ``integrand . Vol_M`` over the coordinate torus.
 
     spec: a periodic ImmersionSpec.  integrand: a key of
@@ -97,7 +85,7 @@ def torus_quadrature(spec, integrand, grid_n, order=3, f_expr=None):
                                 reads=needs)
         rejected += snap.rejected
         for key in keys:
-            vals = np.asarray(INTEGRANDS[key](snap, f_expr))
+            vals = np.asarray(INTEGRANDS[key](snap))
             totals[key] += float(np.sum(vals * snap.sqrt_det_g0))
     if rejected:
         raise QuadratureError(

@@ -57,6 +57,44 @@ def test_non_finite_space_form_curvature_is_positioned():
         assert "finite nonzero real" in err.value.expected
 
 
+# texts with one character or literal that is no token of the grammar, and
+# its line and column: superscript, Arabic-Indic and fullwidth digits, the
+# minus sign U+2212, and a literal whose float overflows
+BAD_TOKENS = {
+    "superscript": ("n=1; ambient=flat; map=[u1, u2, \u00b2, 0]", 1, 33),
+    "superscript-curvature": (
+        "n=1; ambient=space_form(\u00b2); map=[u1, u2, 0, 0]", 1, 25),
+    "superscript-variable": (
+        "n=1; ambient=flat;\nmap=[u1, u2, u\u00b2, 0]", 2, 15),
+    "arabic-indic-variable": (
+        "n=1; ambient=flat; map=[u\u0661, u2, 0, 0]", 1, 26),
+    "arabic-indic": ("n=1; ambient=flat; map=[u1, u2, \u0663, 0]", 1, 33),
+    "fullwidth": ("n=1; ambient=flat; map=[u1, u2, \uff11, 0]", 1, 33),
+    "minus-sign": ("n=1; ambient=flat; map=[u1, u2, \u2212u1, 0]", 1, 33),
+    "overflowing-literal": (
+        "n=1; ambient=flat; map=[u1, u2, " + "9" * 400 + ", 0]", 1, 33),
+}
+
+
+@pytest.mark.parametrize("text, line, column", BAD_TOKENS.values(),
+                         ids=BAD_TOKENS)
+def test_a_character_outside_the_grammar_is_positioned(text, line, column):
+    with pytest.raises(ImmersionSyntaxError) as err:
+        parse_immersion(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_end_of_input_after_a_comment_is_at_the_end():
+    for head in ("", "# header\n", "\n\n"):
+        text = head + "n=1; ambient=flat; map=[u1, u2, 0, 0  # no ]"
+        with pytest.raises(ImmersionSyntaxError) as err:
+            parse_immersion(text)
+        last = text.split("\n")[-1]
+        assert (err.value.line, err.value.column) == (
+            text.count("\n") + 1, len(last) + 1), head
+        assert "]" in err.value.expected
+
+
 def test_arity_error():
     with pytest.raises(ArityError) as err:
         parse_immersion("n=2; ambient=flat; map=[u1,u2,u3]")
@@ -191,15 +229,17 @@ def test_jets_match_fd_on_random_expressions():
     check_jets_match_fd()
 
 
+PIECES = ["n", "=", ";", "ambient", "flat", "space_form", "map", "[", "]",
+          "(", ")", ",", "+", "-", "*", "/", "^", "u1", "u2", "sin", "cos",
+          "1", "2.5", "#", "\n", "periodic", "u", "foo", " "]
+
+
 def _random_text(rng):
-    pieces = ["n", "=", ";", "ambient", "flat", "space_form", "map", "[", "]",
-              "(", ")", ",", "+", "-", "*", "/", "^", "u1", "u2", "sin",
-              "cos", "1", "2.5", "#", "\n", "periodic", "u", "foo", " "]
     if rng.random() < 0.2:
         length = int(rng.integers(0, 60))
         return "".join(chr(rng.integers(1, 128)) for _ in range(length))
     length = int(rng.integers(0, 40))
-    return "".join(rng.choice(pieces) for _ in range(length))
+    return "".join(rng.choice(PIECES) for _ in range(length))
 
 
 @functools.cache
@@ -218,6 +258,21 @@ def check_parser_fuzz():
 
 def test_parser_fuzz_never_crashes():
     check_parser_fuzz()
+
+
+def test_non_ascii_fuzz_raises_only_kangle_errors():
+    """5000 texts of the fuzz pieces and the characters of BAD_TOKENS, half
+    of them after a valid head, so that they also reach the map."""
+    pieces = PIECES + ["\u00b2", "\u0661", "\u0663", "\uff11", "\u2212",
+                       "9" * 400]
+    rng = np.random.default_rng(314)
+    for _ in range(5000):
+        head = "n=1; ambient=flat; map=[" if rng.random() < 0.5 else ""
+        picks = rng.integers(len(pieces), size=int(rng.integers(0, 40)))
+        try:
+            parse_immersion(head + "".join(pieces[k] for k in picks))
+        except KangleError:
+            pass
 
 
 @st.composite

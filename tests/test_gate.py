@@ -11,6 +11,7 @@ from kangle.dsl import parse_immersion
 from kangle.errors import (
     ChartDomainError,
     DegenerateAngleError,
+    DomainError,
     NotAnImmersionError,
 )
 from kangle.identities import SUITES, run_identity_suite
@@ -18,6 +19,10 @@ from kangle.runner import run_suite, sample_points
 
 CHART = "n=1; ambient=space_form(-1); map=[u1, 0, u2, 0]"
 FOLD = "n=1; ambient=flat; map=[u1*u1, 0, u2, 0]"
+# flat maps without a chart boundary; at u1 = 1, F overflows in the
+# first, and in the second exp(400) is finite, but |F|^2 is not
+OVERFLOW = "n=1; ambient=flat; map=[u1, u2, exp(1000*u1), 0]"
+SQUARE_OVERFLOW = "n=1; ambient=flat; map=[u1, u2, exp(400*u1), 0]"
 
 
 def _fail_one_pairing(monkeypatch, snap):
@@ -60,6 +65,8 @@ def test_a_pairing_failure_drops_only_its_point(monkeypatch):
     (CHART, [2.0, 0.0], ChartDomainError, "outside chart domain"),
     (FOLD, [0.0, 0.5], NotAnImmersionError, "not an immersion"),
     (FOLD, [0.5, 0.5], DegenerateAngleError, "angles failed to pair"),
+    (OVERFLOW, [1.0, 0.0], DomainError, "map value not finite"),
+    (SQUARE_OVERFLOW, [1.0, 0.0], DomainError, "map value not finite"),
 ])
 def test_a_batch_with_no_point_left_raises_its_gates_error(
         text, point, error, reason, monkeypatch):
@@ -73,6 +80,7 @@ def test_a_batch_with_no_point_left_raises_its_gates_error(
 @pytest.mark.parametrize("text, point, reason", [
     (FOLD, "0,0.5", "not an immersion"),
     (CHART, "2,0", "outside chart domain"),
+    (OVERFLOW, "1,0", "map value not finite"),
 ])
 def test_cli_eval_at_a_rejected_point(text, point, reason, tmp_path, capsys):
     path = tmp_path / "surface.imm"

@@ -35,15 +35,6 @@ def test_stokes_vanishing_at_64(name):
     assert abs(lap) <= 1e-8 * max(vol, 1.0)
 
 
-def test_lap_f_integral_vanishes():
-    spec = get_entry("trig_flat_2d").spec()
-    f = parse_immersion(
-        "n=1; ambient=flat; map=[sin(u1 + 2*u2) + cos(u2), 0, 0, 0]"
-    ).components[0]
-    val = torus_quadrature(spec, "lap_f", 64, f_expr=f)
-    assert abs(val) < 1e-8
-
-
 @pytest.mark.parametrize("name", ["trig_flat_2d", "trig_sf_pos", "trig_sf_neg"])
 def test_global_form_identity_at_64(name):
     """integral of <Hodge-Laplacian of F*w, F*w> equals integral of

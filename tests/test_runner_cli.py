@@ -19,6 +19,7 @@ from kangle.errors import UsageError
 from kangle.geometry import compute_snapshot
 from kangle.jets import MAX_DIM
 from kangle.runner import report_to_json, run_suite, sample_points
+from test_dsl import BAD_TOKENS
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
 
@@ -229,9 +230,17 @@ def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
     pinched.write_text("n=1; ambient=flat; periodic; "
                        "map=[sin(u1)*cos(u2), sin(u1)*sin(u2), cos(u1), 0]")
 
-    # malformed numbers and flags, unwritable outputs and dropped grid
-    # nodes: exit 2 with a one-line diagnostic; an exception escaping main()
-    # would fail the test with its traceback
+    # immersions with a character outside the grammar, an overflowing
+    # literal or an overflowing constant power
+    files = []
+    for k, text in enumerate([*(t for t, _, _ in BAD_TOKENS.values()),
+                              "n=1; ambient=flat; map=[u1, u2, 2^99999, 0]"]):
+        files.append(tmp_path / f"bad{k}.imm")
+        files[-1].write_text(text, encoding="utf-8")
+
+    # malformed numbers, flags and immersions, unwritable outputs and
+    # dropped grid nodes: exit 2 with a one-line diagnostic; an exception
+    # escaping main() would fail the test with its traceback
     quick = ["verify", "--entry", "ds_graph", "--suite", "prop3.1",
              "--points", "4"]
     for args, env in (
@@ -254,6 +263,8 @@ def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
         (["integrate", str(pinched), "--grid", "16"], "0"),
         (["verify", str(pinched), "--suite", "prop3.1", "--points", "4",
           "--quad-grid", "16"], "0"),
+        *((["eval", str(f), "--point", "1,0"], "0") for f in files),
+        *((["verify", str(f), "--points", "4"], "0") for f in files),
     ):
         monkeypatch.setenv("KANGLE_THREADS", env)
         assert main(args) == 2, args

@@ -21,7 +21,6 @@ import pytest
 
 from kangle import cli, geometry, jets, quadrature, runner
 from kangle.catalog import get_entry
-from kangle.dsl import parse_immersion
 from kangle.errors import UsageError
 from kangle.identities import SUITE_READERS
 
@@ -190,19 +189,13 @@ def test_every_snapshot_value_is_batch_first(case):
 
 def _torus_calls(stage_log, key, grid=8):
     stage_log["calls"].clear()
-    kwargs = {}
-    if key == "lap_f":
-        kwargs["f_expr"] = parse_immersion(
-            "n=1; ambient=flat; map=[sin(u1 + 2*u2), 0, 0, 0]").components[0]
-    quadrature.torus_quadrature(get_entry("trig_sf_pos").spec(), key, grid,
-                                **kwargs)
+    quadrature.torus_quadrature(get_entry("trig_sf_pos").spec(), key, grid)
     return list(stage_log["calls"])
 
 
 def test_quadrature_runs_only_the_stages_its_integrands_need(stage_log):
     assert _torus_calls(stage_log, "volume") == ["_core"]
-    for key in ("div_field", "lap_f"):
-        assert _torus_calls(stage_log, key) == ["_core", "_connection"], key
+    assert _torus_calls(stage_log, "div_field") == ["_core", "_connection"]
     assert _torus_calls(stage_log, "delta_fw_norm2") == ["_core",
                                                          "_connection",
                                                          "_forms"]
@@ -243,18 +236,16 @@ def test_declared_reads_are_exact(reader, conventions):
 
 
 def test_integrand_reads_are_exact():
-    f = parse_immersion(
-        "n=1; ambient=flat; map=[sin(u1 + 2*u2), 0, 0, 0]").components[0]
     for key, fn in quadrature.INTEGRANDS.items():
         seen = set()
         for case in CASES:
             entry = get_entry(case)
             snap, log = _recording(_full(case))
-            full_out = fn(snap, f)
+            full_out = fn(snap)
             seen |= log
             reduced = geometry.compute_snapshot(entry.spec(), _points(entry),
                                                 reads=fn.reads)
-            assert _same(fn(reduced, f), full_out), (key, case)
+            assert _same(fn(reduced), full_out), (key, case)
         assert seen == set(fn.reads), key
 
 
@@ -272,7 +263,7 @@ def _full_snapshots(monkeypatch, module):
 
 def test_torus_quadrature_reads_only_the_volume_element(monkeypatch):
     spec = get_entry("trig_flat_2d").spec()
-    keys = tuple(k for k in quadrature.INTEGRANDS if k != "lap_f")
+    keys = tuple(quadrature.INTEGRANDS)
     reduced = quadrature.torus_quadrature(spec, keys, 8)
     log = _full_snapshots(monkeypatch, quadrature)
     assert quadrature.torus_quadrature(spec, "volume", 8) > 0
@@ -419,15 +410,12 @@ def asked_orders(monkeypatch):
 
 
 @pytest.mark.parametrize("key, order", [
-    ("volume", 1), ("div_field", 2), ("lap_f", 2), ("delta_fw_norm2", 2),
+    ("volume", 1), ("div_field", 2), ("delta_fw_norm2", 2),
     ("hodge_pair", 3), ("lap_cos2", 3),
     (("volume", "div_field", "hodge_pair", "delta_fw_norm2"), 3)])
 def test_torus_integrals_form_f_at_their_stages_order(key, order,
                                                      asked_orders):
-    f_expr = parse_immersion(
-        "n=1; ambient=flat; map=[sin(u1 + 2*u2), 0, 0, 0]").components[0]
-    quadrature.torus_quadrature(get_entry("trig_sf_pos").spec(), key, 8,
-                                f_expr=f_expr)
+    quadrature.torus_quadrature(get_entry("trig_sf_pos").spec(), key, 8)
     assert asked_orders == [order]
 
 
