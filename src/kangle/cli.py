@@ -213,8 +213,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--point" in argv[:-1]:
+        # argparse takes "--point -1,0" for two options, "--point=-1,0" not
+        k = argv.index("--point")
+        argv[k:k + 2] = ["--point=" + argv[k + 1]]
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "json", None):
             # an unwritable path fails here, not after the whole run; a

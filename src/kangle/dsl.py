@@ -451,7 +451,10 @@ def eval_components(spec, point, order=3):
     comps = []
     for k, comp in enumerate(spec.components):
         try:
-            val = _eval_expr(comp, seeds)
+            # a value that overflows stays inf or NaN: the snapshot's
+            # finite-value gate reports its point
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                val = _eval_expr(comp, seeds)
         except (ZeroDivisionError, FloatingPointError, OverflowError) as exc:
             raise UsageError(f"component {k + 1} failed to evaluate: {exc}") from exc
         except Exception as exc:

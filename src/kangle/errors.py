@@ -19,11 +19,7 @@ class ChartDomainError(DomainError):
 
 class SingularityError(KangleError):
     """A quantity is singular at the requested point (zero divisor, log of
-    a non-positive value, polar factor at a Lagrangian point, ...)."""
-
-    def __init__(self, message, value=None):
-        super().__init__(message)
-        self.value = value
+    a non-positive value, ...)."""
 
 
 class NotAnImmersionError(KangleError):

@@ -11,9 +11,10 @@ last one that writes them run, and F is formed only as deep as those
 stages declare.
 
 Quantities that are only defined away from the Lagrangian locus (smallest
-angle ~ 0) or away from complex points (largest angle ~ 1) are computed on
-masked sub-batches; outside their mask the exported arrays hold NaN and the
-corresponding mask records applicability.
+angle ~ 0) or away from complex points (largest angle ~ 1) are formed at
+the point from the derivatives of cos^2 and F*w by the chain rule; outside
+their mask the exported arrays hold NaN and the mask records
+applicability.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     NotAnImmersionError,
     UsageError,
 )
-from .jets import Jet, jet_einsum, jet_unary
+from .jets import Jet, jet_einsum
 
 # classification codes and tolerances
 GENERIC, LAGRANGIAN, COMPLEX, MIXED = 0, 1, 2, 3
@@ -51,7 +52,6 @@ __all__ = [
     "STAGES",
     "compute_snapshot",
     "reads",
-    "snapshot_from_F",
     "induced_metric",
     "pullback_form",
     "kahler_angles",
@@ -324,32 +324,21 @@ def compute_snapshot(spec, points, order=3, reads=None):
     fail to pair are dropped and reported in ``snapshot.rejected``, by their
     index into ``points``; the gate that leaves no point raises.  reads:
     snapshot keys; only the stages up to the last one that writes one of
-    them run, and the jets are formed at ``order`` capped at the deepest
-    order those stages declare.
+    them run, and F is formed at ``order`` capped at the deepest order
+    those stages declare, which ``snap.order`` reports.  Each stage reads
+    keys of the stages before it; ``work`` carries what no reader needs (F,
+    dF, g_N, Gamma_N along F, the |F*w|^2 and d F*w the form Laplacians
+    differentiate, the nabla F*w, d delta F*w and (JH)-flat the masked
+    fields reuse, and the factors the eigenframes are built from) and is
+    dropped.
     """
-    _, order = _plan(reads, order)
+    stages, order = _plan(reads, order)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if not len(points):
         raise UsageError("a snapshot needs at least one point")
-    F = eval_components(spec, points, order=order)
-    return snapshot_from_F(spec.n, spec.ambient, F, points, order,
-                           reads=reads)
-
-
-def snapshot_from_F(n, ambient_spec, F, points, order, reads=None):
-    """Build a snapshot from already-evaluated F jets (axes (4n, B)).
-
-    The stages and the order run as in :func:`compute_snapshot`; F is
-    truncated to that order, which ``snap.order`` reports.  Each stage
-    reads keys of the stages before it; ``work`` carries what no reader
-    needs (F, dF, g_N, Gamma_N along F, the |F*w|^2 and d F*w the form
-    Laplacians differentiate and the factors the eigenframes are built
-    from) and is dropped.
-    """
-    stages, order = _plan(reads, order)
-    snap = Snapshot(n=n, order=order, points=points,
-                    index=np.arange(len(points)), ambient_spec=ambient_spec)
-    work = {"F": F.truncated(order)}
+    snap = Snapshot(n=spec.n, order=order, points=points,
+                    index=np.arange(len(points)), ambient_spec=spec.ambient)
+    work = {"F": eval_components(spec, points, order=order)}
     for stage in stages:
         stage(snap, work)
     return snap
@@ -420,7 +409,7 @@ def _connection(snap, work):
 
 
 @writes("W0", "norm_W2_0", "cos2_0", "sin2_0", "grad_cos2_0", "grad_sin2_0",
-        "delta_W0", "norm_delta_W2", "norm_nabla_W2", "dW3_0", "cos2", "sin2",
+        "delta_W0", "norm_delta_W2", "norm_nabla_W2", "dW3_0", "cos2",
         "delta_W", "W_sharp", order=2)
 def _forms(snap, work):
     """F*w and its calculus to first order: norms, gradients, delta F*w,
@@ -431,7 +420,6 @@ def _forms(snap, work):
     W0 = _at_points(W)
     norm_W2_jet = ca.two_form_pairing(W, W, g_inv)
     cos2 = norm_W2_jet * (1.0 / n)
-    sin2 = 1.0 - cos2
     delta_W = ca.codiff(W, g_inv, gamma)                     # standard sign
     delta_W0 = _at_points(delta_W)
     nW0 = _at_points(ca.cov_d(W, gamma, order=0))            # (b, i, j, k)
@@ -439,11 +427,12 @@ def _forms(snap, work):
     grad_cos2_0 = _at_points(ca.gradient_vector(cos2, g_inv, order=0))
     # (F*w)#: the operator (i, j, b); its readers differentiate it once
     W_sharp = ca._jes("ik...,jk...->ij...", g_inv, W, order=1)
-    work.update(norm_W2=norm_W2_jet, dW3=dW3)
-    snap.jets.update(cos2=cos2, sin2=sin2, delta_W=delta_W, W_sharp=W_sharp)
+    work.update(norm_W2=norm_W2_jet, dW3=dW3, nW0=nW0)
+    snap.jets.update(cos2=cos2, delta_W=delta_W, W_sharp=W_sharp)
     snap.data.update(
         W0=W0, norm_W2_0=norm_W2_jet.value(), cos2_0=cos2.value(),
-        sin2_0=sin2.value(), grad_cos2_0=grad_cos2_0, grad_sin2_0=-grad_cos2_0,
+        sin2_0=1.0 - cos2.value(), grad_cos2_0=grad_cos2_0,
+        grad_sin2_0=-grad_cos2_0,
         delta_W0=delta_W0,
         norm_delta_W2=np.einsum("bij,bi,bj->b", g_inv0, delta_W0, delta_W0),
         norm_nabla_W2=0.5 * ca.contract("bim,bjp,bkq,bijk,bmpq->b",
@@ -461,6 +450,7 @@ def _form_laplacians(snap, work):
     delta_dW0 = _at_points(ca.codiff(work["dW3"], g_inv, gamma))
     hodge_W0 = dd_W0 + delta_dW0
     lap_norm_W2 = ca.trace_hessian(work["norm_W2"], g_inv, gamma).value()
+    work["dd_W0"] = dd_W0
     snap.data.update(
         hodge_pair=0.5 * ca.contract("bim,bjp,bij,bmp->b",
                                      g_inv0, g_inv0, hodge_W0, snap.W0),
@@ -501,8 +491,7 @@ def _angles(snap, work):
 
 
 @writes("sff0", "H0", "normH2", "nablaH", "nabla_perpH", "JHtop0",
-        "nabla_JHtop", "d_JHb", "div_JHtop", "div_Wsharp_JHtop", "JHb", "JHtop",
-        order=3)
+        "nabla_JHtop", "d_JHb", "div_JHtop", "div_Wsharp_JHtop", order=3)
 def _extrinsic(snap, work):
     """Second fundamental form, mean curvature H and (JH)^T with their
     pointwise derivatives; H reads d^2 F and nabla H reads d^3 F."""
@@ -528,7 +517,7 @@ def _extrinsic(snap, work):
     proj_T = ca.contract("bAi,bij,bBj,bBC->bAC", dF0, snap.g_inv0, dF0, gN0)
     proj_N = np.broadcast_to(np.eye(m), (snap.size, m, m)) - proj_T
     V_wjh = ca._jes("ij...,j...->i...", snap.jets["W_sharp"], JHtop)
-    snap.jets.update(JHb=JHb, JHtop=JHtop)
+    work["JHb0"] = _at_points(JHb)
     snap.data.update(
         sff0=_at_points(sff), H0=H0,
         normH2=np.einsum("bA,bAB,bB->b", H0, gN0, H0), nablaH=nablaH,
@@ -600,116 +589,87 @@ def _frame_sums(snap, work):
     )
 
 
-# the masked fields and their tensor rank; NaN outside their mask
-_MASKED = dict(
-    kappa=0, lap_kappa=0, grad_costheta=1, norm_grad_costheta2=0,
-    norm_nabla_Jw2=0, delta_Jw0=1, div_Jw_JHtop_over_sin2=0, div_Jw_JHtop=0,
-    delta_W_sharp0=1, norm_grad_abs_sin2=0, grad_log_sin2=1, sigma_jh0=1,
-    dsigma_jh0=2, sigma_dw0=1, dsigma_dw0=2, sigma_trace0=1, sff11_norm2=0,
-)
+def _where(mask, value):
+    """value where mask holds, NaN elsewhere; mask is over the batch."""
+    return np.where(mask.reshape(mask.shape + (1,) * (value.ndim - 1)),
+                    value, np.nan)
 
 
-@writes("off_complex", "jw_field", "band", "sigma", *_MASKED, order=3)
+@writes("off_complex", "jw_field", "band", "sigma", "kappa", "lap_kappa",
+        "grad_costheta", "norm_grad_costheta2", "norm_nabla_Jw2", "delta_Jw0",
+        "div_Jw_JHtop_over_sin2", "div_Jw_JHtop", "delta_W_sharp0",
+        "norm_grad_abs_sin2", "grad_log_sin2", "sigma_jh0", "dsigma_jh0",
+        "sigma_dw0", "dsigma_dw0", "sigma_trace0", "sff11_norm2", order=2)
 def _masked_fields(snap, work):
-    """Quantities defined only away from the singular loci, on sub-batches;
-    Delta kappa differentiates cos^2 twice, so reads d^3 F."""
-    n, d = snap.n, snap.domain_dim
-    cos = snap.cos_angles
-    minc, maxc = cos[:, -1], cos[:, 0]
-    offL = minc > NEAR_GATE_BUFFER
-    offC = maxc < 1.0 - NEAR_GATE_BUFFER
+    """Quantities defined only away from the singular loci, NaN outside
+    their mask: the chain and product rules at the point, in u = cos^2, its
+    differential du, Delta u, nabla F*w and d delta F*w, with c = sqrt(u),
+    s = 1 - u and V = (F*w)# (JH)^T; du reads d^2 F."""
+    n, cos = snap.n, snap.cos_angles
+    offL = cos[:, -1] > NEAR_GATE_BUFFER
+    offC = cos[:, 0] < 1.0 - NEAR_GATE_BUFFER
     m_jw = snap.equal_gate & offL
     m_band = m_jw & offC
     m_sigma = snap.equal_gate & offC
     snap.masks.update(off_complex=offC, jw_field=m_jw, band=m_band,
                       sigma=m_sigma)
-    snap.data.update({key: np.full((snap.size,) + (d,) * rank, np.nan)
-                      for key, rank in _MASKED.items()})
+    g0, gi0, gN0, sff0, Jw0 = (snap.g0, snap.g_inv0, snap.gN0, snap.sff0,
+                               snap.Jw0)
+    u, s, grad_u = snap.cos2_0, snap.sin2_0, snap.grad_cos2_0
+    du = _at_points(ca.partials(snap.jets["cos2"].truncated(1)))   # (b, i)
+    du2 = np.einsum("bi,bi->b", du, grad_u)                         # |du|^2
+    Ws = _at_points(snap.jets["W_sharp"])                           # (b, i, j)
+    V = np.einsum("bij,bj->bi", Ws, snap.JHtop0)
+    V_du = np.einsum("bi,bi->b", V, du)
+    nWs = np.einsum("bkl,bijl->bikj", gi0, work["nW0"])     # nabla (F*w)#
+    JdF = np.einsum("AB,bBk->bAk", snap.JN, snap.dF0)
+    # (1,1) part of the second fundamental form w.r.t. J_w
+    sff11 = 0.5 * (sff0 + np.einsum("bki,blj,bklA->bijA", Jw0, Jw0, sff0))
 
-    idx_jw = np.nonzero(m_jw)[0]
-    if idx_jw.size:
-        sub = {k: snap.jets[k].take_batch(idx_jw)
-               for k in ("g", "g_inv", "gamma", "cos2", "sin2", "W_sharp",
-                         "JHtop", "delta_W")}
-        gi0s = snap.g_inv0[idx_jw]
-        c_jet = jet_unary(sub["cos2"], "sqrt")
-        gc0 = _at_points(ca.gradient_vector(c_jet, sub["g_inv"], order=0))
-        snap.data["grad_costheta"][idx_jw] = gc0
-        g0s = snap.g0[idx_jw]
-        snap.data["norm_grad_costheta2"][idx_jw] = np.einsum(
-            "bij,bi,bj->b", g0s, gc0, gc0)
-        # smooth polar factor as a jet field, differentiated once
-        Jw_field = ca._jes("ij...,...->ij...", sub["W_sharp"],
-                           c_jet.truncated(1).reciprocal(), order=1)
-        nJw0 = _at_points(ca.cov_d(Jw_field, sub["gamma"], upper=(0,),
-                                   order=0))
-        gs = _at_points(sub["g"])
-        snap.data["norm_nabla_Jw2"][idx_jw] = ca.contract(
-            "bim,bkl,bjp,bikj,bmlp->b", gi0s, gs, gi0s, nJw0, nJw0)
-        snap.data["delta_Jw0"][idx_jw] = -np.einsum(
-            "bij,bikj->bk", gi0s, nJw0)
-        # delta (F*w)# as a vector: g^{ki} (delta W)_i
-        snap.data["delta_W_sharp0"][idx_jw] = np.einsum(
-            "bki,bi->bk", gi0s, _at_points(sub["delta_W"]))
-        # div(J_w (JH)^T)
-        VJ = ca._jes("ij...,j...->i...", Jw_field, sub["JHtop"])
-        snap.data["div_Jw_JHtop"][idx_jw] = ca.divergence(
-            VJ, sub["gamma"]).value()
-        # (1,1) part of the second fundamental form w.r.t. J_w
-        sff0s = snap.sff0[idx_jw]
-        Jw0s = snap.Jw0[idx_jw]
-        sff_rot = np.einsum("bki,blj,bklA->bijA", Jw0s, Jw0s, sff0s)
-        sff11 = 0.5 * (sff0s + sff_rot)
-        gN0s = snap.gN0[idx_jw]
-        snap.data["sff11_norm2"][idx_jw] = ca.contract(
-            "bik,bjl,bijA,bAB,bklB->b", gi0s, gi0s, sff11, gN0s, sff11)
+    def over_s(alpha, d_alpha):
+        """alpha / s and d(alpha / s) = (d alpha + du ^ alpha / s) / s."""
+        wedge = np.einsum("bi,bj->bij", du, alpha)
+        wedge = (wedge - np.swapaxes(wedge, 1, 2)) / s[:, None, None]
+        return alpha / s[:, None], (d_alpha + wedge) / s[:, None, None]
 
-        # the band lies inside jw_field: take it from the sub-batch
-        band = np.nonzero(m_band[idx_jw])[0]
-        if band.size:
-            idx_band = idx_jw[band]
-            g_inv_s, gamma_s, sin2_s = (
-                sub[k].take_batch(band) for k in ("g_inv", "gamma", "sin2"))
-            c_band = c_jet.take_batch(band)
-            kap = jet_unary((1.0 + c_band) / (1.0 - c_band), "log") * float(n)
-            snap.data["kappa"][idx_band] = kap.value()
-            snap.data["lap_kappa"][idx_band] = ca.trace_hessian(
-                kap, g_inv_s, gamma_s).value()
-            sin2_1 = sin2_s.truncated(1)      # read only through gradients
-            abs_sin = jet_unary(sin2_1, "sqrt")
-            gs0 = snap.g0[idx_band]
-            gas = _at_points(ca.gradient_vector(abs_sin, g_inv_s, order=0))
-            snap.data["norm_grad_abs_sin2"][idx_band] = np.einsum(
-                "bij,bi,bj->b", gs0, gas, gas)
-            logs2 = jet_unary(sin2_1, "log")
-            snap.data["grad_log_sin2"][idx_band] = _at_points(
-                ca.gradient_vector(logs2, g_inv_s, order=0))
-            VJs = ca._jes("i...,...->i...", VJ.take_batch(band),
-                          sin2_1.reciprocal())
-            snap.data["div_Jw_JHtop_over_sin2"][idx_band] = ca.divergence(
-                VJs, gamma_s).value()
-
-    idx_sig = np.nonzero(m_sigma)[0]
-    if idx_sig.size:
-        sin2_s = snap.jets["sin2"].take_batch(idx_sig)
-        JHb_s = snap.jets["JHb"].take_batch(idx_sig)
-        dW_s = snap.jets["delta_W"].take_batch(idx_sig)
-        inv_sin2 = sin2_s.truncated(1).reciprocal()    # sigma is order 1
-        # the two summands of sigma are kept apart so the calibrated
-        # codifferential sign can be applied by the identity layer
-        sig_jh = ca._jes("i...,...->i...", JHb_s * (2.0 * n), inv_sin2)
-        sig_dw = ca._jes("i...,...->i...", dW_s, inv_sin2)
-        for tag, sig in (("jh", sig_jh), ("dw", sig_dw)):
-            snap.data[f"sigma_{tag}0"][idx_sig] = _at_points(sig)
-            snap.data[f"dsigma_{tag}0"][idx_sig] = _at_points(
-                ca.exterior_d_oneform(sig))
-        # trace form: sigma(X) = -(1/sin^2) g^{ik} g_N(sff(i, X), J dF(k))
-        sff0s = snap.sff0[idx_sig]
-        gN0s = snap.gN0[idx_sig]
-        JdF = np.einsum("AB,bBk->bAk", snap.JN, snap.dF0[idx_sig])
-        tr = ca.contract("bik,bixA,bAB,bBk->bx",
-                         snap.g_inv0[idx_sig], sff0s, gN0s, JdF)
-        snap.data["sigma_trace0"][idx_sig] = -tr / snap.sin2_0[idx_sig][:, None]
+    # a field may divide by zero outside its mask, where _where drops it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = np.sqrt(u)
+        grad_c = grad_u / (2.0 * c)[:, None]
+        # J_w = (F*w)# / c: nabla J_w = (nabla (F*w)# - (F*w)# du / 2u) / c
+        nJw = (nWs - np.einsum("bi,bkj->bikj", du, Ws)
+               / (2.0 * u)[:, None, None, None]) / c[:, None, None, None]
+        div_VJ = (snap.div_Wsharp_JHtop - V_du / (2.0 * u)) / c
+        dkappa = n / (c * s)                             # d kappa / du
+        d2kappa = dkappa * (3.0 * u - 1.0) / (2.0 * u * s)
+        sigma_jh, dsigma_jh = over_s(work["JHb0"] * (2.0 * n),
+                                     snap.d_JHb * (2.0 * n))
+        sigma_dw, dsigma_dw = over_s(snap.delta_W0, work["dd_W0"])
+        fields = dict(
+            grad_costheta=(m_jw, grad_c),
+            norm_grad_costheta2=(m_jw, np.einsum("bij,bi,bj->b",
+                                                 g0, grad_c, grad_c)),
+            norm_nabla_Jw2=(m_jw, ca.contract("bim,bkl,bjp,bikj,bmlp->b",
+                                              gi0, g0, gi0, nJw, nJw)),
+            delta_Jw0=(m_jw, -np.einsum("bij,bikj->bk", gi0, nJw)),
+            # delta (F*w)# as a vector: g^{ki} (delta W)_i
+            delta_W_sharp0=(m_jw, np.einsum("bki,bi->bk", gi0, snap.delta_W0)),
+            div_Jw_JHtop=(m_jw, div_VJ),
+            sff11_norm2=(m_jw, ca.contract("bik,bjl,bijA,bAB,bklB->b",
+                                           gi0, gi0, sff11, gN0, sff11)),
+            kappa=(m_band, np.log((1.0 + c) / (1.0 - c)) * n),
+            lap_kappa=(m_band, dkappa * snap.lap_cos2 + d2kappa * du2),
+            norm_grad_abs_sin2=(m_band, du2 / (4.0 * s)),
+            grad_log_sin2=(m_band, -grad_u / s[:, None]),
+            div_Jw_JHtop_over_sin2=(m_band, div_VJ / s + V_du / (c * s**2)),
+            sigma_jh0=(m_sigma, sigma_jh), dsigma_jh0=(m_sigma, dsigma_jh),
+            sigma_dw0=(m_sigma, sigma_dw), dsigma_dw0=(m_sigma, dsigma_dw),
+            # trace form: sigma(X) = -(1/sin^2) g^{ik} g_N(sff(i, X), J dF(k))
+            sigma_trace0=(m_sigma, -ca.contract(
+                "bik,bixA,bAB,bBk->bx", gi0, sff0, gN0, JdF) / s[:, None]),
+        )
+    snap.data.update({key: _where(mask, value)
+                      for key, (mask, value) in fields.items()})
 
 
 @writes("nu", "w_perp", "normal_angles", "J_perp", "Phi_nu", "Xi_nu",

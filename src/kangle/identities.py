@@ -36,9 +36,6 @@ from .geometry import GENERIC, LAGRANGIAN, compute_snapshot, reads
 TOL_ABS_DEFAULT = 1e-7
 TOL_REL_DEFAULT = 1e-5
 
-SUITES = ("prop3.1", "lemma3.1", "delta_kappa", "weitzenboeck",
-          "prop3.4", "section4", "prop3.6", "hypotheses")
-
 __all__ = [
     "Conventions",
     "IdentityResidual",
@@ -216,8 +213,7 @@ def verify_prop3_1(snap, conventions):
         np.abs(0.5 * cosb**2 * snap.norm_nabla_Jw2) + 1e-30
     out.append(Residual("prop3.1.norm_grad_fw", lhs, rhs, scale, app, why))
 
-    Jgc = np.einsum("bij,bj->bi", np.nan_to_num(snap.Jw0),
-                    np.nan_to_num(snap.grad_costheta))
+    Jgc = np.einsum("bij,bj->bi", snap.Jw0, snap.grad_costheta)
     lhs_v = sd * snap.delta_W_sharp0
     rhs_v = (n - 2.0) * Jgc
     scale = np.sqrt(np.abs(snap.norm_delta_W2)) + \
@@ -231,7 +227,7 @@ def verify_prop3_1(snap, conventions):
 
     lhs_v = cosb[:, None] * sd * snap.delta_Jw0
     rhs_v = (n - 1.0) * Jgc
-    scale = cosb * np.linalg.norm(np.nan_to_num(snap.delta_Jw0), axis=1) \
+    scale = cosb * np.linalg.norm(snap.delta_Jw0, axis=1) \
         + np.abs(n - 1) * np.sqrt(np.abs(gc2)) + 1e-30
     out.append(Residual("prop3.1.delta_jw", lhs_v, rhs_v, scale, app, why))
 
@@ -311,9 +307,9 @@ def verify_lemma3_1(snap, conventions):
     app, why = _reason_array(B, [(eq, "angles not equal"),
                                  (m_jw, "Lagrangian point")])
     t5 = -snap.div_Jw_JHtop + sd * np.einsum(
-        "bij,bi,bj->b", snap.g0, snap.JHtop0, np.nan_to_num(snap.delta_Jw0))
+        "bij,bi,bj->b", snap.g0, snap.JHtop0, snap.delta_Jw0)
     out.append(Residual("lemma3.1.iii_divergence", t1, t5,
-                        hscale + np.abs(np.nan_to_num(t5)), app, why))
+                        hscale + np.abs(t5), app, why))
 
     # (iv) divergence of (JH)^T
     app, why = _reason_array(B, [(eq, "angles not equal")])
@@ -355,17 +351,17 @@ def verify_delta_kappa(snap, conventions):
             + 8.0 * (n - 1.0) * snap.norm_grad_costheta2 / sin2**2
         )
         lhs = sD * snap.lap_kappa
-        mid = np.einsum("bij,bi,bj->b", snap.g0,
-                        np.nan_to_num(snap.grad_costheta), snap.sumD)
+        mid = np.einsum("bij,bi,bj->b", snap.g0, snap.grad_costheta,
+                        snap.sumD)
         rhs32 = bracket - (16.0 * n / sin2**2) * cosb * mid \
             + (8.0 * n / sin2) * snap.sumA
-        scale = np.abs(np.nan_to_num(bracket)) + np.abs(np.nan_to_num(lhs)) \
+        scale = np.abs(bracket) + np.abs(lhs) \
             + np.abs((8.0 * n / np.maximum(sin2, 1e-30)) * snap.sumA) + 1e-30
         out.append(Residual("prop3.2.delta_kappa", lhs, rhs32, scale, app,
                             why))
 
         jh_term = 4.0 * n * sd * np.einsum(
-            "bij,bi,bj->b", snap.g0, np.nan_to_num(snap.delta_Jw0),
+            "bij,bi,bj->b", snap.g0, snap.delta_Jw0,
             snap.JHtop0) / sin2
         rhs33 = bracket - 4.0 * n * snap.div_Jw_JHtop_over_sin2 + jh_term
         out.append(Residual("prop3.3.delta_kappa", lhs, rhs33, scale, app,
@@ -373,7 +369,7 @@ def verify_delta_kappa(snap, conventions):
 
     if n == 1:
         rhs_c = -2.0 * R * cosb - 4.0 * snap.div_Jw_JHtop_over_sin2
-        scale = np.abs(np.nan_to_num(lhs)) + np.abs(np.nan_to_num(rhs_c)) \
+        scale = np.abs(lhs) + np.abs(rhs_c) \
             + 2.0 * np.abs(R) * cosb + 1e-30
         out.append(Residual("cor3.2.delta_kappa", lhs, rhs_c, scale, app,
                             why))
@@ -420,17 +416,16 @@ def verify_prop3_4(snap, conventions):
     app, why = _delta_kappa_gate(snap)
     out = []
     with np.errstate(invalid="ignore", divide="ignore"):
-        Jw_jh = np.einsum("bij,bj->bi", np.nan_to_num(snap.Jw0), snap.JHtop0)
-        pair = np.einsum("bij,bi,bj->b", snap.g0,
-                         np.nan_to_num(snap.grad_costheta), Jw_jh)
+        Jw_jh = np.einsum("bij,bj->bi", snap.Jw0, snap.JHtop0)
+        pair = np.einsum("bij,bi,bj->b", snap.g0, snap.grad_costheta, Jw_jh)
         term32 = -(4.0 * n * (2.0 + (n - 4.0) * sin2) / sin2) * pair
         terms = np.stack([
             -2.0 * n * sin2 * cosb**2 * R * np.ones(B),
             2.0 * snap.S_pair,
             2.0 * snap.norm_nabla_W2,
-            4.0 * (n - 2.0) * np.nan_to_num(snap.norm_grad_abs_sin2),
+            4.0 * (n - 2.0) * snap.norm_grad_abs_sin2,
             -4.0 * n * snap.div_Wsharp_JHtop,
-            np.nan_to_num(term32),
+            term32,
         ])
         lhs = n * sD * snap.lap_cos2
         rhs = np.sum(terms, axis=0)
@@ -439,19 +434,19 @@ def verify_prop3_4(snap, conventions):
 
         if n == 2:
             Wpair = np.einsum("bij,bi,bj->b", snap.W0, snap.JHtop0,
-                              np.nan_to_num(snap.grad_log_sin2))
+                              snap.grad_log_sin2)
             rhs_33 = 8.0 * Wpair
-            scale = np.abs(np.nan_to_num(term32)) + np.abs(rhs_33) + \
+            scale = np.abs(term32) + np.abs(rhs_33) + \
                 np.sqrt(snap.normH2) + 1e-30
-            out.append(Residual("prop3.4.term_3_3", np.nan_to_num(term32),
+            out.append(Residual("prop3.4.term_3_3", term32,
                                 rhs_33, scale, app, why))
         if n >= 3:
             dfw_jh = sd * np.einsum("bi,bi->b", snap.delta_W0, snap.JHtop0)
             rhs_34 = (4.0 * n * (2.0 + (n - 4.0) * sin2)
                       / (sin2 * (n - 2.0))) * dfw_jh
-            scale = np.abs(np.nan_to_num(term32)) + np.abs(rhs_34) + \
+            scale = np.abs(term32) + np.abs(rhs_34) + \
                 np.sqrt(snap.normH2) + 1e-30
-            out.append(Residual("prop3.4.term_3_4", np.nan_to_num(term32),
+            out.append(Residual("prop3.4.term_3_4", term32,
                                 rhs_34, scale, app, why))
     return out
 
@@ -474,6 +469,8 @@ def verify_section4(snap, conventions):
                                  (offC, "complex point")])
     with np.errstate(invalid="ignore", divide="ignore"):
         lhs = sin2 * cosb**2 * R
+        # applicable at equal-angle Lagrangian points too, where the field
+        # is NaN; there cos^2 is at its minimum 0, so the field is 0
         Wpair_log = np.einsum("bij,bi,bj->b", snap.W0, snap.JHtop0,
                               np.nan_to_num(snap.grad_log_sin2))
         rhs = -2.0 * snap.div_Wsharp_JHtop + 2.0 * Wpair_log
@@ -516,14 +513,14 @@ def verify_prop3_6(snap, conventions):
         (m_sig, "within buffer of the complex locus"),
     ])
     sigma = snap.sigma_jh0 + sd * snap.sigma_dw0
-    scale = np.linalg.norm(np.nan_to_num(sigma), axis=1) + \
-        np.linalg.norm(np.nan_to_num(snap.sigma_trace0), axis=1) + 1e-30
+    scale = np.linalg.norm(sigma, axis=1) + \
+        np.linalg.norm(snap.sigma_trace0, axis=1) + 1e-30
     out.append(Residual("prop3.6.sigma_trace", sigma, snap.sigma_trace0,
                         scale, app, why))
 
     dsigma = snap.dsigma_jh0 + sd * snap.dsigma_dw0
     rhs = R * snap.W0
-    scale = np.max(np.abs(np.nan_to_num(dsigma)).reshape(B, -1), axis=1) \
+    scale = np.max(np.abs(dsigma).reshape(B, -1), axis=1) \
         + np.abs(R) * np.max(np.abs(snap.W0).reshape(B, -1), axis=1) + 1e-30
     out.append(Residual("prop3.6.dsigma", dsigma.reshape(B, -1),
                         rhs.reshape(B, -1), scale, app, why))
@@ -569,6 +566,8 @@ def evaluate_hypothesis_fields(snap, conventions):
     Wpair_s2 = np.einsum("bij,bi,bj->b", snap.W0, snap.JHtop0,
                          snap.grad_sin2_0)
     dfw_jh = sd * np.einsum("bi,bi->b", snap.delta_W0, snap.JHtop0)
+    # NaN |grad cos|^2 at Lagrangian points counts as 0, which sets the
+    # field's reported min/max there
     fields = {
         "thm1.2.sign_field": R * Wpair_s2,
         "thm1.3.delta_fw_jh": dfw_jh,
@@ -593,6 +592,7 @@ SUITE_READERS = {
     "prop3.6": verify_prop3_6,
     "hypotheses": evaluate_hypothesis_fields,
 }
+SUITES = tuple(SUITE_READERS)
 
 
 def run_identity_suite(snap, suites, conventions, tol_abs=TOL_ABS_DEFAULT,

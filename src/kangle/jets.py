@@ -405,11 +405,8 @@ def jet_unary(a, name):
         raise UsageError(f"unknown unary function {name!r}") from None
     a0 = a.coeffs[..., 0]
     if domain is not None and np.any(a0 <= 0.0):
-        bad = float(np.min(a0))
-        raise SingularityError(
-            f"{name} applied to a jet with non-positive constant term {bad}",
-            value=bad,
-        )
+        raise SingularityError(f"{name} applied to a jet with non-positive "
+                               f"constant term {float(np.min(a0))}")
     return a._horner(gen(a0, a.order))
 
 

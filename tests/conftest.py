@@ -13,6 +13,32 @@ def conventions():
     return calibrate_conventions(3)
 
 
+def mean_curvature_jets(spec, snap):
+    """(JH)-flat and (JH)^T as jets on ``snap``'s points, built from the
+    public geometry functions as the ``_extrinsic`` stage builds them; the
+    snapshot keeps only their values and derivatives at the points."""
+    import kangle.calculus as ca
+    from kangle import ambient as amb
+    from kangle.dsl import eval_components
+    from kangle.geometry import mean_curvature, second_fundamental_form
+    from kangle.jets import jet_einsum
+
+    F = eval_components(spec, snap.points, order=snap.order)
+    dF = ca.jstack([ca.partials(F[A]) for A in range(snap.ambient_dim)])
+    gN = gammaN = None
+    if not spec.ambient.is_flat:
+        gN = amb.ambient_metric(spec.ambient, F.truncated(snap.order - 1))
+        gammaN = amb.ambient_christoffel(spec.ambient,
+                                         F.truncated(snap.order - 2))
+    sff = second_fundamental_form(dF, snap.jets["gamma"], gammaN)
+    JH = jet_einsum("AB,B...->A...", snap.JN,
+                    mean_curvature(sff, snap.jets["g_inv"], snap.n))
+    if gN is not None:
+        JH = ca._jes("AB...,A...->B...", gN, JH)
+    JHb = ca._jes("A...,Ai...->i...", JH, dF)
+    return JHb, ca._jes("ij...,j...->i...", snap.jets["g_inv"], JHb)
+
+
 def central_diff(f, point, alpha, h=1e-4, richardson=True):
     """Mixed partial d^alpha f(point) by nested central differences.
 

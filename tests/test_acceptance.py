@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import kangle.calculus as ca
+from conftest import mean_curvature_jets
 from kangle.ambient import (
     ambient_metric,
     curvature_tensor_point,
@@ -235,9 +236,9 @@ def test_criterion_8_lagrangian_torus():
     # nabla sigma from the jets sigma is built from, at every point
     assert np.all(snap.masks["sigma"])
     jets = snap.jets
-    sigma_jet = ((jets["JHb"] * (2.0 * snap.n)
-                  + jets["delta_W"] * conv.delta_sign)
-                 * jets["sin2"].truncated(1).reciprocal())
+    JHb, _ = mean_curvature_jets(entry.spec(), snap)
+    sigma_jet = ((JHb * (2.0 * snap.n) + jets["delta_W"] * conv.delta_sign)
+                 * (1.0 - jets["cos2"]).truncated(1).reciprocal())
     nabla = ca.cov_d(sigma_jet, jets["gamma"], order=0).value()
     assert np.max(np.abs(nabla)) < 1e-8
     assert np.min(np.linalg.norm(sigma, axis=1)) > 0.1

@@ -14,7 +14,6 @@ from kangle.geometry import (
     TOL_LAGRANGIAN,
     compute_snapshot,
     gauss_equation_residual,
-    snapshot_from_F,
 )
 
 
@@ -423,12 +422,13 @@ def test_complex_frame_kernel_pairs():
         assert np.max(np.abs((JX - Y)[~ker]), initial=0.0) < 1e-10
 
 
-def test_ambient_isometry_invariance():
+def test_ambient_isometry_invariance(monkeypatch):
     """A unitary-affine ambient isometry leaves all snapshot scalars alone."""
     entry = get_entry("ds_graph")
     spec = entry.spec()
     pts = np.random.default_rng(5).uniform(-1, 1, (15, 4))
     snap = compute_snapshot(spec, pts)
+    from kangle import geometry
     from kangle.dsl import eval_components
     from kangle.jets import Jet
 
@@ -444,8 +444,9 @@ def test_ambient_isometry_invariance():
     F = eval_components(spec, pts, order=3)
     c = np.einsum("AB,B...->A...", U, F.coeffs)
     c[..., 0] += shift[:, None]
-    F2 = Jet(4, 3, c)
-    snap2 = snapshot_from_F(2, spec.ambient, F2, pts, 3)
+    monkeypatch.setattr(geometry, "eval_components",
+                        lambda *args, **kwargs: Jet(4, 3, c))
+    snap2 = compute_snapshot(spec, pts)
     assert np.max(np.abs(snap2.cos_angles - snap.cos_angles)) < 1e-9
     for key in ("normH2", "norm_nabla_W2", "S_pair", "sumRM", "norm_W2_0",
                 "hodge_pair", "lap_norm_W2", "norm_delta_W2"):
@@ -483,3 +484,104 @@ def test_chart_rejection_in_snapshot():
     snap = compute_snapshot(spec, pts)
     assert len(snap.rejected) == 1
     assert snap.size == 1
+
+
+# --------------------------------------------------------- masked fields
+
+
+def _masked_by_jets(snap, JHb, JHtop):
+    """Every masked field as a jet composition on its mask's sub-batch:
+    sqrt, log and reciprocal jets differentiated by cov_d, divergence,
+    trace_hessian and exterior_d_oneform.  Returns {key: (mask, value)}."""
+    import kangle.calculus as ca
+    from kangle.jets import jet_unary
+
+    def at(jet):
+        return np.moveaxis(jet.value(), -1, 0)
+
+    n, jets = snap.n, {**snap.jets, "JHb": JHb, "JHtop": JHtop}
+    jets["sin2"] = 1.0 - jets["cos2"]
+    out = {}
+    for mask in ("jw_field", "band", "sigma"):
+        idx = np.nonzero(snap.masks[mask])[0]
+        J = {k: v.take_batch(idx) for k, v in jets.items()}
+        g0, gi0, gN0 = snap.g0[idx], snap.g_inv0[idx], snap.gN0[idx]
+        sff0, Jw0 = snap.sff0[idx], snap.Jw0[idx]
+        inv_sin2 = J["sin2"].truncated(1).reciprocal()
+        fields = {}
+        if mask != "sigma":
+            c = jet_unary(J["cos2"], "sqrt")
+            Jw = ca._jes("ij...,...->ij...", J["W_sharp"],
+                         c.truncated(1).reciprocal(), order=1)
+            VJ = ca._jes("ij...,j...->i...", Jw, J["JHtop"])
+        if mask == "jw_field":
+            gc = at(ca.gradient_vector(c, J["g_inv"], order=0))
+            nJw = at(ca.cov_d(Jw, J["gamma"], upper=(0,), order=0))
+            rot = np.einsum("bki,blj,bklA->bijA", Jw0, Jw0, sff0)
+            sff11 = 0.5 * (sff0 + rot)
+            fields = dict(
+                grad_costheta=gc,
+                norm_grad_costheta2=np.einsum("bij,bi,bj->b", g0, gc, gc),
+                norm_nabla_Jw2=np.einsum("bim,bkl,bjp,bikj,bmlp->b",
+                                         gi0, g0, gi0, nJw, nJw),
+                delta_Jw0=-np.einsum("bij,bikj->bk", gi0, nJw),
+                delta_W_sharp0=np.einsum("bki,bi->bk", gi0, at(J["delta_W"])),
+                div_Jw_JHtop=ca.divergence(VJ, J["gamma"]).value(),
+                sff11_norm2=np.einsum("bik,bjl,bijA,bAB,bklB->b",
+                                      gi0, gi0, sff11, gN0, sff11))
+        if mask == "band":
+            kappa = jet_unary((1.0 + c) / (1.0 - c), "log") * float(n)
+            sin2 = J["sin2"].truncated(1)
+            grad_abs_sin = at(ca.gradient_vector(jet_unary(sin2, "sqrt"),
+                                                 J["g_inv"], order=0))
+            fields = dict(
+                kappa=kappa.value(),
+                lap_kappa=ca.trace_hessian(kappa, J["g_inv"],
+                                           J["gamma"]).value(),
+                norm_grad_abs_sin2=np.einsum("bij,bi,bj->b", g0,
+                                             grad_abs_sin, grad_abs_sin),
+                grad_log_sin2=at(ca.gradient_vector(jet_unary(sin2, "log"),
+                                                    J["g_inv"], order=0)),
+                div_Jw_JHtop_over_sin2=ca.divergence(ca._jes(
+                    "i...,...->i...", VJ, inv_sin2), J["gamma"]).value())
+        if mask == "sigma":
+            for tag, alpha in (("jh", J["JHb"] * (2.0 * n)),
+                               ("dw", J["delta_W"])):
+                sigma = ca._jes("i...,...->i...", alpha, inv_sin2)
+                fields[f"sigma_{tag}0"] = at(sigma)
+                fields[f"dsigma_{tag}0"] = at(ca.exterior_d_oneform(sigma))
+            JdF = np.einsum("AB,bBk->bAk", snap.JN, snap.dF0[idx])
+            fields["sigma_trace0"] = -np.einsum(
+                "bik,bixA,bAB,bBk->bx", gi0, sff0, gN0,
+                JdF) / snap.sin2_0[idx][:, None]
+        out.update({key: (mask, value) for key, value in fields.items()})
+    return out
+
+
+def test_masked_fields_equal_their_jet_compositions():
+    """The pointwise chain-rule fields equal the jet compositions they
+    stand for, to rounding, and are NaN outside their masks; the first four
+    entries give every field values of order one, and on the Lagrangian
+    torus only the sigma fields are defined."""
+    from conftest import mean_curvature_jets
+
+    scale = {}
+    for name in ("ds_graph", "quaternionic_graph", "trig_sf_pos",
+                 "trig_sf_neg", "lagrangian_torus_4"):
+        snap = snap_of(name, count=24, seed=3)
+        JHb, JHtop = mean_curvature_jets(get_entry(name).spec(), snap)
+        assert np.allclose(np.moveaxis(JHtop.value(), -1, 0), snap.JHtop0,
+                           rtol=0.0, atol=1e-12)
+        want = _masked_by_jets(snap, JHb, JHtop)
+        assert len(want) == 17
+        for key, (mask, value) in want.items():
+            field, inside = snap.data[key], snap.masks[mask]
+            assert np.all(np.isnan(field[~inside])), (name, key)
+            if not value.size:
+                continue
+            top = np.max(np.abs(value))
+            assert np.max(np.abs(field[inside] - value)) \
+                <= 1e-12 * (1.0 + top), (name, key)
+            scale[key] = max(scale.get(key, 0.0), top)
+    assert len(scale) == 17
+    assert min(scale.values()) > 0.1, scale

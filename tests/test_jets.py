@@ -157,9 +157,8 @@ def test_unary_examples():
 
 def test_unary_domain_error_carries_value():
     x = jet_seed(1, 2, [-2.0], 0)
-    with pytest.raises(SingularityError) as err:
+    with pytest.raises(SingularityError, match="constant term -2.0"):
         jet_unary(x, "log")
-    assert err.value.value == -2.0
 
 
 def test_unknown_unary_name_raises_usage_error():

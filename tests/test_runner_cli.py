@@ -288,6 +288,26 @@ def test_cli_json_path_checked_before_the_run(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
 
+@pytest.mark.parametrize("term", ["exp(1000*u1)", "u1/0"])
+def test_cli_overflowing_map_prints_only_its_error_line(term, tmp_path):
+    """F is not finite at the point: numpy prints no warning, and the one
+    line on stderr is the finite-value gate's diagnostic."""
+    path = tmp_path / "overflow.imm"
+    path.write_text(f"n=1; ambient=flat; map=[u1, u2, {term}, 0]")
+    proc = run_cli("eval", str(path), "--point", "1,0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "map value not finite" in proc.stderr
+
+
+def test_cli_point_with_a_negative_first_coordinate(capsys):
+    """`--point -0.5,...` is a value, not an option."""
+    assert main(["eval", "--entry", "ds_graph", "--point", "-0.5,0,0,0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["point"] == [-0.5, 0.0, 0.0, 0.0]
+
+
 def test_cli_failed_command_leaves_the_json_path_as_it_was(tmp_path, capsys):
     """A command that fails after the --json check leaves no new file, and
     a file that was there keeps its contents."""

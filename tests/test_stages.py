@@ -342,16 +342,15 @@ def test_every_stage_declares_its_keys_and_order():
         assert 1 <= stage.order <= jets.MAX_ORDER, stage.__name__
     assert geometry.JET_ORDER == max(s.order for s in geometry.STAGES)
     # the order F is formed at comes from the declarations alone
-    for fn in (geometry.compute_snapshot, geometry.snapshot_from_F):
-        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
-        body = [node for part in tree.body[0].body for node in ast.walk(part)]
-        assert not any(isinstance(node, ast.Name) and node.id == "JET_ORDER"
-                       for node in body), fn.__name__
-        assert not any(isinstance(node, ast.Call)
-                       and getattr(node.func, "id", "") == "min"
-                       and any(isinstance(arg, ast.Constant)
-                               for arg in node.args)
-                       for node in body), fn.__name__
+    tree = ast.parse(textwrap.dedent(
+        inspect.getsource(geometry.compute_snapshot)))
+    body = [node for part in tree.body[0].body for node in ast.walk(part)]
+    assert not any(isinstance(node, ast.Name) and node.id == "JET_ORDER"
+                   for node in body)
+    assert not any(isinstance(node, ast.Call)
+                   and getattr(node.func, "id", "") == "min"
+                   and any(isinstance(arg, ast.Constant) for arg in node.args)
+                   for node in body)
 
 
 def test_deeper_declared_orders_change_no_value(monkeypatch):
@@ -425,8 +424,8 @@ def test_stored_jets_are_built_to_their_readers_order(asked_orders):
     assert asked_orders == [3]
     assert snap.order == geometry.JET_ORDER == 3
     assert {k: jet.order for k, jet in snap.jets.items()} == {
-        "g": 2, "g_inv": 2, "gamma": 1, "cos2": 2, "sin2": 2, "delta_W": 1,
-        "W_sharp": 1, "JHb": 1, "JHtop": 1}
+        "g": 2, "g_inv": 2, "gamma": 1, "cos2": 2, "delta_W": 1,
+        "W_sharp": 1}
 
 
 # ------------------------------------------------------------ source
