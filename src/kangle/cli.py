@@ -27,7 +27,7 @@ from .errors import ImmersionSyntaxError, KangleError
 from .geometry import CLASS_NAMES, compute_snapshot, reads
 from .identities import SUITES, TOL_ABS_DEFAULT, TOL_REL_DEFAULT
 from .quadrature import eq23_pass, stokes_pass, torus_quadrature
-from .runner import report_to_json, run_suite
+from .runner import RECORD_MODES, report_to_json, run_suite
 
 
 def _load_spec(args):
@@ -111,16 +111,22 @@ def _cmd_verify(args):
     report = run_suite(entries=entries, suites=suites, points=args.points,
                        seed=args.seed, tol_abs=args.tol_abs,
                        tol_rel=args.tol_rel, quad_grid=args.quad_grid)
-    text = report_to_json(report, args.json)
     if args.json:
+        report_to_json(report, args.json, records=args.records)
         print(f"report written to {args.json}")
     summary = report["summary"]
     print(f"conventions: {report['conventions']}")
     print(f"records applicable: {summary['records_applicable']}, "
           f"failed: {summary['records_failed']}")
     for name, info in summary["per_identity"].items():
-        print(f"  {name:32s} applicable {info['applicable']:5d}  "
-              f"failed {info['failed']:4d}  max_rel {info['max_rel']:.2e}")
+        line = (f"  {name:32s} applicable {info['applicable']:5d}  "
+                f"failed {info['failed']:4d}  max_rel {info['max_rel']:.2e}")
+        worst = info["worst"]
+        if worst:
+            point = ", ".join(f"{x:.4g}" for x in worst["point"])
+            line += (f"  at {worst['entry']}[{worst['point_index']}] "
+                     f"({point})")
+        print(line)
     bad_entries = [e["name"] for e in report["entries"] if not e["expected_ok"]]
     if bad_entries:
         print("entries with failed self-assertions:", ", ".join(bad_entries))
@@ -196,6 +202,9 @@ def build_parser():
                     help="also run quadrature checks at this grid")
     pv.add_argument("--ambient", help="override: flat or space_form(RHO)")
     pv.add_argument("--json", help="write the JSON report here")
+    pv.add_argument("--records", choices=RECORD_MODES, default="failing",
+                    help="residual rows the JSON report holds "
+                         "(default: failing)")
     pv.set_defaults(fn=_cmd_verify)
 
     pi = sub.add_parser("integrate", help="torus quadrature checks")

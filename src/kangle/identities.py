@@ -72,7 +72,8 @@ class Conventions:
 @dataclass
 class IdentityResidual:
     """One named residual at one point; its sides and residuals are None
-    where the identity is not applicable."""
+    where the identity is not applicable, and its residuals and tolerances
+    are None where they are not finite."""
 
     id: str
     point_index: int
@@ -82,19 +83,18 @@ class IdentityResidual:
     rel_residual: float | None
     applicable: bool
     reason: str
-    tol_abs: float
-    tol_rel: float
+    tol_abs: float | None
+    tol_rel: float | None
     passed: bool
 
     def as_dict(self):
         return {
             "id": self.id, "point_index": self.point_index,
             "lhs": self.lhs, "rhs": self.rhs,
-            "abs_residual": finite_or_none(self.abs_residual),
-            "rel_residual": finite_or_none(self.rel_residual),
+            "abs_residual": self.abs_residual,
+            "rel_residual": self.rel_residual,
             "applicable": self.applicable, "reason": self.reason,
-            "tol_abs": finite_or_none(self.tol_abs),
-            "tol_rel": finite_or_none(self.tol_rel),
+            "tol_abs": self.tol_abs, "tol_rel": self.tol_rel,
             "pass": self.passed,
         }
 
@@ -148,6 +148,7 @@ def _judge(block, index, tol_abs, tol_rel):
         passed, tol_abs, tol_rel = np.ones_like(app), None, None
     else:
         passed = app & ((a <= tol_abs) | (rel <= tol_rel))
+        tol_abs, tol_rel = finite_or_none(tol_abs), finite_or_none(tol_rel)
     rows = zip(index.tolist(), _column(block.lhs, app),
                _column(block.rhs, app), _column(a, app), _column(rel, app),
                app.tolist(), np.where(app, "", block.reason).tolist(),

@@ -25,7 +25,10 @@ from .identities import (
 )
 from .quadrature import eq23_pass, stokes_pass, torus_quadrature
 
-__all__ = ["run_suite", "sample_points", "report_to_json", "RunError"]
+__all__ = ["run_suite", "sample_points", "report_to_json", "RECORD_MODES",
+           "RunError"]
+
+RECORD_MODES = ("failing", "all", "none")  # rows report_to_json writes
 
 
 class RunError(KangleError):
@@ -213,28 +216,41 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
         results = [_run_entry(*a) for a in args]
 
     per_identity = {}
+    worst = {}                 # id -> (entry, record) attaining max_rel
     n_applicable = n_failed = 0
-    for res in results:
+    for entry, res in zip(entry_objs, results):
         for rec in res["residuals"]:
             info = per_identity.setdefault(
                 rec["id"], {"applicable": 0, "failed": 0, "max_rel": 0.0,
-                            "max_abs": 0.0})
+                            "max_abs": 0.0, "worst": None})
             if rec["applicable"]:
                 n_applicable += 1
                 info["applicable"] += 1
-                if rec["rel_residual"] is not None:
-                    info["max_rel"] = max(info["max_rel"], rec["rel_residual"])
+                rel = rec["rel_residual"]
+                if rel is not None and (rel > info["max_rel"] or (
+                        rel == info["max_rel"] and rec["id"] not in worst)):
+                    info["max_rel"] = rel
+                    worst[rec["id"]] = entry, rec
                 if rec["abs_residual"] is not None:
                     info["max_abs"] = max(info["max_abs"], rec["abs_residual"])
                 if not rec["pass"]:
                     n_failed += 1
                     info["failed"] += 1
+    for ident, (entry, rec) in worst.items():
+        # the sampler is deterministic: recompute this entry's points
+        # rather than carry every entry's in the report
+        point = sample_points(entry.box, points, seed)[rec["point_index"]]
+        per_identity[ident]["worst"] = {
+            "entry": entry.name, "point_index": rec["point_index"],
+            "point": point.tolist(), "abs_residual": rec["abs_residual"],
+            "rel_residual": rec["rel_residual"]}
 
     ok = (n_failed == 0
           and all(r["expected_ok"] for r in results)
           and all(q.get("pass", True) for r in results for q in r["quadrature"]))
     report = {
-        "schema": 1,
+        "schema": 2,
+        "records": "all",
         "version": __version__,
         "conventions": conventions.as_dict(),
         "seed": seed,
@@ -254,14 +270,28 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
     return report
 
 
-def report_to_json(report, path=None):
+def report_to_json(report, path=None, records="failing"):
     """The report as compact one-line JSON.
 
+    ``records`` picks the residual rows written for each entry: "failing"
+    (applicable and not passing, as many as ``summary.records_failed``),
+    "all" or "none"; the JSON states the mode as ``"records"``.  The rows
+    are filtered on a shallow copy, so ``report`` itself keeps every row.
     No indent, so CPython's C encoder writes it.  Non-finite numbers are
     already None in the report; allow_nan=False refuses any that is not,
     since a bare NaN is not JSON.
     """
-    text = json.dumps(report, sort_keys=True, allow_nan=False)
+    if records not in RECORD_MODES:
+        raise RunError(f"records must be one of {RECORD_MODES}, "
+                       f"got {records!r}")
+    out = dict(report, records=records)
+    if records != "all":
+        out["entries"] = [
+            dict(e, residuals=[r for r in e["residuals"]
+                               if r["applicable"] and not r["pass"]]
+                 if records == "failing" else [])
+            for e in report["entries"]]
+    text = json.dumps(out, sort_keys=True, allow_nan=False)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -1,5 +1,6 @@
 """Report schema stability, determinism and the command line interface."""
 
+import copy
 import dataclasses
 import json
 import os
@@ -18,7 +19,7 @@ from kangle.cli import main
 from kangle.errors import UsageError
 from kangle.geometry import compute_snapshot
 from kangle.jets import MAX_DIM
-from kangle.runner import report_to_json, run_suite, sample_points
+from kangle.runner import RunError, report_to_json, run_suite, sample_points
 from test_dsl import BAD_TOKENS
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
@@ -48,7 +49,7 @@ REPORT_SCHEMA = {
                  "points_per_entry", "suites", "tolerances", "entries",
                  "summary", "pass"],
     "properties": {
-        "schema": {"const": 1},
+        "schema": {"const": 2},
         "conventions": {
             "type": "object",
             "required": ["s_delta", "delta_sign", "two_form_normalization"],
@@ -93,7 +94,7 @@ def test_report_schema_valid():
         assert keys == sorted(keys)
     # full double precision round-trips through JSON text, which holds no
     # bare NaN or Infinity: a residual that is not applicable is null
-    text = report_to_json(report)
+    text = report_to_json(report, records="all")
     again = json.loads(text, parse_constant=_refuse_constant)
     recs = report["entries"][0]["residuals"]
     back = again["entries"][0]["residuals"]
@@ -162,9 +163,44 @@ def test_sample_points_rejects_more_coordinates_than_primes():
 
 
 def test_run_is_deterministic():
-    t1 = report_to_json(small_run())
-    t2 = report_to_json(small_run())
+    t1 = report_to_json(small_run(), records="all")
+    t2 = report_to_json(small_run(), records="all")
     assert t1 == t2
+
+
+def test_record_modes_write_a_filtered_copy():
+    """"all" round-trips the report exactly, "failing" keeps the applicable
+    failing rows and "none" no row; the report itself keeps every row."""
+    report = small_run()
+    before = copy.deepcopy(report)
+    assert report["records"] == "all"
+    assert json.loads(report_to_json(report, records="all")) == report
+    for mode in ("failing", "none"):
+        back = json.loads(report_to_json(report, records=mode))
+        assert back["records"] == mode and back["schema"] == 2
+        assert all(e["residuals"] == [] for e in back["entries"])
+        assert back["summary"] == report["summary"]
+    assert report == before
+    with pytest.raises(RunError, match="records must be one of"):
+        report_to_json(report, records="bogus")
+
+
+def test_worst_record_locates_max_rel():
+    report = small_run()
+    rows = {(e["name"], r["id"], r["point_index"]): r
+            for e in report["entries"] for r in e["residuals"]}
+    for ident, info in report["summary"]["per_identity"].items():
+        worst = info["worst"]
+        if info["applicable"] == 0:
+            assert worst is None
+            continue
+        assert worst["rel_residual"] == info["max_rel"], ident
+        row = rows[worst["entry"], ident, worst["point_index"]]
+        assert row["applicable"]
+        assert row["rel_residual"] == worst["rel_residual"]
+        assert row["abs_residual"] == worst["abs_residual"]
+        pts = sample_points(get_entry(worst["entry"]).box, 16, 1234)
+        assert worst["point"] == pts[worst["point_index"]].tolist()
 
 
 # ------------------------------------------------------------------- CLI
@@ -329,6 +365,24 @@ def test_cli_json_path_receives_the_report(tmp_path):
     want = report_to_json(run_suite(entries=["ds_graph"], suites=["prop3.1"],
                                     points=4))
     assert out.read_text() == want + "\n"
+
+
+def test_cli_json_holds_the_failing_records_by_default(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--entry", "slant_cylinder", "--suite", "prop3.1",
+                 "--points", "8", "--tol-abs", "0", "--tol-rel", "0",
+                 "--json", str(out)]) == 1
+    assert " at slant_cylinder[" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["records"] == "failing"
+    rows = [r for e in report["entries"] for r in e["residuals"]]
+    assert len(rows) == report["summary"]["records_failed"] > 0
+    assert all(r["applicable"] and not r["pass"] for r in rows)
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--entry", "slant_cylinder", "--records", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_cli_verify_entry(tmp_path):
