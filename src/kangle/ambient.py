@@ -127,7 +127,7 @@ def ambient_metric(spec, z_jets):
     im = xy - np.swapaxes(xy, 0, 1)
     diag = np.arange(m)
     re[diag, diag] += A.coeffs
-    g = np.empty((2 * m, 2 * m) + re.shape[2:])
+    g = np.moveaxis(np.empty(re.shape[-1:] + (2 * m,) * 2 + re.shape[2:-1]), 0, -1)
     g[0::2, 0::2] = re
     g[1::2, 1::2] = re
     g[0::2, 1::2] = im
@@ -153,8 +153,8 @@ def ambient_christoffel(spec, z_jets):
     cz = z_jets * c                                          # (C, b)
     cJz = jet_einsum("CD,D...->C...", J, z_jets) * c
     eye = np.eye(m2)
-    T = (np.einsum("AB,C...->ABC...", eye, cz.coeffs)
-         + np.einsum("AB,C...->ABC...", J, cJz.coeffs))
+    T = (jet_einsum("AB,C...->ABC...", eye, cz)
+         + jet_einsum("AB,C...->ABC...", J, cJz)).coeffs
     return Jet(z_jets.dim, z_jets.order, T + np.swapaxes(T, 1, 2))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, jet_einsum
+from .jets import Jet, jet_einsum, jstack
 
 __all__ = [
     "contract",
@@ -62,13 +62,6 @@ def contract(subscripts, *operands):
     return np.einsum(subscripts, *operands, optimize=path)
 
 
-def jstack(jets, axis=0):
-    """Stack jets along a new leading component axis."""
-    first = jets[0]
-    coeffs = np.stack([j.coeffs for j in jets], axis=axis)
-    return Jet(first.dim, first.order, coeffs)
-
-
 def _jes(spec, a, b, order=None):
     """jet_einsum on operands truncated to their common order, or to
     ``order`` if that is lower."""
@@ -88,13 +81,10 @@ def jet_matrix_inverse(G):
     m = G.coeffs.shape[0]
     G0 = np.moveaxis(G.coeffs[..., 0], (0, 1), (-2, -1))        # (b, m, m)
     I0 = np.moveaxis(np.linalg.inv(G0), (-2, -1), (0, 1))       # (i, j, b)
-    N = Jet(G.dim, G.order, G.coeffs.copy())
+    N = Jet(G.dim, G.order, G.coeffs.copy(order="K"))
     N.coeffs[..., 0] = 0.0
     M = jet_einsum("ik...,kj...->ij...", -I0, N)
-    # np.einsum lays M out after I0 and N, not in C order; the einsums
-    # that read g^-1 run several times faster on a C-ordered copy
-    total = Jet(G.dim, G.order, np.ascontiguousarray(M.coeffs))
-    acc = M
+    total = acc = M
     for _ in range(G.order - 1):
         acc = _jes("ik...,kj...->ij...", M, acc)
         total = total + acc
@@ -105,7 +95,7 @@ def jet_matrix_inverse(G):
 
 def partials(T):
     """Stack all partial derivatives as a new leading axis (order drops by 1)."""
-    return jstack([T.derivative(v) for v in range(T.dim)], axis=0)
+    return jstack([T.derivative(v) for v in range(T.dim)])
 
 
 def christoffel(g, g_inv=None):

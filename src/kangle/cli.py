@@ -124,8 +124,8 @@ def _cmd_verify(args):
         worst = info["worst"]
         if worst:
             point = ", ".join(f"{x:.4g}" for x in worst["point"])
-            line += (f"  at {worst['entry']}[{worst['point_index']}] "
-                     f"({point})")
+            line += (f"  worst rel {worst['rel_residual']:.2e} at "
+                     f"{worst['entry']}[{worst['point_index']}] ({point})")
         print(line)
     bad_entries = [e["name"] for e in report["entries"] if not e["expected_ok"]]
     if bad_entries:

@@ -36,7 +36,7 @@ from .errors import (
     SpecNameError,
     UsageError,
 )
-from .jets import Jet, jet_seed_all, jet_unary
+from .jets import Jet, jet_seed_all, jet_unary, jstack
 
 # the functions of the grammar and the plain float evaluator's tables
 _FLOAT_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh,
@@ -464,8 +464,8 @@ def eval_components(spec, point, order=3):
             val = Jet.constant(spec.domain_dim, order,
                                np.broadcast_to(np.asarray(val, dtype=float),
                                                point.shape[:-1]))
-        comps.append(val.coeffs)
-    return Jet(spec.domain_dim, order, np.stack(comps, axis=0))
+        comps.append(val)
+    return jstack(comps)
 
 
 def _eval_floats(e, coords):

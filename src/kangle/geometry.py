@@ -201,10 +201,10 @@ def signed_angle_n1(g0, W0):
 
 def second_fundamental_form(dF, gamma, gammaN_F=None):
     """sff[i, j, A] = d_i d_j F^A + Gamma^N(dF_i, dF_j)^A - dF^A_k Gamma^k_{ij}."""
-    ddF = ca.partials(dF)                          # (i, A, j, b)
-    ddF = Jet(ddF.dim, ddF.order, np.einsum("iAj...->ijA...", ddF.coeffs))
+    ddF = ca.partials(dF).coeffs                   # (i, A, j, b)
     corr = ca._jes("Ak...,kij...->ijA...", dF, gamma)
-    out = ddF - corr
+    out = Jet(corr.dim, corr.order,
+              np.einsum("iAj...->ijA...", ddF) - corr.coeffs)
     if gammaN_F is not None:
         t = ca._jes("ABC...,Bi...->AiC...", gammaN_F, dF)
         t = ca._jes("AiC...,Cj...->ijA...", t, dF)

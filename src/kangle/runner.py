@@ -172,6 +172,14 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
     return result
 
 
+def _gate_margin(rec):
+    """min(abs/tol_abs, rel/tol_rel): above 1 iff the gate fails the record."""
+    if None in (rec["tol_abs"], rec["tol_rel"]):    # an infinite tolerance
+        return 0.0
+    return min(rec["abs_residual"] / max(rec["tol_abs"], 1e-300),
+               rec["rel_residual"] / max(rec["tol_rel"], 1e-300))
+
+
 def run_suite(entries=None, suites="all", points=64, seed=1234,
               tol_abs=TOL_ABS_DEFAULT, tol_rel=TOL_REL_DEFAULT, order=3,
               quad_grid=0, threads=None):
@@ -216,7 +224,7 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
         results = [_run_entry(*a) for a in args]
 
     per_identity = {}
-    worst = {}                 # id -> (entry, record) attaining max_rel
+    worst = {}                 # id -> (rank, entry, record) closest to failing
     n_applicable = n_failed = 0
     for entry, res in zip(entry_objs, results):
         for rec in res["residuals"]:
@@ -227,16 +235,17 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
                 n_applicable += 1
                 info["applicable"] += 1
                 rel = rec["rel_residual"]
-                if rel is not None and (rel > info["max_rel"] or (
-                        rel == info["max_rel"] and rec["id"] not in worst)):
-                    info["max_rel"] = rel
-                    worst[rec["id"]] = entry, rec
+                if rel is not None:
+                    info["max_rel"] = max(info["max_rel"], rel)
+                    rank = _gate_margin(rec), rel
+                    if rec["id"] not in worst or rank > worst[rec["id"]][0]:
+                        worst[rec["id"]] = rank, entry, rec
                 if rec["abs_residual"] is not None:
                     info["max_abs"] = max(info["max_abs"], rec["abs_residual"])
                 if not rec["pass"]:
                     n_failed += 1
                     info["failed"] += 1
-    for ident, (entry, rec) in worst.items():
+    for ident, (_, entry, rec) in worst.items():
         # the sampler is deterministic: recompute this entry's points
         # rather than carry every entry's in the report
         point = sample_points(entry.box, points, seed)[rec["point_index"]]

@@ -15,6 +15,7 @@ from kangle.geometry import (
     compute_snapshot,
     gauss_equation_residual,
 )
+from kangle.jets import Jet
 
 
 def snap_of(name, count=40, seed=0, order=3):
@@ -22,6 +23,29 @@ def snap_of(name, count=40, seed=0, order=3):
     rng = np.random.default_rng(seed)
     pts = np.stack([rng.uniform(lo, hi, count) for lo, hi in entry.box], -1)
     return compute_snapshot(entry.spec(), pts, order=order)
+
+
+@pytest.mark.parametrize("name, order", [
+    ("ds_graph", 4), ("trig_sf_pos", 3), ("slant_product_6", 3)])
+def test_snapshot_jets_are_made_coefficient_major(name, order, monkeypatch):
+    """Every jet of a full snapshot is coefficient-major, and no producer
+    leaves that layout to the copy in Jet.__init__."""
+    init, copied = Jet.__init__, []
+
+    def counting_init(self, dim, order, coeffs):
+        if not np.moveaxis(np.asarray(coeffs), -1, 0).flags.c_contiguous:
+            copied.append(np.shape(coeffs))
+        init(self, dim, order, coeffs)
+
+    monkeypatch.setattr(Jet, "__init__", counting_init)
+    snap = snap_of(name, count=12, order=order)
+    assert copied == []
+    assert snap.jets
+    for key, jet in snap.jets.items():
+        assert np.moveaxis(jet.coeffs, -1, 0).flags.c_contiguous, key
+    # the counter sees a C-ordered (b, K) array
+    Jet(2, 1, np.zeros((4, 3)))
+    assert copied == [(4, 3)]
 
 
 # ---------------------------------------------------------------- metric

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import all_multi_indices, central_diff
+from kangle.calculus import jstack
 from kangle.errors import DomainError, SingularityError, UsageError
 from kangle.jets import (
     Jet,
@@ -242,3 +243,112 @@ def test_powi():
     with pytest.raises(DomainError):
         x.powi(-1)
 
+
+
+# ------------------------------------------------------- memory layouts
+
+LAYOUTS = ("C", "F", "coefficient_major", "sliced")
+
+
+def _coefficient_major(c):
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(c, -1, 0)), 0, -1)
+
+
+def _laid_out(c, layout):
+    """The array c (..., K) in a memory layout."""
+    if layout == "C":
+        return np.ascontiguousarray(c)
+    if layout == "F":
+        return np.asfortranarray(c)
+    if layout == "coefficient_major":
+        return _coefficient_major(c)
+    # F[A] of a coefficient-major stack: planes with gaps between them
+    return _coefficient_major(np.stack([np.zeros_like(c), c]))[1]
+
+
+def _jet(dim, order, c, layout):
+    """A jet holding c in ``layout``, past the copy in Jet.__init__, as a
+    kernel input."""
+    jet = Jet(dim, order, c)
+    jet.coeffs = _laid_out(c, layout)
+    return jet
+
+
+def _is_coefficient_major(jet):
+    return np.moveaxis(jet.coeffs, -1, 0).flags.c_contiguous
+
+
+def _naive_reciprocal(dim, order, a):
+    inv = 1.0 / a[..., 0]
+    u = a.copy()
+    u[..., 0] = 0.0
+    acc = np.zeros_like(a)
+    acc[..., 0] = inv * (-inv) ** order
+    for k in range(order - 1, -1, -1):
+        acc = _naive_product(dim, order, acc, u)
+        acc[..., 0] += inv * (-inv) ** k
+    return acc
+
+
+def _naive_derivative(dim, order, a, var):
+    exps = multi_indices(dim, order)
+    slot = {alpha: k for k, alpha in enumerate(exps)}
+    child = multi_indices(dim, order - 1)
+    out = np.zeros(a.shape[:-1] + (len(child),))
+    for k, beta in enumerate(child):
+        up = tuple(b + (i == var) for i, b in enumerate(beta))
+        out[..., k] = up[var] * a[..., slot[up]]
+    return out
+
+
+def _naive_einsum(dim, order, spec, a, b):
+    """Binary einsum over truncated products, one pair of slots at a time."""
+    exps = multi_indices(dim, order)
+    slot = {alpha: k for k, alpha in enumerate(exps)}
+    out = [0.0] * len(exps)
+    for i, alpha in enumerate(exps):
+        for j, beta in enumerate(exps):
+            if sum(alpha) + sum(beta) <= order:
+                k = slot[tuple(x + y for x, y in zip(alpha, beta))]
+                out[k] = out[k] + np.einsum(spec, a[..., i], b[..., j])
+    return np.stack(out, axis=-1)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_kernels_take_any_layout_and_emit_coefficient_major(layout):
+    dim, order = 3, 3
+    K = num_coeffs(dim, order)
+    rng = np.random.default_rng(17)
+    a = rng.uniform(-0.5, 0.5, (4, 5, K))
+    a[..., 0] += 2.0
+    b = rng.uniform(-0.5, 0.5, (4, 5, K))
+    m = rng.uniform(-1.0, 1.0, (4, 4))
+    # the second operand in another layout, so mixed pairs occur too
+    other = LAYOUTS[(LAYOUTS.index(layout) + 1) % len(LAYOUTS)]
+    A, B = _jet(dim, order, a, layout), _jet(dim, order, b, other)
+    # x[None, :] * c in ambient_metric: a (1, m, b) jet times an (m, b) one
+    A1 = _jet(dim, order, a[None], layout)
+    c = b[0]
+    C = _jet(dim, order, c, other)
+    cases = [
+        (A * B, _naive_product(dim, order, a, b)),
+        (A1 * B, _naive_product(dim, order, a[None], b)),
+        (B * A1, _naive_product(dim, order, b, a[None])),
+        (A.reciprocal(), _naive_reciprocal(dim, order, a)),
+        (A.derivative(1), _naive_derivative(dim, order, a, 1)),
+        (A.take_batch([4, 0, 2]), a[..., [4, 0, 2], :]),
+        (jstack([A, B, A]), np.stack([a, b, a])),
+        (jet_einsum("ib,jb->ijb", A, B),
+         _naive_einsum(dim, order, "ib,jb->ijb", a, b)),
+        (jet_einsum("i...,...->i...", A, C),
+         _naive_einsum(dim, order, "ib,b->ib", a, c)),
+        (jet_einsum("ik,kb->ib", _laid_out(m, layout), A),
+         np.einsum("ik,kbZ->ibZ", m, a)),
+        (jet_einsum("kb,ki->ib", A, _laid_out(m.T, layout)),
+         np.einsum("kbZ,ki->ibZ", a, m.T)),
+    ]
+    for n, (got, want) in enumerate(cases):
+        assert _is_coefficient_major(got), n
+        assert got.coeffs.shape == want.shape, n
+        err = np.max(np.abs(got.coeffs - want)) / np.max(np.abs(want))
+        assert err <= 1e-15, (n, err)

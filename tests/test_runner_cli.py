@@ -185,22 +185,39 @@ def test_record_modes_write_a_filtered_copy():
         report_to_json(report, records="bogus")
 
 
-def test_worst_record_locates_max_rel():
-    report = small_run()
-    rows = {(e["name"], r["id"], r["point_index"]): r
-            for e in report["entries"] for r in e["residuals"]}
-    for ident, info in report["summary"]["per_identity"].items():
-        worst = info["worst"]
-        if info["applicable"] == 0:
-            assert worst is None
-            continue
-        assert worst["rel_residual"] == info["max_rel"], ident
-        row = rows[worst["entry"], ident, worst["point_index"]]
-        assert row["applicable"]
-        assert row["rel_residual"] == worst["rel_residual"]
-        assert row["abs_residual"] == worst["abs_residual"]
-        pts = sample_points(get_entry(worst["entry"]).box, 16, 1234)
-        assert worst["point"] == pts[worst["point_index"]].tolist()
+def _margin(row):
+    """The gate's margin min(abs/tol_abs, rel/tol_rel); 0 when reported."""
+    if row["tol_abs"] is None:
+        return 0.0
+    return min(row["abs_residual"] / row["tol_abs"],
+               row["rel_residual"] / row["tol_rel"])
+
+
+def test_worst_record_is_closest_to_failing():
+    # on ds_graph, lemma 3.1 (i.b) has round-off records (abs ~1e-16)
+    # with rel above 0.5: the record closest to failing is another one
+    ds = run_suite(entries=["ds_graph"], suites=["lemma3.1"], points=16)
+    info = ds["summary"]["per_identity"]["lemma3.1.i_b"]
+    assert info["worst"]["rel_residual"] < info["max_rel"]
+    for report in (small_run(), ds):
+        rows = {(e["name"], r["id"], r["point_index"]): r
+                for e in report["entries"] for r in e["residuals"]}
+        for ident, info in report["summary"]["per_identity"].items():
+            worst = info["worst"]
+            if info["applicable"] == 0:
+                assert worst is None
+                continue
+            ranked = [(_margin(r), r["rel_residual"]) for r in rows.values()
+                      if r["id"] == ident and r["applicable"]
+                      and r["rel_residual"] is not None]
+            assert info["max_rel"] == max(rel for _, rel in ranked), ident
+            row = rows[worst["entry"], ident, worst["point_index"]]
+            assert row["applicable"]
+            assert (_margin(row), row["rel_residual"]) == max(ranked), ident
+            assert row["rel_residual"] == worst["rel_residual"]
+            assert row["abs_residual"] == worst["abs_residual"]
+            pts = sample_points(get_entry(worst["entry"]).box, 16, 1234)
+            assert worst["point"] == pts[worst["point_index"]].tolist()
 
 
 # ------------------------------------------------------------------- CLI
