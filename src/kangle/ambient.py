@@ -6,7 +6,9 @@ with z^k = x^k + i y^k, so the complex structure J acts blockwise by
 are realized in a single affine chart through the potential
 ``(1/rho) log(1 + rho |z|^2)`` (Fubini-Study type for rho > 0, Bergman type
 for rho < 0); the realified metric is normalized to the identity at z = 0.
-Every closed form here is exact at rho = 0, where it gives flat C^m.
+Every closed form here is exact at rho = 0, where it gives flat C^m; only
+metric_along and christoffel_along, which the snapshot applies along F,
+test for rho = 0, to skip products that vanish there.
 
 Curvature sign convention: R(X,Y,Z,W) = g(nab_X nab_Y Z - nab_Y nab_X Z
 - nab_{[X,Y]} Z, W), fixed so that R(X, JX, JX, X) = 4 rho ||X||^4.  With it
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError, UsageError
-from .jets import Jet, jet_einsum
+from .jets import Jet, jet_einsum, jstack
 
 CHART_BOUNDARY_TOL = 1e-6
 
@@ -30,12 +32,12 @@ __all__ = [
     "space_form",
     "ambient_J",
     "ambient_metric",
-    "ambient_christoffel",
     "ambient_metric_point",
+    "metric_along",
+    "christoffel_along",
     "curvature_tensor_point",
     "einstein_constant",
-    "chart_margin",
-    "check_chart_domain",
+    "in_chart",
 ]
 
 
@@ -79,29 +81,20 @@ def ambient_J(spec):
     return J
 
 
-def chart_margin(spec, z_values):
-    """1 + rho |z|^2 at chart points z_values (..., 2m); the chart of a
-    rho < 0 space form ends where it reaches CHART_BOUNDARY_TOL."""
-    return 1.0 + spec.rho * np.sum(np.asarray(z_values) ** 2, axis=-1)
-
-
-def check_chart_domain(spec, z_values):
-    """Reject points at or beyond the chart boundary (only rho < 0 has one).
-
-    z_values: array (..., 2m) of chart coordinates.
-    """
-    margin = chart_margin(spec, z_values)
-    if np.any(margin <= CHART_BOUNDARY_TOL):
-        worst = float(np.min(margin))
-        raise ChartDomainError(
-            f"point outside the chart domain: 1 + rho|z|^2 = {worst:.3e} "
-            f"<= {CHART_BOUNDARY_TOL}"
-        )
+def in_chart(spec, z_values):
+    """Where 1 + rho|z|^2 at chart points z_values (..., 2m) is finite and
+    above CHART_BOUNDARY_TOL: the chart of a rho < 0 space form ends there,
+    and where rho|z|^2 overflows no metric is representable."""
+    with np.errstate(over="ignore"):
+        margin = 1.0 + spec.rho * np.sum(np.asarray(z_values) ** 2, axis=-1)
+    return np.isfinite(margin) & (margin > CHART_BOUNDARY_TOL)
 
 
 def _inverse_margin(spec, z_jets):
-    """1/(1 + rho|z|^2) as a jet, after the chart check."""
-    check_chart_domain(spec, np.moveaxis(z_jets.value(), 0, -1))
+    """1/(1 + rho|z|^2) as a jet; a point outside the chart raises."""
+    if not np.all(in_chart(spec, np.moveaxis(z_jets.value(), 0, -1))):
+        raise ChartDomainError("point outside the chart domain: 1 + rho|z|^2 "
+                               f"is not finite and above {CHART_BOUNDARY_TOL}")
     s2 = jet_einsum("A...,A...->...", z_jets, z_jets)
     return (1.0 + spec.rho * s2).reciprocal()
 
@@ -135,34 +128,69 @@ def ambient_metric(spec, z_jets):
     return Jet(z_jets.dim, z_jets.order, g)
 
 
-def ambient_christoffel(spec, z_jets):
-    """Levi-Civita connection as jets, evaluated on chart-coordinate jets.
-
-    Closed form of the space form in this chart (Kobayashi-Nomizu II,
-    ch. IX 7), with Euclidean chart products and J = ambient_J:
-    Gamma(X, Y) = -rho/(1 + rho|z|^2) [(Y.z) X + (Y.Jz) JX
-                                       + (X.z) Y + (X.Jz) JY].
-    z_jets: Jet with leading axis of length 2m; result has leading axes
-    (2m, 2m, 2m) = Gamma^A_{BC}.  It vanishes for the flat ambient.
-    """
-    m2 = spec.real_dim
-    if z_jets.coeffs.shape[0] != m2:
-        raise UsageError("z_jets leading axis must have length 2m")
-    J = ambient_J(spec)
-    c = _inverse_margin(spec, z_jets) * (-spec.rho)
-    cz = z_jets * c                                          # (C, b)
-    cJz = jet_einsum("CD,D...->C...", J, z_jets) * c
-    eye = np.eye(m2)
-    T = (jet_einsum("AB,C...->ABC...", eye, cz)
-         + jet_einsum("AB,C...->ABC...", J, cJz)).coeffs
-    return Jet(z_jets.dim, z_jets.order, T + np.swapaxes(T, 1, 2))
-
-
 def ambient_metric_point(spec, z):
     """Ambient metric as plain arrays: z (..., 2m) -> (..., 2m, 2m)."""
     z = np.moveaxis(np.asarray(z, dtype=float), -1, 0)
     g = ambient_metric(spec, Jet(1, 0, z[..., None]))
     return np.moveaxis(g.value(), (0, 1), (-2, -1))
+
+
+def _common(z, a, b):
+    """z, a and b truncated to the common order of a and b, and einsum
+    labels for the axes of a and of b between A and z's batch axes."""
+    o = min(a.order, b.order)
+    own = [v.coeffs.ndim - z.coeffs.ndim for v in (a, b)]
+    return (z.truncated(o), a.truncated(o), b.truncated(o),
+            "ij"[:own[0]], "kl"[:own[1]])
+
+
+def _pairings(spec, z, a, si, b, sj):
+    """A = 1/(1 + rho|z|^2), after the chart check, and <v, z>, <v, Jz> of
+    v = a and v = b on a last axis p: (si..., p, batch...), (sj..., p, ...)."""
+    A = _inverse_margin(spec, z)
+    zJz = jstack([z, jet_einsum("AB,B...->A...", ambient_J(spec), z)])
+    return (A, jet_einsum(f"A{si}...,pA...->{si}p...", a, zJz),
+            jet_einsum(f"A{sj}...,pA...->{sj}p...", b, zJz))
+
+
+def metric_along(spec, z, a, b):
+    """g_N(a, b) at chart-coordinate jets z, in closed form.
+
+    g_N(a, b) = A <a, b> + c (<a, z><b, z> + <a, Jz><b, Jz>) with the
+    Euclidean chart product <., .>, A = 1/(1 + rho|z|^2) and c = -rho A^2.
+    z: Jet (A, batch...) with A of length 2m; a (A, i..., batch...) and
+    b (A, j..., batch...) are tangent-vector jets.  Returns (i..., j...,
+    batch...) at the common order of a and b, to which every operand is
+    truncated first.  rho = 0 is <a, b>.
+    """
+    z, a, b, si, sj = _common(z, a, b)
+    dot = f"A{si}...,A{sj}...->{si}{sj}..."
+    if spec.rho == 0.0:
+        return jet_einsum(dot, a, b)
+    A, pa, pb = _pairings(spec, z, a, si, b, sj)
+    return (A * jet_einsum(dot, a, b) + jet_einsum(
+        f"{si}p...,{sj}p...->{si}{sj}...", pa * (A * A * -spec.rho), pb))
+
+
+def christoffel_along(spec, z, a, b):
+    """Levi-Civita connection Gamma^N(a, b) at chart-coordinate jets z.
+
+    Closed form of the space form in this chart (Kobayashi-Nomizu II,
+    ch. IX 7), with Euclidean chart products and J = ambient_J:
+    Gamma(a, b) = -rho A [(b.z) a + (b.Jz) Ja + (a.z) b + (a.Jz) Jb].
+    Operands as in metric_along; returns the vector (i..., j..., A,
+    batch...).  rho = 0 is 0.
+    """
+    z, a, b, si, sj = _common(z, a, b)
+    out = f"{si}{sj}A..."
+    if spec.rho == 0.0:
+        shape = a.shape[1:1 + len(si)] + b.shape[1:1 + len(sj)] + z.shape
+        return Jet.constant(z.dim, z.order, np.zeros(shape))
+    A, pa, pb = _pairings(spec, z, a, si, b, sj)
+    J, s = ambient_J(spec), A * -spec.rho
+    aJa, bJb = (jstack([v, jet_einsum("AB,B...->A...", J, v)]) for v in (a, b))
+    return (jet_einsum(f"{sj}p...,pA{si}...->{out}", pb * s, aJa)
+            + jet_einsum(f"{si}p...,pA{sj}...->{out}", pa * s, bJb))
 
 
 def einstein_constant(spec):

@@ -52,7 +52,6 @@ __all__ = [
     "STAGES",
     "compute_snapshot",
     "reads",
-    "induced_metric",
     "pullback_form",
     "kahler_angles",
     "signed_angle_n1",
@@ -136,21 +135,11 @@ def writes(*keys, order):
     return declare
 
 
-def induced_metric(a, b, gN=None):
-    """g_N(a d_i, b d_j) as jets; a and b have axes (A, i, b).
-
-    With a = b = dF this is the induced metric g_ij.  gN None is flat.
-    """
-    if gN is None:
-        return jet_einsum("Ai...,Aj...->ij...", a, b)
-    step = ca._jes("AB...,Bj...->Aj...", gN, b)
-    return ca._jes("Ai...,Aj...->ij...", a, step)
-
-
-def pullback_form(dF, J, gN=None):
-    """(F*w)_ij = g_N(J dF d_i, dF d_j); antisymmetrized against roundoff."""
-    JdF = jet_einsum("AB,Bi...->Ai...", J, dF)
-    w = induced_metric(JdF, dF, gN)
+def pullback_form(spec, F, dF):
+    """(F*w)_ij = g_N(J dF d_i, dF d_j) along F; antisymmetrized against
+    roundoff."""
+    JdF = jet_einsum("AB,Bi...->Ai...", amb.ambient_J(spec), dF)
+    w = amb.metric_along(spec, F, JdF, dF)
     return Jet(w.dim, w.order, 0.5 * (w.coeffs - np.swapaxes(w.coeffs, 0, 1)))
 
 
@@ -199,17 +188,15 @@ def signed_angle_n1(g0, W0):
     return W0[:, 0, 1] / np.sqrt(det)
 
 
-def second_fundamental_form(dF, gamma, gammaN_F=None):
-    """sff[i, j, A] = d_i d_j F^A + Gamma^N(dF_i, dF_j)^A - dF^A_k Gamma^k_{ij}."""
+def second_fundamental_form(spec, F, dF, gamma):
+    """sff[i, j, A] = d_i d_j F^A + Gamma^N(dF_i, dF_j)^A - dF^A_k Gamma^k_{ij}
+    along F, at the order of d^2 F."""
     ddF = ca.partials(dF).coeffs                   # (i, A, j, b)
     corr = ca._jes("Ak...,kij...->ijA...", dF, gamma)
-    out = Jet(corr.dim, corr.order,
-              np.einsum("iAj...->ijA...", ddF) - corr.coeffs)
-    if gammaN_F is not None:
-        t = ca._jes("ABC...,Bi...->AiC...", gammaN_F, dF)
-        t = ca._jes("AiC...,Cj...->ijA...", t, dF)
-        out = out + t
-    return out
+    out = np.einsum("iAj...->ijA...", ddF) - corr.coeffs
+    dF = dF.truncated(corr.order)
+    out += amb.christoffel_along(spec, F, dF, dF).coeffs
+    return Jet(corr.dim, corr.order, out)
 
 
 def mean_curvature(sff, g_inv, n):
@@ -236,13 +223,9 @@ def gauss_equation_residual(snapshot):
     sff0 = snapshot.sff0                                    # (b, i, j, A)
     gN0 = snapshot.gN0
     dF0 = snapshot.dF0                                      # (b, A, i)
-    spec = snapshot.ambient_spec
-    if spec.is_flat:
-        RN_pull = 0.0
-    else:
-        RN = amb.curvature_tensor_point(spec, snapshot.F0)
-        RN_pull = ca.contract("bABCD,bAi,bBj,bCk,bDl->bijkl",
-                              RN, dF0, dF0, dF0, dF0)
+    RN = amb.curvature_tensor_point(snapshot.ambient_spec, snapshot.F0)
+    RN_pull = ca.contract("bABCD,bAi,bBj,bCk,bDl->bijkl",
+                          RN, dF0, dF0, dF0, dF0)
     quad = ca.contract("bilA,bAB,bjkB->bijkl", sff0, gN0, sff0)
     quad2 = ca.contract("bjlA,bAB,bikB->bijkl", sff0, gN0, sff0)
     rhs = RN_pull + quad - quad2
@@ -327,10 +310,11 @@ def compute_snapshot(spec, points, order=3, reads=None):
     them run, and F is formed at ``order`` capped at the deepest order
     those stages declare, which ``snap.order`` reports.  Each stage reads
     keys of the stages before it; ``work`` carries what no reader needs (F,
-    dF, g_N, Gamma_N along F, the |F*w|^2 and d F*w the form Laplacians
-    differentiate, the nabla F*w, d delta F*w and (JH)-flat the masked
-    fields reuse, and the factors the eigenframes are built from) and is
-    dropped.
+    dF, the |F*w|^2 and d F*w the form Laplacians differentiate, the
+    nabla F*w, d delta F*w and (JH)-flat the masked fields reuse, and the
+    factors the eigenframes are built from) and is dropped.  It holds no
+    ambient tensor: g_N and Gamma^N are applied along F in closed form
+    (``ambient.metric_along``, ``ambient.christoffel_along``).
     """
     stages, order = _plan(reads, order)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -362,49 +346,42 @@ def _gate(snap, work, good, reason, error):
         for key, value in store.items():
             if isinstance(value, Jet):
                 store[key] = value.take_batch(keep)
-            elif value is not None:
+            else:
                 store[key] = value[keep]
 
 
 @writes("F0", "dF0", "gN0", "g0", "sqrt_det_g0", "g", order=1)
 def _core(snap, work):
-    """F, the finite-value and chart gates, dF, g_N along F, g, the
-    immersion gate and sqrt(det g); their values read dF."""
+    """F, the finite-value and chart gates, dF, g, the immersion gate,
+    sqrt(det g) and g_N at the points; their values read dF."""
     spec, m = snap.ambient_spec, snap.ambient_dim
     snap.data["F0"] = _at_points(work["F"])
     with np.errstate(over="ignore"):     # the gate reports the overflow
         finite = np.isfinite(np.sum(snap.F0 ** 2, axis=-1))
     _gate(snap, work, finite, "map value not finite", DomainError)
-    _gate(snap, work, amb.chart_margin(spec, snap.F0) > amb.CHART_BOUNDARY_TOL,
-          "outside chart domain", ChartDomainError)
+    _gate(snap, work, amb.in_chart(spec, snap.F0), "outside chart domain",
+          ChartDomainError)
     F = work["F"]
     dF = ca.jstack([ca.partials(F[A]) for A in range(m)])   # (A, i, b)
-    # metric (A, B, b), closed form along F
-    gN = None if spec.is_flat else amb.ambient_metric(
-        spec, F.truncated(snap.order - 1))
-    work.update(dF=dF, gN=gN)
-    snap.jets["g"] = induced_metric(dF, dF, gN)
+    work["dF"] = dF
+    snap.jets["g"] = amb.metric_along(spec, F, dF, dF)
     eig = np.linalg.eigvalsh(_at_points(snap.jets["g"]))
     _gate(snap, work, eig[:, 0] > 1e-12 * np.maximum(eig[:, -1], 1.0),
           "not an immersion", NotAnImmersionError)
-    dF, gN, g0 = work["dF"], work["gN"], _at_points(snap.jets["g"])
+    g0 = _at_points(snap.jets["g"])
     snap.data.update(
-        dF0=_at_points(dF),
-        gN0=(np.broadcast_to(np.eye(m), (snap.size, m, m)) if gN is None
-             else _at_points(gN)),
+        dF0=_at_points(work["dF"]),
+        gN0=amb.ambient_metric_point(spec, snap.F0),
         g0=g0, sqrt_det_g0=np.sqrt(np.linalg.det(g0)),
     )
 
 
 @writes("g_inv0", "g_inv", "gamma", order=2)
 def _connection(snap, work):
-    """g^-1, Gamma, and Gamma_N along F (closed form, into ``work``); Gamma
-    reads d^2 F."""
-    spec, g = snap.ambient_spec, snap.jets["g"]
+    """g^-1 and Gamma; Gamma reads d^2 F."""
+    g = snap.jets["g"]
     g_inv = ca.jet_matrix_inverse(g)
     snap.jets.update(g_inv=g_inv, gamma=ca.christoffel(g, g_inv))
-    work["gammaN_F"] = (None if spec.is_flat else amb.ambient_christoffel(
-        spec, work["F"].truncated(snap.order - 2)))        # (A, B, C, b)
     snap.data["g_inv0"] = _at_points(g_inv)
 
 
@@ -416,7 +393,7 @@ def _forms(snap, work):
     nabla F*w and d F*w; the derivatives of F*w read d^2 F."""
     n, g_inv0 = snap.n, snap.g_inv0
     g_inv, gamma = snap.jets["g_inv"], snap.jets["gamma"]
-    W = pullback_form(work["dF"], snap.JN, work["gN"])       # (i, j, b)
+    W = pullback_form(snap.ambient_spec, work["F"], work["dF"])  # (i, j, b)
     W0 = _at_points(W)
     norm_W2_jet = ca.two_form_pairing(W, W, g_inv)
     cos2 = norm_W2_jet * (1.0 / n)
@@ -495,25 +472,19 @@ def _angles(snap, work):
 def _extrinsic(snap, work):
     """Second fundamental form, mean curvature H and (JH)^T with their
     pointwise derivatives; H reads d^2 F and nabla H reads d^3 F."""
-    dF, gN, gammaN_F = work["dF"], work["gN"], work["gammaN_F"]
+    spec, F, dF = snap.ambient_spec, work["F"], work["dF"]
     g_inv, gamma = snap.jets["g_inv"], snap.jets["gamma"]
     dF0, gN0, m = snap.dF0, snap.gN0, snap.ambient_dim
-    sff = second_fundamental_form(dF, gamma, gammaN_F)       # (i, j, A, b)
+    sff = second_fundamental_form(spec, F, dF, gamma)        # (i, j, A, b)
     H = mean_curvature(sff, g_inv, snap.n)                   # (A, b)
     H0 = _at_points(H)
     JH = jet_einsum("AB,B...->A...", snap.JN, H)
-    if gN is None:
-        JHb = ca._jes("A...,Ai...->i...", JH, dF)            # 1-form (i, b)
-    else:
-        lowered = ca._jes("AB...,A...->B...", gN, JH)
-        JHb = ca._jes("B...,Bi...->i...", lowered, dF)
+    JHb = amb.metric_along(spec, F, JH, dF)                  # 1-form (i, b)
     JHtop = ca._jes("ij...,j...->i...", g_inv, JHb)          # vector (i, b)
 
-    # pointwise derivative data of H and (JH)^T
-    nablaH = _at_points(ca.partials(H)).copy()               # (b, i, A)
-    if gammaN_F is not None:
-        gNF0 = _at_points(gammaN_F)                          # (b, A, B, C)
-        nablaH += np.einsum("bABC,bBi,bC->biA", gNF0, dF0, H0)
+    # pointwise derivative data of H and (JH)^T; nabla H = dH + Gamma^N(dF, H)
+    nablaH = _at_points(ca.partials(H)) + _at_points(        # (b, i, A)
+        amb.christoffel_along(spec, F, dF, H.truncated(0)))
     proj_T = ca.contract("bAi,bij,bBj,bBC->bAC", dF0, snap.g_inv0, dF0, gN0)
     proj_N = np.broadcast_to(np.eye(m), (snap.size, m, m)) - proj_T
     V_wjh = ca._jes("ij...,j...->i...", snap.jets["W_sharp"], JHtop)

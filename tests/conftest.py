@@ -13,29 +13,51 @@ def conventions():
     return calibrate_conventions(3)
 
 
+def ambient_christoffel(spec, z_jets):
+    """Levi-Civita connection of the space form as a jet tensor, the oracle
+    of ``ambient.christoffel_along``.
+
+    Gamma(X, Y) = -rho/(1 + rho|z|^2) [(Y.z) X + (Y.Jz) JX + (X.z) Y
+    + (X.Jz) JY] (Kobayashi-Nomizu II, ch. IX 7), with Euclidean chart
+    products and J = ambient_J.  z_jets: Jet with leading axis of length
+    2m; result has leading axes (2m, 2m, 2m) = Gamma^A_{BC}.
+    """
+    from kangle import ambient as amb
+    from kangle.jets import Jet, jet_einsum
+
+    J = amb.ambient_J(spec)
+    s2 = jet_einsum("A...,A...->...", z_jets, z_jets)
+    c = (1.0 + spec.rho * s2).reciprocal() * (-spec.rho)
+    cz = z_jets * c                                          # (C, b)
+    cJz = jet_einsum("CD,D...->C...", J, z_jets) * c
+    T = (jet_einsum("AB,C...->ABC...", np.eye(spec.real_dim), cz)
+         + jet_einsum("AB,C...->ABC...", J, cJz)).coeffs
+    return Jet(z_jets.dim, z_jets.order, T + np.swapaxes(T, 1, 2))
+
+
 def mean_curvature_jets(spec, snap):
-    """(JH)-flat and (JH)^T as jets on ``snap``'s points, built from the
-    public geometry functions as the ``_extrinsic`` stage builds them; the
-    snapshot keeps only their values and derivatives at the points."""
+    """(JH)-flat and (JH)^T as jets on ``snap``'s points; the snapshot keeps
+    only their values and derivatives at the points.  They are built by the
+    tensor route, the ambient metric jet and the Christoffel tensor along F
+    contracted against dF, not by the closed forms the pipeline applies."""
     import kangle.calculus as ca
     from kangle import ambient as amb
     from kangle.dsl import eval_components
-    from kangle.geometry import mean_curvature, second_fundamental_form
-    from kangle.jets import jet_einsum
+    from kangle.geometry import mean_curvature
+    from kangle.jets import Jet, jet_einsum
 
     F = eval_components(spec, snap.points, order=snap.order)
     dF = ca.jstack([ca.partials(F[A]) for A in range(snap.ambient_dim)])
-    gN = gammaN = None
-    if not spec.ambient.is_flat:
-        gN = amb.ambient_metric(spec.ambient, F.truncated(snap.order - 1))
-        gammaN = amb.ambient_christoffel(spec.ambient,
-                                         F.truncated(snap.order - 2))
-    sff = second_fundamental_form(dF, snap.jets["gamma"], gammaN)
+    gN = amb.ambient_metric(spec.ambient, F.truncated(snap.order - 1))
+    gammaN = ambient_christoffel(spec.ambient, F.truncated(snap.order - 2))
+    corr = ca._jes("Ak...,kij...->ijA...", dF, snap.jets["gamma"])
+    t = ca._jes("ABC...,Bi...->AiC...", gammaN, dF)
+    sff = Jet(corr.dim, corr.order, np.einsum(
+        "iAj...->ijA...", ca.partials(dF).coeffs) - corr.coeffs) \
+        + ca._jes("AiC...,Cj...->ijA...", t, dF)
     JH = jet_einsum("AB,B...->A...", snap.JN,
                     mean_curvature(sff, snap.jets["g_inv"], snap.n))
-    if gN is not None:
-        JH = ca._jes("AB...,A...->B...", gN, JH)
-    JHb = ca._jes("A...,Ai...->i...", JH, dF)
+    JHb = ca._jes("A...,Ai...->i...", ca._jes("AB...,A...->B...", gN, JH), dF)
     return JHb, ca._jes("ij...,j...->i...", snap.jets["g_inv"], JHb)
 
 

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 import kangle.calculus as ca
+from conftest import ambient_christoffel
 from kangle.ambient import (
     AmbientSpec,
-    ambient_christoffel,
     ambient_J,
     ambient_metric,
     ambient_metric_point,
-    chart_margin,
-    check_chart_domain,
+    christoffel_along,
     curvature_tensor_point,
     einstein_constant,
     flat_space,
+    in_chart,
+    metric_along,
     space_form,
 )
 from kangle.dsl import parse_immersion
@@ -133,20 +134,44 @@ def test_einstein_constant_values():
     assert einstein_constant(space_form(-0.5, 4)) == -5.0
 
 
+def _agree(got, want):
+    """Same shape and every jet coefficient within 1e-13 of the largest."""
+    assert got.coeffs.shape == want.coeffs.shape
+    return np.max(np.abs(got.coeffs - want.coeffs)) \
+        < 1e-13 * np.max(np.abs(want.coeffs))
+
+
 @pytest.mark.parametrize("n,rho", [(1, 1.0), (1, -1.0), (2, 0.5), (2, -0.5)])
 def test_closed_form_vs_jet_curvature(n, rho):
     """Closed-form connection and curvature vs the jet/Christoffel route,
-    20 points; the connection agrees in every jet coefficient."""
+    20 points; the connection agrees in every jet coefficient.  g_N and
+    Gamma^N applied along z to random vector jets a and b equal the metric
+    jet and the connection tensor contracted against them, in every jet
+    coefficient, and at rho = 0 they are <a, b> and 0."""
     rng = np.random.default_rng(n + int(3 * rho) % 5)
     spec = space_form(rho, 2 * n)
     z = _chart_points(rng, spec, 20)
     gj = ambient_metric(spec, ca.jstack(jet_seed_all(spec.real_dim, 3, z)))
     gamma = ca.christoffel(gj)
-    gamma_closed = ambient_christoffel(
-        spec, ca.jstack(jet_seed_all(spec.real_dim, 2, z)))
-    assert gamma_closed.coeffs.shape == gamma.coeffs.shape
-    assert np.max(np.abs(gamma_closed.coeffs - gamma.coeffs)) \
-        < 1e-13 * np.max(np.abs(gamma.coeffs))
+    zj = ca.jstack(jet_seed_all(spec.real_dim, 2, z))
+    gamma_closed = ambient_christoffel(spec, zj)
+    assert _agree(gamma_closed, gamma)
+
+    K = zj.coeffs.shape[-1]
+    a = Jet(zj.dim, 2, rng.normal(size=(spec.real_dim, 3, 20, K)))
+    b = Jet(zj.dim, 2, rng.normal(size=(spec.real_dim, 2, 20, K)))
+    gb = jet_einsum("AB...,Bj...->Aj...", gj.truncated(2), b)
+    assert _agree(metric_along(spec, zj, a, b),
+                  jet_einsum("Ai...,Aj...->ij...", a, gb))
+    ga = jet_einsum("ABC...,Bi...->AiC...", gamma_closed, a)
+    assert _agree(christoffel_along(spec, zj, a, b),
+                  jet_einsum("AiC...,Cj...->ijA...", ga, b))
+    flat = flat_space(2 * n)
+    assert np.array_equal(metric_along(flat, zj, a, b).coeffs,
+                          jet_einsum("Ai...,Aj...->ij...", a, b).coeffs)
+    zero = christoffel_along(flat, zj, a, b)
+    assert zero.shape == (3, 2, spec.real_dim, 20)
+    assert not np.any(zero.coeffs)
     R_jet = ca.riemann_from_christoffel(gamma, gj)
     R_closed = curvature_tensor_point(spec, z)
     scale = np.max(np.abs(R_closed))
@@ -192,19 +217,30 @@ def test_first_bianchi():
 
 
 def test_chart_domain_rejection():
-    spec = space_form(-1.0, 2)
-    z = np.array([[0.6, 0.0, 0.0, 0.8], [0.3, 0.4, 0.0, 0.0]])
-    assert np.allclose(chart_margin(spec, z), [0.0, 0.75])
-    with pytest.raises(ChartDomainError):
-        check_chart_domain(spec, z[:1])
-    with pytest.raises(ChartDomainError):
-        check_chart_domain(spec, np.array([1.0, 0.1, 0.0, 0.0]))
-    check_chart_domain(spec, z[1:])
-    # the closed-form connection guards the chart like the metric does
-    with pytest.raises(ChartDomainError):
-        ambient_christoffel(spec, ca.jstack(jet_seed_all(4, 1, z[:1])))
-    # rho > 0 has no boundary
-    check_chart_domain(space_form(1.0, 2), np.array([10.0, 0.0, 0.0, 0.0]))
+    """For n = 1, 2: the chart of rho < 0 ends where 1 + rho|z|^2 reaches
+    1e-6, rho > 0 has no boundary, and a margin that overflows is outside
+    in either sign, with no warning; the closed forms along z check the
+    chart like the metric does."""
+    for n in (1, 2):
+        for rho in (1.0, -1.0):
+            spec = space_form(rho, 2 * n)
+            z = np.zeros((5, spec.real_dim))
+            z[0, 0], z[0, -1] = 0.6, 0.8            # |z| = 1
+            z[1, :2] = 0.3, 0.4                     # |z| = 0.5
+            z[2, 0] = 1e200                         # rho |z|^2 overflows
+            z[3, -1] = np.sqrt(1.0 - 2e-6)          # margin 2e-6 at rho = -1
+            z[4, -1] = np.sqrt(1.0 - 5e-7)          # margin 5e-7 at rho = -1
+            assert in_chart(spec, z).tolist() == [rho > 0, True, False,
+                                                  True, rho > 0]
+            ambient_metric_point(spec, z[[1, 3]])
+            for k in ([0, 4] if rho < 0 else []) + [2]:
+                zj = ca.jstack(jet_seed_all(spec.real_dim, 1, z[k:k + 1]))
+                for check in (lambda: ambient_metric_point(spec, z[k]),
+                              lambda: ambient_metric(spec, zj),
+                              lambda: metric_along(spec, zj, zj, zj),
+                              lambda: christoffel_along(spec, zj, zj, zj)):
+                    with pytest.raises(ChartDomainError):
+                        check()
 
 
 def test_rejected_indices_refer_to_the_callers_points():

@@ -48,6 +48,24 @@ def test_snapshot_jets_are_made_coefficient_major(name, order, monkeypatch):
     assert copied == [(4, 3)]
 
 
+def test_snapshots_apply_the_ambient_along_F(monkeypatch):
+    """A full snapshot forms no ambient metric jet, flat or curved: g_N and
+    Gamma^N are applied along F in closed form, and the one jet handed to
+    ambient_metric is the order-0 one of the pointwise gN0."""
+    import kangle.ambient as amb
+    metric, orders = amb.ambient_metric, []
+
+    def counting(spec, z_jets):
+        orders.append(z_jets.order)
+        return metric(spec, z_jets)
+
+    monkeypatch.setattr(amb, "ambient_metric", counting)
+    for name in ("trig_sf_pos", "lagrangian_torus_sf_pos", "ds_graph"):
+        orders.clear()
+        snap_of(name, count=12)
+        assert orders == [0], name
+
+
 # ---------------------------------------------------------------- metric
 
 def test_induced_metric_linear():

@@ -354,6 +354,17 @@ def test_cli_overflowing_map_prints_only_its_error_line(term, tmp_path):
     assert "map value not finite" in proc.stderr
 
 
+def test_cli_overflowing_chart_margin_is_outside_the_chart():
+    """rho |F|^2 overflows at a finite F: numpy prints no warning, and the
+    one line on stderr is the chart gate's diagnostic."""
+    proc = run_cli("eval", "--entry", "trig_sf_pos", "--point", "0.3,0.2",
+                   "--ambient", "space_form(1e308)")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "outside chart domain" in proc.stderr
+
+
 def test_cli_point_with_a_negative_first_coordinate(capsys):
     """`--point -0.5,...` is a value, not an option."""
     assert main(["eval", "--entry", "ds_graph", "--point", "-0.5,0,0,0"]) == 0

@@ -467,7 +467,9 @@ def test_no_product_is_truncated_after_the_fact():
         "    t = _jes('kij...,k...->ij...', g, s)\n"
         "    return t.truncated(o) - jet_einsum('a,a->', g, s).truncated(o)\n"
     ) == [3, 3]
-    for name in ("calculus.py", "geometry.py"):
+    # ambient.py does the jet products along F; each file scanned truncates
+    # operands, so a scan that finds nothing has something to look at
+    for name in ("ambient.py", "calculus.py", "geometry.py"):
         source = (SRC / name).read_text(encoding="utf-8")
         assert ".truncated(" in source, name
         assert _truncated_products(source) == [], name
