@@ -5,10 +5,14 @@ on a batch of domain points and derives the invariants the identity suites
 consume: induced metric, pulled-back form, Kahler angles, polar complex
 structure, second fundamental form, mean curvature, tangential projection
 of J applied to the mean curvature, curvature tensors, codifferentials,
-Laplacians and the complex eigenframes.  They come from the ordered
+Laplacians and the eigenframe sums.  They come from the ordered
 ``STAGES``; a caller names the keys it reads, only the stages up to the
 last one that writes them run, and F is formed only as deep as those
 stages declare.
+
+Every sum over a unitary eigenframe Z_a = (X_a - i J_w X_a)/2 of (TM, J_w)
+is a contraction with P = sum_a Z_a (x) conj(Z_a) = (g^-1 - i J_w g^-1)/4,
+so no frame is built: J_w is 0 on ker F*w, where P is g^-1/4.
 
 Quantities that are only defined away from the Lagrangian locus (smallest
 angle ~ 0) or away from complex points (largest angle ~ 1) are formed at
@@ -147,22 +151,20 @@ def _skew_spectrum(What):
     """Paired skew spectrum of 2-forms in orthonormal frames, one SVD each.
 
     What: (B, d, d) antisymmetric.  Returns (pair-averaged singular values
-    desc (B, n), pairing gap (B,), polar factor of -What (B, d, d), right
-    singular vectors Vt (B, d, d)); the polar factor is the partial isometry
-    whose kernel is ker What, spanned by the rows of Vt with S <= TOL.
+    desc (B, n), pairing gap (B,), polar factor of -What (B, d, d)); the
+    polar factor is the partial isometry whose kernel is ker What.
     """
     U, S, Vt = np.linalg.svd(What)                   # S descending
     gap = np.max(np.abs(S[:, 0::2] - S[:, 1::2]), axis=-1)
     keep = (S > TOL_LAGRANGIAN).astype(float)
     polar = -np.einsum("bik,bk,bkj->bij", U, keep, Vt)
-    return 0.5 * (S[:, 0::2] + S[:, 1::2]), gap, polar, Vt
+    return 0.5 * (S[:, 0::2] + S[:, 1::2]), gap, polar
 
 
 def kahler_angles(g0, W0):
-    """Angles, polar complex structure and the orthonormal-frame form.
+    """Angles and polar complex structure.
 
     Returns (cos_angles desc (B, n), J_w in coordinate components (B, d, d),
-    What (B, d, d), L (B, d, d), right singular vectors of What (B, d, d),
     pairing gap (B,)).  J_w is the pointwise polar factor of (F*w)#: a
     partial isometry with kernel ker F*w.  Where the gap exceeds
     PAIRING_TOL the angles do not exist; the ``_angles`` stage drops those
@@ -173,11 +175,11 @@ def kahler_angles(g0, W0):
     What = np.swapaxes(np.linalg.solve(L, np.swapaxes(Linv_W, -1, -2)),
                        -1, -2)                         # L^-1 W L^-T
     What = 0.5 * (What - np.swapaxes(What, -1, -2))
-    cos, gap, Jhat, Vt = _skew_spectrum(What)
+    cos, gap, Jhat = _skew_spectrum(What)
     cos = np.clip(cos, 0.0, 1.0 + 1e-10)
     Lt = np.swapaxes(L, -1, -2)
     Jw = np.einsum("bik,bkl,blj->bij", np.linalg.inv(Lt), Jhat, Lt)
-    return cos, Jw, What, L, Vt, gap
+    return cos, Jw, gap
 
 
 def signed_angle_n1(g0, W0):
@@ -234,33 +236,6 @@ def gauss_equation_residual(snapshot):
     return np.max(np.abs(RM - rhs)) / scale
 
 
-# ---------------------------------------------------------------------------
-# complex eigenframes
-
-
-def _complex_frame(What, L, cos, Vt):
-    """Orthonormal eigenframe pairs (X_a, Y_a) of F*w, in coordinates.
-
-    Off the kernel Y_a = J_w X_a, from the eigenvectors of i What; a kernel
-    pair (cos <= TOL_LAGRANGIAN) is the matching even and odd right singular
-    vector of What, an orthonormal basis of the kernel.  Returns (X, Y) with
-    shape (b, n, d).
-    """
-    n = What.shape[1] // 2
-    _, evecs = np.linalg.eigh(1j * What)      # ascending; last n are +cos
-    picked = evecs[:, :, 2 * n - 1:n - 1:-1]             # +cos, descending
-    ker = (cos <= TOL_LAGRANGIAN)[:, None, :]
-    X = np.where(ker, np.swapaxes(Vt[:, 0::2], -1, -2),
-                 np.sqrt(2.0) * np.real(picked))         # (b, d, n)
-    Y = np.where(ker, np.swapaxes(Vt[:, 1::2], -1, -2),
-                 -np.sqrt(2.0) * np.imag(picked))
-    # back to coordinates: v = L^{-T} v_hat
-    Lt = np.swapaxes(L, -1, -2)
-    Xc = np.linalg.solve(Lt, X)
-    Yc = np.linalg.solve(Lt, Y)
-    return np.swapaxes(Xc, -1, -2), np.swapaxes(Yc, -1, -2)   # (b, n, d)
-
-
 def _normal_frame(dF0, gN0):
     """g_N-orthonormal basis of the normal space.
 
@@ -312,7 +287,7 @@ def compute_snapshot(spec, points, order=3, reads=None):
     keys of the stages before it; ``work`` carries what no reader needs (F,
     dF, the |F*w|^2 and d F*w the form Laplacians differentiate, the
     nabla F*w, d delta F*w and (JH)-flat the masked fields reuse, and the
-    factors the eigenframes are built from) and is dropped.  It holds no
+    tensor P the frame sums contract with) and is dropped.  It holds no
     ambient tensor: g_N and Gamma^N are applied along F in closed form
     (``ambient.metric_along``, ``ambient.christoffel_along``).
     """
@@ -386,7 +361,7 @@ def _connection(snap, work):
 
 
 @writes("W0", "norm_W2_0", "cos2_0", "sin2_0", "grad_cos2_0", "grad_sin2_0",
-        "delta_W0", "norm_delta_W2", "norm_nabla_W2", "dW3_0", "cos2",
+        "delta_W0", "norm_delta_W2", "norm_nabla_W2", "cos2",
         "delta_W", "W_sharp", order=2)
 def _forms(snap, work):
     """F*w and its calculus to first order: norms, gradients, delta F*w,
@@ -414,7 +389,6 @@ def _forms(snap, work):
         norm_delta_W2=np.einsum("bij,bi,bj->b", g_inv0, delta_W0, delta_W0),
         norm_nabla_W2=0.5 * ca.contract("bim,bjp,bkq,bijk,bmpq->b",
                                         g_inv0, g_inv0, g_inv0, nW0, nW0),
-        dW3_0=_at_points(dW3),
     )
 
 
@@ -435,20 +409,17 @@ def _form_laplacians(snap, work):
     )
 
 
-@writes("cos_angles", "pair_gap", "Jw0", "frame_X", "frame_Y", "Z", "rank",
-        "classification", "equal_gate", "near_equal_warn", "cos_signed",
-        order=1)
+@writes("cos_angles", "pair_gap", "Jw0", "rank", "classification",
+        "equal_gate", "near_equal_warn", "cos_signed", order=1)
 def _angles(snap, work):
-    """Kahler angles, the pairing gate, the polar structure, eigenframes and
-    classification; they read dF."""
-    cos_angles, Jw0, What, L, Vt, pair_gap = kahler_angles(snap.g0, snap.W0)
+    """Kahler angles, the pairing gate, the polar structure, the frame
+    tensor P and classification; they read dF."""
+    cos_angles, Jw0, pair_gap = kahler_angles(snap.g0, snap.W0)
     snap.data.update(cos_angles=cos_angles, pair_gap=pair_gap, Jw0=Jw0)
-    work.update(What=What, L=L, Vt=Vt)
     _gate(snap, work, pair_gap <= PAIRING_TOL * (1.0 + cos_angles[:, 0]),
           "angles failed to pair", DegenerateAngleError)
     g0, W0, cos_angles = snap.g0, snap.W0, snap.cos_angles
-    frame_X, frame_Y = _complex_frame(work["What"], work["L"], cos_angles,
-                                      work["Vt"])
+    work["P"] = 0.25 * (snap.g_inv0 - 1j * (snap.Jw0 @ snap.g_inv0))
     minc, maxc = cos_angles[:, -1], cos_angles[:, 0]
     spread = maxc - minc
     equal_gate = spread <= TOL_EQUAL
@@ -457,8 +428,6 @@ def _angles(snap, work):
     classification[maxc < TOL_LAGRANGIAN] = LAGRANGIAN
     classification[minc > 1.0 - TOL_COMPLEX] = COMPLEX
     snap.data.update(
-        frame_X=frame_X, frame_Y=frame_Y,
-        Z=0.5 * (frame_X - 1j * frame_Y),                    # (b, n, d)
         rank=2 * np.sum(cos_angles > TOL_LAGRANGIAN, axis=1),
         classification=classification, equal_gate=equal_gate,
         near_equal_warn=(~equal_gate) & (spread <= 10 * TOL_EQUAL),
@@ -503,12 +472,11 @@ def _extrinsic(snap, work):
 
 @writes("RM", "sumRM", "sumRM_imag", "S_pair", order=3)
 def _curvature(snap, work):
-    """Curvature of M, its complex-frame sum and the Weitzenbock pairing;
-    R^M reads d Gamma, so d^3 F."""
-    Z, g_inv0, W0 = snap.Z, snap.g_inv0, snap.W0
+    """Curvature of M, its eigenframe sum R(Z_a, Z_b, conj Z_a, conj Z_b)
+    and the Weitzenbock pairing; R^M reads d Gamma, so d^3 F."""
+    P, g_inv0, W0 = work["P"], snap.g_inv0, snap.W0
     RM = ca.riemann_from_christoffel(snap.jets["gamma"], snap.jets["g"])
-    sumRM = ca.contract("bijkl,bui,buk,bvj,bvl->b",
-                        RM, Z, np.conj(Z), Z, np.conj(Z))
+    sumRM = ca.contract("bijkl,bik,bjl->b", RM, P, P)
     qW = weitzenboeck_operator(RM, g_inv0, W0)
     snap.data.update(
         RM=RM, sumRM=np.real(sumRM), sumRM_imag=np.abs(np.imag(sumRM)),
@@ -519,44 +487,27 @@ def _curvature(snap, work):
 @writes("sumA", "sumA_perp", "sumRe_perp", "sumB", "sumC", "sumD", "sumE",
         order=3)
 def _frame_sums(snap, work):
-    """The complex eigenframe sums of the identity formulas; they read
-    nabla H, so d^3 F."""
-    Z = snap.Z                                   # (b, n, d), complex
-    Zb = np.conj(Z)
-    gN0 = snap.gN0
-
-    def gN_pair(u, v):
-        """Ambient pairing of (..., A)-indexed complex arrays."""
-        return np.einsum("b...A,bAB,b...B->b...", u, gN0, v)
-
+    """The eigenframe sums of the identity formulas, each sum_a B(Z_a,
+    conj Z_a) written as B contracted with P; they read nabla H, so d^3 F."""
+    P, gN0 = work["P"], snap.gN0
     JdF = np.einsum("AB,bBi->bAi", snap.JN, snap.dF0)           # (b, A, i)
-    JdF_Z = np.einsum("bAi,bmi->bmA", JdF, Z)
-    JdF_Zb = np.einsum("bAi,bmi->bmA", JdF, Zb)
-    nH_Z = np.einsum("biA,bmi->bmA", snap.nablaH, Z)
-    nH_perp_Z = np.einsum("biA,bmi->bmA", snap.nabla_perpH, Z)
-
-    g_nHZ_JdFZb = gN_pair(nH_Z, JdF_Zb)                         # (b, m)
-    g_nHperpZ_JdFZb = gN_pair(nH_perp_Z, JdF_Zb)
-    nJH_Z = np.einsum("bik,bmi->bmk", snap.nabla_JHtop, Z)
-    gH_JdFZ = gN_pair(np.broadcast_to(
-        snap.H0[:, None, :], JdF_Z.shape).copy(), JdF_Z)
-
-    # sums for the gradient-of-sin^2 identity
-    sff0c = snap.sff0.astype(complex)
-    sff_ZbZ = np.einsum("bijA,bmi,bmj->bmA", sff0c, Zb, Z)      # (b, m, A)
-    t1 = ca.contract("bmA,bAB,bnB->bn", sff_ZbZ, gN0, JdF_Z)
-    sff_ZbZb2 = ca.contract("bijA,bmi,bnj->bmnA", sff0c, Zb, Z)  # sff(Zb_m, Z_n)
-    t2 = ca.contract("bmnA,bAB,bmB->bn", sff_ZbZb2, gN0, JdF_Z)
-
+    # g_N(nabla_Z H, J dF conj Z) and its normal part
+    nH = ca.contract("biA,bAB,bBj,bij->b", snap.nablaH, gN0, JdF, P)
+    nH_perp = ca.contract("biA,bAB,bBj,bij->b", snap.nabla_perpH, gN0, JdF, P)
+    HJdF = ca.contract("bA,bAB,bBj->bj", snap.H0, gN0, JdF)    # g_N(H, J dF)
+    # sum_ab g_N(sff(conj Z_a, Z_b), J dF Z_a) conj Z_b
+    sff_JdF = ca.contract("bijA,bAB,bBk,bki,bjl->bl", snap.sff0, gN0, JdF,
+                          P, P)
     snap.data.update(
-        sumA=np.sum(-2.0 * np.imag(g_nHZ_JdFZb), axis=1),
-        sumA_perp=np.sum(np.imag(g_nHperpZ_JdFZb), axis=1),
-        sumRe_perp=np.sum(np.real(g_nHperpZ_JdFZb), axis=1),
-        sumB=np.sum(np.imag(
-            np.einsum("bmk,bkl,bml->bm", nJH_Z, snap.g0, Zb)), axis=1),
-        sumC=np.einsum("bij,bmi,bmj->b", snap.d_JHb.astype(complex), Z, Zb),
-        sumD=np.sum(2.0 * np.real(1j * gH_JdFZ[..., None] * Zb), axis=1),
-        sumE=np.einsum("bn,bnk->bk", t1 - t2, Zb),
+        sumA=-2.0 * np.imag(nH),
+        sumA_perp=np.imag(nH_perp),
+        sumRe_perp=np.real(nH_perp),
+        sumB=np.imag(ca.contract("bik,bkl,bil->b", snap.nabla_JHtop,
+                                 snap.g0, P)),
+        sumC=np.einsum("bij,bij->b", snap.d_JHb, P),
+        sumD=-2.0 * np.einsum("bj,bjk->bk", HJdF, np.imag(P)),
+        # sum_a sff(conj Z_a, Z_a) = tr_g sff / 4 = n H / 2
+        sumE=0.5 * snap.n * np.einsum("bk,bkl->bl", HJdF, P) - sff_JdF,
     )
 
 
@@ -653,14 +604,14 @@ def _normal_bundle(snap, work):
     Jnu = np.einsum("AB,baB->baA", JN, nu)
     w_perp = np.einsum("baA,bAB,bcB->bac", Jnu, gN0, nu)
     w_perp = 0.5 * (w_perp - np.swapaxes(w_perp, -1, -2))
-    normal_cos, _, J_perp, _ = _skew_spectrum(w_perp)
+    normal_cos, _, J_perp = _skew_spectrum(w_perp)
     JdF = np.einsum("AB,bBi->bAi", JN, dF0)
     Phi_nu = np.einsum("bAi,bAB,baB->bai", JdF, gN0, nu)     # (b, a, i)
-    rhs = np.einsum("baA,bAB,bBj->baj", Jnu, gN0, dF0)
-    Xi = np.einsum("bjk,bak->baj", snap.g_inv0, rhs)
+    # J is g_N-skew: g_N(J nu_a, dF_j) = -Phi_nu[a, j]
+    Xi_nu = -np.einsum("bjk,bak->baj", snap.g_inv0, Phi_nu)
     snap.data.update(nu=nu, w_perp=w_perp,
                      normal_angles=np.clip(normal_cos, 0.0, None),
-                     J_perp=J_perp, Phi_nu=Phi_nu, Xi_nu=Xi)
+                     J_perp=J_perp, Phi_nu=Phi_nu, Xi_nu=Xi_nu)
 
 
 STAGES = (_core, _connection, _forms, _form_laplacians, _angles, _extrinsic,

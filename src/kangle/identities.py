@@ -497,8 +497,8 @@ def verify_section4(snap, conventions):
 
 @reads("cos_angles", "sigma", "equal_gate", "sigma_jh0", "sigma_dw0",
        "sigma_trace0", "dsigma_jh0", "dsigma_dw0", "W0", "grad_cos2_0",
-       "cos2_0", "sin2_0", "d_JHb", "frame_X", "frame_Y", "normH2",
-       "sumA_perp", "classification", "sff0")
+       "cos2_0", "sin2_0", "d_JHb", "sumC", "normH2", "sumA_perp",
+       "classification", "sff0")
 def verify_prop3_6(snap, conventions):
     """The sigma 1-form, its exterior derivative, and the constant-angle
     equalities; plus closedness of ((JH)^T)-flat on Lagrangian points."""
@@ -534,8 +534,8 @@ def verify_prop3_6(snap, conventions):
         (const_angle, "angle not constant at this point"),
     ])
     lhs = R * cosb * snap.sin2_0
-    mid = 2.0 * np.einsum("bij,bmi,bmj->b", snap.d_JHb,
-                          snap.frame_X, snap.frame_Y)
+    # 2 sum_a d(JH)-flat(X_a, Y_a); sumC is i/2 times that frame sum
+    mid = 4.0 * np.imag(snap.sumC)
     right = -4.0 * n * cosb * snap.normH2 - 8.0 * snap.sumA_perp
     scale = np.abs(lhs) + np.abs(mid) + np.abs(right) + snap.normH2 + 1e-30
     out.append(Residual("prop3.6.const_angle_left", lhs, mid, scale, app,

@@ -158,9 +158,6 @@ def test_polar_factor_properties():
     # g-antisymmetry of the polar factor
     gJ = np.einsum("bij,bjk->bik", snap.g0, J)
     assert np.max(np.abs(gJ + np.swapaxes(gJ, 1, 2))) < 1e-9
-    # frame relation Y = J_w X off the kernel
-    JX = np.einsum("bij,bmj->bmi", J, snap.frame_X)
-    assert np.max(np.abs(JX - snap.frame_Y)) < 1e-9
 
 
 def test_polar_field_matches_pointwise():
@@ -330,9 +327,16 @@ def test_trace_hessian_equals_div_grad():
 
 
 def test_pullback_form_closed():
+    import kangle.calculus as ca
+    from kangle.dsl import eval_components
+    from kangle.geometry import pullback_form
     for name in ("ds_graph", "trig_sf_neg", "quaternionic_graph"):
-        snap = snap_of(name, count=50)
-        assert np.max(np.abs(snap.dW3_0)) < 1e-9, name
+        spec = get_entry(name).spec()
+        pts = snap_of(name, count=50).points
+        F = eval_components(spec, pts, order=2)
+        dF = ca.jstack([ca.partials(F[A]) for A in range(4 * spec.n)])
+        dW3 = ca.exterior_d_twoform(pullback_form(spec.ambient, F, dF))
+        assert np.max(np.abs(dW3.value())) < 1e-9, name
 
 
 def test_delta_fw_vanishes_on_ds():
@@ -410,58 +414,97 @@ def test_lagrangian_J_maps_normal_to_tangent():
 
 # ----------------------------------------------------------- invariances
 
+def _eigenframe(snap, rng):
+    """Unitary eigenframe of F*w in coordinates, each pair turned by a
+    random phase: (X, Y) with shape (b, n, d), from the +cos eigenvectors v
+    of i What as X = sqrt(2) Re v, Y = -sqrt(2) Im v."""
+    Lt_inv = np.linalg.inv(np.swapaxes(np.linalg.cholesky(snap.g0), 1, 2))
+    What = np.swapaxes(Lt_inv, 1, 2) @ snap.W0 @ Lt_inv
+    v = np.linalg.eigh(1j * What)[1][:, :, snap.n:]     # ascending: +cos last
+    v = v * np.exp(2j * np.pi * rng.uniform(size=(snap.size, 1, snap.n)))
+    X, Y = (np.swapaxes(np.sqrt(2.0) * Lt_inv @ part, 1, 2)
+            for part in (np.real(v), -np.imag(v)))
+    return X, Y
+
+
 def test_frame_rotation_invariance():
-    snap = snap_of("ds_graph", count=20)
+    """Off the kernel, every frame sum and sumRM (contractions with P) equal
+    the sums over a unitary eigenframe (X_a, Y_a = J_w X_a) of F*w whose
+    pairs are turned by random phases."""
     rng = np.random.default_rng(3)
-    th = rng.uniform(0, 2 * np.pi, (snap.size,))
-    # rotate each eigenplane pair by a unitary phase and re-evaluate sums
-    from kangle.geometry import _frame_sums
-    keys = ("sumA", "sumA_perp", "sumB", "sumD")
-    base = {key: snap.data[key] for key in keys}
-    phase = np.exp(1j * th)[:, None, None]
-    snap.data["Z"] = snap.Z * phase
-    snap.data["frame_X"] = np.real(2 * snap.Z)
-    snap.data["frame_Y"] = -np.imag(2 * snap.Z)
-    _frame_sums(snap, {})
-    for key in keys:
-        assert np.max(np.abs(base[key] - snap.data[key])) < 1e-8, key
-    # the complexified curvature sum is frame invariant as well
-    s1 = np.einsum("bijkl,bui,buk,bvj,bvl->b", snap.RM.astype(complex),
-                   snap.Z, np.conj(snap.Z), snap.Z, np.conj(snap.Z))
-    assert np.max(np.abs(np.real(s1) - snap.sumRM)) < 1e-8
+    for name in ("ds_graph", "slant_product_6", "quaternionic_graph",
+                 "trig_flat_4d"):
+        _check_frame_sums(snap_of(name, count=24), rng)
 
 
-def test_complex_frame_kernel_pairs():
-    """Kernel pairs are the right singular vectors of What with zero
-    singular value: on Lagrangian points and next to a generic pair the
-    frame is g-orthonormal, every kernel pair lies in ker F*w, and off the
-    kernel Y_a = J_w X_a."""
-    axis = np.arange(64) * (2 * np.pi / 64)
-    grid = np.stack([m.ravel() for m in np.meshgrid(axis, axis,
-                                                    indexing="ij")], -1)
-    torus = compute_snapshot(get_entry("lagrangian_torus_2").spec(), grid)
-    assert torus.size == 4096
-    # one kernel pair after a generic pair (the last column only): a slant
-    # plane times a curved Lagrangian gradient graph
-    mixed = compute_snapshot(parse_immersion(
-        "n=2; ambient=flat; map=[u1, -(0.5*u2), u2, 0.5*u1, "
-        "u3, u3*u4, u4, 0.5*u3^2]"),
-        np.random.default_rng(4).uniform(-1, 1, (30, 4)))
-    assert np.all(mixed.rank == 2)
-    # lagrangian_torus_sf_neg is n=2 in a curved ambient: two kernel pairs
-    for snap, pairs in ((torus, 1), (snap_of("lagrangian_torus_sf_neg"), 2),
-                        (mixed, 1)):
-        X, Y = snap.frame_X, snap.frame_Y                # (b, n, d)
-        ker = snap.cos_angles <= TOL_LAGRANGIAN          # (b, n)
-        assert np.all(np.sum(ker, 1) == pairs)
-        frame = np.concatenate([X, Y], axis=1)           # (b, 2n, d)
-        gram = np.einsum("bai,bij,bcj->bac", frame, snap.g0, frame)
-        assert np.max(np.abs(gram - np.eye(snap.domain_dim))) < 1e-12
-        for V in (X, Y):
-            assert np.max(np.abs(
-                np.einsum("bij,baj->bai", snap.W0, V)[ker])) < 1e-12
-        JX = np.einsum("bij,baj->bai", snap.Jw0, X)
-        assert np.max(np.abs((JX - Y)[~ker]), initial=0.0) < 1e-10
+def _check_frame_sums(snap, rng):
+    X, Y = _eigenframe(snap, rng)
+    Z, Zb = 0.5 * (X - 1j * Y), 0.5 * (X + 1j * Y)
+    assert np.max(np.abs(np.einsum("bij,baj->bai", snap.Jw0, X) - Y)) < 1e-10
+
+    def pair(T):
+        """sum_a T(Z_a, conj Z_a)."""
+        return np.einsum("bij,bai,baj->b", T, Z, Zb)
+
+    JdF = np.einsum("AB,bBi->bAi", snap.JN, snap.dF0)
+    nH, nH_perp = (pair(np.einsum("biA,bAB,bBj->bij", nabla, snap.gN0, JdF))
+                   for nabla in (snap.nablaH, snap.nabla_perpH))
+    HJ = np.einsum("bA,bAB,bBj->bj", snap.H0, snap.gN0, JdF)
+    T = np.einsum("bijA,bAB,bBk->bijk", snap.sff0, snap.gN0, JdF)
+    want = dict(
+        sumA=-2.0 * np.imag(nH), sumA_perp=np.imag(nH_perp),
+        sumRe_perp=np.real(nH_perp),
+        sumB=np.imag(pair(np.einsum("bik,bkl->bil", snap.nabla_JHtop,
+                                    snap.g0))),
+        sumC=pair(snap.d_JHb),
+        sumD=2.0 * np.real(1j * np.einsum("bj,baj,bak->bk", HJ, Z, Zb)),
+        sumE=np.einsum("bijk,bai,baj,bck,bcl->bl", T, Zb, Z, Z, Zb)
+        - np.einsum("bijk,bai,bcj,bak,bcl->bl", T, Zb, Z, Z, Zb),
+        sumRM=np.real(np.einsum("bijkl,bui,buk,bvj,bvl->b", snap.RM, Z, Zb,
+                                Z, Zb)),
+    )
+    off = np.all(snap.cos_angles > TOL_LAGRANGIAN, axis=1)
+    assert np.sum(off) >= 20
+    for key, value in want.items():
+        err = np.max(np.abs(snap.data[key] - value)[off])
+        assert err <= 1e-12 * (1.0 + np.max(np.abs(value[off]))), key
+    # prop3.6 reads 2 sum_a d(JH)-flat(X_a, Y_a) as 4 Im sumC
+    mid = 2.0 * np.einsum("bij,bai,baj->b", snap.d_JHb, X, Y)
+    assert np.max(np.abs(mid - 4.0 * np.imag(snap.sumC))[off]) \
+        <= 1e-12 * (1.0 + np.max(np.abs(mid[off])))
+
+
+@pytest.mark.parametrize("name", ["lagrangian_torus_sf_neg",
+                                  "lagrangian_torus_4"])
+def test_lagrangian_points_have_no_kernel_frame(name):
+    """J_w is 0 on ker F*w, so at a Lagrangian point P = g^-1/4 is real and
+    sumD, the one sum that reads Im P alone, is exactly 0: no kernel basis
+    is picked."""
+    snap = snap_of(name, count=24)
+    lag = np.all(snap.cos_angles <= TOL_LAGRANGIAN, axis=1)
+    assert np.all(lag)
+    assert np.max(np.abs(snap.H0)) > 0.1
+    assert np.all(snap.sumD[lag] == 0.0)
+
+
+def test_snapshot_decomposes_F_w_once(monkeypatch):
+    """The frame sums need one SVD of F*w per batch and no eigenframe."""
+    calls = {"svd": 0, "eigh": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    entry = get_entry("slant_product_6")
+    compute_snapshot(entry.spec(), np.random.default_rng(0).uniform(
+        -0.5, 0.5, (8, 6)), reads=("sumRM", "sumE"))
+    assert calls == {"svd": 1, "eigh": 0}
 
 
 def test_ambient_isometry_invariance(monkeypatch):

@@ -39,7 +39,6 @@ ALLOWLIST = {
     "pair_gap": "numerical health, kept for the schema-2 report",
     "sumRM_imag": "numerical health, kept for the schema-2 report",
     "near_equal_warn": "numerical health, kept for the schema-2 report",
-    "dW3_0": "read by test_pullback_form_closed",
 }
 
 
