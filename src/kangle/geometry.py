@@ -147,20 +147,6 @@ def pullback_form(spec, F, dF):
     return Jet(w.dim, w.order, 0.5 * (w.coeffs - np.swapaxes(w.coeffs, 0, 1)))
 
 
-def _skew_spectrum(What):
-    """Paired skew spectrum of 2-forms in orthonormal frames, one SVD each.
-
-    What: (B, d, d) antisymmetric.  Returns (pair-averaged singular values
-    desc (B, n), pairing gap (B,), polar factor of -What (B, d, d)); the
-    polar factor is the partial isometry whose kernel is ker What.
-    """
-    U, S, Vt = np.linalg.svd(What)                   # S descending
-    gap = np.max(np.abs(S[:, 0::2] - S[:, 1::2]), axis=-1)
-    keep = (S > TOL_LAGRANGIAN).astype(float)
-    polar = -np.einsum("bik,bk,bkj->bij", U, keep, Vt)
-    return 0.5 * (S[:, 0::2] + S[:, 1::2]), gap, polar
-
-
 def kahler_angles(g0, W0):
     """Angles and polar complex structure.
 
@@ -175,8 +161,12 @@ def kahler_angles(g0, W0):
     What = np.swapaxes(np.linalg.solve(L, np.swapaxes(Linv_W, -1, -2)),
                        -1, -2)                         # L^-1 W L^-T
     What = 0.5 * (What - np.swapaxes(What, -1, -2))
-    cos, gap, Jhat = _skew_spectrum(What)
-    cos = np.clip(cos, 0.0, 1.0 + 1e-10)
+    U, S, Vt = np.linalg.svd(What)                     # S descending, paired
+    gap = np.max(np.abs(S[:, 0::2] - S[:, 1::2]), axis=-1)
+    cos = np.clip(0.5 * (S[:, 0::2] + S[:, 1::2]), 0.0, 1.0 + 1e-10)
+    # the polar factor of -What: the partial isometry with kernel ker What
+    keep = (S > TOL_LAGRANGIAN).astype(float)
+    Jhat = -np.einsum("bik,bk,bkj->bij", U, keep, Vt)
     Lt = np.swapaxes(L, -1, -2)
     Jw = np.einsum("bik,bkl,blj->bij", np.linalg.inv(Lt), Jhat, Lt)
     return cos, Jw, gap
@@ -234,20 +224,6 @@ def gauss_equation_residual(snapshot):
     # the 1e-9 floor guards intrinsically flat cases where both sides vanish
     scale = max(np.max(np.abs(RM)) + np.max(np.abs(rhs)), 1e-9)
     return np.max(np.abs(RM - rhs)) / scale
-
-
-def _normal_frame(dF0, gN0):
-    """g_N-orthonormal basis of the normal space.
-
-    dF0: (b, A, i).  Returns nu with shape (b, d, A) (d normal vectors).
-    With g_N = C C^T, C^T carries g_N to the Euclidean product; the last
-    columns Q of a complete QR of C^T dF span the image of the normal
-    space there, and nu = C^-T Q.
-    """
-    d = dF0.shape[-1]
-    Ct = np.swapaxes(np.linalg.cholesky(gN0), -1, -2)
-    Q, _ = np.linalg.qr(Ct @ dF0, mode="complete")
-    return np.swapaxes(np.linalg.solve(Ct, Q[:, :, d:]), -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -594,28 +570,8 @@ def _masked_fields(snap, work):
                       for key, (mask, value) in fields.items()})
 
 
-@writes("nu", "w_perp", "normal_angles", "J_perp", "Phi_nu", "Xi_nu",
-        order=1)
-def _normal_bundle(snap, work):
-    """Normal frame, normal-bundle form, polar factor and the Phi/Xi maps;
-    they read dF."""
-    gN0, dF0, JN = snap.gN0, snap.dF0, snap.JN
-    nu = _normal_frame(dF0, gN0)                             # (b, a, A)
-    Jnu = np.einsum("AB,baB->baA", JN, nu)
-    w_perp = np.einsum("baA,bAB,bcB->bac", Jnu, gN0, nu)
-    w_perp = 0.5 * (w_perp - np.swapaxes(w_perp, -1, -2))
-    normal_cos, _, J_perp = _skew_spectrum(w_perp)
-    JdF = np.einsum("AB,bBi->bAi", JN, dF0)
-    Phi_nu = np.einsum("bAi,bAB,baB->bai", JdF, gN0, nu)     # (b, a, i)
-    # J is g_N-skew: g_N(J nu_a, dF_j) = -Phi_nu[a, j]
-    Xi_nu = -np.einsum("bjk,bak->baj", snap.g_inv0, Phi_nu)
-    snap.data.update(nu=nu, w_perp=w_perp,
-                     normal_angles=np.clip(normal_cos, 0.0, None),
-                     J_perp=J_perp, Phi_nu=Phi_nu, Xi_nu=Xi_nu)
-
-
 STAGES = (_core, _connection, _forms, _form_laplacians, _angles, _extrinsic,
-          _curvature, _frame_sums, _masked_fields, _normal_bundle)
+          _curvature, _frame_sums, _masked_fields)
 
 JET_ORDER = max(stage.order for stage in STAGES)
 """The order a full snapshot forms F at: the deepest a stage declares."""

@@ -187,7 +187,9 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
 
     Deterministic given the seed; returns the report dictionary.  The
     overall ``pass`` is false iff any applicable residual fails, any entry
-    self-assertion fails, or any quadrature check fails.
+    self-assertion fails, or any quadrature check fails.  ``quad_grid`` is
+    0 (no quadrature) or at least 8 nodes per axis of a periodic entry's
+    2-torus; a 4-torus takes max(8, quad_grid // 4).
     """
     if entries is None:
         entry_objs = builtin_catalog()
@@ -203,6 +205,9 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
         raise RunError(f"points per entry must be at least 1, got {points}")
     if seed < 0:
         raise RunError(f"seed must be non-negative, got {seed}")
+    if quad_grid != 0 and quad_grid < 8:
+        raise RunError(f"quad grid must be 0 (off) or at least 8, "
+                       f"got {quad_grid}")
     if not (tol_abs >= 0 and tol_rel >= 0):
         raise RunError(f"tolerances must be non-negative numbers, got "
                        f"abs {tol_abs}, rel {tol_rel}")

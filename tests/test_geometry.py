@@ -1,4 +1,5 @@
-"""Snapshot pipeline: metric, angles, curvature, frames, normal bundle."""
+"""Snapshot pipeline: metric, angles, curvature, frames, tangent/normal
+morphisms."""
 
 import numpy as np
 import pytest
@@ -345,9 +346,50 @@ def test_delta_fw_vanishes_on_ds():
     assert np.max(np.sqrt(snap.norm_delta_W2)) < 1e-8
 
 
-# ------------------------------------------------------------ normal bundle
+# ------------------------------------------------- tangent/normal morphisms
 
-def test_normal_frame_orthonormal():
+def _normal_part(snap):
+    """The g_N-orthogonal projector onto the normal space, P_N = I - dF
+    g^-1 dF^T g_N (b, A, B), and Phi = P_N J dF (b, A, i): Phi(X) is the
+    normal part of J dF X.  Neither needs a normal frame."""
+    dF, gN = snap.dF0, snap.gN0
+    P_T = np.einsum("bAi,bij,bCj,bCB->bAB", dF, snap.g_inv0, dF, gN)
+    P_N = np.eye(snap.ambient_dim) - P_T
+    Phi = np.einsum("bAB,BC,bCi->bAi", P_N, snap.JN, dF)
+    return P_N, Phi
+
+
+def _tangent_part(snap, V):
+    """Coordinates of the tangent part of ambient vectors V (b, A, ...)."""
+    return np.einsum("bij,bAj,bAB,bB...->bi...", snap.g_inv0, snap.dF0,
+                     snap.gN0, V)
+
+
+def test_phi_xi_identities():
+    """With Xi(nu) = (J nu)^T: -Xi o Phi = Id + (W#)^2 on TM, -Phi o Xi =
+    Id + (J^perp)^2 on the normal space, and |Phi|^2 = 2 sum sin^2."""
+    for name in ("ds_graph", "trig_flat_4d", "slant_product_4", "trig_sf_pos",
+                 "lagrangian_torus_2", "lagrangian_torus_sf_neg"):
+        snap = snap_of(name, count=30)
+        P_N, Phi = _normal_part(snap)
+        Ws = np.einsum("bik,bjk->bij", snap.g_inv0, snap.W0)
+        XiPhi = _tangent_part(snap, np.einsum("AB,bBi->bAi", snap.JN, Phi))
+        want = np.eye(snap.domain_dim) + Ws @ Ws
+        assert np.max(np.abs(-XiPhi - want)) < 1e-8, name
+        J_perp = P_N @ snap.JN @ P_N
+        P_T = np.eye(snap.ambient_dim) - P_N
+        PhiXi = P_N @ snap.JN @ P_T @ snap.JN @ P_N
+        assert np.max(np.abs(-PhiXi - (P_N + J_perp @ J_perp))) < 1e-8, name
+        nPhi2 = np.einsum("bij,bAi,bAB,bBj->b", snap.g_inv0, Phi, snap.gN0,
+                          Phi)
+        want2 = 2.0 * np.sum(1.0 - snap.cos_angles**2, axis=1)
+        assert np.max(np.abs(nPhi2 - want2)) < 1e-8, name
+
+
+def test_normal_angles_match_tangent_angles():
+    """The skew map J^perp = P_N J P_N of the normal space, written in a
+    g_N-orthonormal basis through g_N = C C^T, has the Kahler angles as its
+    top 2n singular values, in pairs."""
     # regular torus grid nodes include points where an ambient coordinate
     # axis is tangent to the surface, which random points almost never hit
     axis = np.arange(16) * (2 * np.pi / 16)
@@ -355,61 +397,29 @@ def test_normal_frame_orthonormal():
                                                     indexing="ij")], -1)
     grid_snap = compute_snapshot(get_entry("trig_sf_pos").spec(), grid)
     for snap in (snap_of("ds_graph", count=20),
-                 snap_of("trig_sf_pos", count=20), grid_snap):
-        gram = np.einsum("baA,bAB,bcB->bac", snap.nu, snap.gN0, snap.nu)
-        assert np.max(np.abs(gram - np.eye(snap.domain_dim))) < 1e-9
-        # orthogonal to the tangent space
-        dot = np.einsum("baA,bAB,bBi->bai", snap.nu, snap.gN0, snap.dF0)
-        assert np.max(np.abs(dot)) < 1e-9
-        assert np.max(np.abs(snap.normal_angles - snap.cos_angles)) < 1e-8
-
-
-def test_normal_angles_match_tangent_angles():
-    for name in ("ds_graph", "trig_flat_4d", "slant_product_4"):
-        snap = snap_of(name, count=40)
-        assert np.max(np.abs(snap.normal_angles - snap.cos_angles)) < 1e-8
-
-
-def test_phi_xi_identities():
-    for name in ("ds_graph", "trig_flat_4d"):
-        snap = snap_of(name, count=30)
-        B, d = snap.size, snap.domain_dim
-        Phi, Xi = snap.Phi_nu, snap.Xi_nu
-        Ws = np.einsum("bik,bjk->bij", snap.g_inv0, snap.W0)
-        # -Xi o Phi = Id + (W#)^2
-        XiPhi = np.einsum("bja,bai->bji", np.swapaxes(Xi, 1, 2), Phi)
-        want = np.eye(d) + np.einsum("bij,bjk->bik", Ws, Ws)
-        assert np.max(np.abs(-XiPhi - want)) < 1e-8
-        # -Phi o Xi = Id + (w_perp operator)^2; Phi(Xi(nu_a)) = Phi[c,j] Xi[a,j]
-        wps = -snap.w_perp
-        PhiXi = np.einsum("bcj,baj->bac", Phi, Xi)
-        want_n = np.eye(d) + np.einsum("bij,bjk->bik", wps, wps)
-        assert np.max(np.abs(-np.swapaxes(PhiXi, 1, 2) - want_n)) < 1e-8
-        # ||Phi||^2 = ||Xi||^2 = 2 sum sin^2
-        nPhi2 = np.einsum("bij,bai,baj->b", snap.g_inv0, Phi, Phi)
-        want2 = 2.0 * np.sum(1.0 - snap.cos_angles**2, axis=1)
-        assert np.max(np.abs(nPhi2 - want2)) < 1e-8
-        nXi2 = np.einsum("bij,bai,baj->b", snap.g0, Xi, Xi)
-        assert np.max(np.abs(nXi2 - want2)) < 1e-8
-        # J_perp o Phi = -Phi o J_w
-        JpPhi = np.einsum("bca,bai->bci", snap.J_perp, Phi)
-        PhiJw = np.einsum("bai,bij->baj", Phi, snap.Jw0)
-        mask = snap.cos_angles[:, -1] > 1e-4     # off Lagrangian directions
-        assert np.max(np.abs(JpPhi[mask] + PhiJw[mask])) < 1e-8
+                 snap_of("trig_sf_pos", count=20), grid_snap,
+                 snap_of("trig_flat_4d"), snap_of("slant_product_4")):
+        P_N, _ = _normal_part(snap)
+        Ct = np.swapaxes(np.linalg.cholesky(snap.gN0), 1, 2)
+        J_perp = Ct @ P_N @ snap.JN @ P_N @ np.linalg.inv(Ct)
+        S = np.linalg.svd(J_perp, compute_uv=False)[:, :snap.domain_dim]
+        for pair in (S[:, 0::2], S[:, 1::2]):
+            assert np.max(np.abs(pair - snap.cos_angles)) < 1e-8
 
 
 def test_phi_isometry_equal_angles():
     snap = snap_of("ds_graph", count=30)
-    sin2 = snap.sin2_0
-    gram = np.einsum("bai,baj->bij", snap.Phi_nu, snap.Phi_nu)
-    assert np.max(np.abs(gram - sin2[:, None, None] * snap.g0)) < 1e-8
+    _, Phi = _normal_part(snap)
+    gram = np.einsum("bAi,bAB,bBj->bij", Phi, snap.gN0, Phi)
+    assert np.max(np.abs(gram - snap.sin2_0[:, None, None] * snap.g0)) < 1e-8
 
 
 def test_lagrangian_J_maps_normal_to_tangent():
+    """On a Lagrangian submanifold J dF X is normal, so -Xi o Phi = Id."""
     snap = snap_of("lagrangian_torus_2")
-    # Xi = (J nu)^T is an isometry on a Lagrangian submanifold
-    nXi2 = np.einsum("bij,bai,baj->ba", snap.g0, snap.Xi_nu, snap.Xi_nu)
-    assert np.max(np.abs(nXi2 - 1.0)) < 1e-10
+    _, Phi = _normal_part(snap)
+    XiPhi = _tangent_part(snap, np.einsum("AB,bBi->bAi", snap.JN, Phi))
+    assert np.max(np.abs(-XiPhi - np.eye(2))) < 1e-10
 
 
 # ----------------------------------------------------------- invariances
@@ -488,8 +498,9 @@ def test_lagrangian_points_have_no_kernel_frame(name):
 
 
 def test_snapshot_decomposes_F_w_once(monkeypatch):
-    """The frame sums need one SVD of F*w per batch and no eigenframe."""
-    calls = {"svd": 0, "eigh": 0}
+    """The frame sums need one SVD of F*w per batch and no eigenframe, and
+    a full snapshot makes no other decomposition."""
+    calls = {"svd": 0, "eigh": 0, "qr": 0}
 
     def counting(name):
         original = getattr(np.linalg, name)
@@ -502,9 +513,12 @@ def test_snapshot_decomposes_F_w_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counting(name))
     entry = get_entry("slant_product_6")
-    compute_snapshot(entry.spec(), np.random.default_rng(0).uniform(
-        -0.5, 0.5, (8, 6)), reads=("sumRM", "sumE"))
-    assert calls == {"svd": 1, "eigh": 0}
+    pts = np.random.default_rng(0).uniform(-0.5, 0.5, (8, 6))
+    compute_snapshot(entry.spec(), pts, reads=("sumRM", "sumE"))
+    assert calls == {"svd": 1, "eigh": 0, "qr": 0}
+    calls.update(svd=0)
+    compute_snapshot(entry.spec(), pts, reads=None)
+    assert calls == {"svd": 1, "eigh": 0, "qr": 0}
 
 
 def test_ambient_isometry_invariance(monkeypatch):

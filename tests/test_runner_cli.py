@@ -341,6 +341,26 @@ def test_cli_json_path_checked_before_the_run(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
 
+def test_cli_quad_grid_checked_before_the_run(capsys, monkeypatch):
+    """A quad grid that is neither 0 nor at least 8 exits 2 with one error
+    line naming it, before calibration or any entry is computed, whether
+    the entry is periodic (a 4-torus) or not."""
+    def never(*args, **kwargs):
+        pytest.fail("computed before the quad grid was checked")
+
+    for name in ("calibrate_conventions", "compute_snapshot",
+                 "torus_quadrature"):
+        monkeypatch.setattr(f"kangle.runner.{name}", never)
+    for args in (["--entry", "ds_graph", "--quad-grid", "-5"],
+                 ["--entry", "ds_graph", "--quad-grid", "4"],
+                 ["--entry", "lagrangian_torus_4", "--quad-grid", "4"],
+                 ["--quad-grid", "5"]):
+        assert main(["verify", *args]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: quad grid") and err.count("\n") == 1, (
+            args, err)
+
+
 @pytest.mark.parametrize("term", ["exp(1000*u1)", "u1/0"])
 def test_cli_overflowing_map_prints_only_its_error_line(term, tmp_path):
     """F is not finite at the point: numpy prints no warning, and the one

@@ -33,9 +33,6 @@ CASES = ("slant_cylinder", "ds_graph", "slant_product_6", "lagrangian_torus_4",
 
 # keys of a full snapshot that no production reader declares, with the reason
 ALLOWLIST = {
-    **dict.fromkeys(("nu", "w_perp", "normal_angles", "J_perp", "Phi_nu",
-                     "Xi_nu"),
-                    "normal bundle: a README feature that only tests read"),
     "pair_gap": "numerical health, kept for the schema-2 report",
     "sumRM_imag": "numerical health, kept for the schema-2 report",
     "near_equal_warn": "numerical health, kept for the schema-2 report",
@@ -203,11 +200,24 @@ def test_quadrature_runs_only_the_stages_its_integrands_need(stage_log):
             "_core", "_connection", "_forms", "_form_laplacians"], key
 
 
-def test_run_suite_skips_the_normal_bundle(stage_log):
-    report = runner.run_suite(suites="all", points=4, threads=1)
+def test_run_suite_runs_only_the_stages_its_suites_read(stage_log,
+                                                        monkeypatch):
+    """Each entry's snapshot is planned from the suites' declared reads:
+    weitzenboeck reads up to sumRM, so the stages through _curvature run
+    and the frame sums and masked fields never do."""
+    calibrate = runner.calibrate_conventions
+
+    def calibrate_then_clear(order):
+        conventions = calibrate(order)
+        stage_log["calls"].clear()   # the calibration surface's own plan
+        return conventions
+
+    monkeypatch.setattr(runner, "calibrate_conventions", calibrate_then_clear)
+    report = runner.run_suite(suites=["weitzenboeck"], points=4, threads=1)
+    names = [s.__name__ for s in geometry.STAGES]
     assert report["entries"]
-    assert stage_log["calls"]
-    assert "_normal_bundle" not in stage_log["calls"]
+    assert stage_log["calls"] == (names[:names.index("_curvature") + 1]
+                                  * len(report["entries"]))
 
 
 def test_without_reads_every_stage_runs(stage_log):
