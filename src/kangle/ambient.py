@@ -32,7 +32,6 @@ __all__ = [
     "space_form",
     "ambient_J",
     "ambient_metric",
-    "ambient_metric_point",
     "metric_along",
     "christoffel_along",
     "curvature_tensor_point",
@@ -90,49 +89,36 @@ def in_chart(spec, z_values):
     return np.isfinite(margin) & (margin > CHART_BOUNDARY_TOL)
 
 
-def _inverse_margin(spec, z_jets):
-    """1/(1 + rho|z|^2) as a jet; a point outside the chart raises."""
-    if not np.all(in_chart(spec, np.moveaxis(z_jets.value(), 0, -1))):
+def _require_chart(spec, z_values):
+    """ChartDomainError unless every point z_values (..., 2m) is in chart."""
+    if not np.all(in_chart(spec, z_values)):
         raise ChartDomainError("point outside the chart domain: 1 + rho|z|^2 "
                                f"is not finite and above {CHART_BOUNDARY_TOL}")
+
+
+def _inverse_margin(spec, z_jets):
+    """1/(1 + rho|z|^2) as a jet; a point outside the chart raises."""
+    _require_chart(spec, np.moveaxis(z_jets.value(), 0, -1))
     s2 = jet_einsum("A...,A...->...", z_jets, z_jets)
     return (1.0 + spec.rho * s2).reciprocal()
 
 
-def ambient_metric(spec, z_jets):
-    """Ambient metric as jets, evaluated on chart-coordinate jets.
+def ambient_metric(spec, z):
+    """Ambient metric at chart points: z (..., 2m) -> (..., 2m, 2m).
 
-    Closed form, with A = 1/(1 + rho|z|^2) and c = -rho A^2:
-    g(x_p, x_q) = g(y_p, y_q) = A delta_pq + c (x_p x_q + y_p y_q),
-    g(x_p, y_q) = -g(y_p, x_q) = c (x_p y_q - y_p x_q).
-    z_jets: Jet with leading axis of length 2m (the chart coordinates);
-    result has leading axes (2m, 2m).  It is the identity for rho = 0.
+    A I + c (z z^T + Jz Jz^T) with A = 1/(1 + rho|z|^2) and c = -rho A^2,
+    the metric that metric_along applies; the identity for rho = 0.  A
+    point outside the chart raises ChartDomainError.
     """
-    m = spec.complex_dim
-    if z_jets.coeffs.shape[0] != 2 * m:
-        raise UsageError("z_jets leading axis must have length 2m")
-    A = _inverse_margin(spec, z_jets)
-    c = A * A * (-spec.rho)
-    x, y = z_jets[0::2], z_jets[1::2]
-    xc, yc = x[None, :] * c, y[None, :] * c
-    re = (x[:, None] * xc + y[:, None] * yc).coeffs
-    xy = (x[:, None] * yc).coeffs
-    im = xy - np.swapaxes(xy, 0, 1)
-    diag = np.arange(m)
-    re[diag, diag] += A.coeffs
-    g = np.moveaxis(np.empty(re.shape[-1:] + (2 * m,) * 2 + re.shape[2:-1]), 0, -1)
-    g[0::2, 0::2] = re
-    g[1::2, 1::2] = re
-    g[0::2, 1::2] = im
-    g[1::2, 0::2] = -im
-    return Jet(z_jets.dim, z_jets.order, g)
-
-
-def ambient_metric_point(spec, z):
-    """Ambient metric as plain arrays: z (..., 2m) -> (..., 2m, 2m)."""
-    z = np.moveaxis(np.asarray(z, dtype=float), -1, 0)
-    g = ambient_metric(spec, Jet(1, 0, z[..., None]))
-    return np.moveaxis(g.value(), (0, 1), (-2, -1))
+    z = np.asarray(z, dtype=float)
+    _require_chart(spec, z)
+    A = 1.0 / (1.0 + spec.rho * np.sum(z * z, axis=-1))
+    Jz = z @ ambient_J(spec).T
+    g = z[..., :, None] * z[..., None, :]
+    g += Jz[..., :, None] * Jz[..., None, :]
+    g *= (-spec.rho * A * A)[..., None, None]
+    g += A[..., None, None] * np.eye(z.shape[-1])
+    return g
 
 
 def _common(z, a, b):
@@ -206,7 +192,7 @@ def curvature_tensor_point(spec, z):
                       + g(JY,Z) g(JX,W) - g(JX,Z) g(JY,W)
                       - 2 g(JX,Y) g(JZ,W) ].
     """
-    g = ambient_metric_point(spec, z)
+    g = ambient_metric(spec, z)
     J = ambient_J(spec)
     Jg = np.einsum("ca,...cb->...ab", J, g)     # Jg[a, b] = g(J e_a, e_b)
     R = (

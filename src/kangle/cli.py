@@ -26,7 +26,7 @@ from .dsl import parse_ambient, parse_immersion, print_immersion
 from .errors import ImmersionSyntaxError, KangleError
 from .geometry import CLASS_NAMES, compute_snapshot, reads
 from .identities import SUITES, TOL_ABS_DEFAULT, TOL_REL_DEFAULT
-from .quadrature import eq23_pass, stokes_pass, torus_quadrature
+from .quadrature import torus_checks
 from .runner import RECORD_MODES, report_to_json, run_suite
 
 
@@ -93,6 +93,10 @@ def _cmd_eval(args):
     return 0
 
 
+def _number(value):
+    return "null" if value is None else f"{value:.6e}"
+
+
 def _cmd_verify(args):
     suites = args.suite.split(",") if args.suite != "all" else "all"
     entries = None
@@ -127,6 +131,14 @@ def _cmd_verify(args):
             line += (f"  worst rel {worst['rel_residual']:.2e} at "
                      f"{worst['entry']}[{worst['point_index']}] ({point})")
         print(line)
+    for e in report["entries"]:
+        for row in e["quadrature"]:
+            values = "  ".join(f"{k} {_number(row[k])}"
+                               for k in ("value", "lhs", "rhs") if k in row)
+            if "pass" in row:
+                values += "  pass" if row["pass"] else "  FAIL"
+            print(f"  quadrature {e['name']:28s} {row['check']:18s} "
+                  f"grid {row['grid']:3d}  {values}")
     bad_entries = [e["name"] for e in report["entries"] if not e["expected_ok"]]
     if bad_entries:
         print("entries with failed self-assertions:", ", ".join(bad_entries))
@@ -135,22 +147,10 @@ def _cmd_verify(args):
 
 
 def _cmd_integrate(args):
-    spec, entry = _load_spec(args)
-    if not spec.periodic:
-        raise KangleError("integrate needs a periodic immersion")
-    if args.check == "stokes":
-        keys = ("volume", "div_field", "lap_cos2")
-    else:  # eq2.3
-        keys = ("volume", "hodge_pair", "delta_fw_norm2")
-    q = torus_quadrature(spec, keys, args.grid)
-    results = {"volume": q["volume"]}
-    results.update((f"integral_{k}", q[k]) for k in keys[1:])
-    if args.check == "stokes":
-        ok = all(stokes_pass(q[k], q["volume"]) for k in keys[1:])
-    else:
-        ok = eq23_pass(q["hodge_pair"], q["delta_fw_norm2"])
-    results["pass"] = ok
-    text = json.dumps(results, indent=1)
+    spec, _ = _load_spec(args)
+    rows = torus_checks(spec, args.grid)
+    ok = all(row.get("pass", True) for row in rows)
+    text = json.dumps({"quadrature": rows, "pass": ok}, indent=1)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -211,7 +211,6 @@ def build_parser():
     pi.add_argument("file", nargs="?", help=".imm file")
     pi.add_argument("--entry", help="built-in catalog entry name")
     pi.add_argument("--grid", type=int, default=32)
-    pi.add_argument("--check", choices=("stokes", "eq2.3"), default="stokes")
     pi.add_argument("--ambient", help="override: flat or space_form(RHO)")
     pi.add_argument("--json", help="also write JSON here")
     pi.set_defaults(fn=_cmd_integrate)

@@ -51,7 +51,6 @@ NEAR_GATE_BUFFER = 1e-4     # keep-away band around the singular loci
 PAIRING_TOL = 1e-7          # skew singular values must pair up this well
 
 __all__ = [
-    "JET_ORDER",
     "Snapshot",
     "STAGES",
     "compute_snapshot",
@@ -234,9 +233,9 @@ def _plan(reads, order):
     """The stages that write ``reads`` and the order to form F at.
 
     The stages run in order up to the last one that writes a key of
-    ``reads`` (None runs every stage), and F is formed at ``order`` capped
-    at the deepest order one of them declares.  A key that no stage
-    writes raises UsageError.
+    ``reads`` (None runs every stage), and F is formed at the deepest order
+    one of them declares.  A key that no stage writes, or an ``order``
+    below that deepest one, raises UsageError.
     """
     stages = STAGES
     if reads is not None:
@@ -247,7 +246,11 @@ def _plan(reads, order):
                 raise UsageError(f"no snapshot stage writes {key!r}")
             last = max(last, at[0])
         stages = STAGES[:last + 1]
-    return stages, min(order, max(stage.order for stage in stages))
+    needed = max(stage.order for stage in stages)
+    if order < needed:
+        raise UsageError(f"order {order} is too low: the snapshot keys read "
+                         f"need F to order {needed}")
+    return stages, needed
 
 
 def compute_snapshot(spec, points, order=3, reads=None):
@@ -258,8 +261,9 @@ def compute_snapshot(spec, points, order=3, reads=None):
     fail to pair are dropped and reported in ``snapshot.rejected``, by their
     index into ``points``; the gate that leaves no point raises.  reads:
     snapshot keys; only the stages up to the last one that writes one of
-    them run, and F is formed at ``order`` capped at the deepest order
-    those stages declare, which ``snap.order`` reports.  Each stage reads
+    them run, and F is formed at the deepest order those stages declare,
+    which ``snap.order`` reports; an ``order`` below it raises UsageError
+    before F is evaluated.  Each stage reads
     keys of the stages before it; ``work`` carries what no reader needs (F,
     dF, the |F*w|^2 and d F*w the form Laplacians differentiate, the
     nabla F*w, d delta F*w and (JH)-flat the masked fields reuse, and the
@@ -322,7 +326,7 @@ def _core(snap, work):
     g0 = _at_points(snap.jets["g"])
     snap.data.update(
         dF0=_at_points(work["dF"]),
-        gN0=amb.ambient_metric_point(spec, snap.F0),
+        gN0=amb.ambient_metric(spec, snap.F0),
         g0=g0, sqrt_det_g0=np.sqrt(np.linalg.det(g0)),
     )
 

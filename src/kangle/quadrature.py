@@ -2,9 +2,10 @@
 
 For periodic analytic integrands the rectangle (= trapezoidal) rule on a
 uniform grid converges spectrally, which the suite exploits to check the
-integral identities: total integrals of Laplacians vanish, and the global
-pairing of the form Laplacian against the form equals the codifferential
-norm.
+integral identities: total integrals of divergences and Laplacians vanish,
+and the global pairing of the form Laplacian against the form equals the
+codifferential norm (eq. 2.3).  ``torus_checks`` makes those checks and
+judges them, for ``kangle verify --quad-grid`` and ``kangle integrate``.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import numpy as np
 
 from .errors import QuadratureError, UsageError
 from .geometry import compute_snapshot, reads
+from .identities import finite_or_none
 from .jets import jet_seed_all
 
-__all__ = ["torus_quadrature", "INTEGRANDS", "stokes_pass", "eq23_pass"]
+__all__ = ["torus_quadrature", "torus_checks", "INTEGRANDS"]
 
 CHUNK = 4096               # grid nodes per snapshot
 
@@ -97,11 +99,28 @@ def torus_quadrature(spec, integrand, grid_n, order=3):
     return out[integrand] if isinstance(integrand, str) else out
 
 
-def stokes_pass(integral, volume):
-    """A Stokes-type integral vanishes relative to the volume."""
-    return bool(abs(integral) <= 1e-8 * max(volume, 1.0))
+def torus_checks(spec, grid_n, order=3):
+    """The judged torus checks as report rows, from one ``torus_quadrature``
+    pass at ``grid_n`` nodes per axis: ``volume``; ``stokes_divergence``
+    and ``stokes_lap_cos2``, whose integral passes when it is at most
+    1e-8 max(volume, 1) in size; and ``eq2.3``, whose lhs = int <Delta F*w,
+    F*w> and rhs = int |delta F*w|^2 pass when they differ by at most 1e-6
+    max(|lhs|, |rhs|, 1e-8).  Values that are not finite are None.
+    """
+    q = torus_quadrature(spec, ("volume", "div_field", "lap_cos2",
+                                "hodge_pair", "delta_fw_norm2"),
+                         grid_n, order=order)
+    vol, lhs, rhs = q["volume"], q["hodge_pair"], q["delta_fw_norm2"]
 
+    def stokes(check, value):
+        return {"check": check, "grid": grid_n, "value": finite_or_none(value),
+                "pass": bool(abs(value) <= 1e-8 * max(vol, 1.0))}
 
-def eq23_pass(lhs, rhs):
-    """Eq. 2.3: the integral of <Delta F*w, F*w> equals that of |delta F*w|^2."""
-    return bool(abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs), 1e-8))
+    return [
+        {"check": "volume", "grid": grid_n, "value": finite_or_none(vol)},
+        stokes("stokes_divergence", q["div_field"]),
+        stokes("stokes_lap_cos2", q["lap_cos2"]),
+        {"check": "eq2.3", "grid": grid_n, "lhs": finite_or_none(lhs),
+         "rhs": finite_or_none(rhs), "pass": bool(
+             abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs), 1e-8))},
+    ]

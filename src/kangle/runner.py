@@ -23,7 +23,7 @@ from .identities import (
     finite_or_none,
     run_identity_suite,
 )
-from .quadrature import eq23_pass, stokes_pass, torus_quadrature
+from .quadrature import torus_checks
 
 __all__ = ["run_suite", "sample_points", "report_to_json", "RECORD_MODES",
            "RunError"]
@@ -140,17 +140,7 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
     quad = []
     if quad_grid and entry.periodic:
         n_axis = quad_grid if snap.domain_dim == 2 else max(8, quad_grid // 4)
-        q = torus_quadrature(spec, ("volume", "div_field", "hodge_pair",
-                                    "delta_fw_norm2"), n_axis, order=order)
-        vol, stokes = q["volume"], q["div_field"]
-        lhs, rhs = q["hodge_pair"], q["delta_fw_norm2"]
-        quad = [
-            {"check": "volume", "grid": n_axis, "value": finite_or_none(vol)},
-            {"check": "stokes_divergence", "grid": n_axis,
-             "value": finite_or_none(stokes), "pass": stokes_pass(stokes, vol)},
-            {"check": "eq2.3", "grid": n_axis, "lhs": finite_or_none(lhs),
-             "rhs": finite_or_none(rhs), "pass": eq23_pass(lhs, rhs)},
-        ]
+        quad = torus_checks(spec, n_axis, order=order)
     cos = snap.cos_angles
     result = {
         "name": entry.name,

@@ -13,6 +13,39 @@ def conventions():
     return calibrate_conventions(3)
 
 
+def ambient_metric_jet(spec, z_jets):
+    """The ambient metric as jets on chart-coordinate jets, the oracle of
+    ``ambient.ambient_metric`` and of the Christoffel and curvature tensors
+    derived from it.
+
+    Closed form, with A = 1/(1 + rho|z|^2) and c = -rho A^2:
+    g(x_p, x_q) = g(y_p, y_q) = A delta_pq + c (x_p x_q + y_p y_q),
+    g(x_p, y_q) = -g(y_p, x_q) = c (x_p y_q - y_p x_q).
+    z_jets: Jet with leading axis of length 2m; result has leading axes
+    (2m, 2m).  It is the identity for rho = 0.
+    """
+    from kangle.jets import Jet, jet_einsum
+
+    m = spec.complex_dim
+    s2 = jet_einsum("A...,A...->...", z_jets, z_jets)
+    A = (1.0 + spec.rho * s2).reciprocal()
+    c = A * A * (-spec.rho)
+    x, y = z_jets[0::2], z_jets[1::2]
+    xc, yc = x[None, :] * c, y[None, :] * c
+    re = (x[:, None] * xc + y[:, None] * yc).coeffs
+    xy = (x[:, None] * yc).coeffs
+    im = xy - np.swapaxes(xy, 0, 1)
+    diag = np.arange(m)
+    re[diag, diag] += A.coeffs
+    g = np.moveaxis(np.empty(re.shape[-1:] + (2 * m,) * 2 + re.shape[2:-1]),
+                    0, -1)
+    g[0::2, 0::2] = re
+    g[1::2, 1::2] = re
+    g[0::2, 1::2] = im
+    g[1::2, 0::2] = -im
+    return Jet(z_jets.dim, z_jets.order, g)
+
+
 def ambient_christoffel(spec, z_jets):
     """Levi-Civita connection of the space form as a jet tensor, the oracle
     of ``ambient.christoffel_along``.
@@ -41,14 +74,13 @@ def mean_curvature_jets(spec, snap):
     tensor route, the ambient metric jet and the Christoffel tensor along F
     contracted against dF, not by the closed forms the pipeline applies."""
     import kangle.calculus as ca
-    from kangle import ambient as amb
     from kangle.dsl import eval_components
     from kangle.geometry import mean_curvature
     from kangle.jets import Jet, jet_einsum
 
     F = eval_components(spec, snap.points, order=snap.order)
     dF = ca.jstack([ca.partials(F[A]) for A in range(snap.ambient_dim)])
-    gN = amb.ambient_metric(spec.ambient, F.truncated(snap.order - 1))
+    gN = ambient_metric_jet(spec.ambient, F.truncated(snap.order - 1))
     gammaN = ambient_christoffel(spec.ambient, F.truncated(snap.order - 2))
     corr = ca._jes("Ak...,kij...->ijA...", dF, snap.jets["gamma"])
     t = ca._jes("ABC...,Bi...->AiC...", gammaN, dF)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import kangle.calculus as ca
-from conftest import mean_curvature_jets
+from conftest import ambient_metric_jet, mean_curvature_jets
 from kangle.ambient import (
     ambient_metric,
     curvature_tensor_point,
@@ -152,13 +152,12 @@ def test_criterion_5_ambient_validation():
             scale = 0.4 if rho < 0 else 0.8
             z = rng.uniform(-scale, scale, (20, spec.real_dim)) \
                 / np.sqrt(spec.complex_dim)
-            from kangle.ambient import ambient_metric_point
-            g = ambient_metric_point(spec, z)
+            g = ambient_metric(spec, z)
             R4 = curvature_tensor_point(spec, z)
             ric = np.einsum("...il,...iyzl->...yz", np.linalg.inv(g), R4)
             worst_einstein = max(worst_einstein, float(np.max(
                 np.abs(ric - einstein_constant(spec) * g))))
-            gj = ambient_metric(spec, ca.jstack(
+            gj = ambient_metric_jet(spec, ca.jstack(
                 jet_seed_all(spec.real_dim, 3, z)))
             R_jet = ca.riemann_from_christoffel(ca.christoffel(gj), gj)
             worst_curv = max(worst_curv, float(

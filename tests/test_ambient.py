@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import kangle.calculus as ca
-from conftest import ambient_christoffel
+from conftest import ambient_christoffel, ambient_metric_jet
 from kangle.ambient import (
     AmbientSpec,
     ambient_J,
     ambient_metric,
-    ambient_metric_point,
     christoffel_along,
     curvature_tensor_point,
     einstein_constant,
@@ -36,7 +35,7 @@ def test_J_square_and_hermitian():
         J = ambient_J(spec)
         assert np.array_equal(J @ J, -np.eye(spec.real_dim))
         z = _chart_points(rng, spec, 20)
-        g = ambient_metric_point(spec, z)
+        g = ambient_metric(spec, z)
         X = rng.normal(size=(20, spec.real_dim))
         Y = rng.normal(size=(20, spec.real_dim))
         JX = np.einsum("ab,...b->...a", J, X)
@@ -52,13 +51,13 @@ def test_J_square_and_hermitian():
 
 def test_metric_identity_at_origin_and_flat():
     spec = space_form(1.0, 2)
-    g = ambient_metric_point(spec, np.zeros((1, 4)))
+    g = ambient_metric(spec, np.zeros((1, 4)))
     assert np.allclose(g[0], np.eye(4))
     flat = flat_space(3)
     z = np.random.default_rng(1).normal(size=(5, 6))
-    assert np.allclose(ambient_metric_point(flat, z),
+    assert np.allclose(ambient_metric(flat, z),
                        np.broadcast_to(np.eye(6), (5, 6, 6)))
-    gj = ambient_metric(flat, ca.jstack(jet_seed_all(6, 2, z)))
+    gj = ambient_metric_jet(flat, ca.jstack(jet_seed_all(6, 2, z)))
     assert np.array_equal(gj.value(), np.broadcast_to(np.eye(6)[..., None],
                                                       (6, 6, 5)))
     assert not np.any(gj.coeffs[..., 1:])
@@ -71,8 +70,8 @@ def test_metric_jets_match_pointwise():
     rng = np.random.default_rng(2)
     spec = space_form(1.0, 2)
     z = _chart_points(rng, spec, 7)
-    gj = ambient_metric(spec, ca.jstack(jet_seed_all(4, 2, z)))
-    g = ambient_metric_point(spec, z)
+    gj = ambient_metric_jet(spec, ca.jstack(jet_seed_all(4, 2, z)))
+    g = ambient_metric(spec, z)
     assert np.max(np.abs(np.moveaxis(gj.value(), -1, 0) - g)) < 1e-10
 
 
@@ -93,8 +92,8 @@ def test_metric_is_the_hessian_of_the_potential(n, rho):
                               for a in range(m2)]), -1, 0)
     J = ambient_J(spec)
     oracle = 0.25 * (H + np.einsum("ca,...cd,db->...ab", J, H, J))
-    g = ambient_metric_point(spec, z)
-    gj = ambient_metric(spec, ca.jstack(seeds))
+    g = ambient_metric(spec, z)
+    gj = ambient_metric_jet(spec, ca.jstack(seeds))
     assert np.max(np.abs(g - oracle)) < 1e-12
     assert np.max(np.abs(np.moveaxis(gj.value(), -1, 0) - oracle)) < 1e-12
 
@@ -104,7 +103,7 @@ def test_holomorphic_sectional_curvature():
     for rho in (1.0, -1.0, 0.5, -0.5):
         spec = space_form(rho, 2)
         z = _chart_points(rng, spec, 10)
-        g = ambient_metric_point(spec, z)
+        g = ambient_metric(spec, z)
         J = ambient_J(spec)
         X = rng.normal(size=(10, 4))
         JX = np.einsum("ab,...b->...a", J, X)
@@ -121,7 +120,7 @@ def test_einstein_property(n, rho):
     rng = np.random.default_rng(10 * n + int(rho * 10) % 7)
     spec = space_form(rho, 2 * n)
     z = _chart_points(rng, spec, 20)
-    g = ambient_metric_point(spec, z)
+    g = ambient_metric(spec, z)
     R = curvature_tensor_point(spec, z)
     ric = np.einsum("...il,...iyzl->...yz", np.linalg.inv(g), R)
     defect = np.max(np.abs(ric - einstein_constant(spec) * g))
@@ -151,7 +150,7 @@ def test_closed_form_vs_jet_curvature(n, rho):
     rng = np.random.default_rng(n + int(3 * rho) % 5)
     spec = space_form(rho, 2 * n)
     z = _chart_points(rng, spec, 20)
-    gj = ambient_metric(spec, ca.jstack(jet_seed_all(spec.real_dim, 3, z)))
+    gj = ambient_metric_jet(spec, ca.jstack(jet_seed_all(spec.real_dim, 3, z)))
     gamma = ca.christoffel(gj)
     zj = ca.jstack(jet_seed_all(spec.real_dim, 2, z))
     gamma_closed = ambient_christoffel(spec, zj)
@@ -190,7 +189,7 @@ def test_kahler_condition_nabla_J():
     J = ambient_J(spec)
     Jc = np.zeros((4, 4, 10, seeds.coeffs.shape[-1]))
     Jc[..., 0] = J[:, :, None]
-    for gamma in (ca.christoffel(ambient_metric(spec, seeds)),
+    for gamma in (ca.christoffel(ambient_metric_jet(spec, seeds)),
                   ambient_christoffel(spec, seeds.truncated(2))):
         nJ = ca.cov_d(Jet(4, 3, Jc), gamma, upper=(0,))
         assert np.max(np.abs(nJ.coeffs)) < 1e-8
@@ -200,7 +199,7 @@ def test_kahler_form_closed():
     rng = np.random.default_rng(5)
     spec = space_form(0.5, 2)
     z = _chart_points(rng, spec, 10)
-    gj = ambient_metric(spec, ca.jstack(jet_seed_all(4, 2, z)))
+    gj = ambient_metric_jet(spec, ca.jstack(jet_seed_all(4, 2, z)))
     J = ambient_J(spec)
     w = jet_einsum("ca,cb...->ab...", J, gj)   # w_ab = g(J e_a, e_b)
     dw = ca.exterior_d_twoform(w)
@@ -232,11 +231,10 @@ def test_chart_domain_rejection():
             z[4, -1] = np.sqrt(1.0 - 5e-7)          # margin 5e-7 at rho = -1
             assert in_chart(spec, z).tolist() == [rho > 0, True, False,
                                                   True, rho > 0]
-            ambient_metric_point(spec, z[[1, 3]])
+            ambient_metric(spec, z[[1, 3]])
             for k in ([0, 4] if rho < 0 else []) + [2]:
                 zj = ca.jstack(jet_seed_all(spec.real_dim, 1, z[k:k + 1]))
-                for check in (lambda: ambient_metric_point(spec, z[k]),
-                              lambda: ambient_metric(spec, zj),
+                for check in (lambda: ambient_metric(spec, z[k]),
                               lambda: metric_along(spec, zj, zj, zj),
                               lambda: christoffel_along(spec, zj, zj, zj)):
                     with pytest.raises(ChartDomainError):

@@ -51,20 +51,20 @@ def test_snapshot_jets_are_made_coefficient_major(name, order, monkeypatch):
 
 def test_snapshots_apply_the_ambient_along_F(monkeypatch):
     """A full snapshot forms no ambient metric jet, flat or curved: g_N and
-    Gamma^N are applied along F in closed form, and the one jet handed to
-    ambient_metric is the order-0 one of the pointwise gN0."""
+    Gamma^N are applied along F in closed form, and ambient_metric is
+    called once, on the plain (B, 4n) array of F values, for gN0."""
     import kangle.ambient as amb
-    metric, orders = amb.ambient_metric, []
+    metric, shapes = amb.ambient_metric, []
 
-    def counting(spec, z_jets):
-        orders.append(z_jets.order)
-        return metric(spec, z_jets)
+    def counting(spec, z):
+        shapes.append(np.shape(z))
+        return metric(spec, z)
 
     monkeypatch.setattr(amb, "ambient_metric", counting)
     for name in ("trig_sf_pos", "lagrangian_torus_sf_pos", "ds_graph"):
-        orders.clear()
-        snap_of(name, count=12)
-        assert orders == [0], name
+        shapes.clear()
+        snap = snap_of(name, count=12)
+        assert shapes == [snap.F0.shape], name
 
 
 # ---------------------------------------------------------------- metric

@@ -326,7 +326,8 @@ def test_kernels_take_any_layout_and_emit_coefficient_major(layout):
     # the second operand in another layout, so mixed pairs occur too
     other = LAYOUTS[(LAYOUTS.index(layout) + 1) % len(LAYOUTS)]
     A, B = _jet(dim, order, a, layout), _jet(dim, order, b, other)
-    # x[None, :] * c in ambient_metric: a (1, m, b) jet times an (m, b) one
+    # x[None, :] * c in the ambient metric jet of tests/conftest.py: a
+    # (1, m, b) jet times an (m, b) one
     A1 = _jet(dim, order, a[None], layout)
     c = b[0]
     C = _jet(dim, order, c, other)

@@ -3,6 +3,7 @@ evaluates every integrand from one snapshot per grid chunk, and gives the
 same floats as one call per integrand."""
 
 import copy
+import json
 
 import pytest
 
@@ -73,10 +74,23 @@ def test_runner_and_cli_one_snapshot_per_chunk(snapshots, capsys):
                        suites=["prop3.1"], points=8, quad_grid=16)
     assert report["pass"]
     assert snapshots == [256]
-    for check in ("stokes", "eq2.3"):
-        snapshots.clear()
-        assert main(["integrate", "--entry", "lagrangian_torus_2", "--grid",
-                     "16", "--check", check]) == 0
-        assert snapshots == [256]
+    snapshots.clear()
+    assert main(["integrate", "--entry", "lagrangian_torus_2", "--grid",
+                 "16"]) == 0
+    assert snapshots == [256]
     capsys.readouterr()
+
+
+def test_verify_and_integrate_judge_the_same_rows(snapshots, capsys):
+    """run_suite's quadrature rows and kangle integrate's are one list from
+    torus_checks, each from one snapshot of the 16x16 grid."""
+    report = run_suite(entries=["lagrangian_torus_2"], suites=["prop3.1"],
+                       points=4, quad_grid=16)
+    assert snapshots == [256]
+    snapshots.clear()
+    assert main(["integrate", "--entry", "lagrangian_torus_2", "--grid",
+                 "16"]) == 0
+    assert snapshots == [256]
+    assert json.loads(capsys.readouterr().out) == {
+        "quadrature": report["entries"][0]["quadrature"], "pass": True}
 

@@ -8,7 +8,7 @@ import pytest
 from kangle.catalog import get_entry
 from kangle.dsl import parse_immersion
 from kangle.errors import QuadratureError, UsageError
-from kangle.quadrature import torus_quadrature
+from kangle.quadrature import torus_checks, torus_quadrature
 
 PERIODIC_2D = ("lagrangian_torus_2", "trig_flat_2d", "trig_sf_pos",
                "trig_sf_neg", "calibration_surface")
@@ -33,6 +33,22 @@ def test_stokes_vanishing_at_64(name):
     lap = q["lap_cos2"]
     assert abs(div) <= 1e-8 * max(vol, 1.0)
     assert abs(lap) <= 1e-8 * max(vol, 1.0)
+
+
+@pytest.mark.parametrize("name", PERIODIC_2D)
+def test_torus_checks_pass_at_64(name):
+    """Every row passes, and its values are the integrals of one pass."""
+    rows = {row.pop("check"): row
+            for row in torus_checks(get_entry(name).spec(), 64)}
+    q = torus_integrals(name, 64)
+    assert rows == {
+        "volume": {"grid": 64, "value": q["volume"]},
+        "stokes_divergence": {"grid": 64, "value": q["div_field"],
+                              "pass": True},
+        "stokes_lap_cos2": {"grid": 64, "value": q["lap_cos2"], "pass": True},
+        "eq2.3": {"grid": 64, "lhs": q["hodge_pair"],
+                  "rhs": q["delta_fw_norm2"], "pass": True},
+    }
 
 
 @pytest.mark.parametrize("name", ["trig_flat_2d", "trig_sf_pos", "trig_sf_neg"])

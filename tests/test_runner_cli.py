@@ -330,7 +330,7 @@ def test_cli_json_path_checked_before_the_run(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         pytest.fail("computed before the --json path was checked")
 
-    for name in ("run_suite", "compute_snapshot", "torus_quadrature"):
+    for name in ("run_suite", "compute_snapshot", "torus_checks"):
         monkeypatch.setattr(f"kangle.cli.{name}", never)
     for args in (["eval", "--entry", "ds_graph", "--point", "0,0,0,0"],
                  ["verify", "--entry", "ds_graph", "--points", "4"],
@@ -349,7 +349,7 @@ def test_cli_quad_grid_checked_before_the_run(capsys, monkeypatch):
         pytest.fail("computed before the quad grid was checked")
 
     for name in ("calibrate_conventions", "compute_snapshot",
-                 "torus_quadrature"):
+                 "torus_checks"):
         monkeypatch.setattr(f"kangle.runner.{name}", never)
     for args in (["--entry", "ds_graph", "--quad-grid", "-5"],
                  ["--entry", "ds_graph", "--quad-grid", "4"],
@@ -472,10 +472,32 @@ def test_cli_verify_imm_file(tmp_path):
 
 def test_cli_integrate():
     proc = run_cli("integrate", "--entry", "lagrangian_torus_4", "--grid",
-                   "8", "--check", "eq2.3")
+                   "8")
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert out["pass"]
-    assert out["integral_hodge_pair"] == 0.0
+    eq23, = (row for row in out["quadrature"] if row["check"] == "eq2.3")
+    assert eq23["lhs"] == eq23["rhs"] == 0.0
     proc = run_cli("integrate", "--entry", "ds_graph", "--grid", "8")
     assert proc.returncode == 2
+    proc = run_cli("integrate", "--entry", "lagrangian_torus_2", "--check",
+                   "stokes")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --check" in proc.stderr
+
+
+def test_cli_verify_prints_the_quadrature_rows(capsys):
+    """Each quadrature row is a line naming its entry, check and grid, with
+    its values and verdict, so a failing check is named: on trig_flat_4d
+    the 8^4 grid of --quad-grid 32 has not converged."""
+    assert main(["verify", "--entry", "trig_flat_4d", "--suite", "prop3.1",
+                 "--points", "4", "--quad-grid", "32"]) == 1
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  quadrature ")]
+    assert [line[:5] for line in lines] == [
+        ["quadrature", "trig_flat_4d", check, "grid", "8"]
+        for check in ("volume", "stokes_divergence", "stokes_lap_cos2",
+                      "eq2.3")]
+    assert [line[5::2] for line in lines] == [
+        ["value"], ["value", "pass"], ["value", "FAIL"],
+        ["lhs", "rhs", "FAIL"]]

@@ -427,6 +427,23 @@ def test_torus_integrals_form_f_at_their_stages_order(key, order,
     assert asked_orders == [order]
 
 
+def test_an_order_below_the_stages_raises_before_F(asked_orders):
+    """An order below the deepest the planned stages declare is refused by
+    name, before F is evaluated; a volume integral needs only order 1."""
+    too_low = r"order 2 is too low: .* need F to order 3"
+    spec = get_entry("trig_sf_pos").spec()
+    with pytest.raises(UsageError, match=too_low):
+        geometry.compute_snapshot(get_entry("ds_graph").spec(),
+                                  _points(get_entry("ds_graph")), order=2)
+    with pytest.raises(UsageError, match=too_low):
+        runner.run_suite(entries=["trig_sf_pos"], points=4, order=2)
+    with pytest.raises(UsageError, match=too_low):
+        quadrature.torus_quadrature(spec, "hodge_pair", 8, order=2)
+    assert asked_orders == []
+    assert quadrature.torus_quadrature(spec, "volume", 8, order=1) > 0
+    assert asked_orders == [1]
+
+
 def test_stored_jets_are_built_to_their_readers_order(asked_orders):
     entry = get_entry("trig_sf_pos")
     snap = geometry.compute_snapshot(entry.spec(), _points(entry), order=4)
