@@ -576,6 +576,3 @@ def _masked_fields(snap, work):
 
 STAGES = (_core, _connection, _forms, _form_laplacians, _angles, _extrinsic,
           _curvature, _frame_sums, _masked_fields)
-
-JET_ORDER = max(stage.order for stage in STAGES)
-"""The order a full snapshot forms F at: the deepest a stage declares."""

@@ -99,7 +99,7 @@ def torus_quadrature(spec, integrand, grid_n, order=3):
     return out[integrand] if isinstance(integrand, str) else out
 
 
-def torus_checks(spec, grid_n, order=3):
+def torus_checks(spec, grid_n):
     """The judged torus checks as report rows, from one ``torus_quadrature``
     pass at ``grid_n`` nodes per axis: ``volume``; ``stokes_divergence``
     and ``stokes_lap_cos2``, whose integral passes when it is at most
@@ -109,7 +109,7 @@ def torus_checks(spec, grid_n, order=3):
     """
     q = torus_quadrature(spec, ("volume", "div_field", "lap_cos2",
                                 "hodge_pair", "delta_fw_norm2"),
-                         grid_n, order=order)
+                         grid_n)
     vol, lhs, rhs = q["volume"], q["hodge_pair"], q["delta_fw_norm2"]
 
     def stokes(check, value):

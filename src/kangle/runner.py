@@ -140,7 +140,7 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
     quad = []
     if quad_grid and entry.periodic:
         n_axis = quad_grid if snap.domain_dim == 2 else max(8, quad_grid // 4)
-        quad = torus_checks(spec, n_axis, order=order)
+        quad = torus_checks(spec, n_axis)
     cos = snap.cos_angles
     result = {
         "name": entry.name,

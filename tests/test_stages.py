@@ -349,13 +349,10 @@ def test_every_stage_declares_its_keys_and_order():
         assert stage.writes, stage.__name__
         assert type(stage.order) is int, stage.__name__
         assert 1 <= stage.order <= jets.MAX_ORDER, stage.__name__
-    assert geometry.JET_ORDER == max(s.order for s in geometry.STAGES)
     # the order F is formed at comes from the declarations alone
     tree = ast.parse(textwrap.dedent(
         inspect.getsource(geometry.compute_snapshot)))
     body = [node for part in tree.body[0].body for node in ast.walk(part)]
-    assert not any(isinstance(node, ast.Name) and node.id == "JET_ORDER"
-                   for node in body)
     assert not any(isinstance(node, ast.Call)
                    and getattr(node.func, "id", "") == "min"
                    and any(isinstance(arg, ast.Constant) for arg in node.args)
@@ -448,7 +445,7 @@ def test_stored_jets_are_built_to_their_readers_order(asked_orders):
     entry = get_entry("trig_sf_pos")
     snap = geometry.compute_snapshot(entry.spec(), _points(entry), order=4)
     assert asked_orders == [3]
-    assert snap.order == geometry.JET_ORDER == 3
+    assert snap.order == max(s.order for s in geometry.STAGES) == 3
     assert {k: jet.order for k, jet in snap.jets.items()} == {
         "g": 2, "g_inv": 2, "gamma": 1, "cos2": 2, "delta_W": 1,
         "W_sharp": 1}
