@@ -132,11 +132,13 @@ def _common(z, a, b):
 
 def _pairings(spec, z, a, si, b, sj):
     """A = 1/(1 + rho|z|^2), after the chart check, and <v, z>, <v, Jz> of
-    v = a and v = b on a last axis p: (si..., p, batch...), (sj..., p, ...)."""
+    v = a and v = b on a last axis p: (si..., p, batch...), (sj..., p, ...).
+    When b is a, as in g = g_N(dF, dF), the pairings of a serve both."""
     A = _inverse_margin(spec, z)
     zJz = jstack([z, jet_einsum("AB,B...->A...", ambient_J(spec), z)])
-    return (A, jet_einsum(f"A{si}...,pA...->{si}p...", a, zJz),
-            jet_einsum(f"A{sj}...,pA...->{sj}p...", b, zJz))
+    pa = jet_einsum(f"A{si}...,pA...->{si}p...", a, zJz)
+    return A, pa, (pa if b is a else
+                   jet_einsum(f"A{sj}...,pA...->{sj}p...", b, zJz))
 
 
 def metric_along(spec, z, a, b):

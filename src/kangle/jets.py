@@ -13,14 +13,16 @@ test oracles.
 
 Coefficients are coefficient-major: ``np.moveaxis(coeffs, -1, 0)`` is
 C-contiguous, one contiguous plane per Taylor coefficient.  Every producer
-emits this layout (``Jet.__init__`` copies any other): the product kernels
-gather and sum whole planes, and one einsum runs 4-6x slower on mixed ones.
+emits this layout (``Jet.__init__`` copies any other): the product kernel
+reads each operand's planes in place, as plane prefixes, and one einsum
+runs 4-6x slower on mixed layouts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -61,9 +63,7 @@ class _Tables:
     order: int
     exponents: tuple            # multi-indices, graded-lex
     position: dict              # multi-index -> slot
-    mul_ia: np.ndarray          # gather indices into left factor
-    mul_ib: np.ndarray          # gather indices into right factor
-    mul_blocks: tuple           # (start, stop, n_slots, size, slots) per pair count
+    shifts: tuple               # (alpha, n_alpha, slots alpha + beta), 0<|alpha|<order
     derivative: tuple           # per variable: (parent_slots, factors)
     factorials: np.ndarray      # alpha! per slot
 
@@ -83,27 +83,17 @@ def _tables(dim, order):
 
     exps = multi_indices(dim, order)
     pos = {a: i for i, a in enumerate(exps)}
-    K = len(exps)
 
-    ia, ib, out = [], [], []
+    # the partners beta != 0 of a left slot alpha, |alpha| + |beta| <= order,
+    # are the slots 1 .. n_alpha - 1 with n_alpha = num_coeffs(dim,
+    # order - |alpha|): the graded layout makes them a plane prefix
+    shifts = []
     for i, a in enumerate(exps):
-        for j, b in enumerate(exps):
-            if sum(a) + sum(b) <= order:
-                ia.append(i)
-                ib.append(j)
-                out.append(pos[tuple(x + y for x, y in zip(a, b))])
-    # group the pairs by (pairs per slot, slot): the slots that sum the
-    # same number of pairs form one block, summed by a reshape
-    out = np.asarray(out, dtype=np.intp)
-    count = np.bincount(out, minlength=K)
-    pairs = np.argsort(count[out] * K + out, kind="stable")
-    ia = np.asarray(ia, dtype=np.intp)[pairs]
-    ib = np.asarray(ib, dtype=np.intp)[pairs]
-    sizes, n_slots = np.unique(count, return_counts=True)
-    stops = np.cumsum(sizes * n_slots)
-    slots = np.split(np.argsort(count, kind="stable"), np.cumsum(n_slots)[:-1])
-    blocks = tuple(zip((stops - sizes * n_slots).tolist(), stops.tolist(),
-                       n_slots.tolist(), sizes.tolist(), slots))
+        if not 0 < sum(a) < order:
+            continue
+        n = num_coeffs(dim, order - sum(a))
+        slots = [pos[tuple(x + y for x, y in zip(a, b))] for b in exps[1:n]]
+        shifts.append((i, n, np.asarray(slots, dtype=np.intp)))
 
     deriv = []
     if order >= 1:
@@ -123,7 +113,7 @@ def _tables(dim, order):
         [math.prod(math.factorial(k) for k in a) for a in exps], dtype=float
     )
 
-    tab = _Tables(dim, order, tuple(exps), pos, ia, ib, blocks,
+    tab = _Tables(dim, order, tuple(exps), pos, tuple(shifts),
                   tuple(deriv), facts)
     _TABLE_CACHE[key] = tab
     return tab
@@ -140,19 +130,47 @@ def _coeffs(planes):
     return planes.transpose(tuple(range(1, planes.ndim)) + (0,))
 
 
-def _sum_pairs(tab, t):
-    """Sum the pair products ``t`` (axis 0 = pairs) into their slots."""
-    planes = np.empty((len(tab.exponents),) + t.shape[1:])
-    for start, stop, n, size, slots in tab.mul_blocks:
-        planes[slots] = (t[start:stop] if size == 1 else
-                         t[start:stop].reshape((n, size) + t.shape[1:]).sum(1))
-    return _coeffs(planes)
+def _shift_add(tab, a, b, out, scale_b=np.multiply, scale_a=np.multiply):
+    """Truncated Cauchy product of the planes a and b (K, ...) into out.
+
+    scale_b(p, q) multiplies one plane p of a into planes q of b, and
+    scale_a(p, q) planes p of a by one plane q of b.  out = a[0] b, then
+    each left slot 0 < |alpha| < order adds a[alpha] b[1:n_alpha] into the
+    slots alpha + beta, then out[1:] += a[1:] b[0].  Operands are read in
+    place, as planes and plane prefixes, and each slot sums its pairs in
+    ascending alpha, the order of the naive double loop.
+    """
+    scale_b(a[0], b, out=out)
+    for i, n, slots in tab.shifts:
+        out[slots] += scale_b(a[i], b[1:n])
+    out[1:] += scale_a(a[1:], b[0])
+    return out
 
 
-def _scatter_mul(tab, a, b):
-    """Truncated Cauchy product of coefficient arrays, gathering planes."""
+def _product(tab, a, b):
+    """Truncated Cauchy product of coefficient arrays a and b."""
     nd = max(a.ndim, b.ndim)
-    return _sum_pairs(tab, _planes(a, nd)[tab.mul_ia] * _planes(b, nd)[tab.mul_ib])
+    a, b = _planes(a, nd), _planes(b, nd)
+    out = np.empty(a.shape[:1] + np.broadcast(a[0], b[0]).shape)
+    return _coeffs(_shift_add(tab, a, b, out))
+
+
+@lru_cache(maxsize=1024)
+def _einsum_shape(spec, *shapes):
+    """The output shape of ``np.einsum(spec)`` on operands of these shapes."""
+    ins, out = spec.split("->")
+    size, dots = {}, ()
+    for labels, shape in zip(ins.split(","), shapes):
+        head, ellipsis, tail = labels.partition("...")
+        stop = len(shape) - len(tail)
+        if ellipsis:
+            dots = np.broadcast_shapes(dots, shape[len(head):stop])
+        for label, n in zip(head + tail, shape[:len(head)] + shape[stop:]):
+            if size.get(label, 1) == 1:
+                size[label] = n
+    head, ellipsis, tail = out.partition("...")
+    return (tuple(size[c] for c in head) + (dots if ellipsis else ())
+            + tuple(size[c] for c in tail))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +297,7 @@ class Jet:
         if isinstance(other, Jet):
             self._check_compatible(other)
             tab = _tables(self.dim, self.order)
-            return Jet(self.dim, self.order, _scatter_mul(tab, self.coeffs, other.coeffs))
+            return Jet(self.dim, self.order, _product(tab, self.coeffs, other.coeffs))
         other = np.asarray(other, dtype=float)
         return Jet(self.dim, self.order, self.coeffs * other[..., None])
 
@@ -458,9 +476,12 @@ def jet_einsum(spec, a, b):
     if a_jet and b_jet:
         a._check_compatible(b)
         tab = _tables(a.dim, a.order)
-        t = np.einsum(f"Z{sa},Z{sb}->Z{out}", _planes(a.coeffs)[tab.mul_ia],
-                      _planes(b.coeffs)[tab.mul_ib])
-        return Jet(a.dim, a.order, _sum_pairs(tab, t))
+        p = np.empty(a.coeffs.shape[-1:]
+                     + _einsum_shape(f"{sa},{sb}->{out}", a.shape, b.shape))
+        _shift_add(tab, _planes(a.coeffs), _planes(b.coeffs), p,
+                   partial(np.einsum, f"{sa},Z{sb}->Z{out}"),
+                   partial(np.einsum, f"Z{sa},{sb}->Z{out}"))
+        return Jet(a.dim, a.order, _coeffs(p))
     if a_jet:
         p = np.einsum(f"Z{sa},{sb}->Z{out}", _planes(a.coeffs),
                       np.ascontiguousarray(b, dtype=float))

@@ -1,5 +1,7 @@
 """Jet arithmetic against finite differences and ring axioms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,21 +92,50 @@ def test_product_matches_the_naive_cauchy_product(dim):
         row = rng.normal(size=(3, K))
         col = rng.normal(size=(2, 1, K))
         want = _naive_product(dim, order, a, b)
-        # the rounding of a sum of at most 2^order products of normals
-        tol = 1e-13 * (1.0 + np.max(np.abs(want)))
+        # the product sums each slot's pairs in the naive order, ascending
+        # in the left multi-index, so it rounds exactly as the naive sum
         for x, y in ((a, b), (a, row), (col, a), (col, row)):
             got = (Jet(dim, order, x) * Jet(dim, order, y)).coeffs
-            assert np.allclose(got, _naive_product(dim, order, x, y),
-                               rtol=0.0, atol=tol), (order, x.shape, y.shape)
-        got = jet_einsum("bi,i->bi", Jet(dim, order, a),
-                         Jet(dim, order, row)).coeffs
-        assert np.allclose(got, _naive_product(dim, order, a, row),
-                           rtol=0.0, atol=tol), order
+            assert np.array_equal(got, _naive_product(dim, order, x, y)), \
+                (order, x.shape, y.shape)
+        # the rounding of a sum of at most 2^order products of normals
+        tol = 1e-13 * (1.0 + np.max(np.abs(want)))
+        for spec, x, y in (("bi,i->bi", a, row), ("bi,bi->bi", col, a)):
+            got = jet_einsum(spec, Jet(dim, order, x), Jet(dim, order, y))
+            assert np.allclose(got.coeffs, _naive_product(dim, order, x, y),
+                               rtol=0.0, atol=tol), (order, spec)
         # a contraction: sum over the shared axis i of pairwise products
         got = jet_einsum("bi,ci->bc", Jet(dim, order, a),
                          Jet(dim, order, b)).coeffs
         want = _naive_product(dim, order, a[:, None], b[None]).sum(axis=2)
         assert np.allclose(got, want, rtol=0.0, atol=3 * tol), order
+
+
+def _peak_bytes(fn):
+    """tracemalloc's peak of traced bytes during fn(), after one warm-up."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_products_allocate_no_pair_length_arrays():
+    # gathering both operands once per coefficient pair peaks at 7x and
+    # 12.6x the output here; reading them in place leaves about the
+    # output plus the temporaries of the largest shift, near 2x
+    rng = np.random.default_rng(5)
+    a, b = (Jet(2, 3, rng.normal(size=(4096, num_coeffs(2, 3))))
+            for _ in range(2))
+    out = (a * b).coeffs.nbytes
+    assert _peak_bytes(lambda: a * b) < 3 * out
+    a, b = (Jet(2, 2, rng.normal(size=(4, 2, 4096, num_coeffs(2, 2))))
+            for _ in range(2))
+    spec = "Ai...,Aj...->ij..."
+    out = jet_einsum(spec, a, b).coeffs.nbytes
+    assert _peak_bytes(lambda: jet_einsum(spec, a, b)) < 3 * out
 
 
 def _mp_central_diff(f, x0, k, h="1e-4"):
