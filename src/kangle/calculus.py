@@ -4,7 +4,8 @@ Tensors of jets are represented as a single :class:`~kangle.jets.Jet` whose
 leading axes are the tensor component axes, followed by the batch axis over
 sample points, followed by the coefficient axis.  Contractions go through
 :func:`kangle.jets.jet_einsum`; a covariant derivative lowers the truncation
-order by one, and binary operations truncate to the smaller operand order.
+order by one, and a jet sum or product is formed at the lower operand order
+(:mod:`kangle.jets`), so a caller caps an order by truncating an operand.
 
 Index conventions (``b`` = batch axis):
 
@@ -62,15 +63,6 @@ def contract(subscripts, *operands):
     return np.einsum(subscripts, *operands, optimize=path)
 
 
-def _jes(spec, a, b, order=None):
-    """jet_einsum on operands truncated to their common order, or to
-    ``order`` if that is lower."""
-    orders = [x.order for x in (a, b) if isinstance(x, Jet)]
-    o = min(orders if order is None else orders + [order])
-    a, b = (x.truncated(o) if isinstance(x, Jet) else x for x in (a, b))
-    return jet_einsum(spec, a, b)
-
-
 def jet_matrix_inverse(G):
     """Inverse of a jet matrix G[i, j, b] via a finite Neumann series.
 
@@ -86,7 +78,7 @@ def jet_matrix_inverse(G):
     M = jet_einsum("ik...,kj...->ij...", -I0, N)
     total = acc = M
     for _ in range(G.order - 1):
-        acc = _jes("ik...,kj...->ij...", M, acc)
+        acc = jet_einsum("ik...,kj...->ij...", M, acc)
         total = total + acc
     for i in range(m):
         total.coeffs[i, i, ..., 0] += 1.0
@@ -107,7 +99,7 @@ def christoffel(g, g_inv=None):
               np.einsum("ilj...->lij...", dg.coeffs)
               + np.einsum("jli...->lij...", dg.coeffs)
               - dg.coeffs)                # sym[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij
-    return _jes("kl...,lij...->kij...", g_inv, sym) * 0.5
+    return jet_einsum("kl...,lij...->kij...", g_inv, sym) * 0.5
 
 
 def riemann_from_christoffel(gamma, g):
@@ -126,28 +118,26 @@ def riemann_from_christoffel(gamma, g):
     return np.einsum("bijkm,bml->bijkl", R_up, g0)
 
 
-def cov_d(T, gamma, upper=(), order=None):
+def cov_d(T, gamma, upper=()):
     """(nabla T)[i, t..., b] of a tensor jet T[t..., b], one order below T
-    and at most ``order``.
+    and no deeper than gamma.
 
     Axis p of T is contravariant if p is in ``upper``, else covariant:
     d_i T + G^{t_p}_{il} T[..l..] (upper) - G^l_{i t_p} T[..l..] (lower),
     summed over the axes in order.  T is truncated before it is
-    differentiated, and every G.T product is formed on operands already
-    truncated to the order of the result.
+    differentiated and before the G.T products, so no term is formed past
+    the order of the result.
     """
     o = min(T.order - 1, gamma.order)
-    if order is not None:
-        o = min(o, order)
     out = partials(T.truncated(o + 1))
-    G, T = gamma.truncated(o), T.truncated(o)
+    T = T.truncated(o)
     t = "jkmn"[:len(T.shape) - 1]        # tensor axes; i derivative, l dummy
     for p, a in enumerate(t):
         slot = t[:p] + "l" + t[p + 1:]
         if p in upper:
-            out = out + jet_einsum(f"{a}il...,{slot}...->i{t}...", G, T)
+            out = out + jet_einsum(f"{a}il...,{slot}...->i{t}...", gamma, T)
         else:
-            out = out - jet_einsum(f"li{a}...,{slot}...->i{t}...", G, T)
+            out = out - jet_einsum(f"li{a}...,{slot}...->i{t}...", gamma, T)
     return out
 
 
@@ -160,7 +150,7 @@ def divergence(V, gamma):
 def codiff(t, g_inv, gamma):
     """(delta t)_{k...} = -g^{ij} (nabla_i t)_{jk...}, in the standard sign."""
     rest = "kmn"[:len(t.shape) - 2]
-    return -_jes(f"ij...,ij{rest}...->{rest}...", g_inv, cov_d(t, gamma))
+    return -jet_einsum(f"ij...,ij{rest}...->{rest}...", g_inv, cov_d(t, gamma))
 
 
 def exterior_d_oneform(s):
@@ -178,14 +168,12 @@ def exterior_d_twoform(w):
 
 def trace_hessian(f, g_inv, gamma):
     """g^{ij} Hess f_{ij} (the 'div grad' Laplacian, as a jet)."""
-    return _jes("ij...,ij...->...", g_inv, cov_d(partials(f), gamma))
+    return jet_einsum("ij...,ij...->...", g_inv, cov_d(partials(f), gamma))
 
 
-def gradient_vector(f, g_inv, order=None):
-    """(grad f)^i = g^{ij} d_j f, one order below f and at most ``order``."""
-    if order is not None and order < f.order - 1:
-        f = f.truncated(order + 1)
-    return _jes("ij...,j...->i...", g_inv, partials(f))
+def gradient_vector(f, g_inv):
+    """(grad f)^i = g^{ij} d_j f, one order below f, at most g_inv's."""
+    return jet_einsum("ij...,j...->i...", g_inv, partials(f))
 
 
 def two_form_pairing(a, b, g_inv):
@@ -194,6 +182,6 @@ def two_form_pairing(a, b, g_inv):
     The 1/2 makes ||e^1 ^ e^2||^2 = 1; the choice is pinned by the angle
     norm identity ||F*w||^2 = n cos^2(theta).
     """
-    b_up = _jes("ik...,kl...->il...", g_inv, b)
-    b_up = _jes("jl...,il...->ij...", g_inv, b_up)           # b^{ij}
-    return _jes("ij...,ij...->...", a, b_up) * 0.5
+    b_up = jet_einsum("ik...,kl...->il...", g_inv, b)
+    b_up = jet_einsum("jl...,il...->ij...", g_inv, b_up)     # b^{ij}
+    return jet_einsum("ij...,ij...->...", a, b_up) * 0.5

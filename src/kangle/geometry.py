@@ -183,7 +183,7 @@ def second_fundamental_form(spec, F, dF, gamma):
     """sff[i, j, A] = d_i d_j F^A + Gamma^N(dF_i, dF_j)^A - dF^A_k Gamma^k_{ij}
     along F, at the order of d^2 F."""
     ddF = ca.partials(dF).coeffs                   # (i, A, j, b)
-    corr = ca._jes("Ak...,kij...->ijA...", dF, gamma)
+    corr = jet_einsum("Ak...,kij...->ijA...", dF, gamma)
     out = np.einsum("iAj...->ijA...", ddF) - corr.coeffs
     dF = dF.truncated(corr.order)
     out += amb.christoffel_along(spec, F, dF, dF).coeffs
@@ -192,7 +192,7 @@ def second_fundamental_form(spec, F, dF, gamma):
 
 def mean_curvature(sff, g_inv, n):
     """H = (1/2n) g^{ij} sff_ij, a normal-valued jet (A, b)."""
-    return ca._jes("ij...,ijA...->A...", g_inv, sff) * (1.0 / (2 * n))
+    return jet_einsum("ij...,ijA...->A...", g_inv, sff) * (1.0 / (2 * n))
 
 
 def weitzenboeck_operator(RM, g_inv0, alpha0):
@@ -354,11 +354,11 @@ def _forms(snap, work):
     cos2 = norm_W2_jet * (1.0 / n)
     delta_W = ca.codiff(W, g_inv, gamma)                     # standard sign
     delta_W0 = _at_points(delta_W)
-    nW0 = _at_points(ca.cov_d(W, gamma, order=0))            # (b, i, j, k)
+    nW0 = _at_points(ca.cov_d(W.truncated(1), gamma))        # (b, i, j, k)
     dW3 = ca.exterior_d_twoform(W)
-    grad_cos2_0 = _at_points(ca.gradient_vector(cos2, g_inv, order=0))
+    grad_cos2_0 = _at_points(ca.gradient_vector(cos2, g_inv.truncated(0)))
     # (F*w)#: the operator (i, j, b); its readers differentiate it once
-    W_sharp = ca._jes("ik...,jk...->ij...", g_inv, W, order=1)
+    W_sharp = jet_einsum("ik...,jk...->ij...", g_inv.truncated(1), W)
     work.update(norm_W2=norm_W2_jet, dW3=dW3, nW0=nW0)
     snap.jets.update(cos2=cos2, delta_W=delta_W, W_sharp=W_sharp)
     snap.data.update(
@@ -429,14 +429,14 @@ def _extrinsic(snap, work):
     H0 = _at_points(H)
     JH = jet_einsum("AB,B...->A...", snap.JN, H)
     JHb = amb.metric_along(spec, F, JH, dF)                  # 1-form (i, b)
-    JHtop = ca._jes("ij...,j...->i...", g_inv, JHb)          # vector (i, b)
+    JHtop = jet_einsum("ij...,j...->i...", g_inv, JHb)       # vector (i, b)
 
     # pointwise derivative data of H and (JH)^T; nabla H = dH + Gamma^N(dF, H)
     nablaH = _at_points(ca.partials(H)) + _at_points(        # (b, i, A)
         amb.christoffel_along(spec, F, dF, H.truncated(0)))
     proj_T = ca.contract("bAi,bij,bBj,bBC->bAC", dF0, snap.g_inv0, dF0, gN0)
     proj_N = np.broadcast_to(np.eye(m), (snap.size, m, m)) - proj_T
-    V_wjh = ca._jes("ij...,j...->i...", snap.jets["W_sharp"], JHtop)
+    V_wjh = jet_einsum("ij...,j...->i...", snap.jets["W_sharp"], JHtop)
     work["JHb0"] = _at_points(JHb)
     snap.data.update(
         sff0=_at_points(sff), H0=H0,

@@ -11,6 +11,10 @@ Every derivative used elsewhere in the package is read off from these jets;
 there is no symbolic differentiation and no finite differencing outside the
 test oracles.
 
+A sum or product of jets of orders p and q is exact to order min(p, q) and
+no further, so ``+``, ``-``, ``*`` and ``jet_einsum`` truncate the deeper
+operand to the lower order; a caller caps an order by truncating an operand.
+
 Coefficients are coefficient-major: ``np.moveaxis(coeffs, -1, 0)`` is
 C-contiguous, one contiguous plane per Taylor coefficient.  Every producer
 emits this layout (``Jet.__init__`` copies any other): the product kernel
@@ -61,7 +65,6 @@ def num_coeffs(dim, order):
 class _Tables:
     dim: int
     order: int
-    exponents: tuple            # multi-indices, graded-lex
     position: dict              # multi-index -> slot
     shifts: tuple               # (alpha, n_alpha, slots alpha + beta), 0<|alpha|<order
     derivative: tuple           # per variable: (parent_slots, factors)
@@ -113,8 +116,7 @@ def _tables(dim, order):
         [math.prod(math.factorial(k) for k in a) for a in exps], dtype=float
     )
 
-    tab = _Tables(dim, order, tuple(exps), pos, tuple(shifts),
-                  tuple(deriv), facts)
+    tab = _Tables(dim, order, pos, tuple(shifts), tuple(deriv), facts)
     _TABLE_CACHE[key] = tab
     return tab
 
@@ -265,17 +267,17 @@ class Jet:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _check_compatible(self, other):
-        if self.dim != other.dim or self.order != other.order:
-            raise UsageError(
-                f"jet mismatch: ({self.dim},{self.order}) vs "
-                f"({other.dim},{other.order})"
-            )
+    def _meet(self, other):
+        """self and other truncated to the lower of their orders."""
+        if self.dim != other.dim:
+            raise UsageError(f"jet dim mismatch: {self.dim} vs {other.dim}")
+        o = min(self.order, other.order)
+        return self.truncated(o), other.truncated(o)
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            self._check_compatible(other)
-            return Jet(self.dim, self.order, self.coeffs + other.coeffs)
+            a, b = self._meet(other)
+            return Jet(a.dim, a.order, a.coeffs + b.coeffs)
         lead = np.broadcast_shapes(self.shape, np.shape(other))
         c = _coeffs(np.empty(self.coeffs.shape[-1:] + lead))
         c[...] = self.coeffs
@@ -295,9 +297,9 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            self._check_compatible(other)
-            tab = _tables(self.dim, self.order)
-            return Jet(self.dim, self.order, _product(tab, self.coeffs, other.coeffs))
+            a, b = self._meet(other)
+            tab = _tables(a.dim, a.order)
+            return Jet(a.dim, a.order, _product(tab, a.coeffs, b.coeffs))
         other = np.asarray(other, dtype=float)
         return Jet(self.dim, self.order, self.coeffs * other[..., None])
 
@@ -474,7 +476,7 @@ def jet_einsum(spec, a, b):
     a_jet = isinstance(a, Jet)
     b_jet = isinstance(b, Jet)
     if a_jet and b_jet:
-        a._check_compatible(b)
+        a, b = a._meet(b)
         tab = _tables(a.dim, a.order)
         p = np.empty(a.coeffs.shape[-1:]
                      + _einsum_shape(f"{sa},{sb}->{out}", a.shape, b.shape))

@@ -179,7 +179,8 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
     overall ``pass`` is false iff any applicable residual fails, any entry
     self-assertion fails, or any quadrature check fails.  ``quad_grid`` is
     0 (no quadrature) or at least 8 nodes per axis of a periodic entry's
-    2-torus; a 4-torus takes max(8, quad_grid // 4).
+    2-torus; a 4-torus takes max(8, quad_grid // 4).  ``threads`` is a
+    worker count, 0 for the CPU count, or None to read KANGLE_THREADS.
     """
     if entries is None:
         entry_objs = builtin_catalog()
@@ -203,11 +204,11 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
                        f"abs {tol_abs}, rel {tol_rel}")
     if threads is None:
         env = os.environ.get("KANGLE_THREADS", "0")
-        try:
-            threads = int(env) or os.cpu_count()
-        except ValueError:
-            raise RunError(
-                f"KANGLE_THREADS must be an integer, got {env!r}") from None
+        threads = int(env) if env.isdecimal() else env
+    if isinstance(threads, str) or threads < 0:
+        raise RunError(f"threads (or KANGLE_THREADS) must be a positive "
+                       f"count, or 0 for the CPU count, got {threads!r}")
+    threads = threads or os.cpu_count()
     conventions = calibrate_conventions(order)
 
     args = [(e, suites, points, seed, order, tol_abs, tol_rel, conventions,

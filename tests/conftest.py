@@ -82,15 +82,16 @@ def mean_curvature_jets(spec, snap):
     dF = ca.jstack([ca.partials(F[A]) for A in range(snap.ambient_dim)])
     gN = ambient_metric_jet(spec.ambient, F.truncated(snap.order - 1))
     gammaN = ambient_christoffel(spec.ambient, F.truncated(snap.order - 2))
-    corr = ca._jes("Ak...,kij...->ijA...", dF, snap.jets["gamma"])
-    t = ca._jes("ABC...,Bi...->AiC...", gammaN, dF)
+    corr = jet_einsum("Ak...,kij...->ijA...", dF, snap.jets["gamma"])
+    t = jet_einsum("ABC...,Bi...->AiC...", gammaN, dF)
     sff = Jet(corr.dim, corr.order, np.einsum(
         "iAj...->ijA...", ca.partials(dF).coeffs) - corr.coeffs) \
-        + ca._jes("AiC...,Cj...->ijA...", t, dF)
+        + jet_einsum("AiC...,Cj...->ijA...", t, dF)
     JH = jet_einsum("AB,B...->A...", snap.JN,
                     mean_curvature(sff, snap.jets["g_inv"], snap.n))
-    JHb = ca._jes("A...,Ai...->i...", ca._jes("AB...,A...->B...", gN, JH), dF)
-    return JHb, ca._jes("ij...,j...->i...", snap.jets["g_inv"], JHb)
+    JHb = jet_einsum("A...,Ai...->i...",
+                     jet_einsum("AB...,A...->B...", gN, JH), dF)
+    return JHb, jet_einsum("ij...,j...->i...", snap.jets["g_inv"], JHb)
 
 
 def central_diff(f, point, alpha, h=1e-4, richardson=True):

@@ -238,7 +238,7 @@ def test_criterion_8_lagrangian_torus():
     JHb, _ = mean_curvature_jets(entry.spec(), snap)
     sigma_jet = ((JHb * (2.0 * snap.n) + jets["delta_W"] * conv.delta_sign)
                  * (1.0 - jets["cos2"]).truncated(1).reciprocal())
-    nabla = ca.cov_d(sigma_jet, jets["gamma"], order=0).value()
+    nabla = ca.cov_d(sigma_jet, jets["gamma"]).value()
     assert np.max(np.abs(nabla)) < 1e-8
     assert np.min(np.linalg.norm(sigma, axis=1)) > 0.1
     _ok(8, f"|H| dev {h_dev:.1e} vs circle oracle, d((JH)^T)-flat "

@@ -593,7 +593,7 @@ def _masked_by_jets(snap, JHb, JHtop):
     sqrt, log and reciprocal jets differentiated by cov_d, divergence,
     trace_hessian and exterior_d_oneform.  Returns {key: (mask, value)}."""
     import kangle.calculus as ca
-    from kangle.jets import jet_unary
+    from kangle.jets import jet_einsum, jet_unary
 
     def at(jet):
         return np.moveaxis(jet.value(), -1, 0)
@@ -610,12 +610,12 @@ def _masked_by_jets(snap, JHb, JHtop):
         fields = {}
         if mask != "sigma":
             c = jet_unary(J["cos2"], "sqrt")
-            Jw = ca._jes("ij...,...->ij...", J["W_sharp"],
-                         c.truncated(1).reciprocal(), order=1)
-            VJ = ca._jes("ij...,j...->i...", Jw, J["JHtop"])
+            Jw = jet_einsum("ij...,...->ij...", J["W_sharp"],
+                            c.truncated(1).reciprocal())
+            VJ = jet_einsum("ij...,j...->i...", Jw, J["JHtop"])
         if mask == "jw_field":
-            gc = at(ca.gradient_vector(c, J["g_inv"], order=0))
-            nJw = at(ca.cov_d(Jw, J["gamma"], upper=(0,), order=0))
+            gc = at(ca.gradient_vector(c, J["g_inv"].truncated(0)))
+            nJw = at(ca.cov_d(Jw, J["gamma"], upper=(0,)))
             rot = np.einsum("bki,blj,bklA->bijA", Jw0, Jw0, sff0)
             sff11 = 0.5 * (sff0 + rot)
             fields = dict(
@@ -632,7 +632,7 @@ def _masked_by_jets(snap, JHb, JHtop):
             kappa = jet_unary((1.0 + c) / (1.0 - c), "log") * float(n)
             sin2 = J["sin2"].truncated(1)
             grad_abs_sin = at(ca.gradient_vector(jet_unary(sin2, "sqrt"),
-                                                 J["g_inv"], order=0))
+                                                 J["g_inv"]))
             fields = dict(
                 kappa=kappa.value(),
                 lap_kappa=ca.trace_hessian(kappa, J["g_inv"],
@@ -640,13 +640,13 @@ def _masked_by_jets(snap, JHb, JHtop):
                 norm_grad_abs_sin2=np.einsum("bij,bi,bj->b", g0,
                                              grad_abs_sin, grad_abs_sin),
                 grad_log_sin2=at(ca.gradient_vector(jet_unary(sin2, "log"),
-                                                    J["g_inv"], order=0)),
-                div_Jw_JHtop_over_sin2=ca.divergence(ca._jes(
+                                                    J["g_inv"])),
+                div_Jw_JHtop_over_sin2=ca.divergence(jet_einsum(
                     "i...,...->i...", VJ, inv_sin2), J["gamma"]).value())
         if mask == "sigma":
             for tag, alpha in (("jh", J["JHb"] * (2.0 * n)),
                                ("dw", J["delta_W"])):
-                sigma = ca._jes("i...,...->i...", alpha, inv_sin2)
+                sigma = jet_einsum("i...,...->i...", alpha, inv_sin2)
                 fields[f"sigma_{tag}0"] = at(sigma)
                 fields[f"dsigma_{tag}0"] = at(ca.exterior_d_oneform(sigma))
             JdF = np.einsum("AB,bBk->bAk", snap.JN, snap.dF0[idx])

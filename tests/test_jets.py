@@ -65,8 +65,32 @@ def test_zero_division_raises():
 def test_dim_mismatch_raises():
     a = jet_seed(1, 2, [0.0], 0)
     b = jet_seed(2, 2, [0.0, 0.0], 0)
-    with pytest.raises(UsageError):
-        a + b
+    for op in (lambda x, y: x + y, lambda x, y: x * y,
+               lambda x, y: jet_einsum("...,...->...", x, y)):
+        with pytest.raises(UsageError, match="dim mismatch"):
+            op(a, b)
+        with pytest.raises(UsageError, match="dim mismatch"):
+            op(b.truncated(1), a)
+
+
+def test_mixed_orders_meet_at_the_lower_order():
+    """A sum or product of jets of orders 3 and 1 is the same operation on
+    both operands truncated to order 1, bit for bit, in either order."""
+    rng = np.random.default_rng(3)
+    deep = Jet(4, 3, rng.normal(size=(2, 5, num_coeffs(4, 3))))
+    low = Jet(4, 1, rng.normal(size=(2, 5, num_coeffs(4, 1))))
+    ops = {
+        "+": lambda x, y: x + y,
+        "-": lambda x, y: x - y,
+        "*": lambda x, y: x * y,
+        "jet_einsum": lambda x, y: jet_einsum("ib...,jb...->ijb...", x, y),
+    }
+    for name, op in ops.items():
+        for x, y in ((deep, low), (low, deep)):
+            got = op(x, y)
+            want = op(x.truncated(1), y.truncated(1))
+            assert (got.dim, got.order) == (4, 1), (name, x.order)
+            assert np.array_equal(got.coeffs, want.coeffs), (name, x.order)
 
 
 def _naive_product(dim, order, a, b):

@@ -13,6 +13,7 @@ import pytest
 from jsonschema import validate
 
 import kangle
+from kangle import runner
 from kangle.ambient import space_form
 from kangle.catalog import get_entry
 from kangle.cli import main
@@ -185,6 +186,40 @@ def test_record_modes_write_a_filtered_copy():
         report_to_json(report, records="bogus")
 
 
+def test_thread_count_reads_alike_from_argument_and_environment(monkeypatch):
+    """threads= and KANGLE_THREADS take a positive count, or 0 for the CPU
+    count; any other value raises RunError before an entry is computed."""
+    pools = []
+
+    class Pool(runner.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
+    two = dict(entries=["linear_n1_a0p5", "slant_cylinder"],
+               suites=["prop3.1"], points=2)
+    with monkeypatch.context() as m:
+        m.setattr(runner, "_run_entry",
+                  lambda *a: pytest.fail("ran an invalid thread count"))
+        for threads in (-1, -4):
+            with pytest.raises(RunError, match="must be a positive count"):
+                run_suite(**two, threads=threads)
+        for env in ("-3", "x", "1.5"):
+            m.setenv("KANGLE_THREADS", env)
+            with pytest.raises(RunError, match="KANGLE_THREADS"):
+                run_suite(**two)
+    assert pools == []
+    runs = [run_suite(**two, threads=0)]
+    for env in ("0", "2"):
+        monkeypatch.setenv("KANGLE_THREADS", env)
+        runs.append(run_suite(**two))
+    runs.append(run_suite(**two, threads=1))
+    assert pools == [3, 3, 2]
+    assert all(r == runs[0] for r in runs)
+
+
 def _margin(row):
     """The gate's margin min(abs/tol_abs, rel/tol_rel); 0 when reported."""
     if row["tol_abs"] is None:
@@ -304,6 +339,7 @@ def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
         (["verify", "--entry", "ds_graph", "--points", "0"], "0"),
         (["verify", "--entry", "ds_graph", "--points", "-3"], "0"),
         (["verify", "--entry", "ds_graph", "--points", "4"], "x"),
+        (["verify", "--entry", "linear_n1_a0p5", "--points", "2"], "-3"),
         (quick + ["--ambient", "space_form(abc)"], "0"),
         (quick + ["--ambient", "space_form(inf)"], "0"),
         (quick + ["--ambient", "space_form(nan)"], "0"),

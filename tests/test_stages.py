@@ -454,13 +454,13 @@ def test_stored_jets_are_built_to_their_readers_order(asked_orders):
 # ------------------------------------------------------------ source
 
 def _product(node):
-    """A jet product expression: a jet_einsum or _jes call, or a `*`."""
+    """A jet product expression: a jet_einsum call or a `*`."""
     if isinstance(node, ast.BinOp):
         return isinstance(node.op, ast.Mult)
     if isinstance(node, ast.Call):
         f = node.func
         name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
-        return name in ("jet_einsum", "_jes")
+        return name == "jet_einsum"
     return False
 
 
@@ -487,7 +487,7 @@ def _truncated_products(source):
 def test_no_product_is_truncated_after_the_fact():
     assert _truncated_products(
         "def f(g, s, o):\n"
-        "    t = _jes('kij...,k...->ij...', g, s)\n"
+        "    t = jet_einsum('kij...,k...->ij...', g, s)\n"
         "    return t.truncated(o) - jet_einsum('a,a->', g, s).truncated(o)\n"
     ) == [3, 3]
     # ambient.py does the jet products along F; each file scanned truncates
