@@ -176,14 +176,9 @@ def christoffel_along(spec, z, a, b):
         return Jet.constant(z.dim, z.order, np.zeros(shape))
     A, pa, pb = _pairings(spec, z, a, si, b, sj)
     J, s = ambient_J(spec), A * -spec.rho
-    aJa = jstack([a, jet_einsum("AB,B...->A...", J, a)])
-    first = jet_einsum(f"{sj}p...,pA{si}...->{out}", pb * s, aJa)
-    if b is a:          # the second term is the first, tangent axes swapped
-        c, k = first.coeffs, len(si)
-        return Jet(z.dim, z.order,
-                   c + np.moveaxis(c, range(k), range(k, 2 * k)))
-    bJb = jstack([b, jet_einsum("AB,B...->A...", J, b)])
-    return first + jet_einsum(f"{si}p...,pA{sj}...->{out}", pa * s, bJb)
+    aJa, bJb = (jstack([v, jet_einsum("AB,B...->A...", J, v)]) for v in (a, b))
+    return (jet_einsum(f"{sj}p...,pA{si}...->{out}", pb * s, aJa)
+            + jet_einsum(f"{si}p...,pA{sj}...->{out}", pa * s, bJb))
 
 
 def einstein_constant(spec):

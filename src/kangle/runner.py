@@ -202,12 +202,14 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
     if not (tol_abs >= 0 and tol_rel >= 0):
         raise RunError(f"tolerances must be non-negative numbers, got "
                        f"abs {tol_abs}, rel {tol_rel}")
+    rule = "a positive count, or 0 for the CPU count"
     if threads is None:
         env = os.environ.get("KANGLE_THREADS", "0")
-        threads = int(env) if env.isdecimal() else env
-    if isinstance(threads, str) or threads < 0:
-        raise RunError(f"threads (or KANGLE_THREADS) must be a positive "
-                       f"count, or 0 for the CPU count, got {threads!r}")
+        if not env.isdecimal():
+            raise RunError(f"KANGLE_THREADS must be {rule}, got {env!r}")
+        threads = int(env)
+    if threads < 0:
+        raise RunError(f"threads must be {rule}, got {threads}")
     threads = threads or os.cpu_count()
     conventions = calibrate_conventions(order)
 
