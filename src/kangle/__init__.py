@@ -18,7 +18,6 @@ from .errors import (
     KangleError,
     NotAnImmersionError,
     QuadratureError,
-    SingularityError,
     SpecNameError,
     UsageError,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "KangleError",
     "NotAnImmersionError",
     "QuadratureError",
-    "SingularityError",
     "SpecNameError",
     "UsageError",
     "__version__",

@@ -132,6 +132,10 @@ def _cmd_verify(args):
                      f"{worst['entry']}[{worst['point_index']}] ({point})")
         print(line)
     for e in report["entries"]:
+        if e["points_rejected"]:
+            total = e["points_sampled"] + e["points_rejected"]
+            print(f"  rejected {e['name']}: {e['points_rejected']} of "
+                  f"{total} points")
         for row in e["quadrature"]:
             values = "  ".join(f"{k} {_number(row[k])}"
                                for k in ("value", "lhs", "rhs") if k in row)

@@ -451,15 +451,12 @@ def eval_components(spec, point, order=3):
     comps = []
     for k, comp in enumerate(spec.components):
         try:
-            # a value that overflows stays inf or NaN: the snapshot's
-            # finite-value gate reports its point
+            # a coefficient that overflows or is singular stays inf or NaN:
+            # the snapshot's finite gate reports its point
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 val = _eval_expr(comp, seeds)
-        except (ZeroDivisionError, FloatingPointError, OverflowError) as exc:
+        except (ZeroDivisionError, OverflowError) as exc:
             raise UsageError(f"component {k + 1} failed to evaluate: {exc}") from exc
-        except Exception as exc:
-            exc.args = (f"in map component {k + 1}: {exc}",) + exc.args[1:]
-            raise
         if not isinstance(val, Jet):
             val = Jet.constant(spec.domain_dim, order,
                                np.broadcast_to(np.asarray(val, dtype=float),

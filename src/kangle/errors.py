@@ -17,11 +17,6 @@ class ChartDomainError(DomainError):
     """Evaluation point falls outside the affine chart of the ambient space."""
 
 
-class SingularityError(KangleError):
-    """A quantity is singular at the requested point (zero divisor, log of
-    a non-positive value, ...)."""
-
-
 class NotAnImmersionError(KangleError):
     """The differential dF is rank-deficient at an evaluation point."""
 

@@ -256,15 +256,16 @@ def _plan(reads, order):
 def compute_snapshot(spec, points, order=3, reads=None):
     """Evaluate the immersion and the invariants named in ``reads``.
 
-    points: (B, 2n).  Points where |F|^2 is not finite, outside the chart
-    of the ambient, where F is not an immersion, or where the Kahler angles
-    fail to pair are dropped and reported in ``snapshot.rejected``, by their
-    index into ``points``; the gate that leaves no point raises.  reads:
-    snapshot keys; only the stages up to the last one that writes one of
-    them run, and F is formed at the deepest order those stages declare,
-    which ``snap.order`` reports; an ``order`` below it raises UsageError
-    before F is evaluated.  Each stage reads
-    keys of the stages before it; ``work`` carries what no reader needs (F,
+    points: (B, 2n).  Points where a Taylor coefficient of F is not finite
+    (F or a derivative overflows, or F has no jet, as log(u) at u <= 0),
+    outside the chart of the ambient, where F is not an immersion, or where
+    the Kahler angles fail to pair are dropped and reported in
+    ``snapshot.rejected``, by their index into ``points``; the gate that
+    leaves no point raises.  reads: snapshot keys; only the stages up to
+    the last one that writes one of them run, and F is formed at the
+    deepest order those stages declare, which ``snap.order`` reports; an
+    ``order`` below it raises UsageError before F is evaluated.  Each stage
+    reads keys of the stages before it; ``work`` carries what no reader needs (F,
     dF, the |F*w|^2 and d F*w the form Laplacians differentiate, the
     nabla F*w, d delta F*w and (JH)-flat the masked fields reuse, and the
     tensor P the frame sums contract with) and is dropped.  It holds no
@@ -307,13 +308,13 @@ def _gate(snap, work, good, reason, error):
 
 @writes("F0", "dF0", "gN0", "g0", "sqrt_det_g0", "g", order=1)
 def _core(snap, work):
-    """F, the finite-value and chart gates, dF, g, the immersion gate,
+    """F, the finite and chart gates, dF, g, the immersion gate,
     sqrt(det g) and g_N at the points; their values read dF."""
     spec, m = snap.ambient_spec, snap.ambient_dim
-    snap.data["F0"] = _at_points(work["F"])
     with np.errstate(over="ignore"):     # the gate reports the overflow
-        finite = np.isfinite(np.sum(snap.F0 ** 2, axis=-1))
-    _gate(snap, work, finite, "map value not finite", DomainError)
+        finite = np.isfinite(np.sum(work["F"].coeffs ** 2, axis=(0, -1)))
+    _gate(snap, work, finite, "map or a derivative not finite", DomainError)
+    snap.data["F0"] = _at_points(work["F"])
     _gate(snap, work, amb.in_chart(spec, snap.F0), "outside chart domain",
           ChartDomainError)
     F = work["F"]
@@ -437,15 +438,15 @@ def _extrinsic(snap, work):
     proj_T = ca.contract("bAi,bij,bBj,bBC->bAC", dF0, snap.g_inv0, dF0, gN0)
     proj_N = np.broadcast_to(np.eye(m), (snap.size, m, m)) - proj_T
     V_wjh = jet_einsum("ij...,j...->i...", snap.jets["W_sharp"], JHtop)
+    nabla_JHtop = _at_points(ca.cov_d(JHtop, gamma, upper=(0,)))
     work["JHb0"] = _at_points(JHb)
     snap.data.update(
         sff0=_at_points(sff), H0=H0,
         normH2=np.einsum("bA,bAB,bB->b", H0, gN0, H0), nablaH=nablaH,
         nabla_perpH=np.einsum("bAC,biC->biA", proj_N, nablaH),
-        JHtop0=_at_points(JHtop),
-        nabla_JHtop=_at_points(ca.cov_d(JHtop, gamma, upper=(0,))),
+        JHtop0=_at_points(JHtop), nabla_JHtop=nabla_JHtop,
         d_JHb=_at_points(ca.exterior_d_oneform(JHb)),
-        div_JHtop=ca.divergence(JHtop, gamma).value(),
+        div_JHtop=np.einsum("bii->b", nabla_JHtop),
         div_Wsharp_JHtop=ca.divergence(V_wjh, gamma).value(),
     )
 

@@ -31,7 +31,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, UsageError
+from .errors import DomainError, UsageError
 
 MAX_DIM = 8
 MAX_ORDER = 4
@@ -314,10 +314,7 @@ class Jet:
         return self.reciprocal() * other
 
     def reciprocal(self):
-        b0 = self.coeffs[..., 0]
-        if np.any(b0 == 0.0):
-            raise SingularityError("division by a jet with zero constant term")
-        inv = 1.0 / b0
+        inv = 1.0 / self.coeffs[..., 0]
         # geometric series in the nilpotent part, Horner form
         series = [inv * (-inv) ** k for k in range(self.order + 1)]
         return self._horner(series)
@@ -433,28 +430,28 @@ def _series_atan(a0, p):
 
 
 _UNARY = {
-    "sin": (_series_sin, None),
-    "cos": (_series_cos, None),
-    "sinh": (_series_sinh, None),
-    "cosh": (_series_cosh, None),
-    "exp": (_series_exp, None),
-    "log": (_series_log, "strictly positive"),
-    "sqrt": (_series_sqrt, "strictly positive"),
-    "atan": (_series_atan, None),
+    "sin": _series_sin,
+    "cos": _series_cos,
+    "sinh": _series_sinh,
+    "cosh": _series_cosh,
+    "exp": _series_exp,
+    "log": _series_log,
+    "sqrt": _series_sqrt,
+    "atan": _series_atan,
 }
 
 
 def jet_unary(a, name):
-    """Apply an elementary function to a jet."""
+    """Apply an elementary function to a jet.
+
+    Where the function has no Taylor series (log at a value <= 0, sqrt at
+    0), the coefficients are inf or NaN, as numpy gives them.
+    """
     try:
-        gen, domain = _UNARY[name]
+        gen = _UNARY[name]
     except KeyError:
         raise UsageError(f"unknown unary function {name!r}") from None
-    a0 = a.coeffs[..., 0]
-    if domain is not None and np.any(a0 <= 0.0):
-        raise SingularityError(f"{name} applied to a jet with non-positive "
-                               f"constant term {float(np.min(a0))}")
-    return a._horner(gen(a0, a.order))
+    return a._horner(gen(a.coeffs[..., 0], a.order))
 
 
 # ---------------------------------------------------------------------------

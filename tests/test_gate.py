@@ -1,5 +1,6 @@
-"""The point gate: chart, immersion and angle pairing drop the failing
-points, report them with a reason, and raise only when no point is left."""
+"""The point gate: a map with no finite jet, the chart, the immersion and
+the angle pairing drop the failing points, report them with a reason, and
+raise only when no point is left."""
 
 import numpy as np
 import pytest
@@ -23,6 +24,15 @@ FOLD = "n=1; ambient=flat; map=[u1*u1, 0, u2, 0]"
 # first, and in the second exp(400) is finite, but |F|^2 is not
 OVERFLOW = "n=1; ambient=flat; map=[u1, u2, exp(1000*u1), 0]"
 SQUARE_OVERFLOW = "n=1; ambient=flat; map=[u1, u2, exp(400*u1), 0]"
+# F has no Taylor jet at the points below: each is gated as not finite,
+# and at u1 = 1 the last one's F is finite but its dF overflows
+SINGULAR = [("log(u1)", [-1.0, 0.5]), ("sqrt(u1)", [0.0, 0.5]),
+            ("1/u1", [0.0, 0.5]), ("exp(350*u1)", [1.0, 0.0])]
+NOT_FINITE = "map or a derivative not finite"
+
+
+def _flat(term):
+    return f"n=1; ambient=flat; map=[u1, u2, {term}, 0]"
 
 
 def _fail_one_pairing(monkeypatch, snap):
@@ -65,8 +75,9 @@ def test_a_pairing_failure_drops_only_its_point(monkeypatch):
     (CHART, [2.0, 0.0], ChartDomainError, "outside chart domain"),
     (FOLD, [0.0, 0.5], NotAnImmersionError, "not an immersion"),
     (FOLD, [0.5, 0.5], DegenerateAngleError, "angles failed to pair"),
-    (OVERFLOW, [1.0, 0.0], DomainError, "map value not finite"),
-    (SQUARE_OVERFLOW, [1.0, 0.0], DomainError, "map value not finite"),
+    (OVERFLOW, [1.0, 0.0], DomainError, NOT_FINITE),
+    (SQUARE_OVERFLOW, [1.0, 0.0], DomainError, NOT_FINITE),
+    *((_flat(term), point, DomainError, NOT_FINITE) for term, point in SINGULAR),
 ])
 def test_a_batch_with_no_point_left_raises_its_gates_error(
         text, point, error, reason, monkeypatch):
@@ -80,7 +91,9 @@ def test_a_batch_with_no_point_left_raises_its_gates_error(
 @pytest.mark.parametrize("text, point, reason", [
     (FOLD, "0,0.5", "not an immersion"),
     (CHART, "2,0", "outside chart domain"),
-    (OVERFLOW, "1,0", "map value not finite"),
+    (OVERFLOW, "1,0", NOT_FINITE),
+    *((_flat(term), ",".join(map(str, point)), NOT_FINITE)
+      for term, point in SINGULAR),
 ])
 def test_cli_eval_at_a_rejected_point(text, point, reason, tmp_path, capsys):
     path = tmp_path / "surface.imm"
@@ -91,6 +104,22 @@ def test_cli_eval_at_a_rejected_point(text, point, reason, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert reason in captured.err
+
+
+def test_a_singular_point_drops_only_its_point(conventions):
+    """log(u1) has no jet at u1 = -1: that point is gated, and the regular
+    points are kept, with the values and records they have alone."""
+    spec = parse_immersion(_flat("log(u1)"))
+    pts = np.array([[0.5, 0.5], [-1.0, 0.5], [1.5, -0.2]])
+    snap = geometry.compute_snapshot(spec, pts)
+    assert snap.rejected == [(1, NOT_FINITE)]
+    alone = geometry.compute_snapshot(spec, pts[[0, 2]])
+    assert np.array_equal(snap.points, alone.points)
+    for key, value in alone.data.items():
+        assert np.allclose(snap.data[key], value, rtol=0.0, atol=1e-14,
+                           equal_nan=True), key
+    records = run_identity_suite(snap, SUITES, conventions)
+    assert {r.point_index for r in records} == {0, 2}
 
 
 def test_identity_records_index_the_callers_points(monkeypatch,
@@ -141,3 +170,15 @@ def test_run_suite_counts_a_pairing_rejection(monkeypatch, conventions):
         if rec["applicable"]:
             assert np.allclose(rec["lhs"], ref["lhs"], rtol=1e-12, atol=1e-12)
     assert indices == set(range(points)) - {bad}
+
+
+def test_cli_verify_prints_the_rejected_points(tmp_path, capsys):
+    """verify's text names each entry whose gate dropped points, with the
+    count of points it sampled."""
+    path = tmp_path / "chart.imm"
+    path.write_text(CHART)
+    assert main(["verify", str(path), "--points", "16"]) == 0
+    out = capsys.readouterr().out
+    assert f"  rejected {path}: 5 of 16 points\n" in out
+    assert main(["verify", "--entry", "ds_graph", "--points", "4"]) == 0
+    assert "rejected" not in capsys.readouterr().out

@@ -93,3 +93,14 @@ def test_nonperiodic_rejected():
     with pytest.raises(QuadratureError,
                        match=r"32 of 256 grid nodes \(12\.5%\).*not an immersion"):
         torus_quadrature(pinched, ("volume", "lap_cos2"), 16)
+
+
+def test_a_singular_node_rejects_the_torus_integral():
+    """sqrt(sin(u2)^2) has no Taylor jet where sin(u2) = 0, the grid rows
+    u2 = 0 and u2 = pi: those nodes are gated, so no total is returned."""
+    spec = parse_immersion(
+        "n=1; ambient=flat; periodic; "
+        "map=[cos(u1), sin(u1), cos(u2), sqrt(sin(u2)^2)]")
+    with pytest.raises(QuadratureError, match=r"8 of 64 grid nodes \(12\.5%\)"
+                       r".*map or a derivative not finite"):
+        torus_quadrature(spec, "volume", 8)

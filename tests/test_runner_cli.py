@@ -188,7 +188,8 @@ def test_record_modes_write_a_filtered_copy():
 
 def test_thread_count_reads_alike_from_argument_and_environment(monkeypatch):
     """threads= and KANGLE_THREADS take a positive count, or 0 for the CPU
-    count; any other value raises RunError before an entry is computed."""
+    count, and an unset KANGLE_THREADS is 1; any other value raises
+    RunError before an entry is computed."""
     pools = []
 
     class Pool(runner.ThreadPoolExecutor):
@@ -211,7 +212,10 @@ def test_thread_count_reads_alike_from_argument_and_environment(monkeypatch):
             with pytest.raises(RunError, match="KANGLE_THREADS"):
                 run_suite(**two)
     assert pools == []
-    runs = [run_suite(**two, threads=0)]
+    monkeypatch.delenv("KANGLE_THREADS", raising=False)
+    runs = [run_suite(**two)]
+    assert pools == []
+    runs.append(run_suite(**two, threads=0))
     for env in ("0", "2"):
         monkeypatch.setenv("KANGLE_THREADS", env)
         runs.append(run_suite(**two))
@@ -397,17 +401,18 @@ def test_cli_quad_grid_checked_before_the_run(capsys, monkeypatch):
             args, err)
 
 
-@pytest.mark.parametrize("term", ["exp(1000*u1)", "u1/0"])
+@pytest.mark.parametrize("term", ["exp(1000*u1)", "u1/0", "log(u1-1)",
+                                  "sqrt(u1-1)", "1/(u1-1)"])
 def test_cli_overflowing_map_prints_only_its_error_line(term, tmp_path):
-    """F is not finite at the point: numpy prints no warning, and the one
-    line on stderr is the finite-value gate's diagnostic."""
+    """F or a derivative is not finite at the point: numpy prints no
+    warning, and the one line on stderr is the finite gate's diagnostic."""
     path = tmp_path / "overflow.imm"
     path.write_text(f"n=1; ambient=flat; map=[u1, u2, {term}, 0]")
     proc = run_cli("eval", str(path), "--point", "1,0")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1, proc.stderr
-    assert "map value not finite" in proc.stderr
+    assert "map or a derivative not finite" in proc.stderr
 
 
 def test_cli_overflowing_chart_margin_is_outside_the_chart():
