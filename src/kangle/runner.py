@@ -180,8 +180,7 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
     self-assertion fails, or any quadrature check fails.  ``quad_grid`` is
     0 (no quadrature) or at least 8 nodes per axis of a periodic entry's
     2-torus; a 4-torus takes max(8, quad_grid // 4).  ``threads`` is a
-    worker count, 0 for the CPU count, or None to read KANGLE_THREADS
-    (unset: 1).
+    worker count, 0 for the CPU count, or None to read KANGLE_THREADS.
     """
     if entries is None:
         entry_objs = builtin_catalog()
@@ -205,7 +204,7 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
                        f"abs {tol_abs}, rel {tol_rel}")
     rule = "a positive count, or 0 for the CPU count"
     if threads is None:
-        env = os.environ.get("KANGLE_THREADS", "1")
+        env = os.environ.get("KANGLE_THREADS", "0")
         if not env.isdecimal():
             raise RunError(f"KANGLE_THREADS must be {rule}, got {env!r}")
         threads = int(env)
