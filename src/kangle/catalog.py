@@ -10,8 +10,8 @@ the entry instead of failing the run.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ CALIBRATION_SURFACE = (
     "cos(u2) + 0.3*sin(u1), sin(u2) + 0.2*cos(u1 + u2)]")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CatalogEntry:
     name: str
     text: str
@@ -37,10 +37,13 @@ class CatalogEntry:
     constant_angle: bool = False
     classification: str = "generic"
     angle_fn: object = None         # callable points -> cos(theta) or None
-    notes: str = ""
+    ambient: object = None          # AmbientSpec to run in, or None for the text's
 
     def spec(self):
-        return parse_immersion(self.text, name=self.name)
+        spec = parse_immersion(self.text, name=self.name)
+        if self.ambient is None:
+            return spec
+        return dataclasses.replace(spec, ambient=self.ambient)
 
 
 def _linear_graph_text(n, a):
@@ -94,7 +97,8 @@ def builtin_catalog():
     """The full entry list; deterministic, no randomness at build time."""
     entries = []
 
-    # (1) linear graphs F(X) = (X, a J X): constant equal angle 2|a|/(1+a^2)
+    # (1) totally geodesic linear graphs F(X) = (X, a J X): constant equal
+    # angle 2|a|/(1+a^2)
     for n in (1, 2, 3):
         for a in (0.0, 0.25, 0.5, 1.0, 2.0):
             cos_a = 2.0 * abs(a) / (1.0 + a * a)
@@ -105,15 +109,14 @@ def builtin_catalog():
                 minimal=True, equal_angles=True, constant_angle=True,
                 classification=_linear_cls(a),
                 angle_fn=(lambda pts, c=cos_a: np.full(pts.shape[0], c)),
-                notes="totally geodesic linear graph",
             ))
 
-    # (2) the minimal graph with equal, non-constant angles
+    # (2) the minimal graph with equal, non-constant angles: the graph of the
+    # sin/sinh map, Lagrangian on a union of 2-planes
     entries.append(CatalogEntry(
         name="ds_graph", text=_ds_text(), box=((-1.0, 1.0),) * 4,
         minimal=True, equal_angles=True, constant_angle=False,
         classification="generic", angle_fn=_ds_angle,
-        notes="graph of the sin/sinh map; Lagrangian on a union of 2-planes",
     ))
 
     # (3) real plane (a=0 above) and Lagrangian product tori
@@ -123,12 +126,12 @@ def builtin_catalog():
         equal_angles=True, constant_angle=True, classification="Lagrangian",
         angle_fn=lambda pts: np.zeros(pts.shape[0]),
     ))
+    # circle radius 1/sqrt(2), so |H| = sqrt(2)/2
     entries.append(CatalogEntry(
         name="lagrangian_torus_4", text=_torus_text(2, 1.0 / math.sqrt(2.0)),
         box=((0.0, 2.0 * np.pi),) * 4, periodic=True,
         equal_angles=True, constant_angle=True, classification="Lagrangian",
         angle_fn=lambda pts: np.zeros(pts.shape[0]),
-        notes="circle radius 1/sqrt(2), so |H| = sqrt(2)/2",
     ))
 
     # (4) holomorphic graphs: complex submanifolds
@@ -139,6 +142,7 @@ def builtin_catalog():
         constant_angle=True, classification="complex",
         angle_fn=lambda pts: np.ones(pts.shape[0]),
     ))
+    # product of two holomorphic curve graphs
     entries.append(CatalogEntry(
         name="complex_product_4",
         text=("n=2; ambient=flat; map=[u1, u2, u1^2 - u2^2, 2*u1*u2, "
@@ -146,16 +150,15 @@ def builtin_catalog():
         box=((-1.0, 1.0),) * 4, minimal=True, equal_angles=True,
         constant_angle=True, classification="complex",
         angle_fn=lambda pts: np.ones(pts.shape[0]),
-        notes="product of two holomorphic curve graphs",
     ))
 
     # (5) trig-polynomial periodic surfaces, flat and space-form ambients
+    # wobbled torus; crosses the Lagrangian locus
     entries.append(CatalogEntry(
         name="trig_flat_2d",
         text=CALIBRATION_SURFACE,
         box=((0.0, 2.0 * np.pi),) * 2, periodic=True,
         equal_angles=True, classification="mixed",
-        notes="wobbled torus; crosses the Lagrangian locus",
     ))
     entries.append(CatalogEntry(
         name="trig_sf_pos",
@@ -172,6 +175,7 @@ def builtin_catalog():
         box=((0.0, 2.0 * np.pi),) * 2, periodic=True,
         equal_angles=True, classification="mixed",
     ))
+    # generic distinct-angle immersion for gating tests
     entries.append(CatalogEntry(
         name="trig_flat_4d",
         text=("n=2; ambient=flat; periodic; map=["
@@ -180,21 +184,20 @@ def builtin_catalog():
               "sin(u4) + 0.25*cos(u1 + u3)]"),
         box=((0.0, 2.0 * np.pi),) * 4, periodic=True,
         equal_angles=False, classification="mixed",
-        notes="generic distinct-angle immersion for gating tests",
     ))
 
     # (6) quaternionic graph: holomorphic for a second constant complex
-    # structure, equal angles for the ambient one (measured gate)
+    # structure, equal angles for the ambient one (measured gate); a complex
+    # point at the origin, angles vary over (0, 1)
     entries.append(CatalogEntry(
         name="quaternionic_graph",
         text=("n=2; ambient=flat; map=[u1, u2, u3, u4, "
               "u1^2 - u3^2, u2^2 - u4^2, 2*u1*u3, 2*u2*u4]"),
         box=((-1.0, 1.0),) * 4, minimal=True, equal_angles="measured",
         classification="mixed",
-        notes="complex point at the origin; angles vary over (0, 1)",
     ))
 
-    # (7) products of slant factors with one constant angle
+    # (7) non-minimal products of slant factors with one constant angle 0.6
     c = 0.6
     for n in (1, 2, 3):
         comps = ", ".join(_slant_factor(c, k) for k in range(n))
@@ -205,7 +208,6 @@ def builtin_catalog():
             minimal=False, equal_angles=True, constant_angle=True,
             classification="generic",
             angle_fn=lambda pts, cc=c: np.full(pts.shape[0], cc),
-            notes="non-minimal, constant equal angle 0.6",
         ))
 
     # Lagrangian tori inside space-form charts (non-minimal there)
@@ -222,13 +224,12 @@ def builtin_catalog():
         angle_fn=lambda pts: np.zeros(pts.shape[0]),
     ))
 
-    # the calibration surface itself doubles as a catalog entry
+    # the fixed surface of the sign calibration doubles as a catalog entry
     entries.append(CatalogEntry(
         name="calibration_surface",
         text=CALIBRATION_SURFACE,
         box=((0.0, 2.0 * np.pi),) * 2, periodic=True,
         equal_angles=True, classification="mixed",
-        notes="fixed surface used for the sign calibration",
     ))
     return entries
 

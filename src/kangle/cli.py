@@ -13,7 +13,6 @@ Exit status: 0 success, 1 failed residual/check, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ import numpy as np
 
 from .calculus import contract
 from .catalog import CatalogEntry, builtin_catalog, get_entry
-from .dsl import parse_ambient, parse_immersion, print_immersion
+from .dsl import parse_ambient, parse_immersion
 from .errors import ImmersionSyntaxError, KangleError
 from .geometry import CLASS_NAMES, compute_snapshot, reads
 from .identities import SUITES, TOL_ABS_DEFAULT, TOL_REL_DEFAULT
@@ -30,24 +29,35 @@ from .quadrature import torus_checks
 from .runner import RECORD_MODES, report_to_json, run_suite
 
 
-def _load_spec(args):
-    if getattr(args, "entry", None):
+def _load_entry(args):
+    """The catalog entry ``--entry`` names; for FILE, or with
+    ``--ambient``, an entry without expectations (the catalog's hold only
+    for its own map) over the entry's box, or for FILE over [0, 2pi] per
+    axis if periodic, else [-1, 1].  ``--ambient`` is the entry's
+    ``ambient``."""
+    if args.entry:
         entry = get_entry(args.entry)
-        spec = entry.spec()
-    elif getattr(args, "file", None):
+        if not args.ambient:
+            return entry
+        name, text, box = entry.name, entry.text, entry.box
+    elif args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            spec = parse_immersion(fh.read(), name=args.file)
-        entry = None
+            name, text, box = args.file, fh.read(), None
     else:
         raise KangleError("give an .imm file or --entry NAME")
-    if getattr(args, "ambient", None):
+    spec = parse_immersion(text, name=name)
+    ambient = None
+    if args.ambient:
         try:
             ambient = parse_ambient(args.ambient, spec.n)
         except ImmersionSyntaxError as exc:
             raise KangleError(
                 f"bad --ambient value {args.ambient!r}: {exc}") from None
-        spec = dataclasses.replace(spec, ambient=ambient)
-    return spec, entry
+    box = box or (((0.0, 2 * np.pi) if spec.periodic else (-1.0, 1.0),)
+                  * spec.domain_dim)
+    return CatalogEntry(name=name, text=text, box=box, periodic=spec.periodic,
+                        equal_angles=False, classification="mixed",
+                        ambient=ambient)
 
 
 def _parse_point(text):
@@ -65,7 +75,7 @@ def _parse_point(text):
 @reads("F0", "cos_angles", "classification", "rank", "normH2", "g_inv0",
        "sff0", "gN0", "g0", "W0", "norm_W2_0", "kappa", "cos_signed")
 def _cmd_eval(args):
-    spec, _ = _load_spec(args)
+    spec = _load_entry(args).spec()
     point = _parse_point(args.point)
     snap = compute_snapshot(spec, point[None, :], reads=_cmd_eval.reads)
     out = {
@@ -99,19 +109,7 @@ def _number(value):
 
 def _cmd_verify(args):
     suites = args.suite.split(",") if args.suite != "all" else "all"
-    entries = None
-    if args.entry or args.file:
-        spec, entry = _load_spec(args)
-        if entry is None or args.ambient:
-            # no expectations: the catalog's hold only for its own map
-            box = entry.box if entry else (
-                ((0.0, 2 * np.pi) if spec.periodic else (-1.0, 1.0),)
-                * spec.domain_dim)
-            entry = CatalogEntry(name=entry.name if entry else args.file,
-                                 text=print_immersion(spec), box=box,
-                                 periodic=spec.periodic, equal_angles=False,
-                                 classification="mixed")
-        entries = [entry]
+    entries = [_load_entry(args)] if args.entry or args.file else None
     report = run_suite(entries=entries, suites=suites, points=args.points,
                        seed=args.seed, tol_abs=args.tol_abs,
                        tol_rel=args.tol_rel, quad_grid=args.quad_grid)
@@ -141,6 +139,8 @@ def _cmd_verify(args):
                                for k in ("value", "lhs", "rhs") if k in row)
             if "pass" in row:
                 values += "  pass" if row["pass"] else "  FAIL"
+            if "error" in row:
+                values += f": {row['error']}"
             print(f"  quadrature {e['name']:28s} {row['check']:18s} "
                   f"grid {row['grid']:3d}  {values}")
     bad_entries = [e["name"] for e in report["entries"] if not e["expected_ok"]]
@@ -151,7 +151,7 @@ def _cmd_verify(args):
 
 
 def _cmd_integrate(args):
-    spec, _ = _load_spec(args)
+    spec = _load_entry(args).spec()
     rows = torus_checks(spec, args.grid)
     ok = all(row.get("pass", True) for row in rows)
     text = json.dumps({"quadrature": rows, "pass": ok}, indent=1)

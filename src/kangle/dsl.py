@@ -49,7 +49,7 @@ _JET_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 __all__ = [
     "Expr", "Num", "Var", "Unary", "Bin", "Pow",
-    "ImmersionSpec", "parse_immersion", "parse_ambient", "print_immersion",
+    "ImmersionSpec", "parse_immersion", "parse_ambient",
     "eval_components", "eval_components_floats",
 ]
 
@@ -358,55 +358,6 @@ def parse_ambient(text, n):
     amb = parser.parse_ambient(n)
     parser.expect("EOF", "end of input")
     return amb
-
-
-# ---------------------------------------------------------------------------
-# canonical printer
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
-
-
-def _print_expr(e, parent_prec=0):
-    if isinstance(e, Num):
-        if e.value < 0:
-            # canonical form never emits negative literals
-            return _print_expr(Unary("neg", Num(-e.value)), parent_prec)
-        return repr(e.value) if e.value != int(e.value) else str(int(e.value))
-    if isinstance(e, Var):
-        return f"u{e.index}"
-    if isinstance(e, Unary):
-        if e.fn == "neg":
-            # "-" grabs the base before "^", so a power argument needs parens
-            inner = _print_expr(e.arg, _PREC["atom"])
-            s = f"-{inner}"
-            return f"({s})" if parent_prec > _PREC["neg"] else s
-        return f"{e.fn}({_print_expr(e.arg, 0)})"
-    if isinstance(e, Pow):
-        if isinstance(e.base, (Num, Var)):
-            base = _print_expr(e.base, _PREC["atom"])
-        else:
-            base = f"({_print_expr(e.base, 0)})"
-        s = f"{base}^{e.exponent}"
-        return f"({s})" if parent_prec > _PREC["pow"] else s
-    if isinstance(e, Bin):
-        prec = _PREC[e.op]
-        left = _print_expr(e.left, prec)
-        # the grammar is left-associative, so a right operand at equal
-        # precedence must be parenthesized to round-trip structurally
-        right = _print_expr(e.right, prec + 1)
-        s = f"{left} {e.op} {right}"
-        return f"({s})" if parent_prec > prec else s
-    raise UsageError(f"not an expression node: {e!r}")
-
-
-def print_immersion(spec):
-    """Canonical text form; parse(print(s)) is structurally equal to s."""
-    amb = "flat" if spec.ambient.is_flat else f"space_form({spec.ambient.rho!r})"
-    head = f"n={spec.n}; ambient={amb};"
-    if spec.periodic:
-        head += " periodic;"
-    body = ", ".join(_print_expr(c) for c in spec.components)
-    return f"{head} map=[{body}]"
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,17 @@ def torus_checks(spec, grid_n):
     and ``stokes_lap_cos2``, whose integral passes when it is at most
     1e-8 max(volume, 1) in size; and ``eq2.3``, whose lhs = int <Delta F*w,
     F*w> and rhs = int |delta F*w|^2 pass when they differ by at most 1e-6
-    max(|lhs|, |rhs|, 1e-8).  Values that are not finite are None.
+    max(|lhs|, |rhs|, 1e-8).  Values that are not finite are None.  A
+    rejected grid node makes the one failed row ``grid`` with the reason
+    as ``error``.
     """
-    q = torus_quadrature(spec, ("volume", "div_field", "lap_cos2",
-                                "hodge_pair", "delta_fw_norm2"),
-                         grid_n)
+    try:
+        q = torus_quadrature(spec, ("volume", "div_field", "lap_cos2",
+                                    "hodge_pair", "delta_fw_norm2"),
+                             grid_n)
+    except QuadratureError as exc:
+        return [{"check": "grid", "grid": grid_n, "error": str(exc),
+                 "pass": False}]
     vol, lhs, rhs = q["volume"], q["hodge_pair"], q["delta_fw_norm2"]
 
     def stokes(check, value):

@@ -2,6 +2,7 @@
 spectral convergence of the uniform rule on periodic integrands."""
 
 import functools
+import re
 
 import pytest
 
@@ -97,10 +98,14 @@ def test_nonperiodic_rejected():
 
 def test_a_singular_node_rejects_the_torus_integral():
     """sqrt(sin(u2)^2) has no Taylor jet where sin(u2) = 0, the grid rows
-    u2 = 0 and u2 = pi: those nodes are gated, so no total is returned."""
+    u2 = 0 and u2 = pi: those nodes are gated, so no total is returned,
+    and the judged checks are the one failed row ``grid``."""
     spec = parse_immersion(
         "n=1; ambient=flat; periodic; "
         "map=[cos(u1), sin(u1), cos(u2), sqrt(sin(u2)^2)]")
-    with pytest.raises(QuadratureError, match=r"8 of 64 grid nodes \(12\.5%\)"
-                       r".*map or a derivative not finite"):
+    reason = r"8 of 64 grid nodes \(12\.5%\).*map or a derivative not finite"
+    with pytest.raises(QuadratureError, match=reason):
         torus_quadrature(spec, "volume", 8)
+    row, = torus_checks(spec, 8)
+    assert (row["check"], row["grid"], row["pass"]) == ("grid", 8, False)
+    assert re.match(reason, row["error"])

@@ -15,11 +15,14 @@ from jsonschema import validate
 import kangle
 from kangle import runner
 from kangle.ambient import space_form
-from kangle.catalog import get_entry
-from kangle.cli import main
+from kangle.catalog import CatalogEntry, get_entry
+from kangle.cli import _load_entry, build_parser, main
+from kangle.dsl import parse_immersion
 from kangle.errors import UsageError
 from kangle.geometry import compute_snapshot
+from kangle.identities import calibrate_conventions, run_identity_suite
 from kangle.jets import MAX_DIM
+from kangle.quadrature import torus_checks
 from kangle.runner import RunError, report_to_json, run_suite, sample_points
 from test_dsl import BAD_TOKENS
 
@@ -312,12 +315,6 @@ def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
                    "--bogus-flag")
     assert proc.returncode == 2
 
-    # a sphere on the torus grid: its pole rows are no immersion, so the
-    # torus integrals have no honest total
-    pinched = tmp_path / "pinched.imm"
-    pinched.write_text("n=1; ambient=flat; periodic; "
-                       "map=[sin(u1)*cos(u2), sin(u1)*sin(u2), cos(u1), 0]")
-
     # immersions with a character outside the grammar, an overflowing
     # literal or an overflowing constant power
     files = []
@@ -326,8 +323,7 @@ def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
         files.append(tmp_path / f"bad{k}.imm")
         files[-1].write_text(text, encoding="utf-8")
 
-    # malformed numbers, flags and immersions, unwritable outputs and
-    # dropped grid nodes: exit 2 with a one-line diagnostic; an exception
+    # malformed numbers, flags and immersions and unwritable outputs: exit 2 with a one-line diagnostic; an exception
     # escaping main() would fail the test with its traceback
     quick = ["verify", "--entry", "ds_graph", "--suite", "prop3.1",
              "--points", "4"]
@@ -349,9 +345,6 @@ def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
         (quick + ["--tol-abs", "nan"], "0"),
         (quick + ["--tol-rel", "-1"], "0"),
         (quick + ["--json", str(tmp_path)], "0"),
-        (["integrate", str(pinched), "--grid", "16"], "0"),
-        (["verify", str(pinched), "--suite", "prop3.1", "--points", "4",
-          "--quad-grid", "16"], "0"),
         *((["eval", str(f), "--point", "1,0"], "0") for f in files),
         *((["verify", str(f), "--points", "4"], "0") for f in files),
     ):
@@ -359,6 +352,55 @@ def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
         assert main(args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
+
+def test_cli_rejected_grid_node_is_a_failed_grid_row(tmp_path, capsys):
+    """A sphere on the torus grid is no immersion at its pole rows, so the
+    torus integrals have no honest total: the quadrature is one failed
+    ``grid`` row naming the reason, and the command exits 1 with its
+    other output intact."""
+    pinched = tmp_path / "pinched.imm"
+    pinched.write_text("n=1; ambient=flat; periodic; "
+                       "map=[sin(u1)*cos(u2), sin(u1)*sin(u2), cos(u1), 0]")
+    reason = r"32 of 256 grid nodes (12.5%) were rejected"
+    assert main(["integrate", str(pinched), "--grid", "16"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    row, = out["quadrature"]
+    assert row["check"] == "grid" and row["grid"] == 16
+    assert not row["pass"] and not out["pass"]
+    assert row["error"].startswith(reason)
+
+    assert main(["verify", str(pinched), "--suite", "prop3.1", "--points",
+                 "4", "--quad-grid", "16"]) == 1
+    out = capsys.readouterr().out
+    assert "  prop3.1.norm_fw " in out
+    line, = (l for l in out.splitlines() if l.startswith("  quadrature "))
+    assert " grid " in line and f"FAIL: {reason}" in line
+    assert out.endswith("FAIL\n")
+
+
+def test_run_suite_keeps_every_entry_past_a_rejected_grid_node():
+    """One entry whose grid has a gated node fails its quadrature with a
+    ``grid`` row; the other entries and every entry's records stay."""
+    singular = CatalogEntry(
+        name="singular_torus",
+        text=("n=1; ambient=flat; periodic; "
+              "map=[cos(u1), sin(u1), cos(u2), sqrt(sin(u2)^2)]"),
+        box=((0.0, 2 * np.pi),) * 2, periodic=True, equal_angles=False,
+        classification="mixed")
+    report = run_suite(entries=[singular, "trig_sf_pos"], points=4,
+                       quad_grid=64)
+    assert not report["pass"]
+    by_name = {e["name"]: e for e in report["entries"]}
+    assert set(by_name) == {"singular_torus", "trig_sf_pos"}
+    assert all(e["residuals"] for e in by_name.values())
+    row, = by_name["singular_torus"]["quadrature"]
+    assert row["check"] == "grid" and not row["pass"]
+    assert "map or a derivative not finite" in row["error"]
+    assert [q["check"] for q in by_name["trig_sf_pos"]["quadrature"]] == [
+        "volume", "stokes_divergence", "stokes_lap_cos2", "eq2.3"]
+    assert all(q.get("pass", True)
+               for q in by_name["trig_sf_pos"]["quadrature"])
 
 
 def test_cli_json_path_checked_before_the_run(tmp_path, capsys, monkeypatch):
@@ -497,6 +539,48 @@ def test_cli_verify_entry_honours_ambient(tmp_path):
     assert result["angle_stats"]["max"] == float(np.max(cos))
     assert np.ptp(cos) > 0.1          # flat, the angle is the constant 0.6
     assert result["expected_ok"] and not result["expected_failures"]
+
+
+SURFACE = ("n=1; ambient=flat; periodic; map=[cos(u1), sin(u1), "
+           "cos(u2) + 0.2*sin(u1), sin(u2)]")
+
+
+@pytest.mark.parametrize("command, args", [
+    ("verify", ["--suite", "prop3.1", "--points", "8", "--records", "all"]),
+    ("eval", ["--point", "0.5,1"]),
+    ("integrate", ["--grid", "8"]),
+])
+def test_cli_file_runs_in_the_ambient_override(command, args, tmp_path):
+    """FILE --ambient runs the file's map in that ambient: each command
+    gives the direct computation on the spec with the ambient replaced,
+    and verify's entry states no expectations."""
+    path, out = tmp_path / "surface.imm", tmp_path / "out.json"
+    path.write_text(SURFACE)
+    argv = [command, str(path), "--ambient", "space_form(1.0)", *args]
+    assert main(argv + ["--json", str(out)]) in (0, 1)
+    got = json.loads(out.read_text())
+    spec = dataclasses.replace(parse_immersion(SURFACE, name=str(path)),
+                               ambient=space_form(1.0, 2))
+    if command == "verify":
+        entry = _load_entry(build_parser().parse_args(argv))
+        assert entry.spec() == spec
+        assert (entry.minimal, entry.equal_angles, entry.constant_angle,
+                entry.classification, entry.angle_fn) == (
+                    False, False, False, "mixed", None)
+        snap = compute_snapshot(
+            spec, sample_points(((0.0, 2 * np.pi),) * 2, 8, 1234))
+        records = run_identity_suite(snap, ["prop3.1"],
+                                     calibrate_conventions())
+        result, = got["entries"]
+        assert result["residuals"] == [r.as_dict() for r in records]
+        assert result["expected_ok"] and result["equal_angle_gate"] is None
+    elif command == "eval":
+        snap = compute_snapshot(spec, np.array([[0.5, 1.0]]))
+        assert got["F"] == snap.F0[0].tolist()
+        assert got["cos_angles"] == snap.cos_angles[0].tolist()
+        assert got["metric"] == snap.g0[0].tolist()
+    else:
+        assert got["quadrature"] == torus_checks(spec, 8)
 
 
 def test_cli_verify_imm_file(tmp_path):
