@@ -35,7 +35,6 @@ __all__ = [
     "divergence",
     "codiff",
     "exterior_d_oneform",
-    "exterior_d_twoform",
     "trace_hessian",
     "gradient_vector",
     "two_form_pairing",
@@ -157,13 +156,6 @@ def exterior_d_oneform(s):
     """(ds)[i, j, b] = d_i s_j - d_j s_i."""
     ds = partials(s)
     return Jet(ds.dim, ds.order, ds.coeffs - np.swapaxes(ds.coeffs, 0, 1))
-
-
-def exterior_d_twoform(w):
-    """(dw)[i, j, k, b] = d_i w_jk - d_j w_ik + d_k w_ij."""
-    dw = partials(w).coeffs
-    out = dw - np.einsum("jik...->ijk...", dw) + np.einsum("kij...->ijk...", dw)
-    return Jet(w.dim, w.order - 1, out)
 
 
 def trace_hessian(f, g_inv, gamma):

@@ -345,8 +345,9 @@ def _connection(snap, work):
         "delta_W0", "norm_delta_W2", "norm_nabla_W2", "cos2",
         "delta_W", "W_sharp", order=2)
 def _forms(snap, work):
-    """F*w and its calculus to first order: norms, gradients, delta F*w,
-    nabla F*w and d F*w; the derivatives of F*w read d^2 F."""
+    """F*w and its calculus to first order: norms, gradients, delta F*w
+    and nabla F*w; the derivatives of F*w read d^2 F.  d F*w = F*(dw) = 0,
+    w being closed, so no stage forms it."""
     n, g_inv0 = snap.n, snap.g_inv0
     g_inv, gamma = snap.jets["g_inv"], snap.jets["gamma"]
     W = pullback_form(snap.ambient_spec, work["F"], work["dF"])  # (i, j, b)
@@ -356,11 +357,10 @@ def _forms(snap, work):
     delta_W = ca.codiff(W, g_inv, gamma)                     # standard sign
     delta_W0 = _at_points(delta_W)
     nW0 = _at_points(ca.cov_d(W.truncated(1), gamma))        # (b, i, j, k)
-    dW3 = ca.exterior_d_twoform(W)
     grad_cos2_0 = _at_points(ca.gradient_vector(cos2, g_inv.truncated(0)))
     # (F*w)#: the operator (i, j, b); its readers differentiate it once
     W_sharp = jet_einsum("ik...,jk...->ij...", g_inv.truncated(1), W)
-    work.update(norm_W2=norm_W2_jet, dW3=dW3, nW0=nW0)
+    work.update(norm_W2=norm_W2_jet, nW0=nW0)
     snap.jets.update(cos2=cos2, delta_W=delta_W, W_sharp=W_sharp)
     snap.data.update(
         W0=W0, norm_W2_0=norm_W2_jet.value(), cos2_0=cos2.value(),
@@ -376,16 +376,15 @@ def _forms(snap, work):
 @writes("hodge_pair", "lap_norm_W2", "lap_cos2", order=3)
 def _form_laplacians(snap, work):
     """Delta |F*w|^2, Delta cos^2 and the Hodge pairing <Delta F*w, F*w>;
-    the Hessian of |F*w|^2 and d delta F*w read d^3 F."""
+    the Hessian of |F*w|^2 and d delta F*w read d^3 F.  F*w is closed, so
+    its Hodge Laplacian d delta F*w + delta d F*w is d delta F*w."""
     g_inv0, g_inv, gamma = snap.g_inv0, snap.jets["g_inv"], snap.jets["gamma"]
     dd_W0 = _at_points(ca.exterior_d_oneform(snap.jets["delta_W"]))
-    delta_dW0 = _at_points(ca.codiff(work["dW3"], g_inv, gamma))
-    hodge_W0 = dd_W0 + delta_dW0
     lap_norm_W2 = ca.trace_hessian(work["norm_W2"], g_inv, gamma).value()
     work["dd_W0"] = dd_W0
     snap.data.update(
         hodge_pair=0.5 * ca.contract("bim,bjp,bij,bmp->b",
-                                     g_inv0, g_inv0, hodge_W0, snap.W0),
+                                     g_inv0, g_inv0, dd_W0, snap.W0),
         lap_norm_W2=lap_norm_W2, lap_cos2=lap_norm_W2 / snap.n,
     )
 

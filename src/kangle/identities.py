@@ -3,9 +3,12 @@
 Every identity is evaluated as LHS - RHS over a batch snapshot, with an
 applicability gate so formulas are only asserted on their domain of
 validity.  Each suite returns one ``Residual`` column block per identity;
-``run_identity_suite`` alone judges the blocks against the tolerances and
-builds the records, which carry the raw sides, absolute and relative
-residuals and the gating reason; nothing is asserted at points whose
+``judge_suites`` judges each block once against the tolerances, giving
+``Judged`` columns (abs and rel residuals, pass, tolerances) that the
+runner reduces to its per-identity summary.  ``record_rows`` is the one
+builder of report rows, which carry the raw sides, absolute and relative
+residuals and the gating reason; ``run_identity_suite`` gives those rows
+as ``IdentityResidual`` objects.  Nothing is asserted at points whose
 classification violates an identity's hypotheses.
 
 Two sign conventions are not fixed a priori and are calibrated once per
@@ -39,6 +42,7 @@ TOL_REL_DEFAULT = 1e-5
 __all__ = [
     "Conventions",
     "IdentityResidual",
+    "Judged",
     "Residual",
     "calibrate_conventions",
     "verify_prop3_1",
@@ -49,6 +53,8 @@ __all__ = [
     "verify_section4",
     "verify_prop3_6",
     "evaluate_hypothesis_fields",
+    "judge_suites",
+    "record_rows",
     "run_identity_suite",
     "finite_or_none",
     "SUITES",
@@ -71,9 +77,8 @@ class Conventions:
 
 @dataclass
 class IdentityResidual:
-    """One named residual at one point; its sides and residuals are None
-    where the identity is not applicable, and its residuals and tolerances
-    are None where they are not finite."""
+    """One report row as an object, fields in the row's key order with
+    ``passed`` for "pass": the view ``run_identity_suite`` gives tests."""
 
     id: str
     point_index: int
@@ -88,15 +93,9 @@ class IdentityResidual:
     passed: bool
 
     def as_dict(self):
-        return {
-            "id": self.id, "point_index": self.point_index,
-            "lhs": self.lhs, "rhs": self.rhs,
-            "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
-            "applicable": self.applicable, "reason": self.reason,
-            "tol_abs": self.tol_abs, "tol_rel": self.tol_rel,
-            "pass": self.passed,
-        }
+        row = dict(vars(self))
+        row["pass"] = row.pop("passed")
+        return row
 
 
 def finite_or_none(x):
@@ -135,26 +134,53 @@ def _column(values, applicable):
     record is not applicable or a value is not finite."""
     cells = values.astype(object)
     cells[~np.isfinite(values)] = None
-    return [c if ok else None
-            for c, ok in zip(cells.tolist(), applicable.tolist())]
+    out = cells.tolist()
+    for i in np.flatnonzero(~applicable).tolist():
+        out[i] = None
+    return out
 
 
-def _judge(block, index, tol_abs, tol_rel):
-    """The records of one block, for the caller's points ``index``; the
-    one place a residual meets a tolerance."""
+@dataclass
+class Judged:
+    """A ``Residual`` block judged against the tolerances: its (B,) ``abs``
+    and ``rel`` residuals, the (B,) ``passed`` column, and the tolerances,
+    None where not finite or where the block is reported."""
+
+    block: Residual
+    abs: np.ndarray
+    rel: np.ndarray
+    passed: np.ndarray
+    tol_abs: float | None
+    tol_rel: float | None
+
+
+def _judge(block, tol_abs, tol_rel):
+    """The one place a residual meets a tolerance: an applicable record
+    passes where abs <= tol_abs or rel <= tol_rel; a reported one always
+    passes."""
     a, rel = block.residuals()
-    app = block.applicable
     if block.reported:
-        passed, tol_abs, tol_rel = np.ones_like(app), None, None
-    else:
-        passed = app & ((a <= tol_abs) | (rel <= tol_rel))
-        tol_abs, tol_rel = finite_or_none(tol_abs), finite_or_none(tol_rel)
-    rows = zip(index.tolist(), _column(block.lhs, app),
-               _column(block.rhs, app), _column(a, app), _column(rel, app),
-               app.tolist(), np.where(app, "", block.reason).tolist(),
-               passed.tolist())
-    return [IdentityResidual(block.id, *row, tol_abs, tol_rel, ok)
-            for *row, ok in rows]
+        return Judged(block, a, rel, np.ones_like(block.applicable), None,
+                      None)
+    passed = block.applicable & ((a <= tol_abs) | (rel <= tol_rel))
+    return Judged(block, a, rel, passed, finite_or_none(tol_abs),
+                  finite_or_none(tol_rel))
+
+
+def record_rows(judged, index):
+    """The report rows of a judged block, one dict per point, for the
+    caller's points ``index``; the one row builder."""
+    block, app = judged.block, judged.block.applicable
+    ident, tol_abs, tol_rel = block.id, judged.tol_abs, judged.tol_rel
+    return [
+        {"id": ident, "point_index": i, "lhs": lhs, "rhs": rhs,
+         "abs_residual": a, "rel_residual": rel, "applicable": ok,
+         "reason": why, "tol_abs": tol_abs, "tol_rel": tol_rel, "pass": p}
+        for i, lhs, rhs, a, rel, ok, why, p in zip(
+            index.tolist(), _column(block.lhs, app), _column(block.rhs, app),
+            _column(judged.abs, app), _column(judged.rel, app), app.tolist(),
+            np.where(app, "", block.reason).tolist(),
+            judged.passed.tolist())]
 
 
 def _reason_array(B, masks_and_reasons):
@@ -596,15 +622,25 @@ SUITE_READERS = {
 SUITES = tuple(SUITE_READERS)
 
 
-def run_identity_suite(snap, suites, conventions, tol_abs=TOL_ABS_DEFAULT,
-                       tol_rel=TOL_REL_DEFAULT):
-    """Evaluate the selected suites on a snapshot; returns the records,
-    ordered by (id, point_index), with ``point_index`` the index of the
-    point in the points the snapshot was computed on."""
+def judge_suites(snap, suites, conventions, tol_abs=TOL_ABS_DEFAULT,
+                 tol_rel=TOL_REL_DEFAULT):
+    """Evaluate the selected suites on a snapshot and judge each block
+    once; returns the ``Judged`` blocks ordered by id."""
     blocks = [block for name in suites if name != "hypotheses"
               for block in SUITE_READERS[name](snap, conventions)]
-    return [record for block in sorted(blocks, key=lambda b: b.id)
-            for record in _judge(block, snap.index, tol_abs, tol_rel)]
+    return [_judge(block, tol_abs, tol_rel)
+            for block in sorted(blocks, key=lambda b: b.id)]
+
+
+def run_identity_suite(snap, suites, conventions, tol_abs=TOL_ABS_DEFAULT,
+                       tol_rel=TOL_REL_DEFAULT):
+    """The records of ``judge_suites`` as ``IdentityResidual`` rows,
+    ordered by (id, point_index), with ``point_index`` the index of the
+    point in the points the snapshot was computed on."""
+    return [IdentityResidual(*row.values())
+            for judged in judge_suites(snap, suites, conventions, tol_abs,
+                                       tol_rel)
+            for row in record_rows(judged, snap.index)]
 
 
 # ---------------------------------------------------------------------------

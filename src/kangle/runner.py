@@ -21,7 +21,8 @@ from .identities import (
     calibrate_conventions,
     evaluate_hypothesis_fields,
     finite_or_none,
-    run_identity_suite,
+    judge_suites,
+    record_rows,
 )
 from .quadrature import torus_checks
 
@@ -122,14 +123,16 @@ def _field_stats(fields):
 @reads("equal_gate", "classification", "cos_angles")
 def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
                conventions, quad_grid):
+    """One entry's report and, by identity id, its share of
+    ``summary.per_identity`` (see ``_identity_stats``)."""
     spec = entry.spec()
     pts = sample_points(entry.box, points, seed)
     keys = sum((SUITE_READERS[name].reads for name in suites),
                _run_entry.reads + check_expected.reads)
     snap = compute_snapshot(spec, pts, order=order, reads=keys)
     failures = check_expected(entry, snap)
-    records = run_identity_suite(snap, suites, conventions,
-                                 tol_abs=tol_abs, tol_rel=tol_rel)
+    judged = judge_suites(snap, suites, conventions, tol_abs=tol_abs,
+                          tol_rel=tol_rel)
     gate_info = None
     if entry.equal_angles == "measured":
         frac = float(np.mean(snap.equal_gate))
@@ -157,17 +160,44 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
         "equal_angle_gate": gate_info,
         "hypothesis_fields": fields,
         "quadrature": quad,
-        "residuals": [r.as_dict() for r in records],
+        "residuals": [row for j in judged
+                      for row in record_rows(j, snap.index)],
     }
-    return result
+    return result, {j.block.id: _identity_stats(j, entry, pts, snap.index)
+                    for j in judged if j.block.applicable.size}
 
 
-def _gate_margin(rec):
-    """min(abs/tol_abs, rel/tol_rel): above 1 iff the gate fails the record."""
-    if None in (rec["tol_abs"], rec["tol_rel"]):    # an infinite tolerance
-        return 0.0
-    return min(rec["abs_residual"] / max(rec["tol_abs"], 1e-300),
-               rec["rel_residual"] / max(rec["tol_rel"], 1e-300))
+def _identity_stats(judged, entry, pts, index):
+    """One entry's share of ``summary.per_identity[id]``: the applicable
+    and failed counts, the largest finite abs and rel residuals of the
+    applicable records (0.0 if none), and (rank, worst) for the record
+    closest to failing, or (None, None).  The rank is (gate margin, rel),
+    the margin min(abs/tol_abs, rel/tol_rel) being above 1 iff the gate
+    fails the record and 0 where a tolerance is infinite or the block is
+    reported; the first record of the highest rank wins."""
+    app = judged.block.applicable
+    a, rel = judged.abs, judged.rel
+    finite = app & np.isfinite(rel)
+    stats = {"applicable": int(np.count_nonzero(app)),
+             "failed": int(np.count_nonzero(app & ~judged.passed)),
+             "max_rel": max(0.0, float(np.max(rel[finite], initial=0.0))),
+             "max_abs": max(0.0, float(np.max(
+                 a[app & np.isfinite(a)], initial=0.0)))}
+    if not finite.any():
+        return stats, None, None
+    if None in (judged.tol_abs, judged.tol_rel):
+        margin = np.zeros_like(rel)
+    else:
+        with np.errstate(over="ignore"):
+            margin = np.minimum(a / max(judged.tol_abs, 1e-300),
+                                rel / max(judged.tol_rel, 1e-300))
+    where = np.flatnonzero(finite)
+    top = where[margin[where] == np.max(margin[where])]
+    k = top[np.argmax(rel[top])]
+    worst = {"entry": entry.name, "point_index": int(index[k]),
+             "point": pts[index[k]].tolist(), "abs_residual": float(a[k]),
+             "rel_residual": float(rel[k])}
+    return stats, (float(margin[k]), float(rel[k])), worst
 
 
 def run_suite(entries=None, suites="all", points=64, seed=1234,
@@ -217,40 +247,28 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
              quad_grid) for e in entry_objs]
     if threads > 1 and len(entry_objs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: _run_entry(*a), args))
+            outputs = list(pool.map(lambda a: _run_entry(*a), args))
     else:
-        results = [_run_entry(*a) for a in args]
+        outputs = [_run_entry(*a) for a in args]
+    results = [result for result, _ in outputs]
 
-    per_identity = {}
-    worst = {}                 # id -> (rank, entry, record) closest to failing
-    n_applicable = n_failed = 0
-    for entry, res in zip(entry_objs, results):
-        for rec in res["residuals"]:
+    # each entry's shares merged in entry order, so the first record of
+    # the highest rank is the worst
+    per_identity, ranks = {}, {}
+    for _, part in outputs:
+        for ident, (stats, rank, worst) in part.items():
             info = per_identity.setdefault(
-                rec["id"], {"applicable": 0, "failed": 0, "max_rel": 0.0,
-                            "max_abs": 0.0, "worst": None})
-            if rec["applicable"]:
-                n_applicable += 1
-                info["applicable"] += 1
-                rel = rec["rel_residual"]
-                if rel is not None:
-                    info["max_rel"] = max(info["max_rel"], rel)
-                    rank = _gate_margin(rec), rel
-                    if rec["id"] not in worst or rank > worst[rec["id"]][0]:
-                        worst[rec["id"]] = rank, entry, rec
-                if rec["abs_residual"] is not None:
-                    info["max_abs"] = max(info["max_abs"], rec["abs_residual"])
-                if not rec["pass"]:
-                    n_failed += 1
-                    info["failed"] += 1
-    for ident, (_, entry, rec) in worst.items():
-        # the sampler is deterministic: recompute this entry's points
-        # rather than carry every entry's in the report
-        point = sample_points(entry.box, points, seed)[rec["point_index"]]
-        per_identity[ident]["worst"] = {
-            "entry": entry.name, "point_index": rec["point_index"],
-            "point": point.tolist(), "abs_residual": rec["abs_residual"],
-            "rel_residual": rec["rel_residual"]}
+                ident, {"applicable": 0, "failed": 0, "max_rel": 0.0,
+                        "max_abs": 0.0, "worst": None})
+            for key in ("applicable", "failed"):
+                info[key] += stats[key]
+            for key in ("max_rel", "max_abs"):
+                info[key] = max(info[key], stats[key])
+            if rank is not None and (ident not in ranks
+                                     or rank > ranks[ident]):
+                ranks[ident], info["worst"] = rank, worst
+    n_applicable = sum(i["applicable"] for i in per_identity.values())
+    n_failed = sum(i["failed"] for i in per_identity.values())
 
     ok = (n_failed == 0
           and all(r["expected_ok"] for r in results)

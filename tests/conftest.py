@@ -94,6 +94,14 @@ def mean_curvature_jets(spec, snap):
     return JHb, jet_einsum("ij...,j...->i...", snap.jets["g_inv"], JHb)
 
 
+def exterior_d_twoform0(w):
+    """(dw)_ijk = d_i w_jk - d_j w_ik + d_k w_ij of a 2-form jet at its
+    base points: the closedness tests' d, which the package never forms."""
+    import kangle.calculus as ca
+    dw = ca.partials(w).value()
+    return dw - np.einsum("jik...->ijk...", dw) + np.einsum("kij...->ijk...", dw)
+
+
 def central_diff(f, point, alpha, h=1e-4, richardson=True):
     """Mixed partial d^alpha f(point) by nested central differences.
 

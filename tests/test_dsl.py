@@ -234,7 +234,7 @@ def _random_text(rng):
         length = int(rng.integers(0, 60))
         return "".join(chr(rng.integers(1, 128)) for _ in range(length))
     length = int(rng.integers(0, 40))
-    return "".join(rng.choice(PIECES) for _ in range(length))
+    return "".join(PIECES[i] for i in rng.integers(len(PIECES), size=length))
 
 
 @functools.cache

@@ -223,12 +223,63 @@ def test_thread_count_reads_alike_from_argument_and_environment(monkeypatch):
     assert all(r == runs[0] for r in runs)
 
 
-def _margin(row):
-    """The gate's margin min(abs/tol_abs, rel/tol_rel); 0 when reported."""
-    if row["tol_abs"] is None:
+def _gate_margin(rec):
+    """min(abs/tol_abs, rel/tol_rel): above 1 iff the gate fails the record."""
+    if None in (rec["tol_abs"], rec["tol_rel"]):    # an infinite tolerance
         return 0.0
-    return min(row["abs_residual"] / row["tol_abs"],
-               row["rel_residual"] / row["tol_rel"])
+    return min(rec["abs_residual"] / max(rec["tol_abs"], 1e-300),
+               rec["rel_residual"] / max(rec["tol_rel"], 1e-300))
+
+
+def _per_identity_oracle(report, entries, points, seed):
+    """summary.per_identity by a walk over the "all" rows of the JSON
+    report, entry by entry in run order, record by record."""
+    rows = {e["name"]: e["residuals"] for e in json.loads(
+        report_to_json(report, records="all"))["entries"]}
+    per_identity, worst = {}, {}
+    for entry in entries:
+        for rec in rows[entry.name]:
+            info = per_identity.setdefault(
+                rec["id"], {"applicable": 0, "failed": 0, "max_rel": 0.0,
+                            "max_abs": 0.0, "worst": None})
+            if rec["applicable"]:
+                info["applicable"] += 1
+                rel = rec["rel_residual"]
+                if rel is not None:
+                    info["max_rel"] = max(info["max_rel"], rel)
+                    rank = _gate_margin(rec), rel
+                    if rec["id"] not in worst or rank > worst[rec["id"]][0]:
+                        worst[rec["id"]] = rank, entry, rec
+                if rec["abs_residual"] is not None:
+                    info["max_abs"] = max(info["max_abs"], rec["abs_residual"])
+                info["failed"] += not rec["pass"]
+    for ident, (_, entry, rec) in worst.items():
+        point = sample_points(entry.box, points, seed)[rec["point_index"]]
+        per_identity[ident]["worst"] = {
+            "entry": entry.name, "point_index": rec["point_index"],
+            "point": point.tolist(), "abs_residual": rec["abs_residual"],
+            "rel_residual": rec["rel_residual"]}
+    return dict(sorted(per_identity.items()))
+
+
+@pytest.mark.parametrize("seed", [1234, 1235, 1240])
+def test_per_identity_summary_equals_the_record_walk(seed):
+    """The runner's array reductions over the judged columns give the
+    summary a record-by-record walk of the rows gives, worst included."""
+    entries = runner.builtin_catalog()
+    report = run_suite(points=48, seed=seed, threads=1)
+    summary = report["summary"]
+    oracle = _per_identity_oracle(report, entries, 48, seed)
+    assert summary["per_identity"] == oracle
+    assert summary["records_applicable"] == sum(
+        i["applicable"] for i in oracle.values())
+    assert summary["records_failed"] == sum(
+        i["failed"] for i in oracle.values())
+    for info in summary["per_identity"].values():
+        worst = info["worst"]
+        if worst is not None:
+            pts = sample_points(get_entry(worst["entry"]).box, 48, seed)
+            assert worst["point"] == pts[worst["point_index"]].tolist()
 
 
 def test_worst_record_is_closest_to_failing():
@@ -245,13 +296,15 @@ def test_worst_record_is_closest_to_failing():
             if info["applicable"] == 0:
                 assert worst is None
                 continue
-            ranked = [(_margin(r), r["rel_residual"]) for r in rows.values()
+            ranked = [(_gate_margin(r), r["rel_residual"])
+                      for r in rows.values()
                       if r["id"] == ident and r["applicable"]
                       and r["rel_residual"] is not None]
             assert info["max_rel"] == max(rel for _, rel in ranked), ident
             row = rows[worst["entry"], ident, worst["point_index"]]
             assert row["applicable"]
-            assert (_margin(row), row["rel_residual"]) == max(ranked), ident
+            assert (_gate_margin(row), row["rel_residual"]) == max(ranked), \
+                ident
             assert row["rel_residual"] == worst["rel_residual"]
             assert row["abs_residual"] == worst["abs_residual"]
             pts = sample_points(get_entry(worst["entry"]).box, 16, 1234)

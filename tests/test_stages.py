@@ -291,7 +291,7 @@ def test_run_entry_reads_are_exact(monkeypatch, conventions):
                                  3, 1e-7, 1e-5, conventions, 0)
         assert full == results[case], case
     # _run_entry's own reads: with every reader it calls silenced
-    for name, result in (("check_expected", []), ("run_identity_suite", []),
+    for name, result in (("check_expected", []), ("judge_suites", []),
                          ("evaluate_hypothesis_fields", {})):
         monkeypatch.setattr(runner, name, geometry.reads()(
             lambda *args, result=result, **kwargs: result))
