@@ -526,7 +526,7 @@ def _masked_fields(snap, work):
     nWs = np.einsum("bkl,bijl->bikj", gi0, work["nW0"])     # nabla (F*w)#
     JdF = np.einsum("AB,bBk->bAk", snap.JN, snap.dF0)
     # (1,1) part of the second fundamental form w.r.t. J_w
-    sff11 = 0.5 * (sff0 + np.einsum("bki,blj,bklA->bijA", Jw0, Jw0, sff0))
+    sff11 = 0.5 * (sff0 + ca.contract("bki,blj,bklA->bijA", Jw0, Jw0, sff0))
 
     def over_s(alpha, d_alpha):
         """alpha / s and d(alpha / s) = (d alpha + du ^ alpha / s) / s."""

@@ -7,9 +7,13 @@ validity.  Each suite returns one ``Residual`` column block per identity;
 ``Judged`` columns (abs and rel residuals, pass, tolerances) that the
 runner reduces to its per-identity summary.  ``record_rows`` is the one
 builder of report rows, which carry the raw sides, absolute and relative
-residuals and the gating reason; ``run_identity_suite`` gives those rows
-as ``IdentityResidual`` objects.  Nothing is asserted at points whose
-classification violates an identity's hypotheses.
+residuals and the gating reason, for every point of a block or a selection
+of them.  ``ResidualRows`` is the report's read-only list of an entry's
+rows: it keeps the ``Judged`` blocks and builds rows only when read, so
+the JSON report builds rows only for the records it writes.
+``run_identity_suite`` gives the rows as ``IdentityResidual`` objects.
+Nothing is asserted at points whose classification violates an
+identity's hypotheses.
 
 Two sign conventions are not fixed a priori and are calibrated once per
 process on a built-in flat surface: ``s_delta`` (the scalar Laplacian as a
@@ -24,6 +28,7 @@ report.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +49,7 @@ __all__ = [
     "IdentityResidual",
     "Judged",
     "Residual",
+    "ResidualRows",
     "calibrate_conventions",
     "verify_prop3_1",
     "verify_lemma3_1",
@@ -167,20 +173,64 @@ def _judge(block, tol_abs, tol_rel):
                   finite_or_none(tol_rel))
 
 
-def record_rows(judged, index):
+def record_rows(judged, index, where=slice(None)):
     """The report rows of a judged block, one dict per point, for the
-    caller's points ``index``; the one row builder."""
-    block, app = judged.block, judged.block.applicable
+    caller's points ``index``: of every point, or of the positions in the
+    block that ``where`` (an index array or mask) selects, in order; the
+    one row builder."""
+    block, app = judged.block, judged.block.applicable[where]
     ident, tol_abs, tol_rel = block.id, judged.tol_abs, judged.tol_rel
     return [
         {"id": ident, "point_index": i, "lhs": lhs, "rhs": rhs,
          "abs_residual": a, "rel_residual": rel, "applicable": ok,
          "reason": why, "tol_abs": tol_abs, "tol_rel": tol_rel, "pass": p}
         for i, lhs, rhs, a, rel, ok, why, p in zip(
-            index.tolist(), _column(block.lhs, app), _column(block.rhs, app),
-            _column(judged.abs, app), _column(judged.rel, app), app.tolist(),
-            np.where(app, "", block.reason).tolist(),
-            judged.passed.tolist())]
+            index[where].tolist(), _column(block.lhs[where], app),
+            _column(block.rhs[where], app), _column(judged.abs[where], app),
+            _column(judged.rel[where], app), app.tolist(),
+            np.where(block.applicable, "", block.reason)[where].tolist(),
+            judged.passed[where].tolist())]
+
+
+class ResidualRows(Sequence):
+    """The report rows of an entry's ``Judged`` blocks, ordered by
+    (id, point_index), as a read-only sequence: ``record_rows`` builds
+    them on each read and nothing is kept, and indexing builds one row.
+    It equals a list, or another view, with equal rows."""
+
+    def __init__(self, judged, index):
+        self._judged = tuple(judged)
+        self._index = index
+
+    def __len__(self):
+        return len(self._judged) * len(self._index)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        block, point = divmod(range(len(self))[k], len(self._index))
+        return record_rows(self._judged[block], self._index, [point])[0]
+
+    def __iter__(self):
+        for judged in self._judged:
+            yield from record_rows(judged, self._index)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, ResidualRows)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self):
+        return repr(list(self))
+
+    def failing(self):
+        """The rows of the applicable records that fail, in order."""
+        rows = []
+        for judged in self._judged:
+            fails = np.flatnonzero(judged.block.applicable & ~judged.passed)
+            if fails.size:
+                rows += record_rows(judged, self._index, fails)
+        return rows
 
 
 def _reason_array(B, masks_and_reasons):

@@ -1,4 +1,8 @@
-"""Suite orchestration: sampling, entry self-assertions, JSON reports."""
+"""Suite orchestration: sampling, entry self-assertions, JSON reports.
+
+An entry's residual records stay in the judged columns: its report holds
+them as a ``ResidualRows`` view, and ``report_to_json`` builds the rows of
+only the records its mode writes."""
 
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from .catalog import builtin_catalog, get_entry
 from .errors import KangleError, UsageError
 from .geometry import CLASS_NAMES, compute_snapshot, reads
 from .identities import (
+    ResidualRows,
     SUITE_READERS,
     SUITES,
     TOL_ABS_DEFAULT,
@@ -22,7 +27,6 @@ from .identities import (
     evaluate_hypothesis_fields,
     finite_or_none,
     judge_suites,
-    record_rows,
 )
 from .quadrature import torus_checks
 
@@ -160,8 +164,7 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
         "equal_angle_gate": gate_info,
         "hypothesis_fields": fields,
         "quadrature": quad,
-        "residuals": [row for j in judged
-                      for row in record_rows(j, snap.index)],
+        "residuals": ResidualRows(judged, snap.index),
     }
     return result, {j.block.id: _identity_stats(j, entry, pts, snap.index)
                     for j in judged if j.block.applicable.size}
@@ -205,12 +208,14 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
               quad_grid=0, threads=None):
     """Run the selected identity suites over catalog entries.
 
-    Deterministic given the seed; returns the report dictionary.  The
-    overall ``pass`` is false iff any applicable residual fails, any entry
-    self-assertion fails, or any quadrature check fails.  ``quad_grid`` is
-    0 (no quadrature) or at least 8 nodes per axis of a periodic entry's
-    2-torus; a 4-torus takes max(8, quad_grid // 4).  ``threads`` is a
-    worker count, 0 for the CPU count, or None to read KANGLE_THREADS.
+    Deterministic given the seed; returns the report dictionary, in which
+    each entry's ``residuals`` is a ``ResidualRows`` view of every record
+    that builds the rows on each read.  The overall ``pass`` is false iff
+    any applicable residual fails, any entry self-assertion fails, or any
+    quadrature check fails.  ``quad_grid`` is 0 (no quadrature) or at
+    least 8 nodes per axis of a periodic entry's 2-torus; a 4-torus takes
+    max(8, quad_grid // 4).  ``threads`` is a worker count, 0 for the CPU
+    count, or None to read KANGLE_THREADS.
     """
     if entries is None:
         entry_objs = builtin_catalog()
@@ -300,8 +305,9 @@ def report_to_json(report, path=None, records="failing"):
 
     ``records`` picks the residual rows written for each entry: "failing"
     (applicable and not passing, as many as ``summary.records_failed``),
-    "all" or "none"; the JSON states the mode as ``"records"``.  The rows
-    are filtered on a shallow copy, so ``report`` itself keeps every row.
+    "all" or "none"; the JSON states the mode as ``"records"``.  Each
+    entry's ``ResidualRows`` builds only the rows the mode writes, on a
+    shallow copy of the report, which itself is left as it was.
     No indent, so CPython's C encoder writes it.  Non-finite numbers are
     already None in the report; allow_nan=False refuses any that is not,
     since a bare NaN is not JSON.
@@ -309,13 +315,10 @@ def report_to_json(report, path=None, records="failing"):
     if records not in RECORD_MODES:
         raise RunError(f"records must be one of {RECORD_MODES}, "
                        f"got {records!r}")
-    out = dict(report, records=records)
-    if records != "all":
-        out["entries"] = [
-            dict(e, residuals=[r for r in e["residuals"]
-                               if r["applicable"] and not r["pass"]]
-                 if records == "failing" else [])
-            for e in report["entries"]]
+    rows = {"all": list, "failing": ResidualRows.failing,
+            "none": lambda _: []}[records]
+    out = dict(report, records=records, entries=[
+        dict(e, residuals=rows(e["residuals"])) for e in report["entries"]])
     text = json.dumps(out, sort_keys=True, allow_nan=False)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ import pytest
 from jsonschema import validate
 
 import kangle
-from kangle import runner
+from kangle import identities, runner
 from kangle.ambient import space_form
 from kangle.catalog import CatalogEntry, get_entry
 from kangle.cli import _load_entry, build_parser, main
@@ -90,7 +90,9 @@ def small_run(seed=1234):
 
 def test_report_schema_valid():
     report = small_run()
-    validate(report, REPORT_SCHEMA)
+    # the published form: jsonschema's "array" is a list, and each entry's
+    # residuals are a view until report_to_json writes them
+    validate(json.loads(report_to_json(report, records="all")), REPORT_SCHEMA)
     assert report["pass"]
     # records are sorted by (id, point index) within each entry
     for e in report["entries"]:
@@ -187,6 +189,80 @@ def test_record_modes_write_a_filtered_copy():
     assert report == before
     with pytest.raises(RunError, match="records must be one of"):
         report_to_json(report, records="bogus")
+
+
+def _count_built_rows(monkeypatch):
+    """A one-item list holding the number of rows record_rows has built."""
+    built = [0]
+    real = identities.record_rows
+
+    def counting(*args):
+        rows = real(*args)
+        built[0] += len(rows)
+        return rows
+
+    monkeypatch.setattr(identities, "record_rows", counting)
+    return built
+
+
+def test_rows_are_built_only_where_written(monkeypatch):
+    """A run builds no row: the default report builds the failing ones,
+    "all" each row once, "none" and the plain CLI none at all."""
+    built = _count_built_rows(monkeypatch)
+    report = run_suite(points=8, seed=1234, threads=1)
+    assert report["pass"] and report["summary"]["records_failed"] == 0
+    back = json.loads(report_to_json(report))
+    assert built == [0] and all(e["residuals"] == [] for e in back["entries"])
+
+    failing = run_suite(points=8, seed=1234, tol_abs=0.0, tol_rel=0.0,
+                        threads=1)
+    n_failed = failing["summary"]["records_failed"]
+    assert n_failed > 0 and built == [0]
+    back = json.loads(report_to_json(failing))
+    assert built == [n_failed]
+    assert sum(len(e["residuals"]) for e in back["entries"]) == n_failed
+    report_to_json(failing, records="none")
+    assert built == [n_failed]
+    back = json.loads(report_to_json(failing, records="all"))
+    written = sum(len(e["residuals"]) for e in back["entries"])
+    assert written == sum(len(e["residuals"]) for e in failing["entries"])
+    assert built == [n_failed + written]
+    for e, again in zip(failing["entries"], back["entries"]):
+        assert [r for r in again["residuals"]
+                if r["applicable"] and not r["pass"]] == \
+            e["residuals"].failing()
+
+    built[0] = 0
+    assert main(["verify", "--points", "8", "--tol-abs", "0",
+                 "--tol-rel", "0"]) == 1
+    assert built == [0]
+
+
+def test_residual_rows_read_as_a_list():
+    """An entry's residuals read as the list of their rows: length, indexing
+    from either end, slices, order by (id, point_index), equality with the
+    JSON readback both ways, and fresh rows on every read."""
+    report = small_run()
+    back = json.loads(report_to_json(report, records="all"))
+    for e, again in zip(report["entries"], back["entries"]):
+        rows = e["residuals"]
+        listed = list(rows)
+        blocks = {r["id"] for r in listed}
+        assert len(rows) == len(listed) == len(blocks) * e["points_sampled"]
+        for k in (0, 1, e["points_sampled"], len(rows) // 2, -1,
+                  -len(rows)):
+            assert rows[k] == listed[k]
+        assert rows[3:40:7] == listed[3:40:7] and rows[::-1] == listed[::-1]
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        keys = [(r["id"], r["point_index"]) for r in rows]
+        assert keys == sorted(keys)
+        assert rows == again["residuals"] and again["residuals"] == rows
+        assert rows != again["residuals"][:-1]
+        again_listed = list(rows)
+        assert again_listed == listed
+        assert all(a is not b for a, b in zip(again_listed, listed))
+        assert rows[0] is not rows[0]
 
 
 def test_thread_count_reads_alike_from_argument_and_environment(monkeypatch):
