@@ -20,9 +20,12 @@ Index conventions (``b`` = batch axis):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .jets import Jet, jet_einsum, jstack
+from .errors import UsageError
+from .jets import Jet, jet_einsum, jstack, partials
 
 __all__ = [
     "contract",
@@ -41,25 +44,78 @@ __all__ = [
 ]
 
 
-# contraction plans, keyed on subscripts and operand shapes past the batch
-# axis; a race between threads only plans the same path twice
+# compiled contraction plans, keyed on subscripts and operand shapes past
+# the batch axis; a race between threads only plans the same key twice
 _PLANS = {}
 
 
 def contract(subscripts, *operands):
-    """np.einsum along a contraction path planned once and then reused.
+    """np.einsum of batch-first operands, replayed from a plan compiled once.
 
     Every operand and the output carry the batch label ``b`` first, so the
-    cheapest path does not depend on the batch size: one plan, found by
-    ``np.einsum_path(..., optimize="optimal")``, serves every batch and
-    masked sub-batch with the same trailing shapes.
+    cheapest path does not depend on the batch size: one plan serves every
+    batch and masked sub-batch with the same trailing shapes.  The plan is
+    the path of ``np.einsum_path(..., optimize="optimal")`` compiled into
+    pairwise steps, each an axis permutation and ``(-1, L, K)`` reshape of
+    its left operand, a ``(-1, K, R)`` one of its right operand and one
+    ``np.matmul``, then the transpose to the output's axis order.  A call
+    replays the steps and plans nothing.  A subscript with a step that is
+    not a batched matmul (a repeated label, a label summed within one
+    operand, or a size-1 axis broadcast against a longer one) raises
+    ``UsageError`` when it is planned.
     """
     key = (subscripts,) + tuple(op.shape[1:] for op in operands)
-    path = _PLANS.get(key)
-    if path is None:
+    plan = _PLANS.get(key)
+    if plan is None:
         path = np.einsum_path(subscripts, *operands, optimize="optimal")[0]
-        _PLANS[key] = path
-    return np.einsum(subscripts, *operands, optimize=path)
+        plan = _PLANS[key] = _compile(subscripts, path[1:],
+                                      [op.shape for op in operands])
+    steps, final = plan
+    ops = list(operands)
+    for i, j, perm_a, shape_a, perm_b, shape_b, shape in steps:
+        b, a = ops.pop(j), ops.pop(i)
+        ops.append(np.matmul(a.transpose(perm_a).reshape(shape_a),
+                             b.transpose(perm_b).reshape(shape_b)).reshape(shape))
+    return ops[0].transpose(final)
+
+
+def _compile(subscripts, path, shapes):
+    """contract's plan, (steps, final transpose), for an einsum path of
+    operands of these shapes."""
+    def refuse(why):
+        return UsageError(f"contract cannot compile {subscripts!r}: {why}")
+
+    ins, out = subscripts.split("->")
+    terms = ins.split(",")
+    if any(t[:1] != "b" for t in terms + [out]):
+        raise refuse("an operand or the output lacks the leading batch label b")
+    if any(len(set(t)) < len(t) for t in terms + [out]):
+        raise refuse("a label repeats within one operand")
+    size = {}
+    for t, shape in zip(terms, shapes):
+        for c, n in zip(t, shape):
+            if size.setdefault(c, n) != n:
+                raise refuse(f"label {c} has sizes {size[c]} and {n}")
+    steps = []
+    for pair in path:
+        if len(pair) != 2:
+            raise refuse("a step is not a pairwise contraction")
+        i, j = sorted(pair)
+        tb, ta = terms.pop(j), terms.pop(i)
+        keep = set(out).union(*terms)
+        batch = [c for c in ta if c in tb and c in keep]
+        summed = [c for c in ta if c in tb and c not in keep]
+        left = [c for c in ta if c not in tb]
+        right = [c for c in tb if c not in ta]
+        if not keep.issuperset(left + right):
+            raise refuse(f"a label of {ta},{tb} is summed within one operand")
+        L, K, R = (math.prod(size[c] for c in g) for g in (left, summed, right))
+        steps.append((i, j,
+                      tuple(ta.index(c) for c in batch + left + summed), (-1, L, K),
+                      tuple(tb.index(c) for c in batch + summed + right), (-1, K, R),
+                      (-1,) + tuple(size[c] for c in batch[1:] + left + right)))
+        terms.append("".join(batch + left + right))
+    return tuple(steps), tuple(terms[0].index(c) for c in out)
 
 
 def jet_matrix_inverse(G):
@@ -82,11 +138,6 @@ def jet_matrix_inverse(G):
     for i in range(m):
         total.coeffs[i, i, ..., 0] += 1.0
     return jet_einsum("ik...,kj...->ij...", total, I0)
-
-
-def partials(T):
-    """Stack all partial derivatives as a new leading axis (order drops by 1)."""
-    return jstack([T.derivative(v) for v in range(T.dim)])
 
 
 def christoffel(g, g_inv=None):

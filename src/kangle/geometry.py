@@ -130,7 +130,7 @@ def writes(*keys, order):
     An order-j coefficient of a jet product or unary function depends only
     on operand coefficients of order <= j, so F formed deeper than the
     stages that run declare changes no value; a stage that read deeper
-    than it declares raises at ``Jet.derivative`` of an order-0 jet.
+    than it declares raises at ``partials`` of an order-0 jet.
     """
     def declare(fn):
         fn.writes, fn.order = keys, order

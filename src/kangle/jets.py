@@ -41,6 +41,7 @@ __all__ = [
     "jet_seed",
     "jet_unary",
     "jstack",
+    "partials",
     "num_coeffs",
     "multi_indices",
 ]
@@ -67,7 +68,7 @@ class _Tables:
     order: int
     position: dict              # multi-index -> slot
     shifts: tuple               # (alpha, n_alpha, slots alpha + beta), 0<|alpha|<order
-    derivative: tuple           # per variable: (parent_slots, factors)
+    partials: tuple             # (slot, factor) tables (K', dim) of d/du^v
     factorials: np.ndarray      # alpha! per slot
 
 
@@ -98,25 +99,18 @@ def _tables(dim, order):
         slots = [pos[tuple(x + y for x, y in zip(a, b))] for b in exps[1:n]]
         shifts.append((i, n, np.asarray(slots, dtype=np.intp)))
 
-    deriv = []
-    if order >= 1:
-        child = multi_indices(dim, order - 1)
-        for v in range(dim):
-            parents = []
-            factors = []
-            for b in child:
-                bp = list(b)
-                bp[v] += 1
-                parents.append(pos[tuple(bp)])
-                factors.append(bp[v])
-            deriv.append(
-                (np.asarray(parents, dtype=np.intp), np.asarray(factors, dtype=float))
-            )
+    # slot k of d/du^v reads the slot of beta_k + e_v, times beta_k[v] + 1
+    up = [[tuple(b + (i == v) for i, b in enumerate(beta)) for v in range(dim)]
+          for beta in multi_indices(dim, order - 1)]
+    parts = (np.array([[pos[a] for a in row] for row in up],
+                      dtype=np.intp).reshape(-1, dim),
+             np.array([[a[v] for v, a in enumerate(row)] for row in up],
+                      dtype=float).reshape(-1, dim))
     facts = np.array(
         [math.prod(math.factorial(k) for k in a) for a in exps], dtype=float
     )
 
-    tab = _Tables(dim, order, pos, tuple(shifts), tuple(deriv), facts)
+    tab = _Tables(dim, order, pos, tuple(shifts), parts, facts)
     _TABLE_CACHE[key] = tab
     return tab
 
@@ -242,15 +236,6 @@ class Jet:
             return self
         return Jet(self.dim, order, self.coeffs[..., : num_coeffs(self.dim, order)])
 
-    def derivative(self, var):
-        """Partial derivative jet (same dim, order-1)."""
-        if not 0 <= var < self.dim:
-            raise DomainError(f"variable index {var} out of range 0..{self.dim - 1}")
-        if self.order == 0:
-            raise UsageError("cannot differentiate an order-0 jet")
-        parents, factors = _tables(self.dim, self.order).derivative[var]
-        return Jet(self.dim, self.order - 1, self.coeffs[..., parents] * factors)
-
     def take_batch(self, idx):
         """Select a subset along the batch axis (the last leading axis)."""
         planes = np.take(_planes(self.coeffs), idx, axis=-1)
@@ -344,6 +329,17 @@ class Jet:
             acc = acc * u
             acc = acc + c
         return acc
+
+
+def partials(T):
+    """All partial derivatives of T stacked as a new leading axis, one order
+    below T: ``partials(T)[v]`` is d/du^v T."""
+    if T.order == 0:
+        raise UsageError("cannot differentiate an order-0 jet")
+    slots, factors = _tables(T.dim, T.order).partials
+    planes = _planes(T.coeffs)[slots]                  # (K', dim, ...)
+    planes *= factors.reshape(factors.shape + (1,) * (planes.ndim - 2))
+    return Jet(T.dim, T.order - 1, _coeffs(planes))
 
 
 def jet_seed(dim, order, point, var_index):

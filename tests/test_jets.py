@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import all_multi_indices, central_diff
-from kangle.calculus import jstack
+from kangle.calculus import jstack, partials
 from kangle.errors import DomainError, UsageError
 from kangle.jets import (
     Jet,
@@ -288,7 +288,7 @@ def test_chain_rule_consistency():
 def test_derivative_consistency():
     u, v = jet_seed_all(2, 3, [[0.3, 0.8]])
     f = jet_unary(u * v + 0.2 * u, "sin")
-    df = f.derivative(0)
+    df = partials(f)[0]
     # d/du sin(uv + 0.2u) = (v + 0.2) cos(uv + 0.2u)
     want = (v.truncated(2) + 0.2) * jet_unary((u * v + 0.2 * u).truncated(2), "cos")
     assert np.max(np.abs(df.coeffs - want.coeffs)) < 1e-14
@@ -373,6 +373,22 @@ def _naive_einsum(dim, order, spec, a, b):
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
+def test_partials_is_every_naive_derivative(layout):
+    """partials, one gather, stacks the derivative in every variable, bit
+    for bit, for every dim and order and with leading axes."""
+    rng = np.random.default_rng(23)
+    for dim in range(1, 9):
+        for order in range(1, 5):
+            a = rng.uniform(-1.0, 1.0, (2, 3, num_coeffs(dim, order)))
+            got = partials(_jet(dim, order, a, layout))
+            want = np.stack([_naive_derivative(dim, order, a, v)
+                             for v in range(dim)])
+            assert (got.dim, got.order) == (dim, order - 1)
+            assert _is_coefficient_major(got), (dim, order)
+            assert np.array_equal(got.coeffs, want), (dim, order)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
 def test_kernels_take_any_layout_and_emit_coefficient_major(layout):
     dim, order = 3, 3
     K = num_coeffs(dim, order)
@@ -394,7 +410,7 @@ def test_kernels_take_any_layout_and_emit_coefficient_major(layout):
         (A1 * B, _naive_product(dim, order, a[None], b)),
         (B * A1, _naive_product(dim, order, b, a[None])),
         (A.reciprocal(), _naive_reciprocal(dim, order, a)),
-        (A.derivative(1), _naive_derivative(dim, order, a, 1)),
+        (partials(A)[1], _naive_derivative(dim, order, a, 1)),
         (A.take_batch([4, 0, 2]), a[..., [4, 0, 2], :]),
         (jstack([A, B, A]), np.stack([a, b, a])),
         (jet_einsum("ib,jb->ijb", A, B),
