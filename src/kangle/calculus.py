@@ -140,11 +140,9 @@ def jet_matrix_inverse(G):
     return jet_einsum("ik...,kj...->ij...", total, I0)
 
 
-def christoffel(g, g_inv=None):
+def christoffel(g, g_inv):
     """Christoffel symbols Gamma^k_{ij} (jets, one order below g)."""
     dg = partials(g)                      # dg[v, i, j, b] = d_v g_ij
-    if g_inv is None:
-        g_inv = jet_matrix_inverse(g)
     sym = Jet(dg.dim, dg.order,
               np.einsum("ilj...->lij...", dg.coeffs)
               + np.einsum("jli...->lij...", dg.coeffs)

@@ -34,17 +34,17 @@ def _load_entry(args):
     ``--ambient``, an entry without expectations (the catalog's hold only
     for its own map) over the entry's box, or for FILE over [0, 2pi] per
     axis if periodic, else [-1, 1].  ``--ambient`` is the entry's
-    ``ambient``."""
+    ``ambient``.  Exactly one of FILE and ``--entry`` is given."""
+    if bool(args.entry) == bool(args.file):
+        raise KangleError("give either an .imm file or --entry NAME")
     if args.entry:
         entry = get_entry(args.entry)
         if not args.ambient:
             return entry
         name, text, box = entry.name, entry.text, entry.box
-    elif args.file:
+    else:
         with open(args.file, "r", encoding="utf-8") as fh:
             name, text, box = args.file, fh.read(), None
-    else:
-        raise KangleError("give an .imm file or --entry NAME")
     spec = parse_immersion(text, name=name)
     ambient = None
     if args.ambient:

@@ -5,12 +5,12 @@ applicability gate so formulas are only asserted on their domain of
 validity.  Each suite returns one ``Residual`` column block per identity;
 ``judge_suites`` judges each block once against the tolerances, giving
 ``Judged`` columns (abs and rel residuals, pass, tolerances) that the
-runner reduces to its per-identity summary.  ``record_rows`` is the one
-builder of report rows, which carry the raw sides, absolute and relative
-residuals and the gating reason, for every point of a block or a selection
-of them.  ``ResidualRows`` is the report's read-only list of an entry's
-rows: it keeps the ``Judged`` blocks and builds rows only when read, so
-the JSON report builds rows only for the records it writes.
+runner reduces once per identity, over every entry, to its summary.
+``record_rows`` is the one builder of report rows, which carry the raw
+sides, absolute and relative residuals and the gating reason, for every
+point of a block or a selection of them.  ``ResidualRows`` is the
+report's read-only list of an entry's rows: it keeps the ``Judged``
+blocks and the kept points and builds rows only when read.
 ``run_identity_suite`` gives the rows as ``IdentityResidual`` objects.
 Nothing is asserted at points whose classification violates an
 identity's hypotheses.
@@ -196,24 +196,26 @@ class ResidualRows(Sequence):
     """The report rows of an entry's ``Judged`` blocks, ordered by
     (id, point_index), as a read-only sequence: ``record_rows`` builds
     them on each read and nothing is kept, and indexing builds one row.
-    It equals a list, or another view, with equal rows."""
+    It equals a list, or another view, with equal rows.  It holds the
+    blocks and the kept points: their ``index`` and their ``points``."""
 
-    def __init__(self, judged, index):
-        self._judged = tuple(judged)
-        self._index = index
+    def __init__(self, judged, index, points):
+        self.judged = tuple(judged)
+        self.index = index
+        self.points = points
 
     def __len__(self):
-        return len(self._judged) * len(self._index)
+        return len(self.judged) * len(self.index)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
-        block, point = divmod(range(len(self))[k], len(self._index))
-        return record_rows(self._judged[block], self._index, [point])[0]
+        block, point = divmod(range(len(self))[k], len(self.index))
+        return record_rows(self.judged[block], self.index, [point])[0]
 
     def __iter__(self):
-        for judged in self._judged:
-            yield from record_rows(judged, self._index)
+        for judged in self.judged:
+            yield from record_rows(judged, self.index)
 
     def __eq__(self, other):
         if not isinstance(other, (list, ResidualRows)):
@@ -226,10 +228,10 @@ class ResidualRows(Sequence):
     def failing(self):
         """The rows of the applicable records that fail, in order."""
         rows = []
-        for judged in self._judged:
+        for judged in self.judged:
             fails = np.flatnonzero(judged.block.applicable & ~judged.passed)
             if fails.size:
-                rows += record_rows(judged, self._index, fails)
+                rows += record_rows(judged, self.index, fails)
         return rows
 
 

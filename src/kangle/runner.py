@@ -1,8 +1,8 @@
 """Suite orchestration: sampling, entry self-assertions, JSON reports.
 
-An entry's residual records stay in the judged columns: its report holds
-them as a ``ResidualRows`` view, and ``report_to_json`` builds the rows of
-only the records its mode writes."""
+An entry's residual records stay judged columns in its report's
+``ResidualRows`` view: ``run_suite`` reduces each identity's columns over
+all entries once, and ``report_to_json`` builds only the rows it writes."""
 
 from __future__ import annotations
 
@@ -127,8 +127,8 @@ def _field_stats(fields):
 @reads("equal_gate", "classification", "cos_angles")
 def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
                conventions, quad_grid):
-    """One entry's report and, by identity id, its share of
-    ``summary.per_identity`` (see ``_identity_stats``)."""
+    """One entry's report; its ``residuals`` view keeps the judged
+    columns and the kept points, which ``_per_identity`` reduces."""
     spec = entry.spec()
     pts = sample_points(entry.box, points, seed)
     keys = sum((SUITE_READERS[name].reads for name in suites),
@@ -164,43 +164,58 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
         "equal_angle_gate": gate_info,
         "hypothesis_fields": fields,
         "quadrature": quad,
-        "residuals": ResidualRows(judged, snap.index),
+        "residuals": ResidualRows(judged, snap.index, snap.points),
     }
-    return result, {j.block.id: _identity_stats(j, entry, pts, snap.index)
-                    for j in judged if j.block.applicable.size}
+    return result
 
 
-def _identity_stats(judged, entry, pts, index):
-    """One entry's share of ``summary.per_identity[id]``: the applicable
-    and failed counts, the largest finite abs and rel residuals of the
-    applicable records (0.0 if none), and (rank, worst) for the record
-    closest to failing, or (None, None).  The rank is (gate margin, rel),
-    the margin min(abs/tol_abs, rel/tol_rel) being above 1 iff the gate
-    fails the record and 0 where a tolerance is infinite or the block is
-    reported; the first record of the highest rank wins."""
-    app = judged.block.applicable
-    a, rel = judged.abs, judged.rel
-    finite = app & np.isfinite(rel)
-    stats = {"applicable": int(np.count_nonzero(app)),
-             "failed": int(np.count_nonzero(app & ~judged.passed)),
-             "max_rel": max(0.0, float(np.max(rel[finite], initial=0.0))),
-             "max_abs": max(0.0, float(np.max(
-                 a[app & np.isfinite(a)], initial=0.0)))}
-    if not finite.any():
-        return stats, None, None
-    if None in (judged.tol_abs, judged.tol_rel):
-        margin = np.zeros_like(rel)
-    else:
-        with np.errstate(over="ignore"):
-            margin = np.minimum(a / max(judged.tol_abs, 1e-300),
-                                rel / max(judged.tol_rel, 1e-300))
-    where = np.flatnonzero(finite)
-    top = where[margin[where] == np.max(margin[where])]
-    k = top[np.argmax(rel[top])]
-    worst = {"entry": entry.name, "point_index": int(index[k]),
-             "point": pts[index[k]].tolist(), "abs_residual": float(a[k]),
-             "rel_residual": float(rel[k])}
-    return stats, (float(margin[k]), float(rel[k])), worst
+def _per_identity(results):
+    """``summary.per_identity``: each identity's judged columns of every
+    entry, in run order, concatenated and reduced once.  It holds the
+    applicable and failed counts, the largest finite abs and rel residuals
+    of the applicable records (0.0 if none), and the worst record, the
+    first of the highest (gate margin, rel), or None.  The margin
+    min(abs/tol_abs, rel/tol_rel) is above 1 iff the gate fails the
+    record, and 0 where a tolerance is None (infinite, or the block
+    reported); an identity's tolerances are the same in every entry."""
+    parts = {}
+    for r in results:
+        for j in r["residuals"].judged:
+            parts.setdefault(j.block.id, []).append((r, j))
+    out = {}
+    for ident, blocks in sorted(parts.items()):
+        app, a, rel, passed = (np.concatenate(c) for c in zip(*(
+            (j.block.applicable, j.abs, j.rel, j.passed) for _, j in blocks)))
+        finite = app & np.isfinite(rel)
+        info = out[ident] = {
+            "applicable": int(np.count_nonzero(app)),
+            "failed": int(np.count_nonzero(app & ~passed)),
+            "max_rel": max(0.0, float(np.max(rel[finite], initial=0.0))),
+            "max_abs": max(0.0, float(np.max(
+                a[app & np.isfinite(a)], initial=0.0))),
+            "worst": None}
+        if not finite.any():
+            continue
+        tol_abs, tol_rel = blocks[0][1].tol_abs, blocks[0][1].tol_rel
+        if None in (tol_abs, tol_rel):
+            margin = np.zeros_like(rel)
+        else:
+            with np.errstate(over="ignore"):
+                margin = np.minimum(a / max(tol_abs, 1e-300),
+                                    rel / max(tol_rel, 1e-300))
+        where = np.flatnonzero(finite)
+        top = where[margin[where] == np.max(margin[where])]
+        k = i = top[np.argmax(rel[top])]
+        for r, j in blocks:            # record k is point i of r's block
+            if i < j.rel.size:
+                break
+            i -= j.rel.size
+        view = r["residuals"]
+        info["worst"] = {
+            "entry": r["name"], "point_index": int(view.index[i]),
+            "point": view.points[i].tolist(), "abs_residual": float(a[k]),
+            "rel_residual": float(rel[k])}
+    return out
 
 
 def run_suite(entries=None, suites="all", points=64, seed=1234,
@@ -252,26 +267,10 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
              quad_grid) for e in entry_objs]
     if threads > 1 and len(entry_objs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(lambda a: _run_entry(*a), args))
+            results = list(pool.map(lambda a: _run_entry(*a), args))
     else:
-        outputs = [_run_entry(*a) for a in args]
-    results = [result for result, _ in outputs]
-
-    # each entry's shares merged in entry order, so the first record of
-    # the highest rank is the worst
-    per_identity, ranks = {}, {}
-    for _, part in outputs:
-        for ident, (stats, rank, worst) in part.items():
-            info = per_identity.setdefault(
-                ident, {"applicable": 0, "failed": 0, "max_rel": 0.0,
-                        "max_abs": 0.0, "worst": None})
-            for key in ("applicable", "failed"):
-                info[key] += stats[key]
-            for key in ("max_rel", "max_abs"):
-                info[key] = max(info[key], stats[key])
-            if rank is not None and (ident not in ranks
-                                     or rank > ranks[ident]):
-                ranks[ident], info["worst"] = rank, worst
+        results = [_run_entry(*a) for a in args]
+    per_identity = _per_identity(results)
     n_applicable = sum(i["applicable"] for i in per_identity.values())
     n_failed = sum(i["failed"] for i in per_identity.values())
 
@@ -293,7 +292,7 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
         "summary": {
             "records_applicable": n_applicable,
             "records_failed": n_failed,
-            "per_identity": dict(sorted(per_identity.items())),
+            "per_identity": per_identity,
         },
         "pass": bool(ok),
     }

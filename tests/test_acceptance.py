@@ -159,7 +159,8 @@ def test_criterion_5_ambient_validation():
                 np.abs(ric - einstein_constant(spec) * g))))
             gj = ambient_metric_jet(spec, ca.jstack(
                 jet_seed_all(spec.real_dim, 3, z)))
-            R_jet = ca.riemann_from_christoffel(ca.christoffel(gj), gj)
+            R_jet = ca.riemann_from_christoffel(
+                ca.christoffel(gj, ca.jet_matrix_inverse(gj)), gj)
             worst_curv = max(worst_curv, float(
                 np.max(np.abs(R_jet - R4)) / np.max(np.abs(R4))))
     assert worst_einstein < 1e-7

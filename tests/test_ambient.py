@@ -152,7 +152,7 @@ def test_closed_form_vs_jet_curvature(n, rho):
     spec = space_form(rho, 2 * n)
     z = _chart_points(rng, spec, 20)
     gj = ambient_metric_jet(spec, ca.jstack(jet_seed_all(spec.real_dim, 3, z)))
-    gamma = ca.christoffel(gj)
+    gamma = ca.christoffel(gj, ca.jet_matrix_inverse(gj))
     zj = ca.jstack(jet_seed_all(spec.real_dim, 2, z))
     gamma_closed = ambient_christoffel(spec, zj)
     assert _agree(gamma_closed, gamma)
@@ -190,7 +190,8 @@ def test_kahler_condition_nabla_J():
     J = ambient_J(spec)
     Jc = np.zeros((4, 4, 10, seeds.coeffs.shape[-1]))
     Jc[..., 0] = J[:, :, None]
-    for gamma in (ca.christoffel(ambient_metric_jet(spec, seeds)),
+    gj = ambient_metric_jet(spec, seeds)
+    for gamma in (ca.christoffel(gj, ca.jet_matrix_inverse(gj)),
                   ambient_christoffel(spec, seeds.truncated(2))):
         nJ = ca.cov_d(Jet(4, 3, Jc), gamma, upper=(0,))
         assert np.max(np.abs(nJ.coeffs)) < 1e-8

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -338,13 +339,27 @@ def _per_identity_oracle(report, entries, points, seed):
     return dict(sorted(per_identity.items()))
 
 
-@pytest.mark.parametrize("seed", [1234, 1235, 1240])
-def test_per_identity_summary_equals_the_record_walk(seed):
+TIGHT = {"tol_abs": 1e-16, "tol_rel": 1e-16}
+INFINITE = {"tol_abs": math.inf, "tol_rel": math.inf}
+
+
+@pytest.mark.parametrize(
+    "seed, tols", [(1234, {}), (1235, {}), (1240, {}), (1234, TIGHT),
+                   (1234, INFINITE)],
+    ids=["1234", "1235", "1240", "1234-tight", "1234-infinite"])
+def test_per_identity_summary_equals_the_record_walk(seed, tols):
     """The runner's array reductions over the judged columns give the
-    summary a record-by-record walk of the rows gives, worst included."""
+    summary a record-by-record walk of the rows gives, worst included:
+    at the default tolerances, at tight ones, where records fail and
+    gate margins exceed 1, and at infinite ones, where the tolerances
+    are null and every margin is 0."""
     entries = runner.builtin_catalog()
-    report = run_suite(points=48, seed=seed, threads=1)
+    report = run_suite(points=48, seed=seed, threads=1, **tols)
     summary = report["summary"]
+    if tols is TIGHT:
+        assert summary["records_failed"] > 0
+    if tols is INFINITE:
+        assert report["tolerances"] == {"abs": None, "rel": None}
     oracle = _per_identity_oracle(report, entries, 48, seed)
     assert summary["per_identity"] == oracle
     assert summary["records_applicable"] == sum(
@@ -385,6 +400,24 @@ def test_worst_record_is_closest_to_failing():
             assert row["abs_residual"] == worst["abs_residual"]
             pts = sample_points(get_entry(worst["entry"]).box, 16, 1234)
             assert worst["point"] == pts[worst["point_index"]].tolist()
+
+
+def test_worst_record_tie_goes_to_the_first_entry():
+    """trig_flat_2d and calibration_surface are one map on one box, so
+    their records at one seed are equal: each identity's worst record is
+    the first listed entry's, and the rest of the summary does not depend
+    on the order."""
+    pair = ("trig_flat_2d", "calibration_surface")
+    summaries = {}
+    for first, second in (pair, pair[::-1]):
+        summary = run_suite(entries=[first, second], points=8,
+                            threads=1)["summary"]
+        worst = [info["worst"] for info in summary["per_identity"].values()
+                 if info["worst"] is not None]
+        assert worst
+        assert {w.pop("entry") for w in worst} == {first}
+        summaries[first] = summary
+    assert summaries[pair[0]] == summaries[pair[1]]
 
 
 # ------------------------------------------------------------------- CLI
@@ -546,6 +579,21 @@ def test_cli_json_path_checked_before_the_run(tmp_path, capsys, monkeypatch):
         assert main(args + ["--json", str(tmp_path)]) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
+
+def test_cli_file_and_entry_together_exit_2(tmp_path, capsys):
+    """FILE and --entry name two immersions: eval, verify and integrate
+    refuse the pair with one error line and leave no --json file."""
+    imm, out = tmp_path / "p.imm", tmp_path / "out.json"
+    imm.write_text(get_entry("lagrangian_torus_4").text, encoding="utf-8")
+    for args in (["eval", str(imm), "--entry", "ds_graph", "--point",
+                  "0,0,0,0"],
+                 ["verify", str(imm), "--entry", "ds_graph", "--points", "4"],
+                 ["integrate", str(imm), "--entry", "ds_graph"]):
+        assert main(args + ["--json", str(out)]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+        assert not out.exists(), args
 
 
 def test_cli_quad_grid_checked_before_the_run(capsys, monkeypatch):
