@@ -4,14 +4,14 @@ Every identity is evaluated as LHS - RHS over a batch snapshot, with an
 applicability gate so formulas are only asserted on their domain of
 validity.  Each suite returns one ``Residual`` column block per identity;
 ``judge_suites`` judges each block once against the tolerances, giving
-``Judged`` columns (abs and rel residuals, pass, tolerances) that the
-runner reduces once per identity, over every entry, to its summary.
+``Judged`` blocks: the columns with abs and rel residuals, pass and
+tolerances, which only this module reads.  ``per_identity`` reduces each
+identity's blocks once, over every entry of a run, to its summary;
 ``record_rows`` is the one builder of report rows, which carry the raw
-sides, absolute and relative residuals and the gating reason, for every
-point of a block or a selection of them.  ``ResidualRows`` is the
-report's read-only list of an entry's rows: it keeps the ``Judged``
-blocks and the kept points and builds rows only when read.
-``run_identity_suite`` gives the rows as ``IdentityResidual`` objects.
+sides, absolute and relative residuals and the gating reason.
+``ResidualRows``, the report's iterable of an entry's rows, keeps the
+``Judged`` blocks and the kept points and builds rows only when read;
+``run_identity_suite`` gives them as ``IdentityResidual`` objects.
 Nothing is asserted at points whose classification violates an
 identity's hypotheses.
 
@@ -28,7 +28,6 @@ report.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,6 +59,7 @@ __all__ = [
     "verify_prop3_6",
     "evaluate_hypothesis_fields",
     "judge_suites",
+    "per_identity",
     "record_rows",
     "run_identity_suite",
     "finite_or_none",
@@ -146,13 +146,12 @@ def _column(values, applicable):
     return out
 
 
-@dataclass
-class Judged:
+@dataclass(kw_only=True)
+class Judged(Residual):
     """A ``Residual`` block judged against the tolerances: its (B,) ``abs``
     and ``rel`` residuals, the (B,) ``passed`` column, and the tolerances,
     None where not finite or where the block is reported."""
 
-    block: Residual
     abs: np.ndarray
     rel: np.ndarray
     passed: np.ndarray
@@ -163,14 +162,63 @@ class Judged:
 def _judge(block, tol_abs, tol_rel):
     """The one place a residual meets a tolerance: an applicable record
     passes where abs <= tol_abs or rel <= tol_rel; a reported one always
-    passes."""
+    passes.  ``per_identity`` ranks records by the same rule."""
     a, rel = block.residuals()
     if block.reported:
-        return Judged(block, a, rel, np.ones_like(block.applicable), None,
-                      None)
-    passed = block.applicable & ((a <= tol_abs) | (rel <= tol_rel))
-    return Judged(block, a, rel, passed, finite_or_none(tol_abs),
-                  finite_or_none(tol_rel))
+        passed, tol_abs, tol_rel = np.ones_like(block.applicable), None, None
+    else:
+        passed = block.applicable & ((a <= tol_abs) | (rel <= tol_rel))
+    return Judged(**vars(block), abs=a, rel=rel, passed=passed,
+                  tol_abs=finite_or_none(tol_abs),
+                  tol_rel=finite_or_none(tol_rel))
+
+
+def per_identity(views):
+    """``summary.per_identity``: each identity's judged columns of every
+    entry, from the run's (entry name, ``ResidualRows``) pairs in order,
+    concatenated and reduced once to the applicable and failed counts, the
+    largest finite abs and rel residuals of the applicable records (0.0 if
+    none) and the worst record, the first of the highest (gate margin,
+    rel), or None.  The margin min(abs/tol_abs, rel/tol_rel) is above 1
+    iff ``_judge`` fails the record, and 0 where a tolerance is None; an
+    identity's tolerances are the same in every entry."""
+    parts = {}
+    for name, view in views:
+        for j in view.judged:
+            parts.setdefault(j.id, []).append((name, view, j))
+    out = {}
+    for ident, blocks in sorted(parts.items()):
+        app, a, rel, passed = (np.concatenate(c) for c in zip(*(
+            (j.applicable, j.abs, j.rel, j.passed) for *_, j in blocks)))
+        finite = app & np.isfinite(rel)
+        info = out[ident] = {
+            "applicable": int(np.count_nonzero(app)),
+            "failed": int(np.count_nonzero(app & ~passed)),
+            "max_rel": max(0.0, float(np.max(rel[finite], initial=0.0))),
+            "max_abs": max(0.0, float(np.max(
+                a[app & np.isfinite(a)], initial=0.0))),
+            "worst": None}
+        if not finite.any():
+            continue
+        tol_abs, tol_rel = blocks[0][2].tol_abs, blocks[0][2].tol_rel
+        if None in (tol_abs, tol_rel):
+            margin = np.zeros_like(rel)
+        else:
+            with np.errstate(over="ignore"):
+                margin = np.minimum(a / max(tol_abs, 1e-300),
+                                    rel / max(tol_rel, 1e-300))
+        where = np.flatnonzero(finite)
+        top = where[margin[where] == np.max(margin[where])]
+        k = i = top[np.argmax(rel[top])]
+        for name, view, j in blocks:   # record k is point i of this block
+            if i < j.rel.size:
+                break
+            i -= j.rel.size
+        info["worst"] = {
+            "entry": name, "point_index": int(view.index[i]),
+            "point": view.points[i].tolist(), "abs_residual": float(a[k]),
+            "rel_residual": float(rel[k])}
+    return out
 
 
 def record_rows(judged, index, where=slice(None)):
@@ -178,58 +226,40 @@ def record_rows(judged, index, where=slice(None)):
     caller's points ``index``: of every point, or of the positions in the
     block that ``where`` (an index array or mask) selects, in order; the
     one row builder."""
-    block, app = judged.block, judged.block.applicable[where]
-    ident, tol_abs, tol_rel = block.id, judged.tol_abs, judged.tol_rel
+    app = judged.applicable[where]
+    ident, tol_abs, tol_rel = judged.id, judged.tol_abs, judged.tol_rel
     return [
         {"id": ident, "point_index": i, "lhs": lhs, "rhs": rhs,
          "abs_residual": a, "rel_residual": rel, "applicable": ok,
          "reason": why, "tol_abs": tol_abs, "tol_rel": tol_rel, "pass": p}
         for i, lhs, rhs, a, rel, ok, why, p in zip(
-            index[where].tolist(), _column(block.lhs[where], app),
-            _column(block.rhs[where], app), _column(judged.abs[where], app),
+            index[where].tolist(), _column(judged.lhs[where], app),
+            _column(judged.rhs[where], app), _column(judged.abs[where], app),
             _column(judged.rel[where], app), app.tolist(),
-            np.where(block.applicable, "", block.reason)[where].tolist(),
+            np.where(judged.applicable, "", judged.reason)[where].tolist(),
             judged.passed[where].tolist())]
 
 
-class ResidualRows(Sequence):
+class ResidualRows:
     """The report rows of an entry's ``Judged`` blocks, ordered by
-    (id, point_index), as a read-only sequence: ``record_rows`` builds
-    them on each read and nothing is kept, and indexing builds one row.
-    It equals a list, or another view, with equal rows.  It holds the
-    blocks and the kept points: their ``index`` and their ``points``."""
+    (id, point_index), as an iterable: ``record_rows`` builds them on each
+    iteration and nothing is kept.  It holds the blocks, as ``judged``,
+    and the kept points: their ``index`` and their ``points``."""
 
     def __init__(self, judged, index, points):
         self.judged = tuple(judged)
         self.index = index
         self.points = points
 
-    def __len__(self):
-        return len(self.judged) * len(self.index)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
-        block, point = divmod(range(len(self))[k], len(self.index))
-        return record_rows(self.judged[block], self.index, [point])[0]
-
     def __iter__(self):
         for judged in self.judged:
             yield from record_rows(judged, self.index)
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, ResidualRows)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self):
-        return repr(list(self))
 
     def failing(self):
         """The rows of the applicable records that fail, in order."""
         rows = []
         for judged in self.judged:
-            fails = np.flatnonzero(judged.block.applicable & ~judged.passed)
+            fails = np.flatnonzero(judged.applicable & ~judged.passed)
             if fails.size:
                 rows += record_rows(judged, self.index, fails)
         return rows

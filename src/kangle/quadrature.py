@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import QuadratureError, UsageError
+from .errors import (DegenerateAngleError, DomainError, NotAnImmersionError,
+                     QuadratureError, UsageError)
 from .geometry import compute_snapshot, reads
 from .identities import finite_or_none
 from .jets import jet_seed_all
@@ -83,8 +84,12 @@ def torus_quadrature(spec, integrand, grid_n, order=3):
     needs = sum((INTEGRANDS[k].reads for k in keys), torus_quadrature.reads)
     rejected = []
     for start in range(0, pts.shape[0], CHUNK):
-        snap = compute_snapshot(spec, pts[start:start + CHUNK], order=order,
-                                reads=needs)
+        chunk = pts[start:start + CHUNK]
+        try:
+            snap = compute_snapshot(spec, chunk, order=order, reads=needs)
+        except (DomainError, NotAnImmersionError, DegenerateAngleError) as exc:
+            rejected += [(start, str(exc))] * len(chunk)  # none kept
+            continue
         rejected += snap.rejected
         for key in keys:
             vals = np.asarray(INTEGRANDS[key](snap))

@@ -1,8 +1,8 @@
 """Suite orchestration: sampling, entry self-assertions, JSON reports.
 
 An entry's residual records stay judged columns in its report's
-``ResidualRows`` view: ``run_suite`` reduces each identity's columns over
-all entries once, and ``report_to_json`` builds only the rows it writes."""
+``ResidualRows`` view: ``identities.per_identity`` reduces them once for
+the summary, and ``report_to_json`` builds only the rows it writes."""
 
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from .identities import (
     evaluate_hypothesis_fields,
     finite_or_none,
     judge_suites,
+    per_identity,
 )
 from .quadrature import torus_checks
 
@@ -127,8 +128,8 @@ def _field_stats(fields):
 @reads("equal_gate", "classification", "cos_angles")
 def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
                conventions, quad_grid):
-    """One entry's report; its ``residuals`` view keeps the judged
-    columns and the kept points, which ``_per_identity`` reduces."""
+    """One entry's report, whose ``residuals`` view keeps the judged
+    columns and the kept points, and the order its snapshot formed F at."""
     spec = entry.spec()
     pts = sample_points(entry.box, points, seed)
     keys = sum((SUITE_READERS[name].reads for name in suites),
@@ -149,7 +150,7 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
         n_axis = quad_grid if snap.domain_dim == 2 else max(8, quad_grid // 4)
         quad = torus_checks(spec, n_axis)
     cos = snap.cos_angles
-    result = {
+    return {
         "name": entry.name,
         "points_sampled": int(snap.size),
         "points_rejected": len(snap.rejected),
@@ -165,57 +166,7 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
         "hypothesis_fields": fields,
         "quadrature": quad,
         "residuals": ResidualRows(judged, snap.index, snap.points),
-    }
-    return result
-
-
-def _per_identity(results):
-    """``summary.per_identity``: each identity's judged columns of every
-    entry, in run order, concatenated and reduced once.  It holds the
-    applicable and failed counts, the largest finite abs and rel residuals
-    of the applicable records (0.0 if none), and the worst record, the
-    first of the highest (gate margin, rel), or None.  The margin
-    min(abs/tol_abs, rel/tol_rel) is above 1 iff the gate fails the
-    record, and 0 where a tolerance is None (infinite, or the block
-    reported); an identity's tolerances are the same in every entry."""
-    parts = {}
-    for r in results:
-        for j in r["residuals"].judged:
-            parts.setdefault(j.block.id, []).append((r, j))
-    out = {}
-    for ident, blocks in sorted(parts.items()):
-        app, a, rel, passed = (np.concatenate(c) for c in zip(*(
-            (j.block.applicable, j.abs, j.rel, j.passed) for _, j in blocks)))
-        finite = app & np.isfinite(rel)
-        info = out[ident] = {
-            "applicable": int(np.count_nonzero(app)),
-            "failed": int(np.count_nonzero(app & ~passed)),
-            "max_rel": max(0.0, float(np.max(rel[finite], initial=0.0))),
-            "max_abs": max(0.0, float(np.max(
-                a[app & np.isfinite(a)], initial=0.0))),
-            "worst": None}
-        if not finite.any():
-            continue
-        tol_abs, tol_rel = blocks[0][1].tol_abs, blocks[0][1].tol_rel
-        if None in (tol_abs, tol_rel):
-            margin = np.zeros_like(rel)
-        else:
-            with np.errstate(over="ignore"):
-                margin = np.minimum(a / max(tol_abs, 1e-300),
-                                    rel / max(tol_rel, 1e-300))
-        where = np.flatnonzero(finite)
-        top = where[margin[where] == np.max(margin[where])]
-        k = i = top[np.argmax(rel[top])]
-        for r, j in blocks:            # record k is point i of r's block
-            if i < j.rel.size:
-                break
-            i -= j.rel.size
-        view = r["residuals"]
-        info["worst"] = {
-            "entry": r["name"], "point_index": int(view.index[i]),
-            "point": view.points[i].tolist(), "abs_residual": float(a[k]),
-            "rel_residual": float(rel[k])}
-    return out
+    }, snap.order
 
 
 def run_suite(entries=None, suites="all", points=64, seed=1234,
@@ -230,7 +181,8 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
     quadrature check fails.  ``quad_grid`` is 0 (no quadrature) or at
     least 8 nodes per axis of a periodic entry's 2-torus; a 4-torus takes
     max(8, quad_grid // 4).  ``threads`` is a worker count, 0 for the CPU
-    count, or None to read KANGLE_THREADS.
+    count, or None to read KANGLE_THREADS.  The report's ``order`` is the
+    one the entries' snapshots formed F at, at most ``order``.
     """
     if entries is None:
         entry_objs = builtin_catalog()
@@ -267,12 +219,13 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
              quad_grid) for e in entry_objs]
     if threads > 1 and len(entry_objs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: _run_entry(*a), args))
+            runs = list(pool.map(lambda a: _run_entry(*a), args))
     else:
-        results = [_run_entry(*a) for a in args]
-    per_identity = _per_identity(results)
-    n_applicable = sum(i["applicable"] for i in per_identity.values())
-    n_failed = sum(i["failed"] for i in per_identity.values())
+        runs = [_run_entry(*a) for a in args]
+    results = [r for r, _ in runs]
+    summary = per_identity((r["name"], r["residuals"]) for r in results)
+    n_applicable = sum(i["applicable"] for i in summary.values())
+    n_failed = sum(i["failed"] for i in summary.values())
 
     ok = (n_failed == 0
           and all(r["expected_ok"] for r in results)
@@ -283,7 +236,7 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
         "version": __version__,
         "conventions": conventions.as_dict(),
         "seed": seed,
-        "order": order,
+        "order": max((formed for _, formed in runs), default=order),
         "points_per_entry": points,
         "suites": list(suites),
         "tolerances": {"abs": finite_or_none(tol_abs),
@@ -292,7 +245,7 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
         "summary": {
             "records_applicable": n_applicable,
             "records_failed": n_failed,
-            "per_identity": per_identity,
+            "per_identity": summary,
         },
         "pass": bool(ok),
     }

@@ -280,6 +280,11 @@ def test_torus_quadrature_reads_only_the_volume_element(monkeypatch):
     assert quadrature.torus_quadrature(spec, keys, 8) == reduced
 
 
+def _listed(result):
+    """An entry's report with its residual rows as a list."""
+    return dict(result, residuals=list(result["residuals"]))
+
+
 def test_run_entry_reads_are_exact(monkeypatch, conventions):
     results = {}
     for case in CASES:
@@ -289,7 +294,8 @@ def test_run_entry_reads_are_exact(monkeypatch, conventions):
     for case in CASES:
         full = runner._run_entry(get_entry(case), list(SUITE_READERS), 6, 11,
                                  3, 1e-7, 1e-5, conventions, 0)
-        assert full == results[case], case
+        assert full[1] == results[case][1] == 3, case
+        assert _listed(full[0]) == _listed(results[case][0]), case
     # _run_entry's own reads: with every reader it calls silenced
     for name, result in (("check_expected", []), ("judge_suites", []),
                          ("evaluate_hypothesis_fields", {})):
