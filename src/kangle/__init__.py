@@ -14,6 +14,7 @@ from .errors import (
     ConventionError,
     DegenerateAngleError,
     DomainError,
+    GateError,
     ImmersionSyntaxError,
     KangleError,
     NotAnImmersionError,
@@ -30,6 +31,7 @@ __all__ = [
     "ConventionError",
     "DegenerateAngleError",
     "DomainError",
+    "GateError",
     "ImmersionSyntaxError",
     "KangleError",
     "NotAnImmersionError",

@@ -123,10 +123,12 @@ def ambient_metric(spec, z):
 
 def _common(z, a, b):
     """z, a and b truncated to the common order of a and b, and einsum
-    labels for the axes of a and of b between A and z's batch axes."""
+    labels for the axes of a and of b between A and z's batch axes.  When
+    b is a, the truncated b is the truncated a."""
     o = min(a.order, b.order)
     own = [v.coeffs.ndim - z.coeffs.ndim for v in (a, b)]
-    return (z.truncated(o), a.truncated(o), b.truncated(o),
+    a_o = a.truncated(o)
+    return (z.truncated(o), a_o, a_o if b is a else b.truncated(o),
             "ij"[:own[0]], "kl"[:own[1]])
 
 
@@ -176,9 +178,11 @@ def christoffel_along(spec, z, a, b):
         return Jet.constant(z.dim, z.order, np.zeros(shape))
     A, pa, pb = _pairings(spec, z, a, si, b, sj)
     J, s = ambient_J(spec), A * -spec.rho
-    aJa, bJb = (jstack([v, jet_einsum("AB,B...->A...", J, v)]) for v in (a, b))
-    return (jet_einsum(f"{sj}p...,pA{si}...->{out}", pb * s, aJa)
-            + jet_einsum(f"{si}p...,pA{sj}...->{out}", pa * s, bJb))
+    aJa, pas = jstack([a, jet_einsum("AB,B...->A...", J, a)]), pa * s
+    bJb, pbs = ((aJa, pas) if b is a else
+                (jstack([b, jet_einsum("AB,B...->A...", J, b)]), pb * s))
+    return (jet_einsum(f"{sj}p...,pA{si}...->{out}", pbs, aJa)
+            + jet_einsum(f"{si}p...,pA{sj}...->{out}", pas, bJb))
 
 
 def einstein_constant(spec):

@@ -6,6 +6,10 @@ sample points, followed by the coefficient axis.  Contractions go through
 :func:`kangle.jets.jet_einsum`; a covariant derivative lowers the truncation
 order by one, and a jet sum or product is formed at the lower operand order
 (:mod:`kangle.jets`), so a caller caps an order by truncating an operand.
+A jet product costs its coefficient pairs times its output components, so
+a quantity read only as a trace (the codifferential, the norm of a 2-form,
+the mean curvature) is contracted before it is multiplied out, in
+:mod:`kangle.geometry`; the full-tensor forms are the tests' oracles.
 
 Index conventions (``b`` = batch axis):
 
@@ -36,11 +40,9 @@ __all__ = [
     "riemann_from_christoffel",
     "cov_d",
     "divergence",
-    "codiff",
     "exterior_d_oneform",
     "trace_hessian",
     "gradient_vector",
-    "two_form_pairing",
 ]
 
 
@@ -195,12 +197,6 @@ def divergence(V, gamma):
     return Jet(nV.dim, nV.order, np.einsum("ii...->...", nV.coeffs))
 
 
-def codiff(t, g_inv, gamma):
-    """(delta t)_{k...} = -g^{ij} (nabla_i t)_{jk...}, in the standard sign."""
-    rest = "kmn"[:len(t.shape) - 2]
-    return -jet_einsum(f"ij...,ij{rest}...->{rest}...", g_inv, cov_d(t, gamma))
-
-
 def exterior_d_oneform(s):
     """(ds)[i, j, b] = d_i s_j - d_j s_i."""
     ds = partials(s)
@@ -215,14 +211,3 @@ def trace_hessian(f, g_inv, gamma):
 def gradient_vector(f, g_inv):
     """(grad f)^i = g^{ij} d_j f, one order below f, at most g_inv's."""
     return jet_einsum("ij...,j...->i...", g_inv, partials(f))
-
-
-def two_form_pairing(a, b, g_inv):
-    """<a, b> = (1/2) g^{ik} g^{jl} a_{ij} b_{kl}.
-
-    The 1/2 makes ||e^1 ^ e^2||^2 = 1; the choice is pinned by the angle
-    norm identity ||F*w||^2 = n cos^2(theta).
-    """
-    b_up = jet_einsum("ik...,kl...->il...", g_inv, b)
-    b_up = jet_einsum("jl...,il...->ij...", g_inv, b_up)     # b^{ij}
-    return jet_einsum("ij...,ij...->...", a, b_up) * 0.5

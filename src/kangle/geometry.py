@@ -10,6 +10,10 @@ Laplacians and the eigenframe sums.  They come from the ordered
 last one that writes them run, and F is formed only as deep as those
 stages declare.
 
+The jets read only through a trace, |F*w|^2, delta F*w and H, are
+contracted before they are multiplied out, so nabla F*w and sff exist
+only as values at the points.
+
 Every sum over a unitary eigenframe Z_a = (X_a - i J_w X_a)/2 of (TM, J_w)
 is a contraction with P = sum_a Z_a (x) conj(Z_a) = (g^-1 - i J_w g^-1)/4,
 so no frame is built: J_w is 0 on ker F*w, where P is g^-1/4.
@@ -33,7 +37,7 @@ from .dsl import eval_components
 from .errors import (
     ChartDomainError,
     DegenerateAngleError,
-    DomainError,
+    GateError,
     NotAnImmersionError,
     UsageError,
 )
@@ -59,7 +63,6 @@ __all__ = [
     "kahler_angles",
     "signed_angle_n1",
     "second_fundamental_form",
-    "mean_curvature",
     "weitzenboeck_operator",
     "gauss_equation_residual",
 ]
@@ -179,20 +182,25 @@ def signed_angle_n1(g0, W0):
     return W0[:, 0, 1] / np.sqrt(det)
 
 
-def second_fundamental_form(spec, F, dF, gamma):
-    """sff[i, j, A] = d_i d_j F^A + Gamma^N(dF_i, dF_j)^A - dF^A_k Gamma^k_{ij}
-    along F, at the order of d^2 F."""
-    ddF = ca.partials(dF).coeffs                   # (i, A, j, b)
-    corr = jet_einsum("Ak...,kij...->ijA...", dF, gamma)
-    out = np.einsum("iAj...->ijA...", ddF) - corr.coeffs
-    dF = dF.truncated(corr.order)
-    out += amb.christoffel_along(spec, F, dF, dF).coeffs
-    return Jet(corr.dim, corr.order, out)
+def second_fundamental_form(spec, F, dF, g_inv, gamma, gamma_tr):
+    """The second fundamental form at the points, sff[b, i, j, A], and its
+    trace, the mean curvature H (A, b), as a jet at the order of d^2 F.
 
-
-def mean_curvature(sff, g_inv, n):
-    """H = (1/2n) g^{ij} sff_ij, a normal-valued jet (A, b)."""
-    return jet_einsum("ij...,ijA...->A...", g_inv, sff) * (1.0 / (2 * n))
+    sff_ij = d_i d_j F - dF_k Gamma^k_{ij} + Gamma^N(dF_i, dF_j) along F.
+    H is traced before the middle product is formed: with gamma_tr =
+    Gamma^k = g^{ij} Gamma^k_{ij}, 2n H = g^{ij} d_i d_j F - dF_k Gamma^k
+    + g^{ij} Gamma^N(dF_i, dF_j).  Gamma^N(dF, dF) is formed once, for
+    both."""
+    ddF = ca.partials(dF)                          # (i, A, j, b)
+    dF = dF.truncated(ddF.order)
+    GN = amb.christoffel_along(spec, F, dF, dF)    # (i, j, A, b)
+    H = (jet_einsum("ij...,iAj...->A...", g_inv, ddF)
+         - jet_einsum("Ak...,k...->A...", dF, gamma_tr)
+         + jet_einsum("ij...,ijA...->A...", g_inv, GN)) * (1.0 / ddF.dim)
+    sff0 = (np.einsum("biAj->bijA", _at_points(ddF))
+            - np.einsum("bAk,bkij->bijA", _at_points(dF), _at_points(gamma))
+            + _at_points(GN))
+    return sff0, H
 
 
 def weitzenboeck_operator(RM, g_inv0, alpha0):
@@ -241,10 +249,9 @@ def _plan(reads, order):
     if reads is not None:
         last = 0
         for key in reads:
-            at = [k for k, stage in enumerate(STAGES) if key in stage.writes]
-            if not at:
+            if key not in _WRITER:
                 raise UsageError(f"no snapshot stage writes {key!r}")
-            last = max(last, at[0])
+            last = max(last, _WRITER[key])
         stages = STAGES[:last + 1]
     needed = max(stage.order for stage in stages)
     if order < needed:
@@ -265,12 +272,14 @@ def compute_snapshot(spec, points, order=3, reads=None):
     the last one that writes one of them run, and F is formed at the
     deepest order those stages declare, which ``snap.order`` reports; an
     ``order`` below it raises UsageError before F is evaluated.  Each stage
-    reads keys of the stages before it; ``work`` carries what no reader needs (F,
-    dF, the |F*w|^2 and d F*w the form Laplacians differentiate, the
-    nabla F*w, d delta F*w and (JH)-flat the masked fields reuse, and the
-    tensor P the frame sums contract with) and is dropped.  It holds no
-    ambient tensor: g_N and Gamma^N are applied along F in closed form
-    (``ambient.metric_along``, ``ambient.christoffel_along``).
+    reads keys of the stages before it; ``work`` carries what no reader
+    needs (F, dF, the |F*w|^2 the form Laplacians differentiate, the
+    contracted Christoffel Gamma^k = g^{ij} Gamma^k_{ij} that delta F*w and
+    H are traced with, the nabla F*w, d delta F*w and (JH)-flat the masked
+    fields reuse, and the tensor P the frame sums contract with) and is
+    dropped.  It holds no ambient tensor: g_N and Gamma^N are applied along
+    F in closed form (``ambient.metric_along``,
+    ``ambient.christoffel_along``).
     """
     stages, order = _plan(reads, order)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -289,14 +298,15 @@ def _gate(snap, work, good, reason, error):
     far: the points and their indices, every jet of ``snap.jets`` and
     ``work`` and every array of ``snap.data`` and ``snap.masks``.  Each
     dropped point is recorded in ``snap.rejected`` as (index into the
-    caller's points, reason); ``error`` is raised when no point is left."""
+    caller's points, reason); ``error``, a GateError, is raised with that
+    list when no point is left."""
     if np.all(good):
         return
     bad, keep = np.nonzero(~good)[0], np.nonzero(good)[0]
     snap.rejected += [(int(snap.index[b]), reason) for b in bad]
     if not keep.size:
         raise error(f"no point left: {reason} at {bad.size} point(s), "
-                    f"e.g. {snap.points[bad[0]]}")
+                    f"e.g. {snap.points[bad[0]]}", snap.rejected)
     snap.points, snap.index = snap.points[keep], snap.index[keep]
     for store in (snap.jets, work, snap.data, snap.masks):
         for key, value in store.items():
@@ -306,14 +316,14 @@ def _gate(snap, work, good, reason, error):
                 store[key] = value[keep]
 
 
-@writes("F0", "dF0", "gN0", "g0", "sqrt_det_g0", "g", order=1)
+@writes("F0", "dF0", "g0", "sqrt_det_g0", "g", order=1)
 def _core(snap, work):
-    """F, the finite and chart gates, dF, g, the immersion gate,
-    sqrt(det g) and g_N at the points; their values read dF."""
+    """F, the finite and chart gates, dF, g, the immersion gate and
+    sqrt(det g) at the points; their values read dF."""
     spec, m = snap.ambient_spec, snap.ambient_dim
     with np.errstate(over="ignore"):     # the gate reports the overflow
         finite = np.isfinite(np.sum(work["F"].coeffs ** 2, axis=(0, -1)))
-    _gate(snap, work, finite, "map or a derivative not finite", DomainError)
+    _gate(snap, work, finite, "map or a derivative not finite", GateError)
     snap.data["F0"] = _at_points(work["F"])
     _gate(snap, work, amb.in_chart(spec, snap.F0), "outside chart domain",
           ChartDomainError)
@@ -325,11 +335,8 @@ def _core(snap, work):
     _gate(snap, work, eig[:, 0] > 1e-12 * np.maximum(eig[:, -1], 1.0),
           "not an immersion", NotAnImmersionError)
     g0 = _at_points(snap.jets["g"])
-    snap.data.update(
-        dF0=_at_points(work["dF"]),
-        gN0=amb.ambient_metric(spec, snap.F0),
-        g0=g0, sqrt_det_g0=np.sqrt(np.linalg.det(g0)),
-    )
+    snap.data.update(dF0=_at_points(work["dF"]), g0=g0,
+                     sqrt_det_g0=np.sqrt(np.linalg.det(g0)))
 
 
 @writes("g_inv0", "g_inv", "gamma", order=2)
@@ -347,20 +354,31 @@ def _connection(snap, work):
 def _forms(snap, work):
     """F*w and its calculus to first order: norms, gradients, delta F*w
     and nabla F*w; the derivatives of F*w read d^2 F.  d F*w = F*(dw) = 0,
-    w being closed, so no stage forms it."""
+    w being closed, so no stage forms it.
+
+    The traced jets are contracted before they are multiplied out: with
+    the operator (F*w)#^i_j = g^{ik} W_jk and Gamma^k = g^{ij} Gamma^k_{ij},
+    |F*w|^2 = -tr((F*w)#^2) / 2 and (delta F*w)_k = -g^{ij} d_i W_jk
+    + Gamma^l W_lk - Gamma^l_{ik} (F*w)#^i_l, so nabla F*w is formed only
+    at the points."""
     n, g_inv0 = snap.n, snap.g_inv0
     g_inv, gamma = snap.jets["g_inv"], snap.jets["gamma"]
     W = pullback_form(snap.ambient_spec, work["F"], work["dF"])  # (i, j, b)
     W0 = _at_points(W)
-    norm_W2_jet = ca.two_form_pairing(W, W, g_inv)
+    sharp = "ik...,jk...->ij..."                    # (F*w)#: (i, j, b)
+    Ws2 = jet_einsum(sharp, g_inv, W)
+    norm_W2_jet = jet_einsum("ij...,ji...->...", Ws2, Ws2) * -0.5
     cos2 = norm_W2_jet * (1.0 / n)
-    delta_W = ca.codiff(W, g_inv, gamma)                     # standard sign
+    # (F*w)# to first order, as its readers and delta F*w read it
+    W_sharp = jet_einsum(sharp, g_inv.truncated(1), W)
+    gamma_tr = jet_einsum("ij...,kij...->k...", g_inv, gamma)    # (k, b)
+    delta_W = (jet_einsum("l...,lk...->k...", gamma_tr, W)       # standard sign
+               - jet_einsum("ij...,ijk...->k...", g_inv, ca.partials(W))
+               - jet_einsum("lik...,il...->k...", gamma, W_sharp))
     delta_W0 = _at_points(delta_W)
     nW0 = _at_points(ca.cov_d(W.truncated(1), gamma))        # (b, i, j, k)
     grad_cos2_0 = _at_points(ca.gradient_vector(cos2, g_inv.truncated(0)))
-    # (F*w)#: the operator (i, j, b); its readers differentiate it once
-    W_sharp = jet_einsum("ik...,jk...->ij...", g_inv.truncated(1), W)
-    work.update(norm_W2=norm_W2_jet, nW0=nW0)
+    work.update(norm_W2=norm_W2_jet, nW0=nW0, gamma_tr=gamma_tr)
     snap.jets.update(cos2=cos2, delta_W=delta_W, W_sharp=W_sharp)
     snap.data.update(
         W0=W0, norm_W2_0=norm_W2_jet.value(), cos2_0=cos2.value(),
@@ -416,16 +434,18 @@ def _angles(snap, work):
         snap.data["cos_signed"] = signed_angle_n1(g0, W0)
 
 
-@writes("sff0", "H0", "normH2", "nablaH", "nabla_perpH", "JHtop0",
+@writes("gN0", "sff0", "H0", "normH2", "nablaH", "nabla_perpH", "JHtop0",
         "nabla_JHtop", "d_JHb", "div_JHtop", "div_Wsharp_JHtop", order=3)
 def _extrinsic(snap, work):
-    """Second fundamental form, mean curvature H and (JH)^T with their
-    pointwise derivatives; H reads d^2 F and nabla H reads d^3 F."""
+    """g_N at the points, the second fundamental form, mean curvature H and
+    (JH)^T with their pointwise derivatives; H reads d^2 F and nabla H
+    reads d^3 F."""
     spec, F, dF = snap.ambient_spec, work["F"], work["dF"]
     g_inv, gamma = snap.jets["g_inv"], snap.jets["gamma"]
-    dF0, gN0, m = snap.dF0, snap.gN0, snap.ambient_dim
-    sff = second_fundamental_form(spec, F, dF, gamma)        # (i, j, A, b)
-    H = mean_curvature(sff, g_inv, snap.n)                   # (A, b)
+    dF0, m = snap.dF0, snap.ambient_dim
+    gN0 = amb.ambient_metric(spec, snap.F0)
+    sff0, H = second_fundamental_form(spec, F, dF, g_inv, gamma,
+                                      work["gamma_tr"])      # H: (A, b)
     H0 = _at_points(H)
     JH = jet_einsum("AB,B...->A...", snap.JN, H)
     JHb = amb.metric_along(spec, F, JH, dF)                  # 1-form (i, b)
@@ -440,7 +460,7 @@ def _extrinsic(snap, work):
     nabla_JHtop = _at_points(ca.cov_d(JHtop, gamma, upper=(0,)))
     work["JHb0"] = _at_points(JHb)
     snap.data.update(
-        sff0=_at_points(sff), H0=H0,
+        gN0=gN0, sff0=sff0, H0=H0,
         normH2=np.einsum("bA,bAB,bB->b", H0, gN0, H0), nablaH=nablaH,
         nabla_perpH=np.einsum("bAC,biC->biA", proj_N, nablaH),
         JHtop0=_at_points(JHtop), nabla_JHtop=nabla_JHtop,
@@ -576,3 +596,5 @@ def _masked_fields(snap, work):
 
 STAGES = (_core, _connection, _forms, _form_laplacians, _angles, _extrinsic,
           _curvature, _frame_sums, _masked_fields)
+# each snapshot key -> the index in STAGES of the one stage that writes it
+_WRITER = {key: at for at, stage in enumerate(STAGES) for key in stage.writes}

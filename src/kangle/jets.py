@@ -377,12 +377,14 @@ def jstack(jets):
 
 
 def _series_sin(a0, p):
-    table = [np.sin(a0), np.cos(a0), -np.sin(a0), -np.cos(a0)]
+    s, c = np.sin(a0), np.cos(a0)
+    table = [s, c, -s, -c]
     return [table[k % 4] / math.factorial(k) for k in range(p + 1)]
 
 
 def _series_cos(a0, p):
-    table = [np.cos(a0), -np.sin(a0), -np.cos(a0), np.sin(a0)]
+    s, c = np.sin(a0), np.cos(a0)
+    table = [c, -s, -c, s]
     return [table[k % 4] / math.factorial(k) for k in range(p + 1)]
 
 

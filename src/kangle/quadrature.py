@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DegenerateAngleError, DomainError, NotAnImmersionError,
-                     QuadratureError, UsageError)
+from .errors import GateError, QuadratureError, UsageError
 from .geometry import compute_snapshot, reads
 from .identities import finite_or_none
 from .jets import jet_seed_all
@@ -82,15 +81,15 @@ def torus_quadrature(spec, integrand, grid_n, order=3):
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     totals = dict.fromkeys(keys, 0.0)
     needs = sum((INTEGRANDS[k].reads for k in keys), torus_quadrature.reads)
-    rejected = []
+    rejected = []                   # (grid node, reason)
     for start in range(0, pts.shape[0], CHUNK):
         chunk = pts[start:start + CHUNK]
         try:
             snap = compute_snapshot(spec, chunk, order=order, reads=needs)
-        except (DomainError, NotAnImmersionError, DegenerateAngleError) as exc:
-            rejected += [(start, str(exc))] * len(chunk)  # none kept
+        except GateError as exc:    # the gates left no node of the chunk
+            rejected += [(start + i, why) for i, why in exc.rejected]
             continue
-        rejected += snap.rejected
+        rejected += [(start + i, why) for i, why in snap.rejected]
         for key in keys:
             vals = np.asarray(INTEGRANDS[key](snap))
             totals[key] += float(np.sum(vals * snap.sqrt_det_g0))
@@ -98,7 +97,7 @@ def torus_quadrature(spec, integrand, grid_n, order=3):
         raise QuadratureError(
             f"{len(rejected)} of {len(pts)} grid nodes "
             f"({len(rejected) / len(pts):.1%}) were rejected, the first as "
-            f"{rejected[0][1]!r}; the torus integral would miss them")
+            f"{min(rejected)[1]!r}; the torus integral would miss them")
     cell = (2.0 * np.pi / grid_n) ** d
     out = {key: total * cell for key, total in totals.items()}
     return out[integrand] if isinstance(integrand, str) else out

@@ -68,14 +68,46 @@ def ambient_christoffel(spec, z_jets):
     return Jet(z_jets.dim, z_jets.order, T + np.swapaxes(T, 1, 2))
 
 
-def mean_curvature_jets(spec, snap):
-    """(JH)-flat and (JH)^T as jets on ``snap``'s points; the snapshot keeps
-    only their values and derivatives at the points.  They are built by the
-    tensor route, the ambient metric jet and the Christoffel tensor along F
-    contracted against dF, not by the closed forms the pipeline applies."""
+def codiff(t, g_inv, gamma):
+    """(delta t)_{k...} = -g^{ij} (nabla_i t)_{jk...}, in the standard sign,
+    with the whole jet nabla t formed first: the full-tensor oracle of the
+    traced delta F*w of the ``forms`` stage."""
+    from kangle.calculus import cov_d
+    from kangle.jets import jet_einsum
+
+    rest = "kmn"[:len(t.shape) - 2]
+    return -jet_einsum(f"ij...,ij{rest}...->{rest}...", g_inv, cov_d(t, gamma))
+
+
+def two_form_pairing(a, b, g_inv):
+    """<a, b> = (1/2) g^{ik} g^{jl} a_{ij} b_{kl}, with b^{ij} formed first:
+    the full-tensor oracle of the traced |F*w|^2 of the ``forms`` stage.
+
+    The 1/2 makes ||e^1 ^ e^2||^2 = 1; the choice is pinned by the angle
+    norm identity ||F*w||^2 = n cos^2(theta).
+    """
+    from kangle.jets import jet_einsum
+
+    b_up = jet_einsum("ik...,kl...->il...", g_inv, b)
+    b_up = jet_einsum("jl...,il...->ij...", g_inv, b_up)     # b^{ij}
+    return jet_einsum("ij...,ij...->...", a, b_up) * 0.5
+
+
+def mean_curvature(sff, g_inv, n):
+    """H = (1/2n) g^{ij} sff_ij of a whole sff jet (i, j, A, b): the
+    full-tensor oracle of the traced H of the ``extrinsic`` stage."""
+    from kangle.jets import jet_einsum
+
+    return jet_einsum("ij...,ijA...->A...", g_inv, sff) * (1.0 / (2 * n))
+
+
+def tensor_route(spec, snap):
+    """F's jets on ``snap``'s points and, by the tensor route, the ambient
+    metric jet g_N and the mean curvature H: the whole sff jet, with the
+    Christoffel tensor of g_N along F contracted against dF, traced by
+    ``mean_curvature``.  Returns (F, dF, g_N, Gamma^N, H)."""
     import kangle.calculus as ca
     from kangle.dsl import eval_components
-    from kangle.geometry import mean_curvature
     from kangle.jets import Jet, jet_einsum
 
     F = eval_components(spec, snap.points, order=snap.order)
@@ -87,8 +119,18 @@ def mean_curvature_jets(spec, snap):
     sff = Jet(corr.dim, corr.order, np.einsum(
         "iAj...->ijA...", ca.partials(dF).coeffs) - corr.coeffs) \
         + jet_einsum("AiC...,Cj...->ijA...", t, dF)
-    JH = jet_einsum("AB,B...->A...", snap.JN,
-                    mean_curvature(sff, snap.jets["g_inv"], snap.n))
+    return F, dF, gN, gammaN, mean_curvature(sff, snap.jets["g_inv"], snap.n)
+
+
+def mean_curvature_jets(spec, snap):
+    """(JH)-flat and (JH)^T as jets on ``snap``'s points; the snapshot keeps
+    only their values and derivatives at the points.  They are built by the
+    tensor route (``tensor_route``), not by the closed forms the pipeline
+    applies."""
+    from kangle.jets import jet_einsum
+
+    _, dF, gN, _, H = tensor_route(spec, snap)
+    JH = jet_einsum("AB,B...->A...", snap.JN, H)
     JHb = jet_einsum("A...,Ai...->i...",
                      jet_einsum("AB...,A...->B...", gN, JH), dF)
     return JHb, jet_einsum("ij...,j...->i...", snap.jets["g_inv"], JHb)

@@ -13,6 +13,7 @@ from kangle.errors import (
     ChartDomainError,
     DegenerateAngleError,
     DomainError,
+    GateError,
     NotAnImmersionError,
 )
 from kangle.identities import SUITES, run_identity_suite
@@ -84,8 +85,22 @@ def test_a_batch_with_no_point_left_raises_its_gates_error(
     if error is DegenerateAngleError:
         monkeypatch.setattr(geometry, "PAIRING_TOL", -1.0)
     spec = parse_immersion(text)
-    with pytest.raises(error, match=reason):
+    with pytest.raises(error, match=reason) as info:
         geometry.compute_snapshot(spec, np.array([point, point]))
+    # the four gates share one DomainError class, which lists the points
+    assert isinstance(info.value, GateError)
+    assert info.value.rejected == [(0, reason), (1, reason)]
+
+
+def test_a_gate_error_keeps_the_reasons_of_earlier_gates(monkeypatch):
+    """A point an earlier gate dropped keeps that gate's reason in the
+    error of the gate that drops the last point."""
+    monkeypatch.setattr(geometry, "PAIRING_TOL", -1.0)
+    with pytest.raises(DegenerateAngleError) as info:
+        geometry.compute_snapshot(parse_immersion(FOLD),
+                                  np.array([[0.0, 0.5], [0.5, 0.5]]))
+    assert info.value.rejected == [(0, "not an immersion"),
+                                   (1, "angles failed to pair")]
 
 
 @pytest.mark.parametrize("text, point, reason", [

@@ -684,3 +684,53 @@ def test_masked_fields_equal_their_jet_compositions():
             scale[key] = max(scale.get(key, 0.0), top)
     assert len(scale) == 17
     assert min(scale.values()) > 0.1, scale
+
+
+def test_traced_jets_equal_their_full_tensor_forms():
+    """delta F*w, |F*w|^2 and H are contracted before they are multiplied
+    out (the ``forms`` and ``extrinsic`` stages).  On every catalog entry,
+    the four curved ones included, they equal the full-tensor oracles,
+    which form nabla F*w, b^{ij} and the whole sff jet first, and so do
+    Delta |F*w|^2, (F*w)# and nabla H, which are built on them.  The
+    bound, 1e-12 relative to max(|x|, 1), is about 100 times the largest
+    difference seen, 8e-15 (``lap_norm_W2``)."""
+    from conftest import codiff, tensor_route, two_form_pairing
+    from kangle.calculus import trace_hessian
+    from kangle.catalog import entry_names
+    from kangle.geometry import pullback_form
+    from kangle.jets import jet_einsum
+    from kangle.runner import sample_points
+
+    def at(jet):
+        return np.moveaxis(jet.value(), -1, 0)
+
+    worst = {}
+    for name in entry_names():
+        entry = get_entry(name)
+        snap = compute_snapshot(entry.spec(), sample_points(entry.box, 24,
+                                                            1234))
+        F, dF, _, gammaN, H = tensor_route(entry.spec(), snap)
+        g_inv, gamma = snap.jets["g_inv"], snap.jets["gamma"]
+        W = pullback_form(snap.ambient_spec, F, dF)
+        norm = two_form_pairing(W, W, g_inv)
+        delta = codiff(W, g_inv, gamma)
+        pairs = {
+            "delta_W0": (snap.delta_W0, at(delta)),
+            "delta_W": (snap.jets["delta_W"].coeffs, delta.coeffs),
+            "norm_W2_0": (snap.norm_W2_0, norm.value()),
+            "cos2": (snap.jets["cos2"].coeffs * snap.n, norm.coeffs),
+            "lap_norm_W2": (snap.lap_norm_W2,
+                            trace_hessian(norm, g_inv, gamma).value()),
+            "W_sharp": (snap.jets["W_sharp"].coeffs, jet_einsum(
+                "ik...,jk...->ij...", g_inv.truncated(1), W).coeffs),
+            "H0": (snap.H0, at(H)),
+            "nablaH": (snap.nablaH, at(partials(H)) + np.einsum(
+                "bABC,bBi,bC->biA", at(gammaN), snap.dF0, snap.H0)),
+        }
+        for key, (got, want) in pairs.items():
+            assert got.shape == want.shape, (name, key)
+            rel = np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))
+            worst[key] = max(worst.get(key, 0.0), rel)
+            assert rel <= 1e-12, (name, key, rel)
+    assert worst.keys() == {"delta_W0", "delta_W", "norm_W2_0", "cos2",
+                            "lap_norm_W2", "W_sharp", "H0", "nablaH"}

@@ -623,6 +623,24 @@ def test_a_wholly_gated_quadrature_chunk_is_counted_rejected(monkeypatch):
         "volume", "stokes_divergence", "stokes_lap_cos2", "eq2.3"]
 
 
+def test_a_gated_chunk_keeps_each_nodes_reason(monkeypatch):
+    """log(0.1 - cos(u1)) has no jet where cos(u1) >= 0.1, which covers the
+    first chunk of 64 nodes of a 16 x 16 grid.  Each node of that chunk is
+    counted with its own reason, so the one ``grid`` row does not depend
+    on how the grid is chunked."""
+    spec = parse_immersion(
+        "n=1; ambient=flat; periodic; map=[cos(u1), sin(u1), cos(u2), "
+        "sin(u2) + 0.1*log(0.1 - cos(u1))]")
+    rows = {}
+    for chunk in (64, 4096):
+        monkeypatch.setattr(quadrature, "CHUNK", chunk)
+        rows[chunk] = torus_checks(spec, 16)
+    assert rows[64] == rows[4096]
+    row, = rows[64]
+    assert row["check"] == "grid" and not row["pass"]
+    assert "the first as 'map or a derivative not finite';" in row["error"]
+
+
 def test_report_states_the_order_f_was_formed_at():
     """No snapshot stage reads F beyond order 3, so a run asked for order
     4 forms F at order 3 and says so."""
