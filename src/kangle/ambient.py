@@ -123,12 +123,10 @@ def ambient_metric(spec, z):
 
 def _common(z, a, b):
     """z, a and b truncated to the common order of a and b, and einsum
-    labels for the axes of a and of b between A and z's batch axes.  When
-    b is a, the truncated b is the truncated a."""
+    labels for the axes of a and of b between A and z's batch axes."""
     o = min(a.order, b.order)
     own = [v.coeffs.ndim - z.coeffs.ndim for v in (a, b)]
-    a_o = a.truncated(o)
-    return (z.truncated(o), a_o, a_o if b is a else b.truncated(o),
+    return (z.truncated(o), a.truncated(o), b.truncated(o),
             "ij"[:own[0]], "kl"[:own[1]])
 
 
@@ -178,11 +176,9 @@ def christoffel_along(spec, z, a, b):
         return Jet.constant(z.dim, z.order, np.zeros(shape))
     A, pa, pb = _pairings(spec, z, a, si, b, sj)
     J, s = ambient_J(spec), A * -spec.rho
-    aJa, pas = jstack([a, jet_einsum("AB,B...->A...", J, a)]), pa * s
-    bJb, pbs = ((aJa, pas) if b is a else
-                (jstack([b, jet_einsum("AB,B...->A...", J, b)]), pb * s))
-    return (jet_einsum(f"{sj}p...,pA{si}...->{out}", pbs, aJa)
-            + jet_einsum(f"{si}p...,pA{sj}...->{out}", pas, bJb))
+    aJa, bJb = (jstack([v, jet_einsum("AB,B...->A...", J, v)]) for v in (a, b))
+    return (jet_einsum(f"{sj}p...,pA{si}...->{out}", pb * s, aJa)
+            + jet_einsum(f"{si}p...,pA{sj}...->{out}", pa * s, bJb))
 
 
 def einstein_constant(spec):

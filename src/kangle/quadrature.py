@@ -87,7 +87,8 @@ def torus_quadrature(spec, integrand, grid_n, order=3):
         try:
             snap = compute_snapshot(spec, chunk, order=order, reads=needs)
         except GateError as exc:    # the gates left no node of the chunk
-            rejected += [(start + i, why) for i, why in exc.rejected]
+            rejected += ([(start + i, why) for i, why in exc.rejected]
+                         or [(start + i, str(exc)) for i in range(len(chunk))])
             continue
         rejected += [(start + i, why) for i, why in snap.rejected]
         for key in keys:

@@ -20,7 +20,7 @@ from kangle.ambient import space_form
 from kangle.catalog import CatalogEntry, get_entry
 from kangle.cli import _load_entry, build_parser, main
 from kangle.dsl import parse_immersion
-from kangle.errors import UsageError
+from kangle.errors import ChartDomainError, QuadratureError, UsageError
 from kangle.geometry import compute_snapshot
 from kangle.identities import calibrate_conventions, run_identity_suite
 from kangle.jets import MAX_DIM
@@ -605,40 +605,49 @@ GATED_CHUNK = CatalogEntry(
 def test_a_wholly_gated_quadrature_chunk_is_counted_rejected(monkeypatch):
     """log(cos(u1) + 0.1) has no jet for u1 in about (1.67, 4.61): on a
     16 x 16 grid in chunks of 64 nodes the third chunk has no node the
-    gates keep.  Its nodes count as rejected, so the quadrature is the
-    one failed ``grid`` row naming the share of the whole grid, and a
-    run keeps every entry's records."""
-    monkeypatch.setattr(quadrature, "CHUNK", 64)
+    gates keep; log(0.1 - cos(u1)) has none where cos(u1) >= 0.1, which
+    covers the first chunk.  Each node of such a chunk is counted with
+    its own reason, so the quadrature is one failed ``grid`` row naming
+    the share of the whole grid, the same row as with the grid in one
+    chunk, and a run keeps every entry's records."""
     reason = ("112 of 256 grid nodes (43.8%) were rejected, the first as "
-              "'map or a derivative not finite'")
-    row, = torus_checks(GATED_CHUNK.spec(), 16)
-    assert row["check"] == "grid" and row["grid"] == 16 and not row["pass"]
-    assert row["error"].startswith(reason)
+              "'map or a derivative not finite';")
+    first_chunk = parse_immersion(
+        "n=1; ambient=flat; periodic; map=[cos(u1), sin(u1), cos(u2), "
+        "sin(u2) + 0.1*log(0.1 - cos(u1))]")
+    for spec in (GATED_CHUNK.spec(), first_chunk):
+        rows = {}
+        for chunk in (4096, 64):
+            monkeypatch.setattr(quadrature, "CHUNK", chunk)
+            rows[chunk] = torus_checks(spec, 16)
+        assert rows[64] == rows[4096]
+        row, = rows[64]
+        assert row["check"] == "grid" and row["grid"] == 16
+        assert not row["pass"] and row["error"].startswith(reason)
     report = run_suite(entries=[GATED_CHUNK, "trig_sf_pos"], points=4,
                        quad_grid=16)
     by_name = {e["name"]: e for e in report["entries"]}
     assert all(list(e["residuals"]) for e in by_name.values())
-    assert by_name["gated_chunk"]["quadrature"] == [row]
+    assert by_name["gated_chunk"]["quadrature"] == torus_checks(
+        GATED_CHUNK.spec(), 16)
     assert [q["check"] for q in by_name["trig_sf_pos"]["quadrature"]] == [
         "volume", "stokes_divergence", "stokes_lap_cos2", "eq2.3"]
 
 
-def test_a_gated_chunk_keeps_each_nodes_reason(monkeypatch):
-    """log(0.1 - cos(u1)) has no jet where cos(u1) >= 0.1, which covers the
-    first chunk of 64 nodes of a 16 x 16 grid.  Each node of that chunk is
-    counted with its own reason, so the one ``grid`` row does not depend
-    on how the grid is chunked."""
-    spec = parse_immersion(
-        "n=1; ambient=flat; periodic; map=[cos(u1), sin(u1), cos(u2), "
-        "sin(u2) + 0.1*log(0.1 - cos(u1))]")
-    rows = {}
-    for chunk in (64, 4096):
-        monkeypatch.setattr(quadrature, "CHUNK", chunk)
-        rows[chunk] = torus_checks(spec, 16)
-    assert rows[64] == rows[4096]
-    row, = rows[64]
-    assert row["check"] == "grid" and not row["pass"]
-    assert "the first as 'map or a derivative not finite';" in row["error"]
+def test_a_gate_error_with_no_rejected_list_rejects_its_whole_chunk(
+        monkeypatch):
+    """A gate error raised with no ``rejected`` list, as the ambient's
+    closed forms raise ChartDomainError, still counts every node of its
+    chunk as rejected rather than dropping the chunk from the sum."""
+    def outside(spec, chunk, **kwargs):
+        raise ChartDomainError("point outside the chart domain")
+
+    monkeypatch.setattr(quadrature, "CHUNK", 64)
+    monkeypatch.setattr(quadrature, "compute_snapshot", outside)
+    with pytest.raises(QuadratureError, match=(
+            r"^256 of 256 grid nodes \(100.0%\) were rejected, the first "
+            r"as 'point outside the chart domain'")):
+        quadrature.torus_quadrature(GATED_CHUNK.spec(), "volume", 16)
 
 
 def test_report_states_the_order_f_was_formed_at():
