@@ -10,14 +10,10 @@ pointwise identities between them as machine-checkable residuals.
 
 from .errors import (
     ArityError,
-    ChartDomainError,
     ConventionError,
-    DegenerateAngleError,
     DomainError,
-    GateError,
     ImmersionSyntaxError,
     KangleError,
-    NotAnImmersionError,
     QuadratureError,
     SpecNameError,
     UsageError,
@@ -27,14 +23,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityError",
-    "ChartDomainError",
     "ConventionError",
-    "DegenerateAngleError",
     "DomainError",
-    "GateError",
     "ImmersionSyntaxError",
     "KangleError",
-    "NotAnImmersionError",
     "QuadratureError",
     "SpecNameError",
     "UsageError",

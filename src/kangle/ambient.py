@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainError, UsageError
+from .errors import DomainError, UsageError
 from .jets import Jet, jet_einsum, jstack
 
 CHART_BOUNDARY_TOL = 1e-6
@@ -90,10 +90,10 @@ def in_chart(spec, z_values):
 
 
 def _require_chart(spec, z_values):
-    """ChartDomainError unless every point z_values (..., 2m) is in chart."""
+    """DomainError unless every point z_values (..., 2m) is in chart."""
     if not np.all(in_chart(spec, z_values)):
-        raise ChartDomainError("point outside the chart domain: 1 + rho|z|^2 "
-                               f"is not finite and above {CHART_BOUNDARY_TOL}")
+        raise DomainError("point outside the chart domain: 1 + rho|z|^2 "
+                          f"is not finite and above {CHART_BOUNDARY_TOL}")
 
 
 def _inverse_margin(spec, z_jets):
@@ -108,7 +108,7 @@ def ambient_metric(spec, z):
 
     A I + c (z z^T + Jz Jz^T) with A = 1/(1 + rho|z|^2) and c = -rho A^2,
     the metric that metric_along applies; the identity for rho = 0.  A
-    point outside the chart raises ChartDomainError.
+    point outside the chart raises DomainError.
     """
     z = np.asarray(z, dtype=float)
     _require_chart(spec, z)

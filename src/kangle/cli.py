@@ -78,6 +78,8 @@ def _cmd_eval(args):
     spec = _load_entry(args).spec()
     point = _parse_point(args.point)
     snap = compute_snapshot(spec, point[None, :], reads=_cmd_eval.reads)
+    if not snap.size:
+        raise KangleError(f"point {args.point} rejected: {snap.rejected[0][1]}")
     out = {
         "point": point.tolist(),
         "F": snap.F0[0].tolist(),

@@ -302,11 +302,7 @@ class _Parser:
         base = self.parse_base(n)
         if self.peek().kind == "^":
             self.advance()
-            exp = self.parse_int("non-negative integer exponent")
-            if exp < 0:
-                self.fail("negative exponent",
-                          expected=("non-negative integer exponent",))
-            return Pow(base, exp)
+            return Pow(base, self.parse_int("non-negative integer exponent"))
         return base
 
     def parse_base(self, n):

@@ -13,30 +13,6 @@ class DomainError(KangleError):
     """An input value lies outside the mathematical domain of an operation."""
 
 
-class GateError(DomainError):
-    """A snapshot gate left no point of a batch.  ``rejected`` lists every
-    point the batch lost, to this gate or an earlier one, as (index into
-    the batch, reason).  The finite gate raises this class itself; the
-    other three gates raise its subclasses."""
-
-    def __init__(self, message, rejected=()):
-        super().__init__(message)
-        self.rejected = list(rejected)
-
-
-class ChartDomainError(GateError):
-    """Evaluation point falls outside the affine chart of the ambient space.
-    The ambient's closed forms raise it too, with no ``rejected`` list."""
-
-
-class NotAnImmersionError(GateError):
-    """The differential dF is rank-deficient at an evaluation point."""
-
-
-class DegenerateAngleError(GateError):
-    """Skew-spectrum pairing of the pulled-back form failed numerically."""
-
-
 class QuadratureError(KangleError):
     """A torus quadrature grid node was rejected, so no total is returned."""
 

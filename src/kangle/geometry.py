@@ -34,13 +34,7 @@ import numpy as np
 from . import ambient as amb
 from . import calculus as ca
 from .dsl import eval_components
-from .errors import (
-    ChartDomainError,
-    DegenerateAngleError,
-    GateError,
-    NotAnImmersionError,
-    UsageError,
-)
+from .errors import UsageError
 from .jets import Jet, jet_einsum
 
 # classification codes and tolerances
@@ -267,13 +261,15 @@ def compute_snapshot(spec, points, order=3, reads=None):
     (F or a derivative overflows, or F has no jet, as log(u) at u <= 0),
     outside the chart of the ambient, where F is not an immersion, or where
     the Kahler angles fail to pair are dropped and reported in
-    ``snapshot.rejected``, by their index into ``points``; the gate that
-    leaves no point raises.  reads: snapshot keys; only the stages up to
-    the last one that writes one of them run, and F is formed at the
-    deepest order those stages declare, which ``snap.order`` reports; an
-    ``order`` below it raises UsageError before F is evaluated.  Each stage
-    reads keys of the stages before it; ``work`` carries what no reader
-    needs (F, dF, the |F*w|^2 the form Laplacians differentiate, the
+    ``snapshot.rejected``, by their index into ``points``; a batch whose
+    every point is dropped comes back with ``size`` 0, every key of a full
+    snapshot and the reason for each point in ``rejected``, and the caller
+    decides what an empty result means.  reads: snapshot keys; only the
+    stages up to the last one that writes one of them run, and F is formed
+    at the deepest order those stages declare, which ``snap.order``
+    reports; an ``order`` below it raises UsageError before F is evaluated.
+    Each stage reads keys of the stages before it; ``work`` carries what no
+    reader needs (F, dF, the |F*w|^2 the form Laplacians differentiate, the
     contracted Christoffel Gamma^k = g^{ij} Gamma^k_{ij} that delta F*w and
     H are traced with, the nabla F*w, d delta F*w and (JH)-flat the masked
     fields reuse, and the tensor P the frame sums contract with) and is
@@ -293,20 +289,17 @@ def compute_snapshot(spec, points, order=3, reads=None):
     return snap
 
 
-def _gate(snap, work, good, reason, error):
+def _gate(snap, work, good, reason):
     """Drop the points where ``good`` is false from everything computed so
     far: the points and their indices, every jet of ``snap.jets`` and
     ``work`` and every array of ``snap.data`` and ``snap.masks``.  Each
     dropped point is recorded in ``snap.rejected`` as (index into the
-    caller's points, reason); ``error``, a GateError, is raised with that
-    list when no point is left."""
+    caller's points, reason).  A gate that drops the last point leaves a
+    batch of zero points, on which the later stages run as on any other."""
     if np.all(good):
         return
     bad, keep = np.nonzero(~good)[0], np.nonzero(good)[0]
     snap.rejected += [(int(snap.index[b]), reason) for b in bad]
-    if not keep.size:
-        raise error(f"no point left: {reason} at {bad.size} point(s), "
-                    f"e.g. {snap.points[bad[0]]}", snap.rejected)
     snap.points, snap.index = snap.points[keep], snap.index[keep]
     for store in (snap.jets, work, snap.data, snap.masks):
         for key, value in store.items():
@@ -323,17 +316,16 @@ def _core(snap, work):
     spec, m = snap.ambient_spec, snap.ambient_dim
     with np.errstate(over="ignore"):     # the gate reports the overflow
         finite = np.isfinite(np.sum(work["F"].coeffs ** 2, axis=(0, -1)))
-    _gate(snap, work, finite, "map or a derivative not finite", GateError)
+    _gate(snap, work, finite, "map or a derivative not finite")
     snap.data["F0"] = _at_points(work["F"])
-    _gate(snap, work, amb.in_chart(spec, snap.F0), "outside chart domain",
-          ChartDomainError)
+    _gate(snap, work, amb.in_chart(spec, snap.F0), "outside chart domain")
     F = work["F"]
     dF = ca.jstack([ca.partials(F[A]) for A in range(m)])   # (A, i, b)
     work["dF"] = dF
     snap.jets["g"] = amb.metric_along(spec, F, dF, dF)
     eig = np.linalg.eigvalsh(_at_points(snap.jets["g"]))
     _gate(snap, work, eig[:, 0] > 1e-12 * np.maximum(eig[:, -1], 1.0),
-          "not an immersion", NotAnImmersionError)
+          "not an immersion")
     g0 = _at_points(snap.jets["g"])
     snap.data.update(dF0=_at_points(work["dF"]), g0=g0,
                      sqrt_det_g0=np.sqrt(np.linalg.det(g0)))
@@ -415,7 +407,7 @@ def _angles(snap, work):
     cos_angles, Jw0, pair_gap = kahler_angles(snap.g0, snap.W0)
     snap.data.update(cos_angles=cos_angles, pair_gap=pair_gap, Jw0=Jw0)
     _gate(snap, work, pair_gap <= PAIRING_TOL * (1.0 + cos_angles[:, 0]),
-          "angles failed to pair", DegenerateAngleError)
+          "angles failed to pair")
     g0, W0, cos_angles = snap.g0, snap.W0, snap.cos_angles
     work["P"] = 0.25 * (snap.g_inv0 - 1j * (snap.Jw0 @ snap.g_inv0))
     minc, maxc = cos_angles[:, -1], cos_angles[:, 0]

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class Conventions:
 
     s_delta: int
     delta_sign: int
-    two_form_normalization: str = "half"
+    two_form_normalization: ClassVar[str] = "half"
 
     def as_dict(self):
         return {"s_delta": self.s_delta, "delta_sign": self.delta_sign,

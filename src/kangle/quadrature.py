@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GateError, QuadratureError, UsageError
+from .errors import QuadratureError, UsageError
 from .geometry import compute_snapshot, reads
 from .identities import finite_or_none
 from .jets import jet_seed_all
@@ -83,13 +83,8 @@ def torus_quadrature(spec, integrand, grid_n, order=3):
     needs = sum((INTEGRANDS[k].reads for k in keys), torus_quadrature.reads)
     rejected = []                   # (grid node, reason)
     for start in range(0, pts.shape[0], CHUNK):
-        chunk = pts[start:start + CHUNK]
-        try:
-            snap = compute_snapshot(spec, chunk, order=order, reads=needs)
-        except GateError as exc:    # the gates left no node of the chunk
-            rejected += ([(start + i, why) for i, why in exc.rejected]
-                         or [(start + i, str(exc)) for i in range(len(chunk))])
-            continue
+        snap = compute_snapshot(spec, pts[start:start + CHUNK], order=order,
+                                reads=needs)
         rejected += [(start + i, why) for i, why in snap.rejected]
         for key in keys:
             vals = np.asarray(INTEGRANDS[key](snap))

@@ -129,12 +129,16 @@ def _field_stats(fields):
 def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
                conventions, quad_grid):
     """One entry's report, whose ``residuals`` view keeps the judged
-    columns and the kept points, and the order its snapshot formed F at."""
+    columns and the kept points, and the order its snapshot formed F at.
+    An entry whose every sampled point is rejected raises RunError."""
     spec = entry.spec()
     pts = sample_points(entry.box, points, seed)
     keys = sum((SUITE_READERS[name].reads for name in suites),
                _run_entry.reads + check_expected.reads)
     snap = compute_snapshot(spec, pts, order=order, reads=keys)
+    if not snap.size:
+        raise RunError(f"entry {entry.name}: all {points} sampled points "
+                       f"were rejected, the first as {min(snap.rejected)[1]!r}")
     failures = check_expected(entry, snap)
     judged = judge_suites(snap, suites, conventions, tol_abs=tol_abs,
                           tol_rel=tol_rel)

@@ -19,7 +19,7 @@ from kangle.ambient import (
     space_form,
 )
 from kangle.dsl import parse_immersion
-from kangle.errors import ChartDomainError, UsageError
+from kangle.errors import DomainError, UsageError
 from kangle.geometry import compute_snapshot
 from kangle.jets import Jet, jet_einsum, jet_seed_all, jet_unary
 
@@ -238,7 +238,7 @@ def test_chart_domain_rejection():
                 for check in (lambda: ambient_metric(spec, z[k]),
                               lambda: metric_along(spec, zj, zj, zj),
                               lambda: christoffel_along(spec, zj, zj, zj)):
-                    with pytest.raises(ChartDomainError):
+                    with pytest.raises(DomainError):
                         check()
 
 

@@ -125,8 +125,10 @@ def test_power_binds_through_unary_minus():
 
 
 def test_negative_exponent_rejected():
-    with pytest.raises(ImmersionSyntaxError):
+    with pytest.raises(ImmersionSyntaxError) as info:
         parse_immersion("n=1; ambient=flat; map=[u1^-2, u2, u1, u2]")
+    assert info.value.column == 28
+    assert info.value.expected == ("non-negative integer exponent",)
 
 
 @pytest.mark.parametrize("text, tree", [

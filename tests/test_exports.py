@@ -10,9 +10,12 @@ outside its definition and outside any function that binds ``name`` itself
 (as a parameter or a local).  A parameter, local or attribute that is merely
 spelled the same is not a read.  Names a module lists in ``__all__`` but
 imports from another (the package's re-exported errors) define nothing
-there and are skipped."""
+there and are skipped.  Every exception class the package defines is
+raised in ``src/kangle``, so no caller catches a class nothing raises."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import kangle
@@ -146,3 +149,30 @@ def test_a_namesake_parameter_or_attribute_is_not_a_read():
     assert "reads" in set().union(*(_free_loads(node) for node in ast.parse(
         "def reads():\n    pass\n@reads()\ndef f(reads=1):\n    pass\n"
     ).body[1:]))
+
+
+def _raised_names(tree):
+    """The names of the classes ``tree`` raises, as ``raise Name(...)``,
+    ``raise Name``, or with ``alias.Name`` in either."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return names
+
+
+def test_every_exception_class_is_raised():
+    """Each exception class defined in ``src/kangle`` is raised somewhere
+    in ``src/kangle``, so a caller never catches a class nothing raises."""
+    raised = set().union(*(
+        _raised_names(ast.parse(path.read_text(), filename=str(path)))
+        for path in SRC.glob("*.py")))
+    defined = set()
+    for path in SRC.glob("*.py"):
+        name = "kangle" if path.stem == "__init__" else f"kangle.{path.stem}"
+        module = importlib.import_module(name)
+        defined |= {cls.__name__ for _, cls in inspect.getmembers(
+            module, inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == name}
+    assert defined and defined <= raised, defined - raised

@@ -1,23 +1,16 @@
 """The point gate: a map with no finite jet, the chart, the immersion and
-the angle pairing drop the failing points, report them with a reason, and
-raise only when no point is left."""
+the angle pairing drop the failing points and report them with a reason;
+a batch with no point left is an empty snapshot, never an error."""
 
 import numpy as np
 import pytest
 
 from kangle import geometry
-from kangle.catalog import get_entry
+from kangle.catalog import CatalogEntry, get_entry
 from kangle.cli import main
 from kangle.dsl import parse_immersion
-from kangle.errors import (
-    ChartDomainError,
-    DegenerateAngleError,
-    DomainError,
-    GateError,
-    NotAnImmersionError,
-)
 from kangle.identities import SUITES, run_identity_suite
-from kangle.runner import run_suite, sample_points
+from kangle.runner import RunError, run_suite, sample_points
 
 CHART = "n=1; ambient=space_form(-1); map=[u1, 0, u2, 0]"
 FOLD = "n=1; ambient=flat; map=[u1*u1, 0, u2, 0]"
@@ -72,35 +65,58 @@ def test_a_pairing_failure_drops_only_its_point(monkeypatch):
                 assert np.array_equal(value, want[key]), key
 
 
-@pytest.mark.parametrize("text, point, error, reason", [
-    (CHART, [2.0, 0.0], ChartDomainError, "outside chart domain"),
-    (FOLD, [0.0, 0.5], NotAnImmersionError, "not an immersion"),
-    (FOLD, [0.5, 0.5], DegenerateAngleError, "angles failed to pair"),
-    (OVERFLOW, [1.0, 0.0], DomainError, NOT_FINITE),
-    (SQUARE_OVERFLOW, [1.0, 0.0], DomainError, NOT_FINITE),
-    *((_flat(term), point, DomainError, NOT_FINITE) for term, point in SINGULAR),
+def _batch_keys(snap):
+    """The keys of ``snap.data``, ``snap.jets`` and ``snap.masks``, each
+    with the length of its batch axis."""
+    return {store: {key: (value.value().shape[-1] if store == "jets"
+                          else len(value))
+                    for key, value in getattr(snap, store).items()}
+            for store in ("data", "jets", "masks")}
+
+
+# each input drops both copies of ``point``; ``kept`` is a point of the
+# same map that every gate keeps
+@pytest.mark.parametrize("text, point, kept, reason", [
+    (CHART, [2.0, 0.0], [0.2, 0.1], "outside chart domain"),
+    (FOLD, [0.0, 0.5], [0.5, 0.5], "not an immersion"),
+    (FOLD, [0.5, 0.5], [0.5, 0.5], "angles failed to pair"),
+    (OVERFLOW, [1.0, 0.0], [-0.1, 0.0], NOT_FINITE),
+    (SQUARE_OVERFLOW, [1.0, 0.0], [-0.1, 0.0], NOT_FINITE),
+    *((_flat(term), point, [0.01, 0.5], NOT_FINITE)
+      for term, point in SINGULAR),
+    ("n=2; ambient=space_form(-1); map=[u1, u2, u3, u4, 0, 0, 0, 0]",
+     [2.0, 0.0, 0.0, 0.0], [0.2, 0.1, 0.3, 0.0], "outside chart domain"),
+    ("n=3; ambient=flat; map=[u1*u1, u2, u3, u4, u5, u6, 0, 0, 0, 0, 0, 0]",
+     [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], [0.5, 0.1, 0.2, 0.3, 0.4, 0.5],
+     "not an immersion"),
 ])
-def test_a_batch_with_no_point_left_raises_its_gates_error(
-        text, point, error, reason, monkeypatch):
-    if error is DegenerateAngleError:
-        monkeypatch.setattr(geometry, "PAIRING_TOL", -1.0)
+def test_a_batch_with_no_point_left_is_an_empty_snapshot(
+        text, point, kept, reason, monkeypatch):
+    """The gates raise nothing: a batch they empty comes back with size 0,
+    each point in ``rejected`` with its reason, and every key of a full
+    snapshot of the map, each of batch length 0."""
     spec = parse_immersion(text)
-    with pytest.raises(error, match=reason) as info:
-        geometry.compute_snapshot(spec, np.array([point, point]))
-    # the four gates share one DomainError class, which lists the points
-    assert isinstance(info.value, GateError)
-    assert info.value.rejected == [(0, reason), (1, reason)]
+    full = geometry.compute_snapshot(spec, np.array([kept]))
+    assert full.size == 1
+    if reason == "angles failed to pair":
+        monkeypatch.setattr(geometry, "PAIRING_TOL", -1.0)
+    snap = geometry.compute_snapshot(spec, np.array([point, point]))
+    assert snap.size == 0 and snap.index.size == 0
+    assert snap.rejected == [(0, reason), (1, reason)]
+    want = _batch_keys(full)
+    assert _batch_keys(snap) == {store: dict.fromkeys(keys, 0)
+                                 for store, keys in want.items()}
 
 
-def test_a_gate_error_keeps_the_reasons_of_earlier_gates(monkeypatch):
-    """A point an earlier gate dropped keeps that gate's reason in the
-    error of the gate that drops the last point."""
+def test_an_empty_snapshot_keeps_the_reasons_of_earlier_gates(monkeypatch):
+    """A point an earlier gate dropped keeps that gate's reason after the
+    gate that drops the last point."""
     monkeypatch.setattr(geometry, "PAIRING_TOL", -1.0)
-    with pytest.raises(DegenerateAngleError) as info:
-        geometry.compute_snapshot(parse_immersion(FOLD),
-                                  np.array([[0.0, 0.5], [0.5, 0.5]]))
-    assert info.value.rejected == [(0, "not an immersion"),
-                                   (1, "angles failed to pair")]
+    snap = geometry.compute_snapshot(parse_immersion(FOLD),
+                                     np.array([[0.0, 0.5], [0.5, 0.5]]))
+    assert snap.size == 0
+    assert snap.rejected == [(0, "not an immersion"),
+                             (1, "angles failed to pair")]
 
 
 @pytest.mark.parametrize("text, point, reason", [
@@ -197,3 +213,28 @@ def test_cli_verify_prints_the_rejected_points(tmp_path, capsys):
     assert f"  rejected {path}: 5 of 16 points\n" in out
     assert main(["verify", "--entry", "ds_graph", "--points", "4"]) == 0
     assert "rejected" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("n=1; ambient=space_form(-1); map=[u1 + 5, 0, u2, 0]",
+     "outside chart domain"),
+    ("n=1; ambient=flat; map=[u2, 0, u2, 0]", "not an immersion"),
+])
+def test_verify_an_entry_whose_every_point_is_rejected(text, reason, tmp_path,
+                                                       capsys):
+    """An entry with no point left has nothing to judge: run_suite raises
+    RunError, and verify exits 2 with one error line naming the entry and
+    the reason."""
+    path = tmp_path / "rejected.imm"
+    path.write_text(text)
+    assert main(["verify", str(path), "--points", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert str(path) in captured.err and reason in captured.err
+    entry = CatalogEntry(name="rejected", text=text, box=((-1.0, 1.0),) * 2,
+                         periodic=False, equal_angles=False,
+                         classification="mixed")
+    with pytest.raises(RunError, match=f"entry rejected: .*{reason}"):
+        run_suite(entries=[entry], points=8, threads=1)

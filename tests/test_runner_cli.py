@@ -20,7 +20,7 @@ from kangle.ambient import space_form
 from kangle.catalog import CatalogEntry, get_entry
 from kangle.cli import _load_entry, build_parser, main
 from kangle.dsl import parse_immersion
-from kangle.errors import ChartDomainError, QuadratureError, UsageError
+from kangle.errors import QuadratureError, UsageError
 from kangle.geometry import compute_snapshot
 from kangle.identities import calibrate_conventions, run_identity_suite
 from kangle.jets import MAX_DIM
@@ -632,22 +632,6 @@ def test_a_wholly_gated_quadrature_chunk_is_counted_rejected(monkeypatch):
         GATED_CHUNK.spec(), 16)
     assert [q["check"] for q in by_name["trig_sf_pos"]["quadrature"]] == [
         "volume", "stokes_divergence", "stokes_lap_cos2", "eq2.3"]
-
-
-def test_a_gate_error_with_no_rejected_list_rejects_its_whole_chunk(
-        monkeypatch):
-    """A gate error raised with no ``rejected`` list, as the ambient's
-    closed forms raise ChartDomainError, still counts every node of its
-    chunk as rejected rather than dropping the chunk from the sum."""
-    def outside(spec, chunk, **kwargs):
-        raise ChartDomainError("point outside the chart domain")
-
-    monkeypatch.setattr(quadrature, "CHUNK", 64)
-    monkeypatch.setattr(quadrature, "compute_snapshot", outside)
-    with pytest.raises(QuadratureError, match=(
-            r"^256 of 256 grid nodes \(100.0%\) were rejected, the first "
-            r"as 'point outside the chart domain'")):
-        quadrature.torus_quadrature(GATED_CHUNK.spec(), "volume", 16)
 
 
 def test_report_states_the_order_f_was_formed_at():
