@@ -9,26 +9,22 @@ pointwise identities between them as machine-checkable residuals.
 """
 
 from .errors import (
-    ArityError,
     ConventionError,
     DomainError,
     ImmersionSyntaxError,
     KangleError,
     QuadratureError,
-    SpecNameError,
     UsageError,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityError",
     "ConventionError",
     "DomainError",
     "ImmersionSyntaxError",
     "KangleError",
     "QuadratureError",
-    "SpecNameError",
     "UsageError",
     "__version__",
 ]

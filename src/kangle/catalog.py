@@ -31,7 +31,6 @@ class CatalogEntry:
     name: str
     text: str
     box: tuple                      # ((lo, hi), ...) per domain variable
-    periodic: bool = False
     minimal: bool = False
     equal_angles: object = True     # True | False | "measured"
     constant_angle: bool = False
@@ -122,14 +121,14 @@ def builtin_catalog():
     # (3) real plane (a=0 above) and Lagrangian product tori
     entries.append(CatalogEntry(
         name="lagrangian_torus_2", text=_torus_text(1, 1.0),
-        box=((0.0, 2.0 * np.pi),) * 2, periodic=True,
+        box=((0.0, 2.0 * np.pi),) * 2,
         equal_angles=True, constant_angle=True, classification="Lagrangian",
         angle_fn=lambda pts: np.zeros(pts.shape[0]),
     ))
     # circle radius 1/sqrt(2), so |H| = sqrt(2)/2
     entries.append(CatalogEntry(
         name="lagrangian_torus_4", text=_torus_text(2, 1.0 / math.sqrt(2.0)),
-        box=((0.0, 2.0 * np.pi),) * 4, periodic=True,
+        box=((0.0, 2.0 * np.pi),) * 4,
         equal_angles=True, constant_angle=True, classification="Lagrangian",
         angle_fn=lambda pts: np.zeros(pts.shape[0]),
     ))
@@ -157,14 +156,14 @@ def builtin_catalog():
     entries.append(CatalogEntry(
         name="trig_flat_2d",
         text=CALIBRATION_SURFACE,
-        box=((0.0, 2.0 * np.pi),) * 2, periodic=True,
+        box=((0.0, 2.0 * np.pi),) * 2,
         equal_angles=True, classification="mixed",
     ))
     entries.append(CatalogEntry(
         name="trig_sf_pos",
         text=("n=1; ambient=space_form(1); periodic; map=[cos(u1), sin(u1), "
               "cos(u2) + 0.25*sin(u1), sin(u2) + 0.15*cos(u1 + u2)]"),
-        box=((0.0, 2.0 * np.pi),) * 2, periodic=True,
+        box=((0.0, 2.0 * np.pi),) * 2,
         equal_angles=True, classification="mixed",
     ))
     entries.append(CatalogEntry(
@@ -172,7 +171,7 @@ def builtin_catalog():
         text=("n=1; ambient=space_form(-1); periodic; "
               "map=[0.3*cos(u1), 0.3*sin(u1), 0.3*cos(u2) + 0.1*sin(u1), "
               "0.3*sin(u2) + 0.06*cos(u1 + u2)]"),
-        box=((0.0, 2.0 * np.pi),) * 2, periodic=True,
+        box=((0.0, 2.0 * np.pi),) * 2,
         equal_angles=True, classification="mixed",
     ))
     # generic distinct-angle immersion for gating tests
@@ -182,7 +181,7 @@ def builtin_catalog():
               "cos(u1), sin(u1), cos(u2) + 0.3*sin(u1), sin(u2), "
               "cos(u3) + 0.2*sin(u1), sin(u3), cos(u4), "
               "sin(u4) + 0.25*cos(u1 + u3)]"),
-        box=((0.0, 2.0 * np.pi),) * 4, periodic=True,
+        box=((0.0, 2.0 * np.pi),) * 4,
         equal_angles=False, classification="mixed",
     ))
 
@@ -213,13 +212,13 @@ def builtin_catalog():
     # Lagrangian tori inside space-form charts (non-minimal there)
     entries.append(CatalogEntry(
         name="lagrangian_torus_sf_pos", text=_torus_text(2, 0.5, rho=1.0),
-        box=((0.0, 2.0 * np.pi),) * 4, periodic=True,
+        box=((0.0, 2.0 * np.pi),) * 4,
         equal_angles=True, constant_angle=True, classification="Lagrangian",
         angle_fn=lambda pts: np.zeros(pts.shape[0]),
     ))
     entries.append(CatalogEntry(
         name="lagrangian_torus_sf_neg", text=_torus_text(2, 0.35, rho=-1.0),
-        box=((0.0, 2.0 * np.pi),) * 4, periodic=True,
+        box=((0.0, 2.0 * np.pi),) * 4,
         equal_angles=True, constant_angle=True, classification="Lagrangian",
         angle_fn=lambda pts: np.zeros(pts.shape[0]),
     ))
@@ -228,7 +227,7 @@ def builtin_catalog():
     entries.append(CatalogEntry(
         name="calibration_surface",
         text=CALIBRATION_SURFACE,
-        box=((0.0, 2.0 * np.pi),) * 2, periodic=True,
+        box=((0.0, 2.0 * np.pi),) * 2,
         equal_angles=True, classification="mixed",
     ))
     return entries

@@ -55,9 +55,8 @@ def _load_entry(args):
                 f"bad --ambient value {args.ambient!r}: {exc}") from None
     box = box or (((0.0, 2 * np.pi) if spec.periodic else (-1.0, 1.0),)
                   * spec.domain_dim)
-    return CatalogEntry(name=name, text=text, box=box, periodic=spec.periodic,
-                        equal_angles=False, classification="mixed",
-                        ambient=ambient)
+    return CatalogEntry(name=name, text=text, box=box, equal_angles=False,
+                        classification="mixed", ambient=ambient)
 
 
 def _parse_point(text):
@@ -174,7 +173,7 @@ def _cmd_catalog(args):
             flags.append("minimal")
         if e.constant_angle:
             flags.append("constant-angle")
-        if e.periodic:
+        if spec.periodic:
             flags.append("periodic")
         flags.append(f"class={e.classification}")
         print(f"{e.name:28s} n={spec.n}  {amb:16s} {' '.join(flags)}")

@@ -17,8 +17,9 @@ Tokens are ASCII: INT is [0-9]+, REAL adds a fraction and an exponent
 [A-Za-z_][A-Za-z0-9_]*; any other character is a positioned error.
 
 Components are listed in the interleaved chart convention
-(x^1, y^1, x^2, y^2, ...), so an ``n``-spec has exactly ``4n`` components in
-the variables u1..u_{2n}.
+(x^1, y^1, x^2, y^2, ...), so an ``n``-spec, n in 1..4, has exactly ``4n``
+components in the variables u1..u_{2n}.  The parser checks all of it: a
+wrong ``n``, arity or name is a positioned error like a syntax error.
 """
 
 from __future__ import annotations
@@ -30,13 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import AmbientSpec, flat_space, space_form
-from .errors import (
-    ArityError,
-    ImmersionSyntaxError,
-    SpecNameError,
-    UsageError,
-)
-from .jets import Jet, jet_seed_all, jet_unary, jstack
+from .errors import ImmersionSyntaxError, UsageError
+from .jets import MAX_DIM, Jet, jet_seed_all, jet_unary, jstack
 
 # the functions of the grammar and the plain float evaluator's tables
 _FLOAT_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh,
@@ -94,26 +90,14 @@ class Pow(Expr):
 
 @dataclass(frozen=True)
 class ImmersionSpec:
-    """A parsed immersion definition F: R^{2n} -> chart of the ambient."""
+    """A parsed immersion definition F: R^{2n} -> chart of the ambient;
+    ``parse_immersion`` is the one check of its n, arity and names."""
 
     n: int
     ambient: AmbientSpec
     components: tuple
     name: str = ""
     periodic: bool = False
-
-    def __post_init__(self):
-        if len(self.components) != 4 * self.n:
-            raise ArityError(
-                f"expected {4 * self.n} map components, found {len(self.components)}"
-            )
-        for k, comp in enumerate(self.components):
-            v = _max_var(comp)
-            if v > 2 * self.n:
-                raise SpecNameError(
-                    f"component {k + 1} references u{v}, but only "
-                    f"u1..u{2 * self.n} exist for n={self.n}"
-                )
 
     @property
     def domain_dim(self):
@@ -122,18 +106,6 @@ class ImmersionSpec:
     @property
     def ambient_dim(self):
         return 4 * self.n
-
-
-def _max_var(expr):
-    if isinstance(expr, Var):
-        return expr.index
-    if isinstance(expr, Unary):
-        return _max_var(expr.arg)
-    if isinstance(expr, Bin):
-        return max(_max_var(expr.left), _max_var(expr.right))
-    if isinstance(expr, Pow):
-        return _max_var(expr.base)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +184,16 @@ class _Parser:
             self.fail(f"found {found!r}", expected=(word,))
         return self.advance()
 
-    def parse_int(self, what):
+    def parse_int(self, what, low=0, high=float("inf")):
         tok = self.expect("NUM", what)
         try:
-            return int(tok.text)    # a literal with "." or "e" is no INT
+            value = int(tok.text)    # a literal with "." or "e" is no INT
         except ValueError:
+            value = low - 1
+        if not low <= value <= high:
             raise ImmersionSyntaxError(
-                f"found {tok.text!r}", tok.line, tok.col, (what,)
-            ) from None
+                f"found {tok.text!r}", tok.line, tok.col, (what,))
+        return value
 
     def parse_real(self):
         sign = 1.0
@@ -233,13 +207,7 @@ class _Parser:
     def parse_file(self, name=""):
         self.expect_keyword("n")
         self.expect("=")
-        n_tok = self.peek()
-        n = self.parse_int("positive integer")
-        if n < 1:
-            raise ImmersionSyntaxError(
-                f"n must be >= 1, found {n}", n_tok.line, n_tok.col,
-                ("positive integer",),
-            )
+        n = self.parse_int(f"integer in 1..{MAX_DIM // 2}", 1, MAX_DIM // 2)
         self.expect(";")
         self.expect_keyword("ambient")
         self.expect("=")
@@ -257,9 +225,12 @@ class _Parser:
         while self.peek().kind == ",":
             self.advance()
             comps.append(self.parse_expr(n))
+        if self.peek().kind == "]" and len(comps) != 4 * n:
+            self.fail(f"found {len(comps)} map components",
+                      (f"{4 * n} map components",))
         self.expect("]")
         self.expect("EOF", "end of input")
-        return ImmersionSpec(n, amb, tuple(comps), name=name, periodic=periodic)
+        return ImmersionSpec(n, amb, tuple(comps), name, periodic)
 
     def parse_ambient(self, n):
         tok = self.peek()
@@ -320,25 +291,18 @@ class _Parser:
             self.expect(")")
             return inner
         if tok.kind == "IDENT":
-            self.advance()
             name = tok.text
             if name in FUNCTIONS:
+                self.advance()
                 self.expect("(")
                 arg = self.parse_expr(n)
                 self.expect(")")
                 return Unary(name, arg)
-            if _VAR.fullmatch(name):
-                idx = int(name[1:])
-                if not 1 <= idx <= 2 * n:
-                    raise SpecNameError(
-                        f"unknown variable {name!r} at line {tok.line}, "
-                        f"column {tok.col}: only u1..u{2 * n} exist for n={n}"
-                    )
-                return Var(idx)
-            raise SpecNameError(
-                f"unknown function or variable {name!r} at line {tok.line}, "
-                f"column {tok.col}"
-            )
+            if _VAR.fullmatch(name) and 1 <= int(name[1:]) <= 2 * n:
+                self.advance()
+                return Var(int(name[1:]))
+            self.fail(f"unknown function or variable {name!r}",
+                      (f"u1..u{2 * n}",) + FUNCTIONS)
         self.fail(f"found {tok.text or 'end of input'!r}",
                   expected=("number", "variable", "function", "(", "-"))
 
@@ -402,8 +366,12 @@ def eval_components(spec, point, order=3):
             # the snapshot's finite gate reports its point
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 val = _eval_expr(comp, seeds)
-        except (ZeroDivisionError, OverflowError) as exc:
+        except ZeroDivisionError as exc:
             raise UsageError(f"component {k + 1} failed to evaluate: {exc}") from exc
+        except OverflowError as exc:
+            raise UsageError(
+                f"component {k + 1} failed to evaluate: a constant "
+                f"subexpression overflows a float") from exc
         if not isinstance(val, Jet):
             val = Jet.constant(spec.domain_dim, order,
                                np.broadcast_to(np.asarray(val, dtype=float),

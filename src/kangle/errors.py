@@ -34,10 +34,3 @@ class ImmersionSyntaxError(KangleError):
             detail += " (expected: " + ", ".join(self.expected) + ")"
         super().__init__(detail)
 
-
-class ArityError(KangleError):
-    """Wrong number of map components for the declared dimension."""
-
-
-class SpecNameError(KangleError):
-    """Unknown function or out-of-range variable in an immersion definition."""

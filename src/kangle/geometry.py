@@ -261,10 +261,11 @@ def compute_snapshot(spec, points, order=3, reads=None):
     (F or a derivative overflows, or F has no jet, as log(u) at u <= 0),
     outside the chart of the ambient, where F is not an immersion, or where
     the Kahler angles fail to pair are dropped and reported in
-    ``snapshot.rejected``, by their index into ``points``; a batch whose
-    every point is dropped comes back with ``size`` 0, every key of a full
-    snapshot and the reason for each point in ``rejected``, and the caller
-    decides what an empty result means.  reads: snapshot keys; only the
+    ``snapshot.rejected``, by their index into ``points``; an empty batch,
+    or one whose every point is dropped, comes back with ``size`` 0, every
+    key of a full snapshot and the reason for each dropped point in
+    ``rejected``, and the caller decides what an empty result means.
+    reads: snapshot keys; only the
     stages up to the last one that writes one of them run, and F is formed
     at the deepest order those stages declare, which ``snap.order``
     reports; an ``order`` below it raises UsageError before F is evaluated.
@@ -279,8 +280,6 @@ def compute_snapshot(spec, points, order=3, reads=None):
     """
     stages, order = _plan(reads, order)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not len(points):
-        raise UsageError("a snapshot needs at least one point")
     snap = Snapshot(n=spec.n, order=order, points=points,
                     index=np.arange(len(points)), ambient_spec=spec.ambient)
     work = {"F": eval_components(spec, points, order=order)}

@@ -150,7 +150,7 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
     if "hypotheses" in suites:
         fields = _field_stats(evaluate_hypothesis_fields(snap, conventions))
     quad = []
-    if quad_grid and entry.periodic:
+    if quad_grid and spec.periodic:
         n_axis = quad_grid if snap.domain_dim == 2 else max(8, quad_grid // 4)
         quad = torus_checks(spec, n_axis)
     cos = snap.cos_angles

@@ -17,6 +17,15 @@ def test_entry_self_assertions(entry):
     assert not failures, failures
 
 
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=entry_names())
+def test_a_periodic_entry_samples_the_torus(entry):
+    """An entry's text declares ``periodic;`` exactly when its box is the
+    coordinate torus [0, 2pi]^{2n} that torus_quadrature integrates over."""
+    spec = entry.spec()
+    torus = ((0.0, 2.0 * np.pi),) * spec.domain_dim
+    assert spec.periodic == (entry.box == torus)
+
+
 def test_catalog_has_required_families():
     names = set(entry_names())
     assert "ds_graph" in names

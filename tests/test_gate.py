@@ -234,7 +234,6 @@ def test_verify_an_entry_whose_every_point_is_rejected(text, reason, tmp_path,
     assert captured.err.count("\n") == 1
     assert str(path) in captured.err and reason in captured.err
     entry = CatalogEntry(name="rejected", text=text, box=((-1.0, 1.0),) * 2,
-                         periodic=False, equal_angles=False,
-                         classification="mixed")
+                         equal_angles=False, classification="mixed")
     with pytest.raises(RunError, match=f"entry rejected: .*{reason}"):
         run_suite(entries=[entry], points=8, threads=1)

@@ -14,7 +14,7 @@ from kangle.errors import UsageError
 from kangle.runner import run_suite
 from test_quadrature import KEYS
 
-PERIODIC = [e.name for e in builtin_catalog() if e.periodic]
+PERIODIC = [e.name for e in builtin_catalog() if e.spec().periodic]
 
 
 @pytest.mark.parametrize("name", PERIODIC)

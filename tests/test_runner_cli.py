@@ -545,6 +545,31 @@ def test_cli_eval_and_errors(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
 
+MALFORMED = {
+    "n-out-of-range": "n=5; ambient=flat; map=[u1, u2, 0, 0]",
+    "arity": "n=1; ambient=flat; map=[u1, u2, 0]",
+    "unknown-function": "n=1; ambient=flat; map=[u1, tan(u2), 0, 0]",
+    "variable-out-of-range": "n=1; ambient=flat; map=[u1, u2, u3, 0]",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED)
+def test_every_command_gives_one_positioned_diagnostic(text, tmp_path,
+                                                        capsys):
+    """A malformed text fails in the parser, the same way on each command:
+    exit 2 and one ``error:`` line that gives its line and column."""
+    path = tmp_path / "malformed.imm"
+    path.write_text(text)
+    for args in (["eval", str(path), "--point", "0.1,0.2"],
+                 ["verify", str(path), "--points", "4"],
+                 ["integrate", str(path), "--grid", "8"]):
+        assert main(args) == 2, args
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), (args, err)
+        assert err.count("\n") == 1 and "at line 1, column" in err, (args,
+                                                                     err)
+
+
 def test_cli_rejected_grid_node_is_a_failed_grid_row(tmp_path, capsys):
     """A sphere on the torus grid is no immersion at its pole rows, so the
     torus integrals have no honest total: the quadrature is one failed
@@ -577,7 +602,7 @@ def test_run_suite_keeps_every_entry_past_a_rejected_grid_node():
         name="singular_torus",
         text=("n=1; ambient=flat; periodic; "
               "map=[cos(u1), sin(u1), cos(u2), sqrt(sin(u2)^2)]"),
-        box=((0.0, 2 * np.pi),) * 2, periodic=True, equal_angles=False,
+        box=((0.0, 2 * np.pi),) * 2, equal_angles=False,
         classification="mixed")
     report = run_suite(entries=[singular, "trig_sf_pos"], points=4,
                        quad_grid=64)
@@ -598,7 +623,7 @@ GATED_CHUNK = CatalogEntry(
     name="gated_chunk",
     text=("n=1; ambient=flat; periodic; map=[cos(u1), sin(u1), cos(u2), "
           "sin(u2) + 0.1*log(cos(u1) + 0.1)]"),
-    box=((0.0, 2 * np.pi),) * 2, periodic=True, equal_angles=False,
+    box=((0.0, 2 * np.pi),) * 2, equal_angles=False,
     classification="mixed")
 
 

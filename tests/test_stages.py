@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from kangle import cli, geometry, jets, quadrature, runner
-from kangle.catalog import get_entry
+from kangle.catalog import builtin_catalog, get_entry
 from kangle.errors import UsageError
 from kangle.identities import SUITE_READERS
 
@@ -164,15 +164,23 @@ def test_unknown_read_raises_usage_error(monkeypatch):
                                   reads=("cos_angles", "cos_anglez"))
 
 
-def test_empty_batch_raises_usage_error(monkeypatch):
-    """A batch of no points fails before F is evaluated."""
-    def evaluate(*args, **kwargs):
-        raise AssertionError("F evaluated for an empty batch")
-
-    monkeypatch.setattr(geometry, "eval_components", evaluate)
-    entry = get_entry("ds_graph")
-    with pytest.raises(UsageError, match="at least one point"):
-        geometry.compute_snapshot(entry.spec(), np.zeros((0, 4)))
+def test_an_empty_batch_is_an_empty_snapshot():
+    """On every catalog entry a batch of no points is a snapshot of size 0
+    with nothing rejected and every key of a full snapshot, each of batch
+    length 0."""
+    for entry in builtin_catalog():
+        spec = entry.spec()
+        snap = geometry.compute_snapshot(spec,
+                                         np.zeros((0, spec.domain_dim)))
+        assert snap.size == 0 and snap.rejected == [], entry.name
+        full = geometry.compute_snapshot(spec, _points(entry, count=1))
+        for store in ("data", "jets", "masks"):
+            assert set(getattr(snap, store)) == set(getattr(full, store)), (
+                entry.name, store)
+        for key, value in (*snap.data.items(), *snap.masks.items()):
+            assert len(value) == 0, (entry.name, key)
+        for key, jet in snap.jets.items():
+            assert jet.value().shape[-1] == 0, (entry.name, key)
 
 
 @pytest.mark.parametrize("case", CASES)
