@@ -7,8 +7,8 @@ are realized in a single affine chart through the potential
 ``(1/rho) log(1 + rho |z|^2)`` (Fubini-Study type for rho > 0, Bergman type
 for rho < 0); the realified metric is normalized to the identity at z = 0.
 Every closed form here is exact at rho = 0, where it gives flat C^m; only
-metric_along and christoffel_along, which the snapshot applies along F,
-test for rho = 0, to skip products that vanish there.
+pullback_along, metric_along and christoffel_along, which the snapshot
+applies along F, test for rho = 0, to skip products that vanish there.
 
 Curvature sign convention: R(X,Y,Z,W) = g(nab_X nab_Y Z - nab_Y nab_X Z
 - nab_{[X,Y]} Z, W), fixed so that R(X, JX, JX, X) = 4 rho ||X||^4.  With it
@@ -32,6 +32,7 @@ __all__ = [
     "space_form",
     "ambient_J",
     "ambient_metric",
+    "pullback_along",
     "metric_along",
     "christoffel_along",
     "curvature_tensor_point",
@@ -133,12 +134,36 @@ def _common(z, a, b):
 def _pairings(spec, z, a, si, b, sj):
     """A = 1/(1 + rho|z|^2), after the chart check, and <v, z>, <v, Jz> of
     v = a and v = b on a last axis p: (si..., p, batch...), (sj..., p, ...).
-    When b is a, as in g = g_N(dF, dF), the pairings of a serve both."""
+    When b is a, as in Gamma^N(dF, dF), the pairings of a serve both."""
     A = _inverse_margin(spec, z)
     zJz = jstack([z, jet_einsum("AB,B...->A...", ambient_J(spec), z)])
     pa = jet_einsum(f"A{si}...,pA...->{si}p...", a, zJz)
     return A, pa, (pa if b is a else
                    jet_einsum(f"A{sj}...,pA...->{sj}p...", b, zJz))
+
+
+def pullback_along(spec, z, a):
+    """The pulled-back pair g = g_N(a, a) and F*w = g_N(Ja, a) at
+    chart-coordinate jets z, in closed form, from one set of pairings.
+
+    z: Jet (A, batch...); a: Jet (A, i, batch...), as dF.  Returns g and
+    F*w, each (i, j, batch...) at the order of a, to which z is truncated
+    first.  g is metric_along(spec, z, a, a).  With x and y the even and
+    odd rows of a and X = x^T y, <J a_i, a_j> = X_ij - X_ji; J being
+    orthogonal and skew, <Ja, z> = -<a, Jz> and <Ja, Jz> = <a, z>, so
+    F*w = Y - Y^T with Y = A X + c <a, z> (x) <a, Jz>, which is exactly
+    antisymmetric.  rho = 0 is <a, a> and X - X^T.
+    """
+    z, a, _, si, sj = _common(z, a, a)
+    ij = f"{si}{sj}..."
+    g = jet_einsum(f"A{si}...,A{sj}...->{ij}", a, a)
+    Y = jet_einsum(f"A{si}...,A{sj}...->{ij}", a[0::2], a[1::2])
+    if spec.rho != 0.0:
+        A, pa, _ = _pairings(spec, z, a, si, a, sj)
+        cpa = pa * (A * A * -spec.rho)
+        g = A * g + jet_einsum(f"{si}p...,{sj}p...->{ij}", cpa, pa)
+        Y = A * Y + jet_einsum(f"{si}...,{sj}...->{ij}", cpa[:, 0], pa[:, 1])
+    return g, Jet(Y.dim, Y.order, Y.coeffs - np.swapaxes(Y.coeffs, 0, 1))
 
 
 def metric_along(spec, z, a, b):

@@ -13,6 +13,7 @@ Exit status: 0 success, 1 failed residual/check, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,34 +30,42 @@ from .quadrature import torus_checks
 from .runner import RECORD_MODES, report_to_json, run_suite
 
 
-def _load_entry(args):
-    """The catalog entry ``--entry`` names; for FILE, or with
-    ``--ambient``, an entry without expectations (the catalog's hold only
-    for its own map) over the entry's box, or for FILE over [0, 2pi] per
-    axis if periodic, else [-1, 1].  ``--ambient`` is the entry's
-    ``ambient``.  Exactly one of FILE and ``--entry`` is given."""
+def _load_spec(args):
+    """The spec of FILE or of the ``--entry`` entry, parsed once and in the
+    ``--ambient`` ambient if given, with the name, text and box it came
+    from (box None for FILE).  Exactly one of FILE and ``--entry`` is
+    given."""
     if bool(args.entry) == bool(args.file):
         raise KangleError("give either an .imm file or --entry NAME")
     if args.entry:
         entry = get_entry(args.entry)
-        if not args.ambient:
-            return entry
-        name, text, box = entry.name, entry.text, entry.box
+        name, text, box, spec = entry.name, entry.text, entry.box, entry.spec()
     else:
         with open(args.file, "r", encoding="utf-8") as fh:
             name, text, box = args.file, fh.read(), None
-    spec = parse_immersion(text, name=name)
-    ambient = None
+        spec = parse_immersion(text, name=name)
     if args.ambient:
         try:
             ambient = parse_ambient(args.ambient, spec.n)
         except ImmersionSyntaxError as exc:
             raise KangleError(
                 f"bad --ambient value {args.ambient!r}: {exc}") from None
+        spec = dataclasses.replace(spec, ambient=ambient)
+    return spec, name, text, box
+
+
+def _load_entry(args):
+    """The catalog entry ``--entry`` names; for FILE, or with
+    ``--ambient``, an entry without expectations (the catalog's hold only
+    for its own map) in the spec's ambient, over the entry's box, or for
+    FILE over [0, 2pi] per axis if periodic, else [-1, 1]."""
+    if args.entry and not (args.file or args.ambient):
+        return get_entry(args.entry)
+    spec, name, text, box = _load_spec(args)
     box = box or (((0.0, 2 * np.pi) if spec.periodic else (-1.0, 1.0),)
                   * spec.domain_dim)
     return CatalogEntry(name=name, text=text, box=box, equal_angles=False,
-                        classification="mixed", ambient=ambient)
+                        classification="mixed", ambient=spec.ambient)
 
 
 def _parse_point(text):
@@ -74,7 +83,7 @@ def _parse_point(text):
 @reads("F0", "cos_angles", "classification", "rank", "normH2", "g_inv0",
        "sff0", "gN0", "g0", "W0", "norm_W2_0", "kappa", "cos_signed")
 def _cmd_eval(args):
-    spec = _load_entry(args).spec()
+    spec = _load_spec(args)[0]
     point = _parse_point(args.point)
     snap = compute_snapshot(spec, point[None, :], reads=_cmd_eval.reads)
     if not snap.size:
@@ -152,7 +161,7 @@ def _cmd_verify(args):
 
 
 def _cmd_integrate(args):
-    spec = _load_entry(args).spec()
+    spec = _load_spec(args)[0]
     rows = torus_checks(spec, args.grid)
     ok = all(row.get("pass", True) for row in rows)
     text = json.dumps({"quadrature": rows, "pass": ok}, indent=1)

@@ -348,6 +348,12 @@ def _eval_expr(e, seeds):
     raise UsageError(f"not an expression node: {e!r}")
 
 
+def _overflow_message(k):
+    """The diagnostic of component k (from 0) whose constant overflows."""
+    return (f"component {k + 1} failed to evaluate: a constant "
+            f"subexpression overflows a float")
+
+
 def eval_components(spec, point, order=3):
     """Evaluate all 4n component expressions over jets seeded at ``point``.
 
@@ -369,9 +375,7 @@ def eval_components(spec, point, order=3):
         except ZeroDivisionError as exc:
             raise UsageError(f"component {k + 1} failed to evaluate: {exc}") from exc
         except OverflowError as exc:
-            raise UsageError(
-                f"component {k + 1} failed to evaluate: a constant "
-                f"subexpression overflows a float") from exc
+            raise UsageError(_overflow_message(k)) from exc
         if not isinstance(val, Jet):
             val = Jet.constant(spec.domain_dim, order,
                                np.broadcast_to(np.asarray(val, dtype=float),
@@ -399,9 +403,16 @@ def _eval_floats(e, coords):
 
 
 def eval_components_floats(spec, point):
-    """Plain float evaluation of F (no jets); point (..., 2n) -> (..., 4n)."""
+    """Plain float evaluation of F (no jets); point (..., 2n) -> (..., 4n).
+    A constant subexpression that overflows a float raises UsageError
+    naming its component, as in eval_components."""
     point = np.asarray(point, dtype=float)
     coords = [point[..., v] for v in range(spec.domain_dim)]
-    vals = [np.broadcast_to(_eval_floats(c, coords), point.shape[:-1])
-            for c in spec.components]
+    vals = []
+    for k, comp in enumerate(spec.components):
+        try:
+            val = _eval_floats(comp, coords)
+        except OverflowError as exc:
+            raise UsageError(_overflow_message(k)) from exc
+        vals.append(np.broadcast_to(val, point.shape[:-1]))
     return np.stack(vals, axis=-1)

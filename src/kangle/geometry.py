@@ -53,7 +53,6 @@ __all__ = [
     "STAGES",
     "compute_snapshot",
     "reads",
-    "pullback_form",
     "kahler_angles",
     "signed_angle_n1",
     "second_fundamental_form",
@@ -133,14 +132,6 @@ def writes(*keys, order):
         fn.writes, fn.order = keys, order
         return fn
     return declare
-
-
-def pullback_form(spec, F, dF):
-    """(F*w)_ij = g_N(J dF d_i, dF d_j) along F; antisymmetrized against
-    roundoff."""
-    JdF = jet_einsum("AB,Bi...->Ai...", amb.ambient_J(spec), dF)
-    w = amb.metric_along(spec, F, JdF, dF)
-    return Jet(w.dim, w.order, 0.5 * (w.coeffs - np.swapaxes(w.coeffs, 0, 1)))
 
 
 def kahler_angles(g0, W0):
@@ -270,13 +261,15 @@ def compute_snapshot(spec, points, order=3, reads=None):
     at the deepest order those stages declare, which ``snap.order``
     reports; an ``order`` below it raises UsageError before F is evaluated.
     Each stage reads keys of the stages before it; ``work`` carries what no
-    reader needs (F, dF, the |F*w|^2 the form Laplacians differentiate, the
-    contracted Christoffel Gamma^k = g^{ij} Gamma^k_{ij} that delta F*w and
-    H are traced with, the nabla F*w, d delta F*w and (JH)-flat the masked
-    fields reuse, and the tensor P the frame sums contract with) and is
-    dropped.  It holds no ambient tensor: g_N and Gamma^N are applied along
-    F in closed form (``ambient.metric_along``,
-    ``ambient.christoffel_along``).
+    reader needs (F, dF, the jet F*w that the core forms with g and the
+    forms stage differentiates, the |F*w|^2 the form Laplacians
+    differentiate, the contracted Christoffel Gamma^k = g^{ij}
+    Gamma^k_{ij} that delta F*w and H are traced with, the nabla F*w,
+    d delta F*w and (JH)-flat the masked fields reuse, and the tensor P the
+    frame sums contract with) and is dropped.  It holds no ambient tensor:
+    g_N and Gamma^N are applied along F in closed form
+    (``ambient.pullback_along`` for g and F*w, ``ambient.metric_along`` for
+    (JH)-flat, ``ambient.christoffel_along``).
     """
     stages, order = _plan(reads, order)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -310,8 +303,9 @@ def _gate(snap, work, good, reason):
 
 @writes("F0", "dF0", "g0", "sqrt_det_g0", "g", order=1)
 def _core(snap, work):
-    """F, the finite and chart gates, dF, g, the immersion gate and
-    sqrt(det g) at the points; their values read dF."""
+    """F, the finite and chart gates, dF, g and F*w from one set of
+    ambient pairings, the immersion gate and sqrt(det g) at the points;
+    their values read dF."""
     spec, m = snap.ambient_spec, snap.ambient_dim
     with np.errstate(over="ignore"):     # the gate reports the overflow
         finite = np.isfinite(np.sum(work["F"].coeffs ** 2, axis=(0, -1)))
@@ -321,7 +315,7 @@ def _core(snap, work):
     F = work["F"]
     dF = ca.jstack([ca.partials(F[A]) for A in range(m)])   # (A, i, b)
     work["dF"] = dF
-    snap.jets["g"] = amb.metric_along(spec, F, dF, dF)
+    snap.jets["g"], work["W"] = amb.pullback_along(spec, F, dF)
     eig = np.linalg.eigvalsh(_at_points(snap.jets["g"]))
     _gate(snap, work, eig[:, 0] > 1e-12 * np.maximum(eig[:, -1], 1.0),
           "not an immersion")
@@ -343,9 +337,9 @@ def _connection(snap, work):
         "delta_W0", "norm_delta_W2", "norm_nabla_W2", "cos2",
         "delta_W", "W_sharp", order=2)
 def _forms(snap, work):
-    """F*w and its calculus to first order: norms, gradients, delta F*w
-    and nabla F*w; the derivatives of F*w read d^2 F.  d F*w = F*(dw) = 0,
-    w being closed, so no stage forms it.
+    """The calculus of the core's F*w to first order: norms, gradients,
+    delta F*w and nabla F*w; the derivatives of F*w read d^2 F.
+    d F*w = F*(dw) = 0, w being closed, so no stage forms it.
 
     The traced jets are contracted before they are multiplied out: with
     the operator (F*w)#^i_j = g^{ik} W_jk and Gamma^k = g^{ij} Gamma^k_{ij},
@@ -354,7 +348,7 @@ def _forms(snap, work):
     at the points."""
     n, g_inv0 = snap.n, snap.g_inv0
     g_inv, gamma = snap.jets["g_inv"], snap.jets["gamma"]
-    W = pullback_form(snap.ambient_spec, work["F"], work["dF"])  # (i, j, b)
+    W = work["W"]                                   # (i, j, b)
     W0 = _at_points(W)
     sharp = "ik...,jk...->ij..."                    # (F*w)#: (i, j, b)
     Ws2 = jet_einsum(sharp, g_inv, W)

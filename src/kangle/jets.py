@@ -14,6 +14,9 @@ test oracles.
 A sum or product of jets of orders p and q is exact to order min(p, q) and
 no further, so ``+``, ``-``, ``*`` and ``jet_einsum`` truncate the deeper
 operand to the lower order; a caller caps an order by truncating an operand.
+The unary functions and the reciprocal sum a Taylor series in the nilpotent
+part of a jet by Horner's scheme under the same rule: step j of p is a
+product at order j, and only the last is at the jet's own order.
 
 Coefficients are coefficient-major: ``np.moveaxis(coeffs, -1, 0)`` is
 C-contiguous, one contiguous plane per Taylor coefficient.  Every producer
@@ -320,14 +323,22 @@ class Jet:
         return result
 
     def _horner(self, series):
-        """Evaluate sum_k series[k] * (self - self0)^k by Horner's scheme."""
+        """Evaluate sum_k series[k] * (self - self0)^k by Horner's scheme.
+
+        The bracket formed at step j is multiplied by u^(p - j) afterwards,
+        u = self - self0 having no constant term, so it is needed only to
+        order j: step j multiplies the order j - 1 bracket, padded with zero
+        coefficients that meet only u's zero constant term, by u truncated
+        to order j (Griewank and Walther, Evaluating Derivatives, ch. 13).
+        """
         u = Jet(self.dim, self.order, self.coeffs.copy(order="K"))
         u.coeffs[..., 0] = 0.0
         lead = np.broadcast_shapes(*(np.shape(c) for c in series))
-        acc = Jet.constant(self.dim, self.order, np.broadcast_to(series[-1], lead))
-        for c in series[-2::-1]:
-            acc = acc * u
-            acc = acc + c
+        acc = Jet.constant(self.dim, 0, np.broadcast_to(series[-1], lead))
+        for j, c in enumerate(series[-2::-1], 1):
+            planes = np.zeros((num_coeffs(self.dim, j),) + acc.shape)
+            planes[:acc.coeffs.shape[-1]] = _planes(acc.coeffs)
+            acc = Jet(self.dim, j, _coeffs(planes)) * u.truncated(j) + c
         return acc
 
 

@@ -46,6 +46,21 @@ def ambient_metric_jet(spec, z_jets):
     return Jet(z_jets.dim, z_jets.order, g)
 
 
+def pullback_form(spec, z_jets, a):
+    """(F*w)_ij = 1/2 (g_N(J a_i, a_j) - g_N(J a_j, a_i)) with the whole
+    ambient metric jet ``ambient_metric_jet`` along z_jets and J a formed
+    first: the full-tensor oracle of the F*w of ``ambient.pullback_along``.
+    a: Jet (A, i, batch...); result (i, j, batch...) at the order of a."""
+    from kangle import ambient as amb
+    from kangle.jets import Jet, jet_einsum
+
+    gN = ambient_metric_jet(spec, z_jets.truncated(a.order))
+    Ja = jet_einsum("AB,Bi...->Ai...", amb.ambient_J(spec), a)
+    w = jet_einsum("Ai...,Aj...->ij...", Ja,
+                   jet_einsum("AB...,Bj...->Aj...", gN, a))
+    return Jet(w.dim, w.order, 0.5 * (w.coeffs - np.swapaxes(w.coeffs, 0, 1)))
+
+
 def ambient_christoffel(spec, z_jets):
     """Levi-Civita connection of the space form as a jet tensor, the oracle
     of ``ambient.christoffel_along``.

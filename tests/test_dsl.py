@@ -133,6 +133,16 @@ def test_an_overflowing_constant_power_names_its_component():
                               "subexpression overflows a float")
 
 
+def test_the_float_evaluator_names_an_overflowing_component():
+    """The float evaluator of the oracles reports 10^400 as the jet
+    evaluator does, with the same UsageError."""
+    spec = parse_immersion("n=1; ambient=flat; map=[u1, u2, 10^400, 0]")
+    with pytest.raises(UsageError) as err:
+        eval_components_floats(spec, np.zeros((1, 2)))
+    assert str(err.value) == ("component 3 failed to evaluate: a constant "
+                              "subexpression overflows a float")
+
+
 def test_periodic_and_space_form_and_comments():
     text = """# a comment
     n=1; ambient=space_form(-0.5); periodic;

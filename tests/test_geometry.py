@@ -328,8 +328,8 @@ def test_trace_hessian_equals_div_grad():
 
 def test_pullback_form_closed():
     import kangle.calculus as ca
+    from conftest import pullback_form
     from kangle.dsl import eval_components
-    from kangle.geometry import pullback_form
     for name in ("ds_graph", "trig_sf_neg", "quaternionic_graph"):
         spec = get_entry(name).spec()
         pts = snap_of(name, count=50).points
@@ -688,16 +688,18 @@ def test_masked_fields_equal_their_jet_compositions():
 
 def test_traced_jets_equal_their_full_tensor_forms():
     """delta F*w, |F*w|^2 and H are contracted before they are multiplied
-    out (the ``forms`` and ``extrinsic`` stages).  On every catalog entry,
-    the four curved ones included, they equal the full-tensor oracles,
-    which form nabla F*w, b^{ij} and the whole sff jet first, and so do
-    Delta |F*w|^2, (F*w)# and nabla H, which are built on them.  The
+    out (the ``forms`` and ``extrinsic`` stages), and F*w is pulled back
+    from the pairings that g is (``ambient.pullback_along``).  On every
+    catalog entry, the four curved ones included, they equal the
+    full-tensor oracles, which form the ambient metric jet, nabla F*w,
+    b^{ij} and the whole sff jet first, and so do Delta |F*w|^2, (F*w)#
+    and nabla H, which are built on them.  The
     bound, 1e-12 relative to max(|x|, 1), is about 100 times the largest
     difference seen, 8e-15 (``lap_norm_W2``)."""
-    from conftest import codiff, tensor_route, two_form_pairing
+    from conftest import (codiff, pullback_form, tensor_route,
+                          two_form_pairing)
     from kangle.calculus import trace_hessian
     from kangle.catalog import entry_names
-    from kangle.geometry import pullback_form
     from kangle.jets import jet_einsum
     from kangle.runner import sample_points
 
@@ -715,6 +717,7 @@ def test_traced_jets_equal_their_full_tensor_forms():
         norm = two_form_pairing(W, W, g_inv)
         delta = codiff(W, g_inv, gamma)
         pairs = {
+            "W0": (snap.W0, at(W)),
             "delta_W0": (snap.delta_W0, at(delta)),
             "delta_W": (snap.jets["delta_W"].coeffs, delta.coeffs),
             "norm_W2_0": (snap.norm_W2_0, norm.value()),
@@ -732,5 +735,5 @@ def test_traced_jets_equal_their_full_tensor_forms():
             rel = np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))
             worst[key] = max(worst.get(key, 0.0), rel)
             assert rel <= 1e-12, (name, key, rel)
-    assert worst.keys() == {"delta_W0", "delta_W", "norm_W2_0", "cos2",
-                            "lap_norm_W2", "W_sharp", "H0", "nablaH"}
+    assert worst.keys() == {"W0", "delta_W0", "delta_W", "norm_W2_0",
+                            "cos2", "lap_norm_W2", "W_sharp", "H0", "nablaH"}

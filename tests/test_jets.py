@@ -227,6 +227,62 @@ def test_unknown_unary_name_raises_usage_error():
             jet_unary(x, name)
 
 
+def _full_order_horner(x, series):
+    """sum_k series[k] (x - x0)^k with every Horner step a product at x's
+    own order: the reference of Jet._horner, whose step j multiplies at
+    order j."""
+    u = Jet(x.dim, x.order, x.coeffs.copy())
+    u.coeffs[..., 0] = 0.0
+    lead = np.broadcast_shapes(*(np.shape(c) for c in series))
+    acc = Jet.constant(x.dim, x.order, np.broadcast_to(series[-1], lead))
+    for c in series[-2::-1]:
+        acc = acc * u + c
+    return acc
+
+
+def test_horner_steps_multiply_at_rising_order(monkeypatch):
+    """The j-th Horner product of an order-3 unary function or reciprocal
+    is formed at order j, not at order 3."""
+    orders, mul = [], Jet.__mul__
+
+    def spy(self, other):
+        out = mul(self, other)
+        if isinstance(other, Jet):
+            orders.append(out.order)
+        return out
+
+    monkeypatch.setattr(Jet, "__mul__", spy)
+    x = jet_seed(2, 3, [[0.3, 0.7], [0.5, 0.1]], 1) + 0.5
+    for apply in (lambda: jet_unary(x, "sin"), x.reciprocal):
+        orders.clear()
+        assert apply().order == 3
+        assert orders == [1, 2, 3]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_rising_order_horner_equals_the_full_order_one(dim):
+    """Every unary function and the reciprocal, at orders 0 to 4, equal
+    the full-order Horner scheme in every coefficient: the padded
+    coefficients of a bracket meet only u's zero constant term."""
+    from kangle.jets import _UNARY
+
+    rng = np.random.default_rng(dim)
+    for order in range(5):
+        c = rng.normal(size=(3, 5, num_coeffs(dim, order)))
+        c[..., 0] = rng.uniform(0.3, 1.5, (3, 5))
+        x = Jet(dim, order, c)
+        inv = 1.0 / x.value()
+        want = {name: _full_order_horner(x, gen(x.value(), order))
+                for name, gen in _UNARY.items()}
+        want["reciprocal"] = _full_order_horner(
+            x, [inv * (-inv) ** k for k in range(order + 1)])
+        got = {name: jet_unary(x, name) for name in _UNARY}
+        got["reciprocal"] = x.reciprocal()
+        for name, jet in got.items():
+            assert jet.order == order, name
+            assert np.array_equal(jet.coeffs, want[name].coeffs), (name, order)
+
+
 def test_extract_examples():
     u1, u2 = jet_seed_all(2, 2, [1.3, -0.4])
     assert (u1 * u2).extract((1, 1)) == 1.0

@@ -863,6 +863,37 @@ def test_cli_file_runs_in_the_ambient_override(command, args, tmp_path):
         assert got["quadrature"] == torus_checks(spec, 8)
 
 
+@pytest.mark.parametrize("command, args", [
+    ("eval", ["--point", "0.5,1"]),
+    ("integrate", ["--grid", "8"]),
+])
+@pytest.mark.parametrize("source", [
+    ["FILE"], ["FILE", "--ambient", "space_form(1.0)"],
+    ["--entry", "trig_flat_2d", "--ambient", "space_form(1.0)"],
+])
+def test_eval_and_integrate_parse_the_text_once(command, args, source,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+    """``kangle eval`` and ``kangle integrate`` on a FILE or with
+    ``--ambient`` parse the immersion text once."""
+    from kangle.dsl import _Parser
+
+    path = tmp_path / "surface.imm"
+    path.write_text(SURFACE)
+    calls, parse_file = [], _Parser.parse_file
+
+    def spy(self, *a, **k):
+        calls.append(self)
+        return parse_file(self, *a, **k)
+
+    monkeypatch.setattr(_Parser, "parse_file", spy)
+    argv = [command, *(str(path) if a == "FILE" else a for a in source),
+            *args]
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_cli_verify_imm_file(tmp_path):
     f = tmp_path / "surface.imm"
     f.write_text("n=1; ambient=flat; periodic; map=[cos(u1), sin(u1), "
