@@ -3,9 +3,7 @@
 Every entry records what is known about it (minimality, equal or constant
 angles, classification, a closed-form angle function where one exists) and
 the suite asserts those expectations whenever the entry runs; the catalog is
-self-testing.  Entries marked ``equal_angles="measured"`` are candidates:
-the equal-angle gate is measured and reported, and a failed gate downgrades
-the entry instead of failing the run.
+self-testing.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from .errors import UsageError
 
 __all__ = ["CatalogEntry", "builtin_catalog", "get_entry", "entry_names"]
 
-# the flat wobbled torus that fixes the sign conventions
+# the flat wobbled torus that checks the sign conventions
 CALIBRATION_SURFACE = (
     "n=1; ambient=flat; periodic; map=[cos(u1), sin(u1), "
     "cos(u2) + 0.3*sin(u1), sin(u2) + 0.2*cos(u1 + u2)]")
@@ -32,7 +30,7 @@ class CatalogEntry:
     text: str
     box: tuple                      # ((lo, hi), ...) per domain variable
     minimal: bool = False
-    equal_angles: object = True     # True | False | "measured"
+    equal_angles: bool = True
     constant_angle: bool = False
     classification: str = "generic"
     angle_fn: object = None         # callable points -> cos(theta) or None
@@ -186,13 +184,13 @@ def builtin_catalog():
     ))
 
     # (6) quaternionic graph: holomorphic for a second constant complex
-    # structure, equal angles for the ambient one (measured gate); a complex
-    # point at the origin, angles vary over (0, 1)
+    # structure, equal angles for the ambient one; a complex point at the
+    # origin, angles vary over (0, 1)
     entries.append(CatalogEntry(
         name="quaternionic_graph",
         text=("n=2; ambient=flat; map=[u1, u2, u3, u4, "
               "u1^2 - u3^2, u2^2 - u4^2, 2*u1*u3, 2*u2*u4]"),
-        box=((-1.0, 1.0),) * 4, minimal=True, equal_angles="measured",
+        box=((-1.0, 1.0),) * 4, minimal=True, equal_angles=True,
         classification="mixed",
     ))
 

@@ -18,7 +18,7 @@ class QuadratureError(KangleError):
 
 
 class ConventionError(KangleError):
-    """Sign calibration did not produce a unique closing convention."""
+    """The calibration surface does not close with exactly the code's signs."""
 
 
 class ImmersionSyntaxError(KangleError):

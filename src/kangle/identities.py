@@ -15,22 +15,22 @@ sides, absolute and relative residuals and the gating reason.
 Nothing is asserted at points whose classification violates an
 identity's hypotheses.
 
-Two sign conventions are not fixed a priori and are calibrated once per
-process on a built-in flat surface: ``s_delta`` (the scalar Laplacian as a
-multiple of the metric trace of the Hessian) and ``delta_sign`` (the
-codifferential as a multiple of minus the metric contraction of the
-covariant derivative).  ``calibrate_conventions`` tries all four sign pairs
-and requires exactly one to close the n=1 angle-Laplacian identity and the
-form-codifferential identity; the winning pair is stamped into every run
-report.
+Every suite takes only the snapshot: the identities are stated in one
+Laplacian and one codifferential, and the code's operators are both with
+sign +1, ``s_delta`` (the scalar Laplacian as the metric trace of the
+Hessian) and ``delta_sign`` (the codifferential as minus the metric
+contraction of the covariant derivative).  ``CONVENTIONS`` records them in
+every run report.  ``calibrate_conventions`` checks them once per process
+on a built-in flat surface: the n=1 angle-Laplacian identity and the
+form-codifferential identity must each close with their LHS as the code
+forms it and fail to close with it negated, or the run stops.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import ClassVar
 
 import numpy as np
 
@@ -45,7 +45,7 @@ TOL_ABS_DEFAULT = 1e-7
 TOL_REL_DEFAULT = 1e-5
 
 __all__ = [
-    "Conventions",
+    "CONVENTIONS",
     "IdentityResidual",
     "Judged",
     "Residual",
@@ -69,17 +69,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Conventions:
-    """Calibrated sign conventions, recorded in every report header."""
-
-    s_delta: int
-    delta_sign: int
-    two_form_normalization: ClassVar[str] = "half"
-
-    def as_dict(self):
-        return {"s_delta": self.s_delta, "delta_sign": self.delta_sign,
-                "two_form_normalization": self.two_form_normalization}
+# the report header's sign conventions, which calibrate_conventions checks
+CONVENTIONS = {"s_delta": 1, "delta_sign": 1, "two_form_normalization": "half"}
 
 
 @dataclass
@@ -299,10 +290,9 @@ def _curv_sum(snap):
        "norm_grad_costheta2", "norm_nabla_Jw2", "Jw0", "grad_costheta",
        "delta_W_sharp0", "norm_delta_W2", "delta_Jw0", "band", "sumE",
        "grad_sin2_0", "grad_cos2_0", "g0", "sin2_0", "sff11_norm2")
-def verify_prop3_1(snap, conventions):
+def verify_prop3_1(snap):
     """Equal-angle norm/codifferential identities for the pulled-back form."""
     B, n = snap.size, snap.n
-    sd = conventions.delta_sign
     cosb = _costheta_bar(snap)
     out = []
 
@@ -324,7 +314,7 @@ def verify_prop3_1(snap, conventions):
     out.append(Residual("prop3.1.norm_grad_fw", lhs, rhs, scale, app, why))
 
     Jgc = np.einsum("bij,bj->bi", snap.Jw0, snap.grad_costheta)
-    lhs_v = sd * snap.delta_W_sharp0
+    lhs_v = snap.delta_W_sharp0
     rhs_v = (n - 2.0) * Jgc
     scale = np.sqrt(np.abs(snap.norm_delta_W2)) + \
         np.abs(n - 2) * np.sqrt(np.abs(gc2)) + 1e-30
@@ -335,7 +325,7 @@ def verify_prop3_1(snap, conventions):
     out.append(Residual("prop3.1.norm_delta_fw", lhs, rhs,
                         np.abs(lhs) + np.abs(rhs) + 1e-30, app, why))
 
-    lhs_v = cosb[:, None] * sd * snap.delta_Jw0
+    lhs_v = cosb[:, None] * snap.delta_Jw0
     rhs_v = (n - 1.0) * Jgc
     scale = cosb * np.linalg.norm(snap.delta_Jw0, axis=1) \
         + np.abs(n - 1) * np.sqrt(np.abs(gc2)) + 1e-30
@@ -366,10 +356,9 @@ def verify_prop3_1(snap, conventions):
        "g_inv0", "W0", "nabla_perpH", "Jw0", "JHtop0", "sumD", "normH2",
        "sumA", "sumB", "sumC", "equal_gate", "sumA_perp", "jw_field",
        "div_Jw_JHtop", "delta_Jw0", "div_JHtop", "sumRe_perp")
-def verify_lemma3_1(snap, conventions):
+def verify_lemma3_1(snap):
     """Mean-curvature projection identities (any immersion, gated parts)."""
     B, n = snap.size, snap.n
-    sd = conventions.delta_sign
     out = []
     JdF = np.einsum("AB,bBi->bAi", snap.JN, snap.dF0)
     cosb = _costheta_bar(snap)
@@ -416,7 +405,7 @@ def verify_lemma3_1(snap, conventions):
     m_jw = snap.masks["jw_field"]
     app, why = _reason_array(B, [(eq, "angles not equal"),
                                  (m_jw, "Lagrangian point")])
-    t5 = -snap.div_Jw_JHtop + sd * np.einsum(
+    t5 = -snap.div_Jw_JHtop + np.einsum(
         "bij,bi,bj->b", snap.g0, snap.JHtop0, snap.delta_Jw0)
     out.append(Residual("lemma3.1.iii_divergence", t1, t5,
                         hscale + np.abs(t5), app, why))
@@ -443,10 +432,9 @@ def _delta_kappa_gate(snap):
        "norm_nabla_Jw2", "norm_grad_costheta2", "lap_kappa", "g0",
        "grad_costheta", "sumD", "sumA", "delta_Jw0", "JHtop0",
        "div_Jw_JHtop_over_sin2")
-def verify_delta_kappa(snap, conventions):
+def verify_delta_kappa(snap):
     """Angle-Laplacian identities (general form, divergence form, n=1 form)."""
     B, n = snap.size, snap.n
-    sD, sd = conventions.s_delta, conventions.delta_sign
     R = einstein_constant(snap.ambient_spec)
     cosb = _costheta_bar(snap)
     sin2 = snap.sin2_0
@@ -460,7 +448,7 @@ def verify_delta_kappa(snap, conventions):
             + snap.norm_nabla_Jw2 / sin2
             + 8.0 * (n - 1.0) * snap.norm_grad_costheta2 / sin2**2
         )
-        lhs = sD * snap.lap_kappa
+        lhs = snap.lap_kappa
         mid = np.einsum("bij,bi,bj->b", snap.g0, snap.grad_costheta,
                         snap.sumD)
         rhs32 = bracket - (16.0 * n / sin2**2) * cosb * mid \
@@ -470,7 +458,7 @@ def verify_delta_kappa(snap, conventions):
         out.append(Residual("prop3.2.delta_kappa", lhs, rhs32, scale, app,
                             why))
 
-        jh_term = 4.0 * n * sd * np.einsum(
+        jh_term = 4.0 * n * np.einsum(
             "bij,bi,bj->b", snap.g0, snap.delta_Jw0,
             snap.JHtop0) / sin2
         rhs33 = bracket - 4.0 * n * snap.div_Jw_JHtop_over_sin2 + jh_term
@@ -488,12 +476,11 @@ def verify_delta_kappa(snap, conventions):
 
 @reads("lap_norm_W2", "hodge_pair", "norm_nabla_W2", "S_pair", "cos_angles",
        "equal_gate", "sumRM")
-def verify_weitzenboeck(snap, conventions):
+def verify_weitzenboeck(snap):
     """The 2-form Bochner balance for the pulled-back form (any immersion)."""
-    sD, sd = conventions.s_delta, conventions.delta_sign
     terms = np.stack([
-        0.5 * sD * snap.lap_norm_W2,
-        sd * snap.hodge_pair,
+        0.5 * snap.lap_norm_W2,
+        snap.hodge_pair,
         -snap.norm_nabla_W2,
         -snap.S_pair,
     ])
@@ -516,10 +503,9 @@ def verify_weitzenboeck(snap, conventions):
        "JHtop0", "g0", "grad_costheta", "S_pair", "norm_nabla_W2",
        "norm_grad_abs_sin2", "div_Wsharp_JHtop", "lap_cos2", "W0",
        "grad_log_sin2", "normH2", "delta_W0")
-def verify_prop3_4(snap, conventions):
+def verify_prop3_4(snap):
     """Laplacian of cos^2 and the two rewritings of its last term."""
     B, n = snap.size, snap.n
-    sD, sd = conventions.s_delta, conventions.delta_sign
     R = einstein_constant(snap.ambient_spec)
     cosb = _costheta_bar(snap)
     sin2 = snap.sin2_0
@@ -537,7 +523,7 @@ def verify_prop3_4(snap, conventions):
             -4.0 * n * snap.div_Wsharp_JHtop,
             term32,
         ])
-        lhs = n * sD * snap.lap_cos2
+        lhs = n * snap.lap_cos2
         rhs = np.sum(terms, axis=0)
         scale = np.sum(np.abs(terms), axis=0) + np.abs(lhs) + 1e-30
         out.append(Residual("prop3.4.delta_cos2", lhs, rhs, scale, app, why))
@@ -551,7 +537,7 @@ def verify_prop3_4(snap, conventions):
             out.append(Residual("prop3.4.term_3_3", term32,
                                 rhs_33, scale, app, why))
         if n >= 3:
-            dfw_jh = sd * np.einsum("bi,bi->b", snap.delta_W0, snap.JHtop0)
+            dfw_jh = np.einsum("bi,bi->b", snap.delta_W0, snap.JHtop0)
             rhs_34 = (4.0 * n * (2.0 + (n - 4.0) * sin2)
                       / (sin2 * (n - 2.0))) * dfw_jh
             scale = np.abs(term32) + np.abs(rhs_34) + \
@@ -564,7 +550,7 @@ def verify_prop3_4(snap, conventions):
 @reads("cos_angles", "sin2_0", "equal_gate", "off_complex", "W0", "JHtop0",
        "grad_log_sin2", "div_Wsharp_JHtop", "normH2", "sff0", "nabla_perpH",
        "grad_sin2_0")
-def verify_section4(snap, conventions):
+def verify_section4(snap):
     """The n=2 divergence identity and its pointwise corollary."""
     B, n = snap.size, snap.n
     out = []
@@ -608,11 +594,10 @@ def verify_section4(snap, conventions):
        "sigma_trace0", "dsigma_jh0", "dsigma_dw0", "W0", "grad_cos2_0",
        "cos2_0", "sin2_0", "d_JHb", "sumC", "normH2", "sumA_perp",
        "classification", "sff0")
-def verify_prop3_6(snap, conventions):
+def verify_prop3_6(snap):
     """The sigma 1-form, its exterior derivative, and the constant-angle
     equalities; plus closedness of ((JH)^T)-flat on Lagrangian points."""
     B, n = snap.size, snap.n
-    sd = conventions.delta_sign
     R = einstein_constant(snap.ambient_spec)
     cosb = _costheta_bar(snap)
     out = []
@@ -622,13 +607,13 @@ def verify_prop3_6(snap, conventions):
         (snap.equal_gate, "angles not equal"),
         (m_sig, "within buffer of the complex locus"),
     ])
-    sigma = snap.sigma_jh0 + sd * snap.sigma_dw0
+    sigma = snap.sigma_jh0 + snap.sigma_dw0
     scale = np.linalg.norm(sigma, axis=1) + \
         np.linalg.norm(snap.sigma_trace0, axis=1) + 1e-30
     out.append(Residual("prop3.6.sigma_trace", sigma, snap.sigma_trace0,
                         scale, app, why))
 
-    dsigma = snap.dsigma_jh0 + sd * snap.dsigma_dw0
+    dsigma = snap.dsigma_jh0 + snap.dsigma_dw0
     rhs = R * snap.W0
     scale = np.max(np.abs(dsigma).reshape(B, -1), axis=1) \
         + np.abs(R) * np.max(np.abs(snap.W0).reshape(B, -1), axis=1) + 1e-30
@@ -664,18 +649,17 @@ def verify_prop3_6(snap, conventions):
 
 @reads("cos_angles", "sin2_0", "W0", "JHtop0", "grad_sin2_0", "delta_W0",
        "normH2", "norm_grad_costheta2", "sumRM")
-def evaluate_hypothesis_fields(snap, conventions):
+def evaluate_hypothesis_fields(snap):
     """Named diagnostic scalars from the hypothesis sides of the theorems.
 
     These are reported, not asserted (they are inequalities/diagnostics)."""
     B, n = snap.size, snap.n
-    sd = conventions.delta_sign
     R = einstein_constant(snap.ambient_spec)
     cosb = _costheta_bar(snap)
     sin2 = snap.sin2_0
     Wpair_s2 = np.einsum("bij,bi,bj->b", snap.W0, snap.JHtop0,
                          snap.grad_sin2_0)
-    dfw_jh = sd * np.einsum("bi,bi->b", snap.delta_W0, snap.JHtop0)
+    dfw_jh = np.einsum("bi,bi->b", snap.delta_W0, snap.JHtop0)
     # NaN |grad cos|^2 at Lagrangian points counts as 0, which sets the
     # field's reported min/max there
     fields = {
@@ -705,24 +689,23 @@ SUITE_READERS = {
 SUITES = tuple(SUITE_READERS)
 
 
-def judge_suites(snap, suites, conventions, tol_abs=TOL_ABS_DEFAULT,
+def judge_suites(snap, suites, tol_abs=TOL_ABS_DEFAULT,
                  tol_rel=TOL_REL_DEFAULT):
     """Evaluate the selected suites on a snapshot and judge each block
     once; returns the ``Judged`` blocks ordered by id."""
     blocks = [block for name in suites if name != "hypotheses"
-              for block in SUITE_READERS[name](snap, conventions)]
+              for block in SUITE_READERS[name](snap)]
     return [_judge(block, tol_abs, tol_rel)
             for block in sorted(blocks, key=lambda b: b.id)]
 
 
-def run_identity_suite(snap, suites, conventions, tol_abs=TOL_ABS_DEFAULT,
+def run_identity_suite(snap, suites, tol_abs=TOL_ABS_DEFAULT,
                        tol_rel=TOL_REL_DEFAULT):
     """The records of ``judge_suites`` as ``IdentityResidual`` rows,
     ordered by (id, point_index), with ``point_index`` the index of the
     point in the points the snapshot was computed on."""
     return [IdentityResidual(*row.values())
-            for judged in judge_suites(snap, suites, conventions, tol_abs,
-                                       tol_rel)
+            for judged in judge_suites(snap, suites, tol_abs, tol_rel)
             for row in record_rows(judged, snap.index)]
 
 
@@ -737,42 +720,35 @@ def _calibration_snapshot(order):
         verify_delta_kappa.reads + verify_prop3_1.reads))
 
 
-def _closes(blocks, ident, where=True):
-    """Whether the block ``ident`` has a point that is applicable and in
-    ``where``, and closes to rel < 1e-5 at every such point."""
-    block, = (b for b in blocks if b.id == ident)
-    rel = block.residuals()[1][block.applicable & where]
-    return bool(rel.size) and np.max(rel) < 1e-5
-
-
 @lru_cache(maxsize=4)
 def calibrate_conventions(order=3):
-    """Fix (s_delta, delta_sign) on the built-in calibration surface.
+    """Check the signs of ``CONVENTIONS`` on the built-in calibration
+    surface, at jet order ``order``.
 
-    s_delta: the n=1 angle-Laplacian identity must close.
+    s_delta: the n=1 angle-Laplacian identity must close, at the points
+    where the Laplacian of the angle is not small.
     delta_sign: the form-codifferential identity delta(F*w)# =
     (n-2) J_w(grad cos theta) must close.
-    Raises ConventionError unless exactly one assignment of each closes.
+    Raises ConventionError, naming the sign, unless each identity closes
+    with its LHS as the code forms it and fails to close with it negated.
     """
     snap = _calibration_snapshot(order)
     gate, _ = _delta_kappa_gate(snap)
     strong = gate & (np.abs(snap.lap_kappa) > 1e-3)
     if np.count_nonzero(strong) < 10:
         raise ConventionError("calibration surface yields too few generic points")
-
-    closing_sD = [sD for sD in (1, -1) if _closes(
-        verify_delta_kappa(snap, Conventions(s_delta=sD, delta_sign=1)),
-        "cor3.2.delta_kappa", strong)]
-    if len(closing_sD) != 1:
-        raise ConventionError(
-            f"scalar-Laplacian sign calibration not unique: {closing_sD}"
-        )
-    closing_sd = [sd for sd in (1, -1) if _closes(
-        verify_prop3_1(snap, Conventions(s_delta=closing_sD[0],
-                                         delta_sign=sd)),
-        "prop3.1.delta_form")]
-    if len(closing_sd) != 1:
-        raise ConventionError(
-            f"codifferential sign calibration not unique: {closing_sd}"
-        )
-    return Conventions(s_delta=closing_sD[0], delta_sign=closing_sd[0])
+    for sign, blocks, ident, where in (
+            ("scalar-Laplacian", verify_delta_kappa(snap),
+             "cor3.2.delta_kappa", strong),
+            ("codifferential", verify_prop3_1(snap), "prop3.1.delta_form",
+             True)):
+        block, = (b for b in blocks if b.id == ident)
+        closing = []
+        for s in (1, -1):
+            rel = replace(block, lhs=s * block.lhs).residuals()[1]
+            rel = rel[block.applicable & where]
+            if rel.size and np.max(rel) < 1e-5:
+                closing.append(s)
+        if closing != [1]:
+            raise ConventionError(f"{sign} sign calibration: {closing} "
+                                  f"close, expected [1]")

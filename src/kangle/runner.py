@@ -18,6 +18,7 @@ from .catalog import builtin_catalog, get_entry
 from .errors import KangleError, UsageError
 from .geometry import CLASS_NAMES, compute_snapshot, reads
 from .identities import (
+    CONVENTIONS,
     ResidualRows,
     SUITE_READERS,
     SUITES,
@@ -91,7 +92,7 @@ def check_expected(entry, snap):
         worst = float(np.sqrt(np.max(snap.normH2)))
         if worst > 1e-8 * sff_scale:
             failures.append(f"expected minimal, max |H| = {worst:.3e}")
-    if entry.equal_angles is True and not np.all(snap.equal_gate):
+    if entry.equal_angles and not np.all(snap.equal_gate):
         spread = float(np.max(snap.cos_angles[:, 0] - snap.cos_angles[:, -1]))
         failures.append(f"expected equal angles, max spread = {spread:.3e}")
     if entry.constant_angle:
@@ -125,9 +126,9 @@ def _field_stats(fields):
     return out
 
 
-@reads("equal_gate", "classification", "cos_angles")
+@reads("classification", "cos_angles")
 def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
-               conventions, quad_grid):
+               quad_grid):
     """One entry's report, whose ``residuals`` view keeps the judged
     columns and the kept points, and the order its snapshot formed F at.
     An entry whose every sampled point is rejected raises RunError."""
@@ -140,15 +141,10 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
         raise RunError(f"entry {entry.name}: all {points} sampled points "
                        f"were rejected, the first as {min(snap.rejected)[1]!r}")
     failures = check_expected(entry, snap)
-    judged = judge_suites(snap, suites, conventions, tol_abs=tol_abs,
-                          tol_rel=tol_rel)
-    gate_info = None
-    if entry.equal_angles == "measured":
-        frac = float(np.mean(snap.equal_gate))
-        gate_info = {"fraction": frac, "passed": bool(frac == 1.0)}
+    judged = judge_suites(snap, suites, tol_abs=tol_abs, tol_rel=tol_rel)
     fields = {}
     if "hypotheses" in suites:
-        fields = _field_stats(evaluate_hypothesis_fields(snap, conventions))
+        fields = _field_stats(evaluate_hypothesis_fields(snap))
     quad = []
     if quad_grid and spec.periodic:
         n_axis = quad_grid if snap.domain_dim == 2 else max(8, quad_grid // 4)
@@ -166,7 +162,6 @@ def _run_entry(entry, suites, points, seed, order, tol_abs, tol_rel,
         },
         "expected_ok": not failures,
         "expected_failures": failures,
-        "equal_angle_gate": gate_info,
         "hypothesis_fields": fields,
         "quadrature": quad,
         "residuals": ResidualRows(judged, snap.index, snap.points),
@@ -217,10 +212,10 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
     if threads < 0:
         raise RunError(f"threads must be {rule}, got {threads}")
     threads = threads or os.cpu_count()
-    conventions = calibrate_conventions(order)
+    calibrate_conventions(order)
 
-    args = [(e, suites, points, seed, order, tol_abs, tol_rel, conventions,
-             quad_grid) for e in entry_objs]
+    args = [(e, suites, points, seed, order, tol_abs, tol_rel, quad_grid)
+            for e in entry_objs]
     if threads > 1 and len(entry_objs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             runs = list(pool.map(lambda a: _run_entry(*a), args))
@@ -238,7 +233,7 @@ def run_suite(entries=None, suites="all", points=64, seed=1234,
         "schema": 2,
         "records": "all",
         "version": __version__,
-        "conventions": conventions.as_dict(),
+        "conventions": dict(CONVENTIONS),
         "seed": seed,
         "order": max((formed for _, formed in runs), default=order),
         "points_per_entry": points,

@@ -1,16 +1,9 @@
-"""Shared fixtures and the finite-difference oracle used across tests."""
+"""Oracles shared across tests: closed forms, full-tensor routes and finite
+differences."""
 
 import itertools
 
 import numpy as np
-import pytest
-
-from kangle.identities import calibrate_conventions
-
-
-@pytest.fixture(scope="session")
-def conventions():
-    return calibrate_conventions(3)
 
 
 def ambient_metric_jet(spec, z_jets):

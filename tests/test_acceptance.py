@@ -27,7 +27,7 @@ from kangle.ambient import (
 )
 from kangle.catalog import builtin_catalog, get_entry
 from kangle.geometry import LAGRANGIAN, compute_snapshot, gauss_equation_residual
-from kangle.identities import calibrate_conventions, evaluate_hypothesis_fields
+from kangle.identities import CONVENTIONS, evaluate_hypothesis_fields
 from kangle.jets import jet_seed_all
 from kangle.runner import run_suite, sample_points
 
@@ -224,7 +224,6 @@ def test_criterion_8_lagrangian_torus():
     entry = get_entry("lagrangian_torus_4")
     pts = sample_points(entry.box, 64, seed=88)
     snap = compute_snapshot(entry.spec(), pts)
-    conv = calibrate_conventions(3)
     h_dev = np.max(np.abs(np.sqrt(snap.normH2) - np.sqrt(2.0) / 2.0))
     # circle-curvature oracle: radius r circles give |H| = 1/(2r)
     r = 1.0 / np.sqrt(2.0)
@@ -232,12 +231,12 @@ def test_criterion_8_lagrangian_torus():
     assert h_dev < 1e-9
     d_closed = np.max(np.abs(snap.d_JHb))
     assert d_closed < 1e-9
-    sigma = snap.sigma_jh0 + conv.delta_sign * snap.sigma_dw0
+    sigma = snap.sigma_jh0 + snap.sigma_dw0
     # nabla sigma from the jets sigma is built from, at every point
     assert np.all(snap.masks["sigma"])
     jets = snap.jets
     JHb, _ = mean_curvature_jets(entry.spec(), snap)
-    sigma_jet = ((JHb * (2.0 * snap.n) + jets["delta_W"] * conv.delta_sign)
+    sigma_jet = ((JHb * (2.0 * snap.n) + jets["delta_W"])
                  * (1.0 - jets["cos2"]).truncated(1).reciprocal())
     nabla = ca.cov_d(sigma_jet, jets["gamma"]).value()
     assert np.max(np.abs(nabla)) < 1e-8
@@ -266,17 +265,16 @@ def test_criterion_9_exact_rational_consistency():
             defect = H2 + sin2 / (4 * n) * R
             assert (defect == 0) == (rho == rho_star)
             hits += 1
-    conv = calibrate_conventions(3)
     # flat Lagrangian torus of unit circles: |H|^2 = 1/2, sin^2 = 1, R = 0
     torus = get_entry("lagrangian_torus_2")
     snap = compute_snapshot(torus.spec(), sample_points(torus.box, 16, 99))
-    field = evaluate_hypothesis_fields(snap, conv)["prop1.2.parallel_defect"]
+    field = evaluate_hypothesis_fields(snap)["prop1.2.parallel_defect"]
     torus_dev = float(np.max(np.abs(field - 0.5)))
     assert torus_dev < 1e-12
     # curved n=1 entry: the field is the exact defect of its own |H|^2, sin^2
     curved = get_entry("trig_sf_pos")
     snap = compute_snapshot(curved.spec(), sample_points(curved.box, 16, 99))
-    field = evaluate_hypothesis_fields(snap, conv)["prop1.2.parallel_defect"]
+    field = evaluate_hypothesis_fields(snap)["prop1.2.parallel_defect"]
     rho = Fraction(snap.ambient_spec.rho)
     for b in range(snap.size):
         exact = float(Fraction(snap.normH2[b])
@@ -307,9 +305,9 @@ def test_criterion_10_jet_and_parser_robustness():
 def test_criterion_11_convention_calibration():
     from test_identities import check_calibration_sign_uniqueness
     check_calibration_sign_uniqueness()
-    conv = calibrate_conventions(3)
     report = run_suite(entries=["linear_n1_a0p5"], suites=["prop3.1"],
                        points=8)
-    assert report["conventions"] == conv.as_dict()
-    _ok(11, f"unique sign assignment (s_delta={conv.s_delta}, "
-            f"delta_sign={conv.delta_sign}), recorded in the report header")
+    assert report["conventions"] == CONVENTIONS
+    _ok(11, f"unique sign assignment (s_delta={CONVENTIONS['s_delta']}, "
+            f"delta_sign={CONVENTIONS['delta_sign']}), recorded in the "
+            f"report header")

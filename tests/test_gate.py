@@ -137,7 +137,7 @@ def test_cli_eval_at_a_rejected_point(text, point, reason, tmp_path, capsys):
     assert reason in captured.err
 
 
-def test_a_singular_point_drops_only_its_point(conventions):
+def test_a_singular_point_drops_only_its_point():
     """log(u1) has no jet at u1 = -1: that point is gated, and the regular
     points are kept, with the values and records they have alone."""
     spec = parse_immersion(_flat("log(u1)"))
@@ -149,23 +149,22 @@ def test_a_singular_point_drops_only_its_point(conventions):
     for key, value in alone.data.items():
         assert np.allclose(snap.data[key], value, rtol=0.0, atol=1e-14,
                            equal_nan=True), key
-    records = run_identity_suite(snap, SUITES, conventions)
+    records = run_identity_suite(snap, SUITES)
     assert {r.point_index for r in records} == {0, 2}
 
 
-def test_identity_records_index_the_callers_points(monkeypatch,
-                                                  conventions):
+def test_identity_records_index_the_callers_points(monkeypatch):
     """After a rejection the records skip the dropped point and keep the
     index of every other point in the points passed in."""
     entry = get_entry("trig_flat_4d")
     pts = sample_points(entry.box, 8, 1234)
     whole = geometry.compute_snapshot(entry.spec(), pts)
     want = {(r.id, r.point_index): r
-            for r in run_identity_suite(whole, SUITES, conventions)}
+            for r in run_identity_suite(whole, SUITES)}
     bad = _fail_one_pairing(monkeypatch, whole)
     assert bad < len(pts) - 1     # so a later point shows an index shift
     records = run_identity_suite(
-        geometry.compute_snapshot(entry.spec(), pts), SUITES, conventions)
+        geometry.compute_snapshot(entry.spec(), pts), SUITES)
     keys = [(r.id, r.point_index) for r in records]
     assert keys == sorted(keys)
     assert {i for _, i in keys} == set(range(len(pts))) - {bad}
@@ -176,11 +175,11 @@ def test_identity_records_index_the_callers_points(monkeypatch,
             assert np.allclose(rec.lhs, ref.lhs, rtol=1e-12, atol=1e-12)
 
 
-def test_run_suite_counts_a_pairing_rejection(monkeypatch, conventions):
+def test_run_suite_counts_a_pairing_rejection(monkeypatch):
     entry = get_entry("trig_flat_4d")
     points = 8
-    # run_suite samples these points; the conventions are calibrated
-    # before PAIRING_TOL changes
+    # run_suite samples these points; this first run checks the
+    # conventions before PAIRING_TOL changes
     whole, = run_suite(entries=[entry.name], points=points, seed=1234,
                        threads=1)["entries"]
     bad = _fail_one_pairing(monkeypatch, geometry.compute_snapshot(

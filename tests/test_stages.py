@@ -27,29 +27,32 @@ from kangle.identities import SUITE_READERS
 SRC = Path(geometry.__file__).resolve().parent
 
 # n=1, n=2 equal-angle, n=3, Lagrangian, curved (n=1 and n=2), and the
-# entry whose equal-angle gate is measured rather than expected
+# quaternionic graph, equal-angle with a complex point at the origin
 CASES = ("slant_cylinder", "ds_graph", "slant_product_6", "lagrangian_torus_4",
          "trig_sf_pos", "lagrangian_torus_sf_pos", "quaternionic_graph")
 
 # keys of a full snapshot that no production reader declares, with the reason
 ALLOWLIST = {
-    "pair_gap": "numerical health, kept for the schema-2 report",
-    "sumRM_imag": "numerical health, kept for the schema-2 report",
-    "near_equal_warn": "numerical health, kept for the schema-2 report",
+    "pair_gap": "numerical health, unread until the report's health block "
+                "(ROADMAP item 1)",
+    "sumRM_imag": "numerical health, unread until the report's health block "
+                  "(ROADMAP item 1)",
+    "near_equal_warn": "numerical health, unread until the report's health "
+                       "block (ROADMAP item 1) or until the jet-level "
+                       "equal-angle gate (ROADMAP item 19) replaces it",
 }
 
 
 def _suite(fn):
-    return lambda entry, snap, conv: fn(snap, conv)
+    return lambda entry, snap: fn(snap)
 
 
-# the readers that take a snapshot, as f(entry, snap, conventions)
+# the readers that take a snapshot, as f(entry, snap)
 SNAPSHOT_READERS = {
     **{name: _suite(fn) for name, fn in SUITE_READERS.items()},
-    "check_expected": lambda entry, snap, conv: runner.check_expected(entry,
-                                                                      snap),
+    "check_expected": runner.check_expected,
     "gauss_equation_residual":
-        lambda entry, snap, conv: geometry.gauss_equation_residual(snap),
+        lambda entry, snap: geometry.gauss_equation_residual(snap),
 }
 DECLARED = {**{name: fn.reads for name, fn in SUITE_READERS.items()},
             "check_expected": runner.check_expected.reads,
@@ -216,9 +219,8 @@ def test_run_suite_runs_only_the_stages_its_suites_read(stage_log,
     calibrate = runner.calibrate_conventions
 
     def calibrate_then_clear(order):
-        conventions = calibrate(order)
+        calibrate(order)
         stage_log["calls"].clear()   # the calibration surface's own plan
-        return conventions
 
     monkeypatch.setattr(runner, "calibrate_conventions", calibrate_then_clear)
     report = runner.run_suite(suites=["weitzenboeck"], points=4, threads=1)
@@ -236,19 +238,27 @@ def test_without_reads_every_stage_runs(stage_log):
 
 # --------------------------------------------------------------- readers
 
+def test_every_suite_takes_only_the_snapshot():
+    """The sign conventions are constants of the code, so no suite reader
+    takes a second argument for them."""
+    for name, fn in SUITE_READERS.items():
+        params = inspect.signature(fn).parameters
+        assert len(params) == 1, (name, list(params))
+
+
 @pytest.mark.parametrize("reader", sorted(SNAPSHOT_READERS))
-def test_declared_reads_are_exact(reader, conventions):
+def test_declared_reads_are_exact(reader):
     fn, declared = SNAPSHOT_READERS[reader], set(DECLARED[reader])
     seen = set()
     for case in CASES:
         entry = get_entry(case)
         snap, log = _recording(_full(case))
-        full_out = fn(entry, snap, conventions)
+        full_out = fn(entry, snap)
         assert log <= declared, (case, log - declared)
         seen |= log
         reduced = geometry.compute_snapshot(entry.spec(), _points(entry),
                                             reads=DECLARED[reader])
-        assert _same(fn(entry, reduced, conventions), full_out), case
+        assert _same(fn(entry, reduced), full_out), case
     assert seen == declared
 
 
@@ -293,15 +303,15 @@ def _listed(result):
     return dict(result, residuals=list(result["residuals"]))
 
 
-def test_run_entry_reads_are_exact(monkeypatch, conventions):
+def test_run_entry_reads_are_exact(monkeypatch):
     results = {}
     for case in CASES:
         results[case] = runner._run_entry(get_entry(case), list(SUITE_READERS),
-                                          6, 11, 3, 1e-7, 1e-5, conventions, 0)
+                                          6, 11, 3, 1e-7, 1e-5, 0)
     log = _full_snapshots(monkeypatch, runner)
     for case in CASES:
         full = runner._run_entry(get_entry(case), list(SUITE_READERS), 6, 11,
-                                 3, 1e-7, 1e-5, conventions, 0)
+                                 3, 1e-7, 1e-5, 0)
         assert full[1] == results[case][1] == 3, case
         assert _listed(full[0]) == _listed(results[case][0]), case
     # _run_entry's own reads: with every reader it calls silenced
@@ -311,8 +321,7 @@ def test_run_entry_reads_are_exact(monkeypatch, conventions):
             lambda *args, result=result, **kwargs: result))
     log.clear()
     for case in CASES:
-        runner._run_entry(get_entry(case), [], 6, 11, 3, 1e-7, 1e-5,
-                          conventions, 0)
+        runner._run_entry(get_entry(case), [], 6, 11, 3, 1e-7, 1e-5, 0)
     assert log == set(runner._run_entry.reads)
 
 
